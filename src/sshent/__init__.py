@@ -1,7 +1,7 @@
 """Charge-resolved entanglement of intervals in dimerized chains with defects."""
 
 from .model import ChainSpec, DefectSpec, build_hamiltonian, localization_length
-from .linalg import EigenSystem, eigh_symmetric
+from .linalg import EigenSystem, NumericalError, eigh_symmetric
 from .specialfn import EllipticParams
 from .groundstate import (
     CorrelationMatrix,
@@ -28,6 +28,7 @@ __all__ = [
     "build_hamiltonian",
     "localization_length",
     "EigenSystem",
+    "NumericalError",
     "eigh_symmetric",
     "EllipticParams",
     "CorrelationMatrix",

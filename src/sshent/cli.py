@@ -9,9 +9,8 @@ statmech        chemical-potential diagnostics on model spectra
 aklt            spin-chain interface tables
 selftest        quick end-to-end invariant suite
 
-Exit codes: 0 success, 1 configuration error, 2 numerical-validation failure.
-``SSHENT_THREADS`` sets the scan worker count (default 1); output row order is
-independent of it.
+Exit codes: 0 success, 1 configuration error, 2 numerical-validation failure
+(a failed gate, or a ``NumericalError`` from the eigensolvers).
 """
 
 from __future__ import annotations
@@ -19,9 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -32,7 +29,7 @@ from . import model
 from . import serialize
 from . import specialfn as sf
 from . import statmech as sm
-from .linalg import eigh_symmetric
+from .linalg import NumericalError, eigh_symmetric
 
 SCAN_COLUMNS = [
     "m", "case", "p", "q", "dq", "n",
@@ -47,13 +44,6 @@ EXIT_VALIDATION = 2
 
 class ConfigError(Exception):
     pass
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("SSHENT_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -282,42 +272,27 @@ def run_scan_interval(args: argparse.Namespace) -> int:
             asym_tables[key] = asym.asymptotic_table(case, n, params, ell)
         return asym_tables[key]
 
-    if needs_asym:
-        # fill the cache up front; worker threads then only read it
-        for case in {model.window_case(spec, m, ell) for m in m_values}:
-            for n in n_list:
-                asym_table(case, n)
-
-    def one_window(m: int) -> list[dict]:
-        out = []
+    rows: list[dict] = []
+    for m in m_values:
         case = model.window_case(spec, m, ell)
         lam = None
         if needs_lattice:
             lam = gs.correlation_matrix(eig, spec, policy, (m, ell)).eigenvalues()
         for n in n_list:
             if lam is not None:
-                out.extend(
+                rows.extend(
                     _table_rows(
                         ent.charge_resolved_table(lam, n),
                         m=m, case=case, n=n, ell=ell, source="lattice",
                     )
                 )
             if needs_asym:
-                out.extend(
+                rows.extend(
                     _table_rows(
                         asym_table(case, n),
                         m=m, case=case, n=n, ell=ell, source="asymptotic",
                     )
                 )
-        return out
-
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(one_window, m_values))
-    else:
-        chunks = [one_window(m) for m in m_values]
-    rows = [r for chunk in chunks for r in chunk]
     _fill_deviations(rows)
     rows = _sort_rows(rows)
 
@@ -325,9 +300,10 @@ def run_scan_interval(args: argparse.Namespace) -> int:
     if mode == "both":
         margin = int(config["bulk_margin"])
         tol = float(config["tolerance"])
+        bulk = {m: _is_bulk_window(spec, m, ell, margin) for m in m_values}
         worst = 0.0
         for r in rows:
-            if r["dev"] is None or not _is_bulk_window(spec, r["m"], ell, margin):
+            if r["dev"] is None or not bulk[r["m"]]:
                 continue
             if r["Z1_q"] < 1e-6:
                 continue
@@ -720,6 +696,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    except NumericalError as err:
+        print(f"numerical error: {err}", file=sys.stderr)
+        return EXIT_VALIDATION
     except ValueError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

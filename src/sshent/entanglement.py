@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import NumericalError
+
 EMPTY_SECTOR_THRESHOLD = 1e-14
 _LAMBDA_SLACK = 1e-10
 
@@ -25,7 +27,7 @@ def clamp_lambdas(lambdas: np.ndarray, slack: float = _LAMBDA_SLACK) -> np.ndarr
     """Clip eigenvalues to [0, 1]; out-of-range beyond ``slack`` means a bad eigensolve."""
     lam = np.asarray(lambdas, dtype=float)
     if lam.size and (lam.min() < -slack or lam.max() > 1.0 + slack):
-        raise ValueError(
+        raise NumericalError(
             f"correlation eigenvalues outside [0, 1] beyond tolerance: "
             f"min {lam.min():.3e}, max {lam.max():.3e}"
         )

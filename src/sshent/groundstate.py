@@ -160,8 +160,14 @@ def occupied_orbitals(
     spec: ChainSpec,
     policy: OccupationPolicy,
     threshold: float = NEAR_ZERO_THRESHOLD,
+    sites: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Columns of the filled extended modes (excluding any explicit zero mode)."""
+    """Columns of the filled extended modes (excluding any explicit zero mode).
+
+    ``sites`` (0-based, in the order wanted) restricts the rows before the
+    columns are selected, so a window copies only its own ``2 ell x N_occ``
+    block; without it every site is returned.
+    """
     energies = eig.eigenvalues
     n_def = len(spec.defects)
     if n_def:
@@ -175,10 +181,9 @@ def occupied_orbitals(
             raise ValueError(
                 "half filling with defects requires an explicit zero-mode occupation"
             )
-        return eig.eigenvectors[:, occ]
-    if policy.zero_mode is not None:
+    elif policy.zero_mode is not None:
         raise ValueError("the chain has no defects to host a zero mode")
-    if policy.filling == BELOW_HALF:
+    elif policy.filling == BELOW_HALF:
         # excludes open-chain edge modes too; on a gapped ring this is half filling
         occ = energies < -threshold * spec.hopping
         if int(occ.sum()) not in (spec.n_cells, spec.n_cells - 1):
@@ -189,7 +194,11 @@ def occupied_orbitals(
         occ = energies < 0.0
         if int(occ.sum()) != spec.n_cells:
             raise ValueError("half filling is ambiguous: Fermi level not in a gap")
-    return eig.eigenvectors[:, occ]
+    if sites is None:
+        return eig.eigenvectors[:, occ]
+    # a single gather with no 2 ell x N intermediate, C-ordered like a row
+    # slice of the full block
+    return eig.eigenvectors[np.ix_(sites, occ)]
 
 
 def correlation_matrix(
@@ -214,7 +223,7 @@ def correlation_matrix(
             f"window contains {len(inside)} defects; at most one is supported"
         )
     sites = window_sites(spec, start_cell, n_cells)
-    v = occupied_orbitals(eig, spec, policy, threshold)[sites, :]
+    v = occupied_orbitals(eig, spec, policy, threshold, sites=sites)
     c = v @ v.T
     zm = policy.zero_mode
     if policy.filling == HALF and zm is not None:

@@ -7,6 +7,14 @@ from dataclasses import dataclass
 import numpy as np
 
 
+class NumericalError(ValueError):
+    """A computation failed or produced values its invariants rule out.
+
+    Subclasses ``ValueError`` so callers that reject bad input and bad
+    numerics alike keep working; the CLI tells the two apart (exit 2).
+    """
+
+
 @dataclass(frozen=True)
 class EigenSystem:
     """Ascending eigenvalues and the matching orthonormal eigenvector columns."""
@@ -30,7 +38,8 @@ def eigh_symmetric(matrix: np.ndarray, symmetry_rtol: float = 1e-12) -> EigenSys
 
     Rejects inputs whose asymmetry exceeds ``symmetry_rtol`` relative to the
     max-norm; the symmetric part is what gets diagonalized.  Non-convergence
-    of the underlying solver is re-raised with the residual scale attached.
+    of the underlying solver is re-raised as ``NumericalError`` with the
+    matrix scale attached.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -46,7 +55,7 @@ def eigh_symmetric(matrix: np.ndarray, symmetry_rtol: float = 1e-12) -> EigenSys
     try:
         w, v = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as err:
-        raise RuntimeError(
+        raise NumericalError(
             f"eigensolver did not converge (matrix scale {scale:.3e}): {err}"
         ) from err
     return EigenSystem(eigenvalues=w, eigenvectors=v)

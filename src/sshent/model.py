@@ -203,12 +203,10 @@ def bond_amplitudes(spec: ChainSpec) -> np.ndarray:
     flips = np.zeros(n_bonds + 2, dtype=int)
     for r0 in _flip_points(spec):
         flips[min(r0, n_bonds + 1):] += 1
-    amps = np.empty(n_bonds)
-    for r in range(1, n_bonds + 1):
-        flipped = flips[r] % 2
-        intra = r % 2 == 1
-        amps[r - 1] = weak if intra ^ flipped else strong
-    return amps
+    r = np.arange(1, n_bonds + 1)
+    intra = r % 2 == 1
+    flipped = flips[1 : n_bonds + 1] % 2 == 1
+    return np.where(intra ^ flipped, weak, strong)
 
 
 def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
@@ -216,9 +214,11 @@ def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
     n = spec.n_sites
     amps = bond_amplitudes(spec)
     h = np.zeros((n, n))
-    for r, a in enumerate(amps, start=1):
-        i, j = r - 1, r % n
-        h[i, j] = h[j, i] = a
+    i = np.arange(n - 1)
+    h[i, i + 1] = h[i + 1, i] = amps[: n - 1]
+    if amps.size == n:
+        # periodic wrap bond; on a two-site ring it joins the pair of bond 1 and wins
+        h[n - 1, 0] = h[0, n - 1] = amps[n - 1]
     return h
 
 

@@ -1,7 +1,12 @@
 """Independent reference implementations used only to check the library."""
 
+import math
+
 import numpy as np
 from scipy.integrate import quad
+
+from sshent import groundstate as gs
+from sshent import model
 
 
 def brute_force_sector_data(lambdas, n):
@@ -70,3 +75,46 @@ def srpf_by_flux_quadrature(lambdas, n, n_points=4096):
         integrand = moments * np.exp(-1j * alphas * q)
         out[q] = float(np.real(np.sum(integrand))) / n_points
     return out
+
+
+def bond_amplitudes_loop(spec):
+    """Bond amplitudes assigned one bond at a time from the flip parity."""
+    n = spec.n_sites
+    t, delta = spec.hopping, spec.dimerization
+    n_bonds = n if spec.boundary == model.PERIODIC else n - 1
+    weak, strong = -t * (1.0 - delta), -t * (1.0 + delta)
+    flips = np.zeros(n_bonds + 2, dtype=int)
+    for r0 in model._flip_points(spec):
+        flips[min(r0, n_bonds + 1):] += 1
+    amps = np.empty(n_bonds)
+    for r in range(1, n_bonds + 1):
+        flipped = flips[r] % 2
+        intra = r % 2 == 1
+        amps[r - 1] = weak if intra ^ flipped else strong
+    return amps
+
+
+def hamiltonian_loop(spec):
+    """Hopping matrix filled bond by bond; bond r joins sites r and r+1 (mod N)."""
+    n = spec.n_sites
+    h = np.zeros((n, n))
+    for r, a in enumerate(bond_amplitudes_loop(spec), start=1):
+        i, j = r - 1, r % n
+        h[i, j] = h[j, i] = a
+    return h
+
+
+def correlation_matrix_full_block(eig, spec, policy, window):
+    """Window correlation matrix sliced from the full N x N_occ occupied block,
+    with the zero-mode projector added in the same order as the library."""
+    sites = model.window_sites(spec, *window)
+    v = gs.occupied_orbitals(eig, spec, policy)[sites]
+    c = v @ v.T
+    zm = policy.zero_mode
+    if policy.filling == gs.HALF and zm is not None:
+        w1, w2 = zm.psi1[sites], zm.psi2[sites]
+        p, phi = zm.p, zm.phi
+        c = c + (1.0 - p) * np.outer(w1, w1) + p * np.outer(w2, w2)
+        cross = math.sqrt(p * (1.0 - p)) * math.cos(phi)
+        c = c + cross * (np.outer(w1, w2) + np.outer(w2, w1))
+    return c

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from sshent import cli
@@ -70,16 +71,6 @@ def test_scan_determinism(tmp_path):
     assert (tmp_path / "scan.csv").read_bytes() == first
 
 
-def test_scan_order_independent_of_thread_count(tmp_path, monkeypatch):
-    cfg = base_config(tmp_path, mode="lattice")
-    path = write_config(tmp_path, cfg)
-    assert cli.main(["scan-interval", "--config", path]) == 0
-    serial = (tmp_path / "scan.csv").read_bytes()
-    monkeypatch.setenv("SSHENT_THREADS", "4")
-    assert cli.main(["scan-interval", "--config", path]) == 0
-    assert (tmp_path / "scan.csv").read_bytes() == serial
-
-
 def test_scan_row_ordering(tmp_path):
     cfg = base_config(tmp_path, mode="lattice")
     cli.main(["scan-interval", "--config", write_config(tmp_path, cfg)])
@@ -117,6 +108,34 @@ def test_validation_failure_exit_code(tmp_path):
     rc = cli.main(["scan-interval", "--config", write_config(tmp_path, cfg)])
     assert rc == 2
     assert (tmp_path / "scan.csv").exists()  # files still written
+
+
+def test_eigensolver_failure_is_numerical_error(tmp_path, monkeypatch, capsys):
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    cfg = base_config(tmp_path)
+    rc = cli.main(["scan-interval", "--config", write_config(tmp_path, cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "numerical error: eigensolver did not converge" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "scan.csv").exists()
+
+
+def test_out_of_range_correlation_eigenvalue_is_numerical_error(
+    tmp_path, monkeypatch, capsys
+):
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh(a) + 1e-3)
+    cfg = base_config(tmp_path, mode="lattice")
+    rc = cli.main(["scan-interval", "--config", write_config(tmp_path, cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "numerical error: correlation eigenvalues outside [0, 1]" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "scan.csv").exists()
 
 
 def test_zero_mode_scan(tmp_path):

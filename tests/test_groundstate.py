@@ -9,6 +9,9 @@ from sshent import model
 from sshent.linalg import eigh_symmetric
 
 from conftest import DEFECT_WINDOW, TOP_WINDOW, TRIV_WINDOW, two_defect_chain
+from oracles import correlation_matrix_full_block
+
+SEAM_WINDOW = (195, 10)  # cells 195..200 then 1..4: wraps the cell-1 seam
 
 
 def sorted_lambdas(eig, spec, policy, window):
@@ -89,6 +92,29 @@ def test_half_filling_defect_free_chain():
     assert cm.trace() == pytest.approx(10.0, abs=1e-9)
     lam = cm.eigenvalues()
     assert lam.min() >= -1e-12 and lam.max() <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("window", [DEFECT_WINDOW, TOP_WINDOW, TRIV_WINDOW, SEAM_WINDOW])
+@pytest.mark.parametrize("p", [None, 0.0, 0.3, 1.0])
+def test_window_gather_matches_full_block(eig03, chain03, zero_pair03, p, window):
+    """Gathering the window rows first gives the full-block matrix bit for bit;
+    ``p=None`` is below half filling, otherwise half with the zero mode at p."""
+    if p is None:
+        policy = gs.OccupationPolicy.below_half()
+    else:
+        policy = gs.OccupationPolicy.half(zero_pair03.with_weight(p))
+    cm = gs.correlation_matrix(eig03, chain03, policy, window)
+    ref = correlation_matrix_full_block(eig03, chain03, policy, window)
+    assert np.array_equal(cm.matrix, ref)
+
+
+@pytest.mark.parametrize("window", [(3, 10), (36, 10)])
+def test_window_gather_matches_full_block_defect_free_half(window):
+    spec = model.ChainSpec(n_sites=80, dimerization=0.3)
+    eig = eigh_symmetric(model.build_hamiltonian(spec))
+    policy = gs.OccupationPolicy.half()
+    cm = gs.correlation_matrix(eig, spec, policy, window)
+    assert np.array_equal(cm.matrix, correlation_matrix_full_block(eig, spec, policy, window))
 
 
 # ---------------------------------------------------------------- zero modes

@@ -8,6 +8,23 @@ from sshent import model
 from sshent.linalg import eigh_symmetric
 
 from conftest import two_defect_chain
+from oracles import bond_amplitudes_loop, hamiltonian_loop
+
+# mixed kinds, both boundaries, both signs of delta, and the two-site ring
+# whose wrap bond joins the same pair of sites as bond 1
+ORACLE_SPECS = {
+    "ring-mixed": two_defect_chain(0.3, kinds=("one_site", "three_site")),
+    "ring-mixed-negative": two_defect_chain(-0.4, kinds=("three_site", "one_site")),
+    "open-one-defect": model.ChainSpec(
+        n_sites=60, dimerization=0.6, boundary="open",
+        defects=(model.DefectSpec(12, "three_site"),),
+    ),
+    "open-mixed-negative": model.ChainSpec(
+        n_sites=60, dimerization=-0.25, boundary="open",
+        defects=(model.DefectSpec(7), model.DefectSpec(20, "three_site")),
+    ),
+    "two-site-ring": model.ChainSpec(n_sites=2, dimerization=0.5),
+}
 
 
 def test_fully_dimerized_minimal_ring():
@@ -94,6 +111,27 @@ def test_localization_length_limits():
         model.localization_length(0.0)
 
 
+@pytest.mark.parametrize("name", ORACLE_SPECS)
+def test_vectorized_bonds_match_loop(name):
+    spec = ORACLE_SPECS[name]
+    assert np.array_equal(model.bond_amplitudes(spec), bond_amplitudes_loop(spec))
+    assert np.array_equal(model.build_hamiltonian(spec), hamiltonian_loop(spec))
+
+
+@pytest.mark.parametrize("name", ["ring-mixed", "ring-mixed-negative", "open-one-defect"])
+def test_window_case_labels_match_loop_amplitudes(name, monkeypatch):
+    spec = ORACLE_SPECS[name]
+    ell = 5
+    if spec.boundary == "periodic":
+        starts = range(1, spec.n_cells + 1)
+    else:  # both cut bonds interior
+        starts = range(2, spec.n_cells - ell + 1)
+    fast = [model.window_case(spec, m, ell) for m in starts]
+    monkeypatch.setattr(model, "bond_amplitudes", bond_amplitudes_loop)
+    assert [model.window_case(spec, m, ell) for m in starts] == fast
+    assert set(fast) == {"topological", "trivial", "defect"}
+
+
 def test_window_case_labels(chain03):
     assert model.window_case(chain03, 175, 20) == "topological"
     assert model.window_case(chain03, 90, 20) == "trivial"
@@ -172,3 +210,4 @@ def test_hamiltonian_symmetric_with_expected_amplitudes(spec):
     t, d = spec.hopping, spec.dimerization
     allowed = {0.0, round(-t * (1 - d), 12), round(-t * (1 + d), 12)}
     assert set(np.round(h.ravel(), 12)) <= allowed
+    assert np.array_equal(h, hamiltonian_loop(spec))
