@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .entanglement import ChargeResolvedTable
+from .entanglement import EMPTY_SECTOR_THRESHOLD, ChargeResolvedTable
 
 TRIVIAL_PRODUCT = "trivial_product"
 AKLT_BULK = "aklt_bulk"
@@ -59,33 +59,6 @@ def hybrid_sector_entropy(eta: float, n: float) -> float:
     return math.log(hi**n + lo**n) / (1.0 - n)
 
 
-def _table(charges, zn, probs, renyi, vn, n) -> ChargeResolvedTable:
-    charges = np.asarray(charges, dtype=int)
-    zn = np.asarray(zn, dtype=float)
-    probs = np.asarray(probs, dtype=float)
-    renyi = np.asarray(renyi, dtype=float)
-    vn = np.asarray(vn, dtype=float)
-    s_c = float(np.sum(probs * vn))
-    s_f = float(-np.sum(probs * np.log(probs)))
-    if n == 1.0:
-        tot = s_c + s_f
-    else:
-        tot = math.log(float(np.sum(zn))) / (1.0 - n)
-    return ChargeResolvedTable(
-        renyi_index=n,
-        charges=charges,
-        partition=zn,
-        probabilities=probs,
-        sre_renyi=renyi,
-        sre_vn=vn,
-        total_renyi=tot,
-        total_vn=s_c + s_f,
-        config_entropy=s_c,
-        fluct_entropy=s_f,
-        mean_charge=float(np.sum(charges * probs)),
-    )
-
-
 def aklt_entropies(
     case: str, ground_state: str = TRIPLET, n: float = 1.0, p: float | None = None
 ) -> ChargeResolvedTable:
@@ -120,7 +93,7 @@ def aklt_entropies(
             zq = float(np.sum(lam))
             probs.append(zq)
             zn.append(float(np.sum(lam**n)))
-            if zq <= 1e-15:
+            if zq <= EMPTY_SECTOR_THRESHOLD:
                 vn.append(0.0)
                 renyi.append(0.0)
                 continue
@@ -137,25 +110,15 @@ def aklt_entropies(
                 "4x4 density matrix disagrees with the closed forms: "
                 f"sector 0 {got!r} vs {closed!r}"
             )
-        probs = np.asarray(probs)
-        keep = probs > 1e-15
-        return _table(
-            np.array([-1, 0, 1])[keep],
-            np.asarray(zn)[keep],
-            probs[keep],
-            np.asarray(renyi)[keep],
-            np.asarray(vn)[keep],
-            n,
-        )
+        return ChargeResolvedTable.from_sectors(n, [-1, 0, 1], zn, probs, renyi, vn)
     if case == TRIVIAL_PRODUCT:
-        return _table([0], [1.0], [1.0], [0.0], [0.0], n)
+        return ChargeResolvedTable.from_sectors(n, [0], [1.0], [1.0], [0.0], [0.0])
     if case == AKLT_BULK:
+        # the spin-0 sector holds two equally weighted states at every n
         zn = [4.0**-n, 2.0 * 4.0**-n, 4.0**-n]
-        probs = [0.25, 0.5, 0.25]
-        vn = [0.0, math.log(2.0), 0.0]
-        renyi = vn if n == 1.0 else [0.0, math.log(2.0), 0.0]
-        return _table([-1, 0, 1], zn, probs, renyi, vn, n)
+        sre = [0.0, math.log(2.0), 0.0]
+        return ChargeResolvedTable.from_sectors(n, [-1, 0, 1], zn, [0.25, 0.5, 0.25], sre, sre)
     # defect interval, triplet ground state: one cut valence bond plus a
     # polarized interface spin shifting the labels
     zn = [2.0**-n, 2.0**-n]
-    return _table([0, 1], zn, [0.5, 0.5], [0.0, 0.0], [0.0, 0.0], n)
+    return ChargeResolvedTable.from_sectors(n, [0, 1], zn, [0.5, 0.5], [0.0, 0.0], [0.0, 0.0])

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import partial
 
 import numpy as np
 
 from .entanglement import (
     ChargeResolvedTable,
     charge_resolved_table,
-    config_fluct_split,
     EMPTY_SECTOR_THRESHOLD,
 )
 from .model import DEFECT, TOPOLOGICAL, TRIVIAL
@@ -363,80 +363,41 @@ def dimerized_table(
     return charge_resolved_table(dimerized_lambdas(case, ell, zero_mode_p), n)
 
 
-def _table_from_sectors(
-    n: float,
-    charges: np.ndarray,
-    zn: np.ndarray,
-    probs: np.ndarray,
-    renyi: np.ndarray,
-    vn: np.ndarray,
-    prob_threshold: float,
+def _closed_form_table(
+    n: float, ell: int, params: EllipticParams, srpf, sre, sre_vn
 ) -> ChargeResolvedTable:
-    keep = probs > prob_threshold
-    charges, zn, probs = charges[keep], zn[keep], probs[keep]
-    renyi, vn = renyi[keep], vn[keep]
-    s_c, s_f = config_fluct_split(probs, vn)
-    if n == 1.0:
-        tot_renyi = s_c + s_f
-    else:
-        tot_renyi = math.log(float(np.sum(zn))) / (1.0 - n)
-    return ChargeResolvedTable(
-        renyi_index=n,
-        charges=charges,
-        partition=zn,
-        probabilities=probs,
-        sre_renyi=renyi,
-        sre_vn=vn,
-        total_renyi=tot_renyi,
-        total_vn=s_c + s_f,
-        config_entropy=s_c,
-        fluct_entropy=s_f,
-        mean_charge=float(np.sum(charges * probs)),
+    """Table over ``|dq| <= DQ_TRUNCATION`` from three per-``dq`` closed forms.
+
+    ``srpf(n, dq, params)``, ``sre(n, dq, params)`` and ``sre_vn(dq, params)``.
+    Empty sectors are dropped before any entropy is evaluated: the von Neumann
+    closed forms divide by ``Z_1(q)``.
+    """
+    dqs = np.arange(-DQ_TRUNCATION, DQ_TRUNCATION + 1)
+    probs = np.array([srpf(1.0, int(d), params) for d in dqs])
+    keep = probs > EMPTY_SECTOR_THRESHOLD
+    dqs, probs = dqs[keep], probs[keep]
+    zn = np.array([srpf(n, int(d), params) for d in dqs])
+    vn = np.array([sre_vn(int(d), params) for d in dqs])
+    renyi = vn if n == 1.0 else np.array([sre(n, int(d), params) for d in dqs])
+    return ChargeResolvedTable.from_sectors(n, dqs + ell, zn, probs, renyi, vn)
+
+
+def asymptotic_table(case: str, n: float, params: EllipticParams, ell: int) -> ChargeResolvedTable:
+    """Closed-form charge-resolved table for an ``ell``-cell interval."""
+    _check_case(case)
+    return _closed_form_table(
+        n, ell, params,
+        partial(srpf_asymptotic, case),
+        partial(sre_asymptotic, case),
+        partial(sre_vn_asymptotic, case),
     )
 
 
-def asymptotic_table(
-    case: str,
-    n: float,
-    params: EllipticParams,
-    ell: int,
-    dq_max: int = DQ_TRUNCATION,
-    prob_threshold: float = EMPTY_SECTOR_THRESHOLD,
-) -> ChargeResolvedTable:
-    """Closed-form charge-resolved table for an ``ell``-cell interval."""
-    _check_case(case)
-    dqs = np.arange(-dq_max, dq_max + 1)
-    probs = np.array([srpf_asymptotic(case, 1.0, int(d), params) for d in dqs])
-    keep = probs > prob_threshold
-    dqs, probs = dqs[keep], probs[keep]
-    charges = dqs + ell
-    zn = np.array([srpf_asymptotic(case, n, int(d), params) for d in dqs])
-    vn = np.array([sre_vn_asymptotic(case, int(d), params) for d in dqs])
-    if n == 1.0:
-        renyi = vn.copy()
-    else:
-        renyi = np.array([sre_asymptotic(case, n, int(d), params) for d in dqs])
-    return _table_from_sectors(n, charges, zn, probs, renyi, vn, prob_threshold)
-
-
-def zero_mode_table(
-    p: float,
-    n: float,
-    params: EllipticParams,
-    ell: int,
-    dq_max: int = DQ_TRUNCATION,
-    prob_threshold: float = EMPTY_SECTOR_THRESHOLD,
-) -> ChargeResolvedTable:
+def zero_mode_table(p: float, n: float, params: EllipticParams, ell: int) -> ChargeResolvedTable:
     """Closed-form table for a defect interval with an occupied zero mode."""
-    dqs = np.arange(-dq_max, dq_max + 1)
-    probs = np.array([zero_mode_srpf(p, 1.0, int(d), params) for d in dqs])
-    keep = probs > prob_threshold
-    dqs, probs = dqs[keep], probs[keep]
-    charges = dqs + ell
-    zn = np.array([zero_mode_srpf(p, n, int(d), params) for d in dqs])
-    vn = np.array([zero_mode_sre_vn(p, int(d), params) for d in dqs])
-    if n == 1.0:
-        renyi = vn.copy()
-    else:
-        renyi = np.array([zero_mode_sre(p, n, int(d), params) for d in dqs])
-    return _table_from_sectors(n, charges, zn, probs, renyi, vn, prob_threshold)
+    return _closed_form_table(
+        n, ell, params,
+        partial(zero_mode_srpf, p),
+        partial(zero_mode_sre, p),
+        partial(zero_mode_sre_vn, p),
+    )

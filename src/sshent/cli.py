@@ -36,6 +36,8 @@ SCAN_COLUMNS = [
     "Z1_q", "S_n_q", "S", "S_c", "S_f", "source", "dev",
 ]
 SCAN_SCHEMA = "1"
+# paired rows below this sector probability are left out of the gate
+GATE_PROB_FLOOR = 1e-6
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -87,6 +89,10 @@ def _load_config(args: argparse.Namespace, defaults: dict) -> dict:
         if args.m_start is None or args.m_stop is None:
             raise ConfigError("--m-start and --m-stop must be given together")
         config["m_range"] = [args.m_start, args.m_stop]
+    return _add_outputs(config, args)
+
+
+def _add_outputs(config: dict, args: argparse.Namespace) -> dict:
     if getattr(args, "csv", None):
         config.setdefault("outputs", {})["csv_path"] = args.csv
     if getattr(args, "json_path", None):
@@ -212,6 +218,51 @@ def _emit(config: dict, rows: list[dict], columns: list[str], schema: str) -> No
         print(serialize.render_csv(schema, columns, rows), end="")
 
 
+def _scan_params(config: dict, spec: model.ChainSpec, command: str) -> sf.EllipticParams | None:
+    """Validate the scan mode; elliptic parameters when closed forms are needed."""
+    mode = config["mode"]
+    if mode not in ("lattice", "asymptotic", "both"):
+        raise ConfigError(f"unknown mode {mode!r} for {command}")
+    if mode == "lattice":
+        return None
+    if not 0.0 < spec.dimerization < 1.0:
+        raise ConfigError("asymptotic mode requires dimerization in (0, 1)")
+    return sf.EllipticParams.from_dimerization(spec.dimerization)
+
+
+def _scan(points, n_list: list[float], ell: int, lattice, closed_form) -> list[dict]:
+    """Sorted lattice and closed-form rows over ``(m, p, case)`` points.
+
+    ``lattice(m, p)`` gives the window's correlation eigenvalues and
+    ``closed_form(case, p, n)`` its closed-form table; either may be None.
+    """
+    rows: list[dict] = []
+    for m, p, case in points:
+        lam = lattice(m, p) if lattice else None
+        for n in n_list:
+            at = {"m": m, "case": case, "n": n, "ell": ell, "p": p}
+            if lam is not None:
+                table = ent.charge_resolved_table(lam, n)
+                rows.extend(_table_rows(table, source="lattice", **at))
+            if closed_form:
+                rows.extend(_table_rows(closed_form(case, p, n), source="asymptotic", **at))
+    _fill_deviations(rows)
+    return _sort_rows(rows)
+
+
+def _gate(rows: list[dict], tol: float, label: str) -> int:
+    """Worst paired deviation over rows with ``Z1_q >= GATE_PROB_FLOOR``."""
+    worst = max(
+        (r["dev"] for r in rows if r["dev"] is not None and r["Z1_q"] >= GATE_PROB_FLOOR),
+        default=0.0,
+    )
+    print(f"{label} = {worst:.3e} (tol {tol:g})")
+    if worst > tol:
+        print("numerical validation FAILED", file=sys.stderr)
+        return EXIT_VALIDATION
+    return EXIT_OK
+
+
 def run_scan_interval(args: argparse.Namespace) -> int:
     config = _load_config(
         args,
@@ -226,9 +277,7 @@ def run_scan_interval(args: argparse.Namespace) -> int:
     )
     spec = _chain_from_config(config)
     ell = int(config["window_length"])
-    mode = config["mode"]
-    if mode not in ("lattice", "asymptotic", "both"):
-        raise ConfigError(f"unknown mode {mode!r} for scan-interval")
+    params = _scan_params(config, spec, "scan-interval")
     n_list = [float(n) for n in config["n_list"]]
     if "m_list" in config:
         m_values = [int(m) for m in config["m_list"]]
@@ -254,64 +303,33 @@ def run_scan_interval(args: argparse.Namespace) -> int:
         else gs.OccupationPolicy.half()
     )
 
-    needs_lattice = mode in ("lattice", "both")
-    needs_asym = mode in ("asymptotic", "both")
-    params = None
-    if needs_asym:
-        if not 0.0 < spec.dimerization < 1.0:
-            raise ConfigError("asymptotic mode requires dimerization in (0, 1)")
-        params = sf.EllipticParams.from_dimerization(spec.dimerization)
+    lattice = closed_form = None
+    if config["mode"] != "asymptotic":
+        eig = eigh_symmetric(model.build_hamiltonian(spec))
 
-    eig = eigh_symmetric(model.build_hamiltonian(spec)) if needs_lattice else None
+        def lattice(m: int, p: float | None) -> np.ndarray:
+            return gs.correlation_matrix(eig, spec, policy, (m, ell)).eigenvalues()
 
-    asym_tables: dict[tuple[str, float], ent.ChargeResolvedTable] = {}
+    if params is not None:
+        # one table per (case, n): it does not depend on the window position
+        asym_tables: dict[tuple[str, float], ent.ChargeResolvedTable] = {}
 
-    def asym_table(case: str, n: float) -> ent.ChargeResolvedTable:
-        key = (case, n)
-        if key not in asym_tables:
-            asym_tables[key] = asym.asymptotic_table(case, n, params, ell)
-        return asym_tables[key]
+        def closed_form(case: str, p: float | None, n: float) -> ent.ChargeResolvedTable:
+            if (case, n) not in asym_tables:
+                asym_tables[case, n] = asym.asymptotic_table(case, n, params, ell)
+            return asym_tables[case, n]
 
-    rows: list[dict] = []
-    for m in m_values:
-        case = model.window_case(spec, m, ell)
-        lam = None
-        if needs_lattice:
-            lam = gs.correlation_matrix(eig, spec, policy, (m, ell)).eigenvalues()
-        for n in n_list:
-            if lam is not None:
-                rows.extend(
-                    _table_rows(
-                        ent.charge_resolved_table(lam, n),
-                        m=m, case=case, n=n, ell=ell, source="lattice",
-                    )
-                )
-            if needs_asym:
-                rows.extend(
-                    _table_rows(
-                        asym_table(case, n),
-                        m=m, case=case, n=n, ell=ell, source="asymptotic",
-                    )
-                )
-    _fill_deviations(rows)
-    rows = _sort_rows(rows)
-
+    points = ((m, None, model.window_case(spec, m, ell)) for m in m_values)
+    rows = _scan(points, n_list, ell, lattice, closed_form)
     status = EXIT_OK
-    if mode == "both":
+    if config["mode"] == "both":
         margin = int(config["bulk_margin"])
-        tol = float(config["tolerance"])
         bulk = {m: _is_bulk_window(spec, m, ell, margin) for m in m_values}
-        worst = 0.0
-        for r in rows:
-            if r["dev"] is None or not bulk[r["m"]]:
-                continue
-            if r["Z1_q"] < 1e-6:
-                continue
-            worst = max(worst, r["dev"])
-        print(f"bulk-window max |lattice - asymptotic| = {worst:.3e} (tol {tol:g})")
-        if worst > tol:
-            print("numerical validation FAILED", file=sys.stderr)
-            status = EXIT_VALIDATION
+        status = _gate(
+            [r for r in rows if bulk[r["m"]]],
+            float(config["tolerance"]),
+            "bulk-window max |lattice - asymptotic|",
+        )
     _emit(config, rows, SCAN_COLUMNS, SCAN_SCHEMA)
     return status
 
@@ -325,7 +343,6 @@ def run_zero_mode_scan(args: argparse.Namespace) -> int:
             "p_list": [0.0, 0.1, 0.5, 0.9, 1.0],
             "mode": "both",
             "tolerance": 1e-3,
-            "bulk_margin": 8,
         },
     )
     spec = _chain_from_config(config)
@@ -334,9 +351,7 @@ def run_zero_mode_scan(args: argparse.Namespace) -> int:
     ell = int(config["window_length"])
     n_list = [float(n) for n in config["n_list"]]
     p_list = [float(p) for p in config["p_list"]]
-    mode = config["mode"]
-    if mode not in ("lattice", "asymptotic", "both"):
-        raise ConfigError(f"unknown mode {mode!r} for zero-mode-scan")
+    params = _scan_params(config, spec, "zero-mode-scan")
     if "window_start" in config:
         m = int(config["window_start"])
     elif getattr(args, "window_start", None) is not None:
@@ -348,58 +363,29 @@ def run_zero_mode_scan(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"window ({m}, {ell}) must contain exactly one defect, found {len(inside)}"
         )
-    needs_asym = mode in ("asymptotic", "both")
-    params = None
-    if needs_asym:
-        if not 0.0 < spec.dimerization < 1.0:
-            raise ConfigError("asymptotic mode requires dimerization in (0, 1)")
-        params = sf.EllipticParams.from_dimerization(spec.dimerization)
-    needs_lattice = mode in ("lattice", "both")
-    eig = pair = None
-    if needs_lattice:
+
+    lattice = closed_form = None
+    if config["mode"] != "asymptotic":
         eig = eigh_symmetric(model.build_hamiltonian(spec))
         pair = gs.localized_zero_modes(eig, spec)
-    # p is the weight on the *second* defect; if the window holds the second
-    # defect, the closed forms see the complementary outside weight
-    window_holds_second = inside[0] == spec.defects[1]
 
-    rows: list[dict] = []
-    for p in p_list:
-        lam = None
-        if needs_lattice:
+        def lattice(m: int, p: float) -> np.ndarray:
             policy = gs.OccupationPolicy.half(pair.with_weight(p))
-            lam = gs.correlation_matrix(eig, spec, policy, (m, ell)).eigenvalues()
-        p_out = (1.0 - p) if window_holds_second else p
-        for n in n_list:
-            if lam is not None:
-                rows.extend(
-                    _table_rows(
-                        ent.charge_resolved_table(lam, n),
-                        m=m, case=model.DEFECT, n=n, ell=ell,
-                        source="lattice", p=p,
-                    )
-                )
-            if needs_asym:
-                rows.extend(
-                    _table_rows(
-                        asym.zero_mode_table(p_out, n, params, ell),
-                        m=m, case=model.DEFECT, n=n, ell=ell,
-                        source="asymptotic", p=p,
-                    )
-                )
-    _fill_deviations(rows)
-    rows = _sort_rows(rows)
+            return gs.correlation_matrix(eig, spec, policy, (m, ell)).eigenvalues()
+
+    if params is not None:
+        # p is the weight on the *second* defect; if the window holds the
+        # second defect, the closed forms see the complementary outside weight
+        window_holds_second = inside[0] == spec.defects[1]
+
+        def closed_form(case: str, p: float, n: float) -> ent.ChargeResolvedTable:
+            p_out = (1.0 - p) if window_holds_second else p
+            return asym.zero_mode_table(p_out, n, params, ell)
+
+    rows = _scan([(m, p, model.DEFECT) for p in p_list], n_list, ell, lattice, closed_form)
     status = EXIT_OK
-    if mode == "both":
-        tol = float(config["tolerance"])
-        worst = max(
-            (r["dev"] for r in rows if r["dev"] is not None and r["Z1_q"] > 1e-6),
-            default=0.0,
-        )
-        print(f"max |lattice - asymptotic| = {worst:.3e} (tol {tol:g})")
-        if worst > tol:
-            print("numerical validation FAILED", file=sys.stderr)
-            status = EXIT_VALIDATION
+    if config["mode"] == "both":
+        status = _gate(rows, float(config["tolerance"]), "max |lattice - asymptotic|")
     _emit(config, rows, SCAN_COLUMNS, SCAN_SCHEMA)
     return status
 
@@ -479,13 +465,8 @@ def run_statmech(args: argparse.Namespace) -> int:
         "cut": args.cut,
         "window_length": ell,
         "zero_level": args.zero_level,
-        "outputs": {},
     }
-    if args.csv:
-        config["outputs"]["csv_path"] = args.csv
-    if args.json_path:
-        config["outputs"]["json_path"] = args.json_path
-    _emit(config, rows, STATMECH_COLUMNS, "statmech-1")
+    _emit(_add_outputs(config, args), rows, STATMECH_COLUMNS, "statmech-1")
     return EXIT_OK
 
 
@@ -496,8 +477,8 @@ AKLT_COLUMNS = [
 
 
 def run_aklt(args: argparse.Namespace) -> int:
-    n_list = _parse_float_list(args.n_list) if args.n_list else [1.0, 2.0]
-    p_list = _parse_float_list(args.p_list) if args.p_list else [0.1, 0.25, 0.5]
+    config = _load_config(args, defaults={"n_list": [1.0, 2.0], "p_list": [0.1, 0.25, 0.5]})
+    n_list, p_list = config["n_list"], config["p_list"]
     rows: list[dict] = []
 
     def add(case: str, state: str, n: float, p: float | None) -> None:
@@ -526,11 +507,6 @@ def run_aklt(args: argparse.Namespace) -> int:
     for p in p_list:
         for n in n_list:
             add(aklt_mod.DEFECT_INTERFACE, aklt_mod.HYBRID, n, p)
-    config = {"n_list": n_list, "p_list": p_list, "outputs": {}}
-    if args.csv:
-        config["outputs"]["csv_path"] = args.csv
-    if args.json_path:
-        config["outputs"]["json_path"] = args.json_path
     _emit(config, rows, AKLT_COLUMNS, "aklt-1")
     return EXIT_OK
 

@@ -198,34 +198,46 @@ class ChargeResolvedTable:
     fluct_entropy: float
     mean_charge: float
 
+    @classmethod
+    def from_sectors(
+        cls, n: float, charges, partition, probabilities, sre_renyi, sre_vn
+    ) -> "ChargeResolvedTable":
+        """Table from per-sector values, with totals derived from the sectors.
+
+        Sectors at or below ``EMPTY_SECTOR_THRESHOLD`` are dropped; the total
+        entropy is ``S_c + S_f`` and, for ``n != 1``, the Renyi total is
+        ``log(sum Z_n(q)) / (1 - n)``.
+        """
+        probs = np.asarray(probabilities, dtype=float)
+        keep = probs > EMPTY_SECTOR_THRESHOLD
+        charges = np.asarray(charges, dtype=int)[keep]
+        zn = np.asarray(partition, dtype=float)[keep]
+        probs = probs[keep]
+        vn = np.asarray(sre_vn, dtype=float)[keep]
+        s_c, s_f = config_fluct_split(probs, vn)
+        if n == 1.0:
+            tot_renyi = s_c + s_f
+        else:
+            tot_renyi = math.log(float(np.sum(zn))) / (1.0 - n)
+        return cls(
+            renyi_index=n,
+            charges=charges,
+            partition=zn,
+            probabilities=probs,
+            sre_renyi=np.asarray(sre_renyi, dtype=float)[keep],
+            sre_vn=vn,
+            total_renyi=tot_renyi,
+            total_vn=s_c + s_f,
+            config_entropy=s_c,
+            fluct_entropy=s_f,
+            mean_charge=float(np.sum(charges * probs)),
+        )
+
     def sector(self, q: int) -> int:
         idx = np.nonzero(self.charges == q)[0]
         if idx.size == 0:
             raise KeyError(f"charge sector {q} is empty or absent")
         return int(idx[0])
-
-    def sector_rows(self) -> list[dict]:
-        """One serializable dict per occupied charge sector."""
-        return [
-            {
-                "q": int(q),
-                "n": self.renyi_index,
-                "Z_n_q": float(zn),
-                "Z1_q": float(p),
-                "S_n_q": float(sr),
-                "S_vn_q": float(sv),
-                "S": self.total_vn,
-                "S_c": self.config_entropy,
-                "S_f": self.fluct_entropy,
-            }
-            for q, zn, p, sr, sv in zip(
-                self.charges,
-                self.partition,
-                self.probabilities,
-                self.sre_renyi,
-                self.sre_vn,
-            )
-        ]
 
     def probability(self, q: int) -> float:
         return float(self.probabilities[self.sector(q)])
@@ -237,16 +249,16 @@ class ChargeResolvedTable:
         return float(self.sre_vn[self.sector(q)])
 
 
-def charge_resolved_table(
-    lambdas: np.ndarray,
-    n: float,
-    prob_threshold: float = EMPTY_SECTOR_THRESHOLD,
-) -> ChargeResolvedTable:
-    """Assemble the full charge-resolved table for one interval spectrum."""
+def charge_resolved_table(lambdas: np.ndarray, n: float) -> ChargeResolvedTable:
+    """Assemble the full charge-resolved table for one interval spectrum.
+
+    Sectors are filtered as in ``ChargeResolvedTable.from_sectors``, but the
+    totals and the mean charge come exactly from the spectrum itself.
+    """
     lam = clamp_lambdas(lambdas)
     z1, g = srpf_with_vn_derivative(lam)
     zn = srpf(lam, n) if n != 1.0 else z1
-    occupied = z1 > prob_threshold
+    occupied = z1 > EMPTY_SECTOR_THRESHOLD
     charges = np.nonzero(occupied)[0]
     probs = z1[occupied]
     zn_occ = zn[occupied]

@@ -217,8 +217,9 @@ def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
     i = np.arange(n - 1)
     h[i, i + 1] = h[i + 1, i] = amps[: n - 1]
     if amps.size == n:
-        # periodic wrap bond; on a two-site ring it joins the pair of bond 1 and wins
-        h[n - 1, 0] = h[0, n - 1] = amps[n - 1]
+        # periodic wrap bond; added, since on a two-site ring it joins the pair of bond 1
+        h[n - 1, 0] += amps[n - 1]
+        h[0, n - 1] += amps[n - 1]
     return h
 
 

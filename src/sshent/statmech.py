@@ -94,23 +94,6 @@ def charge_table_at_mu(spectrum: np.ndarray, mu: float) -> ChargeResolvedTable:
 
 
 @dataclass(frozen=True)
-class ConstrainedState:
-    """A spectrum with its charge target and the solving chemical potential."""
-
-    spectrum: np.ndarray
-    q_target: float
-    mu: float
-
-    @classmethod
-    def solve(cls, spectrum: np.ndarray, q_target: float) -> "ConstrainedState":
-        return cls(
-            spectrum=np.asarray(spectrum, dtype=float),
-            q_target=q_target,
-            mu=solve_mu(spectrum, q_target),
-        )
-
-
-@dataclass(frozen=True)
 class SectorReport:
     """Per-sector diagnostics of the constrained spectrum."""
 

@@ -95,12 +95,13 @@ def bond_amplitudes_loop(spec):
 
 
 def hamiltonian_loop(spec):
-    """Hopping matrix filled bond by bond; bond r joins sites r and r+1 (mod N)."""
+    """Hopping matrix summed bond by bond; bond r joins sites r and r+1 (mod N)."""
     n = spec.n_sites
     h = np.zeros((n, n))
     for r, a in enumerate(bond_amplitudes_loop(spec), start=1):
         i, j = r - 1, r % n
-        h[i, j] = h[j, i] = a
+        h[i, j] += a
+        h[j, i] += a
     return h
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from sshent import aklt
 from sshent import asymptotics as asym
+from sshent.entanglement import EMPTY_SECTOR_THRESHOLD
 
 LOG2 = math.log(2.0)
 
@@ -104,3 +105,12 @@ def test_probabilities_sum_to_one():
         assert float(np.sum(t.probabilities)) == pytest.approx(1.0, abs=1e-14)
     t = aklt.aklt_entropies(aklt.DEFECT_INTERFACE, aklt.HYBRID, 2.0, p=0.2)
     assert float(np.sum(t.probabilities)) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_hybrid_drops_sectors_at_the_empty_threshold():
+    """Near p = 1/2 the jz = +1 sector weighs 5e-15: it is empty, not listed."""
+    for n in (1.0, 2.0):
+        t = aklt.aklt_entropies(aklt.DEFECT_INTERFACE, aklt.HYBRID, n, p=0.5000001)
+        assert list(t.charges) == [-1, 0]
+        assert np.all(t.probabilities > EMPTY_SECTOR_THRESHOLD)
+        assert t.total_vn == t.config_entropy + t.fluct_entropy

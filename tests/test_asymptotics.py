@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -381,3 +382,13 @@ def test_zero_mode_table_reduces_to_dimerized():
             for q in (19, 20, 21):
                 assert t.probability(q) == pytest.approx(d.probability(q), abs=1e-6)
             assert t.total_vn == pytest.approx(d.total_vn, abs=1e-6)
+
+
+def test_zero_mode_table_at_full_weight_is_the_defect_table(params03):
+    """p = 1 leaves the zero mode outside: the same sectors, bit for bit."""
+    for n in (1.0, 2.0):
+        zm = asym.zero_mode_table(1.0, n, params03, ELL)
+        at = asym.asymptotic_table("defect", n, params03, ELL)
+        for field in dataclasses.fields(zm):
+            got, want = getattr(zm, field.name), getattr(at, field.name)
+            assert np.array_equal(got, want), field.name

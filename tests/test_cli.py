@@ -158,6 +158,17 @@ def test_zero_mode_scan(tmp_path):
     assert s_05 > s_01
 
 
+def test_gate_counts_rows_at_the_probability_floor(capsys):
+    rows = [
+        {"dev": 2e-3, "Z1_q": cli.GATE_PROB_FLOOR},
+        {"dev": 5.0, "Z1_q": 0.5 * cli.GATE_PROB_FLOOR},
+        {"dev": None, "Z1_q": 1.0},
+    ]
+    assert cli._gate(rows, 1e-3, "max |d|") == cli.EXIT_VALIDATION
+    assert "max |d| = 2.000e-03 (tol 0.001)" in capsys.readouterr().out
+    assert cli._gate(rows[1:], 1e-3, "max |d|") == cli.EXIT_OK
+
+
 def test_zero_mode_scan_needs_defect_window(tmp_path):
     cfg = base_config(tmp_path)
     cfg.pop("m_range")

@@ -187,6 +187,28 @@ def test_empty_sectors_are_absent():
         ent.sre_renyi_from_partitions(0.0, 0.0, 2.0)
 
 
+def test_from_sectors_conventions():
+    """Drop at the empty-sector threshold, S = S_c + S_f, and the two Renyi totals."""
+    charges = [0, 1, 2]
+    probs = [0.3, 0.7, ent.EMPTY_SECTOR_THRESHOLD]
+    sre_vn = [0.2, 0.5, 9.0]
+    vn = ent.ChargeResolvedTable.from_sectors(1.0, charges, probs, probs, sre_vn, sre_vn)
+    assert list(vn.charges) == [0, 1]
+    assert vn.total_vn == vn.config_entropy + vn.fluct_entropy
+    assert vn.config_entropy == pytest.approx(0.3 * 0.2 + 0.7 * 0.5, abs=1e-15)
+    assert vn.fluct_entropy == pytest.approx(
+        -(0.3 * math.log(0.3) + 0.7 * math.log(0.7)), abs=1e-15
+    )
+    assert vn.total_renyi == vn.total_vn
+    assert vn.mean_charge == pytest.approx(0.7, abs=1e-15)
+    zn = [0.1, 0.4, 5.0]
+    two = ent.ChargeResolvedTable.from_sectors(2.0, charges, zn, probs, [1.0, 2.0, 3.0], sre_vn)
+    np.testing.assert_array_equal(two.partition, [0.1, 0.4])
+    np.testing.assert_array_equal(two.sre_renyi, [1.0, 2.0])
+    assert two.total_renyi == pytest.approx(-math.log(0.5), abs=1e-15)
+    assert two.total_vn == vn.total_vn
+
+
 def test_table_renyi_index_one_uses_vn():
     lam = np.array([0.3, 0.6])
     table = ent.charge_resolved_table(lam, 1.0)

@@ -47,6 +47,13 @@ def test_dispersion_matches_diagonalization(delta):
     assert gap == pytest.approx(4.0 * delta, abs=1e-12)
 
 
+def test_two_site_ring_sums_both_bonds():
+    """Both bonds of the two-site ring join sites 1 and 2, so their amplitudes add."""
+    spec = model.ChainSpec(n_sites=2, dimerization=0.5)
+    w = np.linalg.eigvalsh(model.build_hamiltonian(spec))
+    np.testing.assert_allclose(w, model.dispersion_eigenvalues(spec), atol=1e-14)
+
+
 def test_two_defects_host_two_zero_modes():
     spec = two_defect_chain(0.3)
     w = eigh_symmetric(model.build_hamiltonian(spec)).eigenvalues
