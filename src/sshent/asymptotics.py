@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -36,6 +36,8 @@ STRONG = "strong"
 WEAK = "weak"
 
 DQ_TRUNCATION = 12  # Gaussian tails beyond |dq| = 12 are < 1e-100 for delta >= 0.2
+# entries kept by each memoized closed form: a scan needs a few hundred
+_CLOSED_FORM_CACHE = 4096
 
 _CASES = (TOPOLOGICAL, TRIVIAL, DEFECT)
 
@@ -106,6 +108,7 @@ def charged_moment_asymptotic(
     return cmath.exp(1j * alpha * mean_charge(case, ell)) * pref * angular
 
 
+@lru_cache(maxsize=_CLOSED_FORM_CACHE)
 def srpf_asymptotic(case: str, n: float, dq: int, params: EllipticParams) -> float:
     """Closed-form charge-resolved partition function at charge offset ``dq``.
 
@@ -154,6 +157,7 @@ def sre_offset(n: float, params: EllipticParams) -> float:
     return math.log(arg) / (1.0 - n)
 
 
+@lru_cache(maxsize=_CLOSED_FORM_CACHE)
 def sre_asymptotic(case: str, n: float, dq: int, params: EllipticParams) -> float:
     """Closed-form sector Renyi entropy at charge offset ``dq``.
 
@@ -180,6 +184,7 @@ def sre_asymptotic(case: str, n: float, dq: int, params: EllipticParams) -> floa
     return sre_offset(n, params) + math.log(ratio) / (1.0 - n)
 
 
+@lru_cache(maxsize=_CLOSED_FORM_CACHE)
 def sre_vn_asymptotic(case: str, dq: int, params: EllipticParams) -> float:
     """Von Neumann sector entropy by Richardson-extrapolated replica derivative.
 

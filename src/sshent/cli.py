@@ -235,15 +235,18 @@ def _scan(points, n_list: list[float], ell: int, lattice, closed_form) -> list[d
 
     ``lattice(m, p)`` gives the window's correlation eigenvalues and
     ``closed_form(case, p, n)`` its closed-form table; either may be None.
+    The lattice tables of all points come from one batched call.
     """
+    points = list(points)
+    if lattice:
+        spectra = np.array([lattice(m, p) for m, p, _ in points])
+        tables = ent.charge_resolved_tables(spectra, n_list)
     rows: list[dict] = []
-    for m, p, case in points:
-        lam = lattice(m, p) if lattice else None
-        for n in n_list:
+    for i, (m, p, case) in enumerate(points):
+        for j, n in enumerate(n_list):
             at = {"m": m, "case": case, "n": n, "ell": ell, "p": p}
-            if lam is not None:
-                table = ent.charge_resolved_table(lam, n)
-                rows.extend(_table_rows(table, source="lattice", **at))
+            if lattice:
+                rows.extend(_table_rows(tables[i][j], source="lattice", **at))
             if closed_form:
                 rows.extend(_table_rows(closed_form(case, p, n), source="asymptotic", **at))
     _fill_deviations(rows)
@@ -251,12 +254,30 @@ def _scan(points, n_list: list[float], ell: int, lattice, closed_form) -> list[d
 
 
 def _gate(rows: list[dict], tol: float, label: str) -> int:
-    """Worst paired deviation over rows with ``Z1_q >= GATE_PROB_FLOOR``."""
+    """Worst paired deviation over rows with ``Z1_q >= GATE_PROB_FLOOR``.
+
+    A NaN deviation or probability in any row fails the gate by itself.
+    """
+    nan_rows = [
+        r for r in rows
+        if math.isnan(r["Z1_q"]) or (r["dev"] is not None and math.isnan(r["dev"]))
+    ]
     worst = max(
-        (r["dev"] for r in rows if r["dev"] is not None and r["Z1_q"] >= GATE_PROB_FLOOR),
+        (
+            r["dev"] for r in rows
+            if r["dev"] is not None and r["Z1_q"] >= GATE_PROB_FLOOR and not math.isnan(r["dev"])
+        ),
         default=0.0,
     )
     print(f"{label} = {worst:.3e} (tol {tol:g})")
+    if nan_rows:
+        r = nan_rows[0]
+        print(
+            f"numerical validation FAILED: {len(nan_rows)} row(s) with a NaN deviation "
+            f"or probability, first at m={r.get('m')} p={r.get('p')} q={r.get('q')} n={r.get('n')}",
+            file=sys.stderr,
+        )
+        return EXIT_VALIDATION
     if worst > tol:
         print("numerical validation FAILED", file=sys.stderr)
         return EXIT_VALIDATION

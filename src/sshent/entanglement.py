@@ -66,14 +66,22 @@ def _xlogx(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _xlogx_scalar(x: float) -> float:
-    return x * math.log(x) if x > 0.0 else 0.0
+def _rows(lam: np.ndarray) -> np.ndarray:
+    """``lam`` as a ``(W, M)`` stack: one spectrum per row, ``M`` modes each."""
+    return lam.reshape(math.prod(lam.shape[:-1]), lam.shape[-1])
+
+
+def _total_vn_rows(lam: np.ndarray) -> np.ndarray:
+    return -np.sum(_xlogx(lam) + _xlogx(1.0 - lam), axis=-1)
+
+
+def _total_renyi_rows(lam: np.ndarray, n: float) -> np.ndarray:
+    return np.sum(np.log(lam**n + (1.0 - lam) ** n), axis=-1) / (1.0 - n)
 
 
 def total_vn(lambdas: np.ndarray) -> float:
     """Von Neumann entropy, ``-sum [lam log lam + (1-lam) log(1-lam)]``."""
-    lam = clamp_lambdas(lambdas)
-    return float(-np.sum(_xlogx(lam) + _xlogx(1.0 - lam)))
+    return float(_total_vn_rows(clamp_lambdas(lambdas)))
 
 
 def total_renyi(lambdas: np.ndarray, n: float) -> float:
@@ -82,8 +90,7 @@ def total_renyi(lambdas: np.ndarray, n: float) -> float:
         raise ValueError("Renyi index must be positive")
     if n == 1.0:
         raise ValueError("Renyi index 1 is the von Neumann limit; use total_vn")
-    lam = clamp_lambdas(lambdas)
-    return float(np.sum(np.log(lam**n + (1.0 - lam) ** n)) / (1.0 - n))
+    return float(_total_renyi_rows(clamp_lambdas(lambdas), n))
 
 
 def charged_moment(lambdas: np.ndarray, n: float, alpha: float) -> complex:
@@ -105,67 +112,108 @@ def charged_moment(lambdas: np.ndarray, n: float, alpha: float) -> complex:
     return cmath.exp(log_sum)
 
 
-def _scaled_convolve(coeffs: np.ndarray, factor: np.ndarray, log_scale: float) -> tuple[np.ndarray, float]:
-    out = np.convolve(coeffs, factor)
-    peak = out.max()
-    if peak > 0.0:
-        out /= peak
-        log_scale += math.log(peak)
-    return out, log_scale
+# The sector kernels below run on a (W, M) stack of spectra and must give,
+# row by row, the same bits as one np.convolve per mode.  The mode factors
+# therefore use the scalar ``**`` and ``math.log`` element by element (array
+# ``**`` takes square/SIMD fast paths and ``np.log`` differs from ``math.log``
+# in the last ulp); elementwise ``*``, ``+``, ``/`` and ``max`` are exact
+# matches of their scalar forms.
+
+
+def _scalar_pow(x: np.ndarray, n: float) -> np.ndarray:
+    return np.array([v**n for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _scalar_log(x: np.ndarray) -> np.ndarray:
+    return np.array([math.log(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _scalar_xlogx(x: np.ndarray) -> np.ndarray:
+    """``x * math.log(x)``, and 0 at ``x = 0``."""
+    return x * _scalar_log(np.where(x > 0.0, x, 1.0))
+
+
+def _padded(w: int, m: int, constant: float) -> np.ndarray:
+    """Coefficient rows with a zero column either side of room for ``m + 1``
+    coefficients; the running polynomial starts as ``constant``."""
+    buf = np.zeros((w, m + 2))
+    buf[:, 1] = constant
+    return buf
+
+
+def _srpf_rows(lam: np.ndarray, n: float) -> np.ndarray:
+    """``srpf`` of every row of a clamped ``(W, M)`` stack."""
+    w, m = lam.shape
+    f0, f1 = _scalar_pow(1.0 - lam, n), _scalar_pow(lam, n)
+    coeffs = _padded(w, m, 1.0)
+    peaks = np.empty((w, m))
+    for j in range(m):
+        # c_k f0 + c_{k-1} f1 for k = 0 .. j + 1, written in place of c
+        cur, low = coeffs[:, 1 : j + 3], coeffs[:, : j + 2]
+        shifted = low * f1[:, j, None]
+        cur *= f0[:, j, None]
+        cur += shifted
+        peak = cur.max(axis=1, keepdims=True)
+        np.divide(cur, peak, out=cur, where=peak > 0.0)
+        peaks[:, j] = peak[:, 0]
+    logs = _scalar_log(np.where(peaks > 0.0, peaks, 1.0))
+    log_scale = np.zeros(w)
+    for j in range(m):
+        log_scale += logs[:, j]
+    scale = np.array([math.exp(v) for v in log_scale.tolist()])
+    return coeffs[:, 1:] * scale[:, None]
+
+
+def _srpf_vn_rows(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``srpf_with_vn_derivative`` of every row of a clamped ``(W, M)`` stack."""
+    w, m = lam.shape
+    f0, f1 = 1.0 - lam, lam
+    fp0, fp1 = _scalar_xlogx(f0), _scalar_xlogx(f1)
+    p = _padded(w, m, 1.0)
+    d = _padded(w, m, 0.0)
+    for j in range(m):
+        a, b = f0[:, j, None], f1[:, j, None]
+        p_cur, p_low = p[:, 1 : j + 3], p[:, : j + 2]
+        d_cur, d_low = d[:, 1 : j + 3], d[:, : j + 2]
+        # D <- D * f + P * f', then P <- P * f, each in place
+        shifted = d_low * b
+        d_cur *= a
+        d_cur += shifted
+        from_p = p_cur * fp0[:, j, None]
+        from_p += p_low * fp1[:, j, None]
+        d_cur += from_p
+        shifted = p_low * b
+        p_cur *= a
+        p_cur += shifted
+    return p[:, 1:], -d[:, 1:]
 
 
 def srpf(lambdas: np.ndarray, n: float) -> np.ndarray:
-    """Charge-resolved partition functions ``Z_n(q)`` for ``q = 0 .. len(lambdas)``.
+    """Charge-resolved partition functions ``Z_n(q)`` for ``q = 0 .. M``.
 
-    Coefficients of ``prod_i [(1-lam_i)^n + lam_i^n x]``, built by repeated
-    convolution with per-step peak factored out to control underflow.
+    Coefficients of ``prod_i [(1-lam_i)^n + lam_i^n x]`` over the last axis
+    (``M`` modes; leading axes are a stack of spectra), built one mode at a
+    time with each row's peak factored out per step to control underflow.
     """
     if not n > 0:
         raise ValueError("Renyi index must be positive")
     lam = clamp_lambdas(lambdas)
-    coeffs = np.ones(1)
-    log_scale = 0.0
-    for lv in lam:
-        factor = np.array([(1.0 - lv) ** n, lv**n])
-        coeffs, log_scale = _scaled_convolve(coeffs, factor, log_scale)
-    return coeffs * math.exp(log_scale)
+    return _srpf_rows(_rows(lam), n).reshape(lam.shape[:-1] + (-1,))
 
 
 def srpf_with_vn_derivative(lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Probabilities ``Z_1(q)`` and ``G(q) = -d/dn Z_n(q)|_{n=1}``.
 
-    One pass of the product rule: alongside the running polynomial ``P`` we
-    carry ``D = dP/dn`` at ``n = 1``, using ``d/dn[(1-lam)^n + lam^n x] =
-    (1-lam)log(1-lam) + lam log(lam) x``.  Both coefficient sets are
-    nonnegative term-by-term (after the overall sign of ``G``), so no
-    cancellation occurs.
+    One pass of the product rule over the last axis: alongside the running
+    polynomial ``P`` we carry ``D = dP/dn`` at ``n = 1``, using
+    ``d/dn[(1-lam)^n + lam^n x] = (1-lam)log(1-lam) + lam log(lam) x``.
+    Both coefficient sets are nonnegative term-by-term (after the overall
+    sign of ``G``), so no cancellation occurs.
     """
     lam = clamp_lambdas(lambdas)
-    p = np.ones(1)
-    d = np.zeros(1)
-    for lv in lam:
-        f = np.array([1.0 - lv, lv])
-        fp = np.array([_xlogx_scalar(1.0 - lv), _xlogx_scalar(lv)])
-        d = np.convolve(d, f) + np.convolve(p, fp)
-        p = np.convolve(p, f)
-    g = -d
-    return p, g
-
-
-def sre_renyi_from_partitions(z_n_q: float, z_1_q: float, n: float) -> float:
-    """Sector Renyi entropy ``(1/(1-n)) log[Z_n(q) / Z_1(q)^n]``."""
-    if n == 1.0:
-        raise ValueError("Renyi index 1 is the von Neumann limit")
-    if z_1_q < EMPTY_SECTOR_THRESHOLD:
-        raise ValueError("sector probability below the empty-sector threshold")
-    return (math.log(z_n_q) - n * math.log(z_1_q)) / (1.0 - n)
-
-
-def sre_vn_from_partitions(z_1_q: float, g_q: float) -> float:
-    """Sector von Neumann entropy ``G(q)/Z_1(q) + log Z_1(q)``."""
-    if z_1_q < EMPTY_SECTOR_THRESHOLD:
-        raise ValueError("sector probability below the empty-sector threshold")
-    return g_q / z_1_q + math.log(z_1_q)
+    z1, g = _srpf_vn_rows(_rows(lam))
+    shape = lam.shape[:-1] + (-1,)
+    return z1.reshape(shape), g.reshape(shape)
 
 
 def config_fluct_split(probabilities: np.ndarray, sector_vn: np.ndarray) -> tuple[float, float]:
@@ -249,41 +297,57 @@ class ChargeResolvedTable:
         return float(self.sre_vn[self.sector(q)])
 
 
-def charge_resolved_table(lambdas: np.ndarray, n: float) -> ChargeResolvedTable:
-    """Assemble the full charge-resolved table for one interval spectrum.
+def charge_resolved_tables(lambdas: np.ndarray, n_list) -> list[list[ChargeResolvedTable]]:
+    """Charge-resolved tables of a ``(W, M)`` stack of interval spectra.
 
+    ``tables[w][i]`` belongs to row ``w`` at Renyi index ``n_list[i]``.
     Sectors are filtered as in ``ChargeResolvedTable.from_sectors``, but the
     totals and the mean charge come exactly from the spectrum itself.
+    ``Z_1``, ``G``, the von Neumann columns and totals are computed once per
+    row and shared by every index.
     """
-    lam = clamp_lambdas(lambdas)
-    z1, g = srpf_with_vn_derivative(lam)
-    zn = srpf(lam, n) if n != 1.0 else z1
+    for n in n_list:
+        if not n > 0:
+            raise ValueError("Renyi index must be positive")
+    lam = _rows(clamp_lambdas(lambdas))
+    z1, g = _srpf_vn_rows(lam)
     occupied = z1 > EMPTY_SECTOR_THRESHOLD
-    charges = np.nonzero(occupied)[0]
-    probs = z1[occupied]
-    zn_occ = zn[occupied]
-    vn = np.array(
-        [sre_vn_from_partitions(z1[q], g[q]) for q in charges]
-    )
-    if n == 1.0:
-        renyi = vn.copy()
-        tot_renyi = total_vn(lam)
-    else:
-        renyi = np.array(
-            [sre_renyi_from_partitions(zn[q], z1[q], n) for q in charges]
-        )
-        tot_renyi = total_renyi(lam, n)
-    s_c, s_f = config_fluct_split(probs, vn)
-    return ChargeResolvedTable(
-        renyi_index=n,
-        charges=charges,
-        partition=zn_occ,
-        probabilities=probs,
-        sre_renyi=renyi,
-        sre_vn=vn,
-        total_renyi=tot_renyi,
-        total_vn=total_vn(lam),
-        config_entropy=s_c,
-        fluct_entropy=s_f,
-        mean_charge=float(np.sum(lam)),
-    )
+    log_z1 = _scalar_log(np.where(occupied, z1, 1.0))
+    vn = np.divide(g, z1, out=np.zeros_like(g), where=occupied) + log_z1
+    tot_vn = _total_vn_rows(lam)
+    mean = np.sum(lam, axis=-1)
+    per_n = []
+    for n in n_list:
+        if n == 1.0:
+            per_n.append((n, z1, vn, tot_vn))
+            continue
+        zn = _srpf_rows(lam, n)
+        log_zn = _scalar_log(np.where(occupied, zn, 1.0))
+        renyi = (log_zn - n * log_z1) / (1.0 - n)
+        per_n.append((n, zn, renyi, _total_renyi_rows(lam, n)))
+    tables = []
+    for w in range(lam.shape[0]):
+        charges = np.flatnonzero(occupied[w])
+        s_c, s_f = config_fluct_split(z1[w, charges], vn[w, charges])
+        tables.append([
+            ChargeResolvedTable(
+                renyi_index=n,
+                charges=charges,
+                partition=zn[w, charges],
+                probabilities=z1[w, charges],
+                sre_renyi=renyi[w, charges],
+                sre_vn=vn[w, charges],
+                total_renyi=float(tot_renyi[w]),
+                total_vn=float(tot_vn[w]),
+                config_entropy=s_c,
+                fluct_entropy=s_f,
+                mean_charge=float(mean[w]),
+            )
+            for n, zn, renyi, tot_renyi in per_n
+        ])
+    return tables
+
+
+def charge_resolved_table(lambdas: np.ndarray, n: float) -> ChargeResolvedTable:
+    """The charge-resolved table of one interval spectrum (see ``charge_resolved_tables``)."""
+    return charge_resolved_tables(lambdas, [n])[0][0]

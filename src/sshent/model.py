@@ -196,17 +196,21 @@ def bond_amplitudes(spec: ChainSpec) -> np.ndarray:
     length ``N`` and the last entry is the wrap bond; open chains have
     ``N - 1`` bonds.
     """
-    n = spec.n_sites
+    n_bonds = spec.n_sites if spec.boundary == PERIODIC else spec.n_sites - 1
+    return _amplitudes_at(spec, np.arange(1, n_bonds + 1))
+
+
+def _amplitudes_at(spec: ChainSpec, bonds: np.ndarray) -> np.ndarray:
+    """Amplitudes of the 1-based bonds ``bonds``: weak on intra-cell bonds
+    (odd ``r``), strong on inter-cell ones, swapped after an odd number of
+    flip points at or before ``r``."""
     t, delta = spec.hopping, spec.dimerization
-    n_bonds = n if spec.boundary == PERIODIC else n - 1
     weak, strong = -t * (1.0 - delta), -t * (1.0 + delta)
-    flips = np.zeros(n_bonds + 2, dtype=int)
+    flips = np.zeros(bonds.shape, dtype=int)
     for r0 in _flip_points(spec):
-        flips[min(r0, n_bonds + 1):] += 1
-    r = np.arange(1, n_bonds + 1)
-    intra = r % 2 == 1
-    flipped = flips[1 : n_bonds + 1] % 2 == 1
-    return np.where(intra ^ flipped, weak, strong)
+        flips += bonds >= r0
+    flipped = flips % 2 == 1
+    return np.where((bonds % 2 == 1) ^ flipped, weak, strong)
 
 
 def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
@@ -299,11 +303,11 @@ def window_case(spec: ChainSpec, start_cell: int, n_cells: int) -> str:
     end_cell = start_cell + n_cells - 1
     if spec.boundary == OPEN and (start_cell == 1 or end_cell >= spec.n_cells):
         raise ValueError("case labeling needs both window boundaries interior")
-    amps = bond_amplitudes(spec)
     left = (2 * (start_cell - 1) - 1) % spec.n_sites  # bond entering cell m
     right = (2 * end_cell - 1) % spec.n_sites
+    amps = _amplitudes_at(spec, np.array([left, right]) + 1)
     weak = abs(spec.hopping) * (1.0 - abs(spec.dimerization))
-    cuts_strong = [abs(amps[b]) > weak + 1e-15 for b in (left, right)]
+    cuts_strong = [abs(a) > weak + 1e-15 for a in amps]
     if all(cuts_strong):
         return TOPOLOGICAL
     if not any(cuts_strong):

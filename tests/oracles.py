@@ -5,6 +5,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
+from sshent import entanglement as ent
 from sshent import groundstate as gs
 from sshent import model
 
@@ -94,6 +95,22 @@ def bond_amplitudes_loop(spec):
     return amps
 
 
+def window_case_from_loop(spec, m, ell):
+    """Case label read off the two cut bonds of the full loop amplitude array."""
+    if model.defects_in_window(spec, m, ell):
+        return model.DEFECT
+    amps = bond_amplitudes_loop(spec)
+    left = (2 * (m - 1) - 1) % spec.n_sites
+    right = (2 * (m + ell - 1) - 1) % spec.n_sites
+    weak = abs(spec.hopping) * (1.0 - abs(spec.dimerization))
+    cuts_strong = [abs(amps[b]) > weak + 1e-15 for b in (left, right)]
+    if all(cuts_strong):
+        return model.TOPOLOGICAL
+    if not any(cuts_strong):
+        return model.TRIVIAL
+    return model.DEFECT
+
+
 def hamiltonian_loop(spec):
     """Hopping matrix summed bond by bond; bond r joins sites r and r+1 (mod N)."""
     n = spec.n_sites
@@ -119,3 +136,82 @@ def correlation_matrix_full_block(eig, spec, policy, window):
         cross = math.sqrt(p * (1.0 - p)) * math.cos(phi)
         c = c + cross * (np.outer(w1, w2) + np.outer(w2, w1))
     return c
+
+
+def srpf_loop(lambdas, n):
+    """Z_n(q) by one np.convolve per mode, the peak factored out after each."""
+    lam = ent.clamp_lambdas(lambdas)
+    coeffs = np.ones(1)
+    log_scale = 0.0
+    for lv in lam:
+        coeffs = np.convolve(coeffs, np.array([(1.0 - lv) ** n, lv**n]))
+        peak = coeffs.max()
+        if peak > 0.0:
+            coeffs /= peak
+            log_scale += math.log(peak)
+    return coeffs * math.exp(log_scale)
+
+
+def _xlogx_scalar(x):
+    return x * math.log(x) if x > 0.0 else 0.0
+
+
+def srpf_with_vn_derivative_loop(lambdas):
+    """Z_1(q) and G(q) by the product rule, one np.convolve pair per mode."""
+    lam = ent.clamp_lambdas(lambdas)
+    p = np.ones(1)
+    d = np.zeros(1)
+    for lv in lam:
+        f = np.array([1.0 - lv, lv])
+        fp = np.array([_xlogx_scalar(1.0 - lv), _xlogx_scalar(lv)])
+        d = np.convolve(d, f) + np.convolve(p, fp)
+        p = np.convolve(p, f)
+    return p, -d
+
+
+def sre_vn_from_partitions(z_1_q, g_q):
+    """Sector von Neumann entropy ``G(q)/Z_1(q) + log Z_1(q)``."""
+    return g_q / z_1_q + math.log(z_1_q)
+
+
+def sre_renyi_from_partitions(z_n_q, z_1_q, n):
+    """Sector Renyi entropy ``(1/(1-n)) log[Z_n(q) / Z_1(q)^n]``."""
+    return (math.log(z_n_q) - n * math.log(z_1_q)) / (1.0 - n)
+
+
+def _xlogx(x):
+    out = np.zeros_like(x)
+    pos = x > 0.0
+    out[pos] = x[pos] * np.log(x[pos])
+    return out
+
+
+def charge_resolved_table_loop(lambdas, n):
+    """One window's table from the loops above and per-sector scalar entropies."""
+    lam = ent.clamp_lambdas(lambdas)
+    z1, g = srpf_with_vn_derivative_loop(lam)
+    zn = srpf_loop(lam, n) if n != 1.0 else z1
+    charges = np.nonzero(z1 > ent.EMPTY_SECTOR_THRESHOLD)[0]
+    probs = z1[charges]
+    vn = np.array([sre_vn_from_partitions(z1[q], g[q]) for q in charges])
+    total_vn = float(-np.sum(_xlogx(lam) + _xlogx(1.0 - lam)))
+    if n == 1.0:
+        renyi = vn.copy()
+        total_renyi = total_vn
+    else:
+        renyi = np.array([sre_renyi_from_partitions(zn[q], z1[q], n) for q in charges])
+        total_renyi = float(np.sum(np.log(lam**n + (1.0 - lam) ** n)) / (1.0 - n))
+    s_c, s_f = ent.config_fluct_split(probs, vn)
+    return ent.ChargeResolvedTable(
+        renyi_index=n,
+        charges=charges,
+        partition=zn[charges],
+        probabilities=probs,
+        sre_renyi=renyi,
+        sre_vn=vn,
+        total_renyi=total_renyi,
+        total_vn=total_vn,
+        config_entropy=s_c,
+        fluct_entropy=s_f,
+        mean_charge=float(np.sum(lam)),
+    )

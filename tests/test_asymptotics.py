@@ -392,3 +392,45 @@ def test_zero_mode_table_at_full_weight_is_the_defect_table(params03):
         for field in dataclasses.fields(zm):
             got, want = getattr(zm, field.name), getattr(at, field.name)
             assert np.array_equal(got, want), field.name
+
+
+CLOSED_FORM_CACHES = (asym.srpf_asymptotic, asym.sre_asymptotic, asym.sre_vn_asymptotic)
+
+
+def _clear_closed_form_caches():
+    for fn in CLOSED_FORM_CACHES:
+        fn.cache_clear()
+
+
+def _cache_misses():
+    return [fn.cache_info().misses for fn in CLOSED_FORM_CACHES]
+
+
+def _zero_mode_tables(params):
+    return [asym.zero_mode_table(p, n, params, ELL) for p in (0.0, 0.3, 0.71) for n in (1.0, 2.0)]
+
+
+def test_zero_mode_table_same_with_cold_and_warm_cache(params03):
+    _clear_closed_form_caches()
+    cold = _zero_mode_tables(params03)
+    warm = _zero_mode_tables(params03)
+    assert all(h > 0 for h in (fn.cache_info().hits for fn in CLOSED_FORM_CACHES))
+    for a, b in zip(cold, warm):
+        for field in dataclasses.fields(a):
+            assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
+
+
+def test_closed_form_caches_keep_dimerizations_apart(params03):
+    other = EllipticParams.from_dimerization(0.4)
+    _clear_closed_form_caches()
+    alone = _zero_mode_tables(other)
+    misses_alone = _cache_misses()
+    _clear_closed_form_caches()
+    first = _zero_mode_tables(params03)
+    before = _cache_misses()
+    after_other = _zero_mode_tables(other)
+    # the second dimerization finds none of the first one's entries
+    assert [b - a for a, b in zip(before, _cache_misses())] == misses_alone
+    for a, b in zip(alone, after_other):
+        assert np.array_equal(a.sre_vn, b.sre_vn)
+    assert not np.array_equal(first[1].sre_vn, after_other[1].sre_vn)

@@ -169,6 +169,28 @@ def test_gate_counts_rows_at_the_probability_floor(capsys):
     assert cli._gate(rows[1:], 1e-3, "max |d|") == cli.EXIT_OK
 
 
+def test_gate_fails_on_nan(capsys):
+    nan = float("nan")
+    # a NaN met first used to stay the max and hide the 0.5 failure behind it
+    rows = [{"dev": nan, "Z1_q": 0.5}, {"dev": 0.5, "Z1_q": 0.5}]
+    assert cli._gate(rows, 1e-3, "max |d|") == cli.EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert "max |d| = 5.000e-01" in out
+    assert "NaN" in err
+    # NaN alone fails, in the deviation or in the probability, above or below the floor
+    for bad in (
+        {"dev": nan, "Z1_q": 0.5},
+        {"dev": nan, "Z1_q": 0.0},
+        {"dev": 1e-5, "Z1_q": nan},
+        {"dev": None, "Z1_q": nan},
+    ):
+        rows = [{"dev": 1e-5, "Z1_q": 0.5}, bad, {"dev": 2e-5, "Z1_q": 0.5, "m": 3}]
+        assert cli._gate(rows, 1e-3, "max |d|") == cli.EXIT_VALIDATION, bad
+        out, err = capsys.readouterr()
+        assert "max |d| = 2.000e-05" in out
+        assert "1 row(s) with a NaN" in err
+
+
 def test_zero_mode_scan_needs_defect_window(tmp_path):
     cfg = base_config(tmp_path)
     cfg.pop("m_range")

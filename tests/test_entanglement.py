@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,8 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sshent import entanglement as ent
+from sshent import groundstate as gs
+from sshent.asymptotics import dimerized_lambdas
 
-from oracles import brute_force_sector_data, srpf_by_flux_quadrature
+import oracles
+from oracles import brute_force_sector_data, sre_vn_from_partitions, srpf_by_flux_quadrature
 
 lambda_arrays = st.lists(
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
@@ -84,7 +88,7 @@ def test_srpf_frozen_two_mode_example():
     np.testing.assert_allclose(zq, [0.03515625, 0.3203125, 0.03515625], atol=1e-15)
     z1, g = ent.srpf_with_vn_derivative(np.array([0.25, 0.75]))
     np.testing.assert_allclose(z1, [0.1875, 0.625, 0.1875], atol=1e-15)
-    s1 = ent.sre_vn_from_partitions(z1[1], g[1])
+    s1 = sre_vn_from_partitions(z1[1], g[1])
     assert s1 == pytest.approx(0.3250829733914483, abs=1e-14)
 
 
@@ -119,7 +123,7 @@ def test_sector_vn_matches_enumeration(lam):
     np.testing.assert_allclose(z1, z_1, atol=1e-12)
     for q in range(lam.size + 1):
         if z_1[q] > 1e-9:
-            got = ent.sre_vn_from_partitions(z1[q], g[q])
+            got = sre_vn_from_partitions(z1[q], g[q])
             assert got == pytest.approx(s_brute[q], abs=1e-9)
 
 
@@ -165,7 +169,7 @@ def test_sector_vn_vs_replica_derivative(lam):
         ratio_p = zp[q] / z1[q] ** (1.0 + h)
         ratio_m = zm[q] / z1[q] ** (1.0 - h)
         numeric = -(ratio_p - ratio_m) / (2.0 * h)
-        got = ent.sre_vn_from_partitions(z1[q], g[q])
+        got = sre_vn_from_partitions(z1[q], g[q])
         assert got == pytest.approx(numeric, abs=1e-6)
 
 
@@ -183,8 +187,6 @@ def test_empty_sectors_are_absent():
     assert table.probability(2) == pytest.approx(1.0)
     with pytest.raises(KeyError):
         table.sre(0)
-    with pytest.raises(ValueError):
-        ent.sre_renyi_from_partitions(0.0, 0.0, 2.0)
 
 
 def test_from_sectors_conventions():
@@ -234,3 +236,88 @@ def test_underflow_control_long_product():
 def test_charged_moment_modulus_bounded_by_flux_zero(lam, n, alpha):
     z0 = ent.charged_moment(lam, n, 0.0).real
     assert abs(ent.charged_moment(lam, n, alpha)) <= z0 + 1e-12
+
+
+def _spectrum_stacks():
+    """(W, M) stacks for the batched kernels, keyed by what they exercise."""
+    rng = np.random.default_rng(5)
+    stacks = {"one-window": rng.uniform(0.0, 1.0, size=(1, 12))}
+    stacks["many-windows"] = rng.uniform(0.0, 1.0, size=(9, 16))
+    # exact 0/1 eigenvalues, with and without a zero-mode level
+    stacks["dimerized"] = np.array(
+        [dimerized_lambdas(case, 8) for case in ("topological", "trivial", "defect")]
+        + [dimerized_lambdas("defect", 8, zero_mode_p=p) for p in (0.0, 0.3, 1.0)]
+    )
+    # long products whose rows reach very different per-step peaks
+    stacks["long-product"] = np.array(
+        [np.full(60, 0.5), rng.uniform(0.0, 1.0, 60), np.full(60, 1e-3), np.full(60, 1.0 - 1e-7)]
+    )
+    # rows with empty sectors: frozen modes leave whole charge ranges unreachable
+    empty = rng.uniform(0.0, 1.0, size=(5, 10))
+    empty[:, :6] = [[1.0, 1.0, 1.0, 0.0, 0.0, 0.0]] * 5
+    empty[0] = [1.0] * 5 + [0.0] * 5
+    stacks["empty-sectors"] = empty
+    return stacks
+
+
+STACKS = _spectrum_stacks()
+
+
+@pytest.mark.parametrize("name", STACKS)
+@pytest.mark.parametrize("n", [0.5, 1.0, 2.0, 3.0])
+def test_batched_kernels_match_convolve_loops(name, n):
+    stack = STACKS[name]
+    zn = ent.srpf(stack, n)
+    z1, g = ent.srpf_with_vn_derivative(stack)
+    assert zn.shape == z1.shape == g.shape == (stack.shape[0], stack.shape[1] + 1)
+    for w, lam in enumerate(stack):
+        assert np.array_equal(zn[w], oracles.srpf_loop(lam, n))
+        want_z1, want_g = oracles.srpf_with_vn_derivative_loop(lam)
+        assert np.array_equal(z1[w], want_z1)
+        assert np.array_equal(g[w], want_g)
+    # the one-window form is the same code on a stack of one
+    assert np.array_equal(ent.srpf(stack[-1], n), zn[-1])
+
+
+@pytest.mark.parametrize("name", STACKS)
+def test_tables_match_the_per_window_loop(name):
+    stack = STACKS[name]
+    n_list = [0.5, 1.0, 2.0, 3.0]
+    tables = ent.charge_resolved_tables(stack, n_list)
+    assert len(tables) == stack.shape[0]
+    for lam, row in zip(stack, tables):
+        for n, table in zip(n_list, row):
+            want = oracles.charge_resolved_table_loop(lam, n)
+            for field in dataclasses.fields(want):
+                got_v, want_v = getattr(table, field.name), getattr(want, field.name)
+                assert np.array_equal(got_v, want_v), (n, field.name)
+
+
+def test_tables_equal_single_window_tables(eig03, chain03, below_half):
+    stack = np.array([
+        gs.correlation_matrix(eig03, chain03, below_half, (m, 20)).eigenvalues()
+        for m in (41, 45, 90, 141, 175)
+    ])
+    tables = ent.charge_resolved_tables(stack, [1, 2])
+    for lam, row in zip(stack, tables):
+        for n, table in zip([1, 2], row):
+            single = ent.charge_resolved_table(lam, n)
+            for field in dataclasses.fields(single):
+                got_v, want_v = getattr(table, field.name), getattr(single, field.name)
+                assert np.array_equal(got_v, want_v), (n, field.name)
+
+
+@given(lambda_arrays, renyi_indices)
+@settings(max_examples=100, deadline=None)
+def test_kernels_match_convolve_loops_bitwise(lam, n):
+    assert np.array_equal(ent.srpf(lam, n), oracles.srpf_loop(lam, n))
+    z1, g = ent.srpf_with_vn_derivative(lam)
+    want_z1, want_g = oracles.srpf_with_vn_derivative_loop(lam)
+    assert np.array_equal(z1, want_z1) and np.array_equal(g, want_g)
+
+
+def test_tables_reject_bad_input():
+    with pytest.raises(ValueError, match="positive"):
+        ent.charge_resolved_tables(np.full((2, 3), 0.5), [1.0, 0.0])
+    with pytest.raises(ValueError, match="outside"):
+        ent.charge_resolved_tables(np.array([[0.5, 0.5], [0.5, 1.1]]), [1.0])
