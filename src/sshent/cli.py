@@ -72,6 +72,7 @@ def _load_config(args: argparse.Namespace, defaults: dict) -> dict:
         "mode": getattr(args, "mode", None),
         "tolerance": getattr(args, "tolerance", None),
         "bulk_margin": getattr(args, "bulk_margin", None),
+        "window_start": getattr(args, "window_start", None),
     }
     chain_keys = {"n_sites", "delta", "t"}
     for key, val in overrides.items():
@@ -108,32 +109,6 @@ def _chain_from_config(config: dict) -> model.ChainSpec:
         return model.ChainSpec.from_dict(chain)
     except (KeyError, ValueError, TypeError) as err:
         raise ConfigError(f"bad chain spec: {err}") from err
-
-
-def _ring_distance(a: int, b: int, n_cells: int, periodic: bool) -> int:
-    d = abs(a - b)
-    return min(d, n_cells - d) if periodic else d
-
-
-def _is_bulk_window(spec: model.ChainSpec, m: int, ell: int, margin: int) -> bool:
-    """Bulk = every defect either well inside or well away from the window."""
-    cells = model.window_cells(spec, m, ell)
-    periodic = spec.boundary == model.PERIODIC
-    inside = model.defects_in_window(spec, m, ell)
-    for d in spec.defects:
-        dist_to_window = min(
-            _ring_distance(c, d.cell, spec.n_cells, periodic) for c in cells
-        )
-        if d in inside:
-            edge_dist = min(
-                _ring_distance(cells[0], d.cell, spec.n_cells, periodic),
-                _ring_distance(cells[-1], d.cell, spec.n_cells, periodic),
-            )
-            if edge_dist < margin:
-                return False
-        elif dist_to_window < margin:
-            return False
-    return True
 
 
 def _table_rows(
@@ -345,7 +320,7 @@ def run_scan_interval(args: argparse.Namespace) -> int:
     status = EXIT_OK
     if config["mode"] == "both":
         margin = int(config["bulk_margin"])
-        bulk = {m: _is_bulk_window(spec, m, ell, margin) for m in m_values}
+        bulk = {m: model.edge_distance(spec, m, ell) >= margin for m in m_values}
         status = _gate(
             [r for r in rows if bulk[r["m"]]],
             float(config["tolerance"]),
@@ -373,12 +348,7 @@ def run_zero_mode_scan(args: argparse.Namespace) -> int:
     n_list = [float(n) for n in config["n_list"]]
     p_list = [float(p) for p in config["p_list"]]
     params = _scan_params(config, spec, "zero-mode-scan")
-    if "window_start" in config:
-        m = int(config["window_start"])
-    elif getattr(args, "window_start", None) is not None:
-        m = int(args.window_start)
-    else:
-        m = spec.defects[0].cell - ell // 2 + 1
+    m = int(config.get("window_start", spec.defects[0].cell - ell // 2 + 1))
     inside = model.defects_in_window(spec, m, ell)
     if len(inside) != 1:
         raise ConfigError(

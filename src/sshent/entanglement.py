@@ -23,10 +23,13 @@ EMPTY_SECTOR_THRESHOLD = 1e-14
 _LAMBDA_SLACK = 1e-10
 
 
-def clamp_lambdas(lambdas: np.ndarray, slack: float = _LAMBDA_SLACK) -> np.ndarray:
-    """Clip eigenvalues to [0, 1]; out-of-range beyond ``slack`` means a bad eigensolve."""
+def clamp_lambdas(lambdas: np.ndarray) -> np.ndarray:
+    """Clip eigenvalues to [0, 1]; NaN, or out-of-range beyond ``_LAMBDA_SLACK``,
+    means a bad eigensolve."""
     lam = np.asarray(lambdas, dtype=float)
-    if lam.size and (lam.min() < -slack or lam.max() > 1.0 + slack):
+    lo, hi = -_LAMBDA_SLACK, 1.0 + _LAMBDA_SLACK
+    # min and max propagate NaN, and every comparison with NaN is false
+    if lam.size and not (lam.min() >= lo and lam.max() <= hi):
         raise NumericalError(
             f"correlation eigenvalues outside [0, 1] beyond tolerance: "
             f"min {lam.min():.3e}, max {lam.max():.3e}"

@@ -87,10 +87,6 @@ class CorrelationMatrix:
     n_cells: int
     matrix: np.ndarray
 
-    @property
-    def n_modes(self) -> int:
-        return self.matrix.shape[0]
-
     def eigenvalues(self) -> np.ndarray:
         lam = np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.T))
         return clamp_lambdas(lam)
@@ -99,17 +95,7 @@ class CorrelationMatrix:
         return float(np.trace(self.matrix))
 
 
-def _near_zero_indices(eig: EigenSystem, spec: ChainSpec, threshold: float) -> np.ndarray:
-    return np.nonzero(np.abs(eig.eigenvalues) < threshold * spec.hopping)[0]
-
-
-def localized_zero_modes(
-    eig: EigenSystem,
-    spec: ChainSpec,
-    threshold: float = NEAR_ZERO_THRESHOLD,
-    p: float = 1.0,
-    phi: float = 0.0,
-) -> ZeroModePair:
+def localized_zero_modes(eig: EigenSystem, spec: ChainSpec) -> ZeroModePair:
     """Rotate the near-zero eigenvector pair onto the two defects.
 
     The two numerically obtained near-zero eigenvectors span the zero-mode
@@ -120,10 +106,10 @@ def localized_zero_modes(
     """
     if len(spec.defects) != 2:
         raise ValueError("localized zero modes need exactly two defects")
-    idx = _near_zero_indices(eig, spec, threshold)
+    idx = np.nonzero(np.abs(eig.eigenvalues) < NEAR_ZERO_THRESHOLD * spec.hopping)[0]
     if idx.size != 2:
         raise ValueError(
-            f"expected 2 near-zero modes below {threshold:g}*t, found {idx.size}"
+            f"expected 2 near-zero modes below {NEAR_ZERO_THRESHOLD:g}*t, found {idx.size}"
         )
     v1 = eig.eigenvectors[:, idx[0]]
     v2 = eig.eigenvectors[:, idx[1]]
@@ -152,14 +138,13 @@ def localized_zero_modes(
         jmax = int(np.argmax(np.abs(psi)))
         if psi[jmax] < 0:
             psi *= -1.0
-    return ZeroModePair(psi1=psi1, psi2=psi2, p=p, phi=phi)
+    return ZeroModePair(psi1=psi1, psi2=psi2)
 
 
 def occupied_orbitals(
     eig: EigenSystem,
     spec: ChainSpec,
     policy: OccupationPolicy,
-    threshold: float = NEAR_ZERO_THRESHOLD,
     sites: np.ndarray | None = None,
 ) -> np.ndarray:
     """Columns of the filled extended modes (excluding any explicit zero mode).
@@ -171,7 +156,7 @@ def occupied_orbitals(
     energies = eig.eigenvalues
     n_def = len(spec.defects)
     if n_def:
-        occ = energies < -threshold * spec.hopping
+        occ = energies < -NEAR_ZERO_THRESHOLD * spec.hopping
         expected = spec.n_cells - (n_def + 1) // 2
         if int(occ.sum()) != expected:
             raise ValueError(
@@ -185,7 +170,7 @@ def occupied_orbitals(
         raise ValueError("the chain has no defects to host a zero mode")
     elif policy.filling == BELOW_HALF:
         # excludes open-chain edge modes too; on a gapped ring this is half filling
-        occ = energies < -threshold * spec.hopping
+        occ = energies < -NEAR_ZERO_THRESHOLD * spec.hopping
         if int(occ.sum()) not in (spec.n_cells, spec.n_cells - 1):
             raise ValueError(
                 "band states reach the near-zero window; dimerization too small"
@@ -206,7 +191,6 @@ def correlation_matrix(
     spec: ChainSpec,
     policy: OccupationPolicy,
     window: tuple[int, int],
-    threshold: float = NEAR_ZERO_THRESHOLD,
 ) -> CorrelationMatrix:
     """Correlation matrix of the interval ``[m, m + ell - 1]`` (cells).
 
@@ -223,7 +207,7 @@ def correlation_matrix(
             f"window contains {len(inside)} defects; at most one is supported"
         )
     sites = window_sites(spec, start_cell, n_cells)
-    v = occupied_orbitals(eig, spec, policy, threshold, sites=sites)
+    v = occupied_orbitals(eig, spec, policy, sites=sites)
     c = v @ v.T
     zm = policy.zero_mode
     if policy.filling == HALF and zm is not None:

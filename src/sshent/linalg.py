@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+SYMMETRY_RTOL = 1e-12
+
 
 class NumericalError(ValueError):
     """A computation failed or produced values its invariants rule out.
@@ -33,10 +35,10 @@ class EigenSystem:
         return float(np.max(np.abs(g)))
 
 
-def eigh_symmetric(matrix: np.ndarray, symmetry_rtol: float = 1e-12) -> EigenSystem:
+def eigh_symmetric(matrix: np.ndarray) -> EigenSystem:
     """Diagonalize a real symmetric matrix.
 
-    Rejects inputs whose asymmetry exceeds ``symmetry_rtol`` relative to the
+    Rejects inputs whose asymmetry exceeds ``SYMMETRY_RTOL`` relative to the
     max-norm; the symmetric part is what gets diagonalized.  Non-convergence
     of the underlying solver is re-raised as ``NumericalError`` with the
     matrix scale attached.
@@ -46,10 +48,10 @@ def eigh_symmetric(matrix: np.ndarray, symmetry_rtol: float = 1e-12) -> EigenSys
         raise ValueError("expected a square matrix")
     scale = max(float(np.max(np.abs(a))), 1.0)
     asym = float(np.max(np.abs(a - a.T)))
-    if asym > symmetry_rtol * scale:
+    if asym > SYMMETRY_RTOL * scale:
         raise ValueError(
             f"matrix is not symmetric: asymmetry {asym:.3e} exceeds "
-            f"{symmetry_rtol:.1e} * {scale:.3e}"
+            f"{SYMMETRY_RTOL:.1e} * {scale:.3e}"
         )
     sym = 0.5 * (a + a.T)
     try:

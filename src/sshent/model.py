@@ -127,10 +127,6 @@ class ChainSpec:
                 out.append((d.cell, d.cell + 1))
         return out
 
-    def defect_cells(self) -> set[int]:
-        """Cells occupied by any defect's footprint."""
-        return {c for cs in self._cell_footprints() for c in cs}
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -260,14 +256,20 @@ def dispersion_eigenvalues(spec: ChainSpec) -> np.ndarray:
     return np.sort(np.concatenate([-band, band]))
 
 
-def window_cells(spec: ChainSpec, start_cell: int, n_cells: int) -> list[int]:
-    """Cells of the interval ``[m, m + ell - 1]``, wrapped under PBC."""
+def _last_cell(spec: ChainSpec, start_cell: int, n_cells: int) -> int:
+    """Last cell of the interval ``[m, m + ell - 1]``, wrapped under PBC."""
     if not 1 <= start_cell <= spec.n_cells:
         raise ValueError("window start cell out of range")
     if not 1 <= n_cells <= spec.n_cells:
         raise ValueError("window length out of range")
     if spec.boundary == OPEN and start_cell + n_cells - 1 > spec.n_cells:
         raise ValueError("window exceeds the open chain")
+    return (start_cell + n_cells - 2) % spec.n_cells + 1
+
+
+def window_cells(spec: ChainSpec, start_cell: int, n_cells: int) -> list[int]:
+    """Cells of the interval ``[m, m + ell - 1]``, wrapped under PBC."""
+    _last_cell(spec, start_cell, n_cells)
     return [(start_cell - 1 + i) % spec.n_cells + 1 for i in range(n_cells)]
 
 
@@ -281,12 +283,30 @@ def window_sites(spec: ChainSpec, start_cell: int, n_cells: int) -> np.ndarray:
 
 def defects_in_window(spec: ChainSpec, start_cell: int, n_cells: int) -> list[DefectSpec]:
     """Defects whose footprint intersects the window (partial overlaps count)."""
-    cells = set(window_cells(spec, start_cell, n_cells))
-    hit = []
-    for d, cs in zip(spec.defects, spec._cell_footprints()):
-        if cells & set(cs):
-            hit.append(d)
-    return hit
+    _last_cell(spec, start_cell, n_cells)
+    return [
+        d
+        for d, cs in zip(spec.defects, spec._cell_footprints())
+        if any((c - start_cell) % spec.n_cells < n_cells for c in cs)
+    ]
+
+
+def edge_distance(spec: ChainSpec, start_cell: int, n_cells: int) -> float:
+    """Distance in cells from the interval's edge cells to the nearest defect
+    footprint cell or, on an open chain, chain end; ``inf`` if there is none.
+
+    The window cell nearest to a cell outside the window is an edge cell, so
+    ``edge_distance >= margin`` says that every defect lies at least
+    ``margin`` cells inside the interval or at least that far outside it.
+    """
+    ends = (start_cell, _last_cell(spec, start_cell, n_cells))
+    features = [c for cs in spec._cell_footprints() for c in cs]
+    if spec.boundary == OPEN:
+        features += [1, spec.n_cells]
+    gaps = [abs(e - c) for e in ends for c in features]
+    if spec.boundary == PERIODIC:
+        gaps = [min(g, spec.n_cells - g) for g in gaps]
+    return min(gaps, default=math.inf)
 
 
 def window_case(spec: ChainSpec, start_cell: int, n_cells: int) -> str:

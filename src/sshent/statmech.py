@@ -111,7 +111,6 @@ class SectorReport:
 def equipartition_report(
     spectrum: np.ndarray,
     q_values: list[int],
-    degeneracy_threshold: float = DEGENERACY_THRESHOLD,
 ) -> list[SectorReport]:
     """Constrained-entropy diagnostics for a range of charge sectors.
 
@@ -148,7 +147,7 @@ def equipartition_report(
         dist = float(np.min(np.abs(finite - mu)))
         nearest = finite[int(np.argmin(np.abs(finite - mu)))]
         partner = np.abs(finite - nearest)
-        degenerate = bool(np.sum(partner < degeneracy_threshold) > 1)
+        degenerate = bool(np.sum(partner < DEGENERACY_THRESHOLD) > 1)
         reports.append(
             SectorReport(
                 q=q,
@@ -157,7 +156,7 @@ def equipartition_report(
                 reconstructed_entropy=recon,
                 sector_entropy=sector,
                 nearest_level_distance=dist,
-                mu_at_level=dist < degeneracy_threshold,
+                mu_at_level=dist < DEGENERACY_THRESHOLD,
                 level_degenerate=degenerate,
                 sre_mu_drift=drift,
             )

@@ -111,6 +111,34 @@ def window_case_from_loop(spec, m, ell):
     return model.DEFECT
 
 
+def defects_in_window_from_cells(spec, m, ell):
+    """Defects whose footprint shares a cell with the window, by set intersection."""
+    cells = set(model.window_cells(spec, m, ell))
+    return [d for d, cs in zip(spec.defects, spec._cell_footprints()) if cells & set(cs)]
+
+
+def is_bulk_window_from_anchors(spec, m, ell, margin):
+    """Bulk rule measured from each defect's anchor cell: a defect inside the
+    window must be ``margin`` cells from both edge cells, one outside it
+    ``margin`` cells from every window cell.  Equal to the footprint rule
+    when every footprint is its anchor cell (``one_site``) on a ring."""
+
+    def ring_distance(a, b):
+        d = abs(a - b)
+        return min(d, spec.n_cells - d) if spec.boundary == model.PERIODIC else d
+
+    cells = model.window_cells(spec, m, ell)
+    inside = model.defects_in_window(spec, m, ell)
+    for d in spec.defects:
+        if d in inside:
+            edges = (cells[0], cells[-1])
+        else:
+            edges = cells
+        if min(ring_distance(c, d.cell) for c in edges) < margin:
+            return False
+    return True
+
+
 def hamiltonian_loop(spec):
     """Hopping matrix summed bond by bond; bond r joins sites r and r+1 (mod N)."""
     n = spec.n_sites

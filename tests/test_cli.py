@@ -128,14 +128,17 @@ def test_out_of_range_correlation_eigenvalue_is_numerical_error(
     tmp_path, monkeypatch, capsys
 ):
     eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh(a) + 1e-3)
     cfg = base_config(tmp_path, mode="lattice")
-    rc = cli.main(["scan-interval", "--config", write_config(tmp_path, cfg)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "numerical error: correlation eigenvalues outside [0, 1]" in err
-    assert "Traceback" not in err
-    assert not (tmp_path / "scan.csv").exists()
+    path = write_config(tmp_path, cfg)
+    # a spectrum shifted past 1, and one with a NaN eigenvalue
+    for spoil in (lambda lam: lam + 1e-3, lambda lam: np.where(lam == lam[3], np.nan, lam)):
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: spoil(eigvalsh(a)))
+        rc = cli.main(["scan-interval", "--config", path])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "numerical error: correlation eigenvalues outside [0, 1]" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "scan.csv").exists()
 
 
 def test_zero_mode_scan(tmp_path):
@@ -156,6 +159,48 @@ def test_zero_mode_scan(tmp_path):
     s_01 = next(v for (p, _), v in lattice_s.items() if p == "0.1")
     s_05 = next(v for (p, _), v in lattice_s.items() if p == "0.5")
     assert s_05 > s_01
+
+
+def test_window_start_flag_overrides_config(tmp_path):
+    cfg = base_config(tmp_path, mode="lattice")
+    cfg.pop("m_range")
+    cfg["window_start"] = 19  # holds the defect at cell 25
+    cfg["p_list"] = [0.5]
+    cfg["n_list"] = [1]
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["zero-mode-scan", "--config", path, "--window-start", "69"]) == 0
+    assert {r["m"] for r in read_rows(tmp_path / "scan.csv")} == {"69"}
+    assert json.loads((tmp_path / "scan.json").read_text())["config"]["window_start"] == 69
+
+
+# the gate value of the standard scan (N 400, ell 20, margin 8, tol 1e-3) when
+# the bulk margin is measured from each defect's whole footprint and, on an
+# open chain, from both chain ends; measured from the anchor cells alone, the
+# first two failed at 2.085e-3 and the open chains at 6.971e-1
+@pytest.mark.parametrize(
+    "boundary, defects, gate",
+    [
+        ("periodic", [(50, "three_site"), (150, "three_site")], "6.029e-04"),
+        ("periodic", [(50, "three_site"), (150, "one_site")], "9.333e-04"),
+        ("periodic", [(50, "one_site"), (150, "three_site")], "9.333e-04"),
+        ("open", [], "3.373e-04"),
+        ("open", [(60, "one_site")], "9.333e-04"),
+        ("open", [(60, "three_site")], "6.029e-04"),
+    ],
+    ids=["three-three", "three-one", "one-three", "open", "open-one", "open-three"],
+)
+def test_std400_gate_for_both_defect_kinds_and_open_chains(
+    tmp_path, capsys, boundary, defects, gate
+):
+    chain = {
+        "n_sites": 400, "t": 1.0, "delta": 0.3, "boundary": boundary,
+        "defects": [{"cell": c, "kind": k} for c, k in defects],
+    }
+    cfg = base_config(tmp_path, chain=chain, window_length=20, m_range=[1, 200])
+    rc = cli.main(["scan-interval", "--config", write_config(tmp_path, cfg)])
+    out = capsys.readouterr().out
+    assert f"bulk-window max |lattice - asymptotic| = {gate} (tol 0.001)" in out
+    assert rc == 0
 
 
 def test_gate_counts_rows_at_the_probability_floor(capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from sshent import entanglement as ent
 from sshent import groundstate as gs
 from sshent.asymptotics import dimerized_lambdas
+from sshent.linalg import NumericalError
 
 import oracles
 from oracles import brute_force_sector_data, sre_vn_from_partitions, srpf_by_flux_quadrature
@@ -43,6 +44,15 @@ def test_lambda_clamp():
     assert lam.min() == 0.0 and lam.max() == 1.0
     with pytest.raises(ValueError, match="outside"):
         ent.clamp_lambdas(np.array([-1e-3]))
+
+
+def test_nan_eigenvalue_is_numerical_error():
+    nan = float("nan")
+    with pytest.raises(NumericalError, match="outside"):
+        ent.charge_resolved_table(np.array([0.5, nan, 0.3]), 1.0)
+    # one NaN row of a stack fails the whole stack instead of losing its sectors
+    with pytest.raises(NumericalError, match="outside"):
+        ent.charge_resolved_tables(np.array([[0.5, 0.2, 0.3], [0.5, nan, 0.3]]), [1.0])
 
 
 def test_spectrum_round_trip():

@@ -8,7 +8,13 @@ from sshent import model
 from sshent.linalg import eigh_symmetric
 
 from conftest import two_defect_chain
-from oracles import bond_amplitudes_loop, hamiltonian_loop, window_case_from_loop
+from oracles import (
+    bond_amplitudes_loop,
+    defects_in_window_from_cells,
+    hamiltonian_loop,
+    is_bulk_window_from_anchors,
+    window_case_from_loop,
+)
 
 # mixed kinds, both boundaries, both signs of delta, and the two-site ring
 # whose wrap bond joins the same pair of sites as bond 1
@@ -148,6 +154,54 @@ def test_window_wraps_under_pbc(chain03):
     sites = model.window_sites(chain03, 195, 10)
     assert sites[0] == 2 * 195 - 2
     assert sites[-1] == 2 * 4 - 1  # cell 4 after wrapping past cell 200
+
+
+@pytest.mark.parametrize("name", ORACLE_SPECS)
+def test_defects_in_window_match_cell_sets(name):
+    spec = ORACLE_SPECS[name]
+    for ell in {1, 5, 20, spec.n_cells} & set(range(1, spec.n_cells + 1)):
+        last = spec.n_cells if spec.boundary == "periodic" else spec.n_cells - ell + 1
+        for m in range(1, last + 1):
+            got = model.defects_in_window(spec, m, ell)
+            assert got == defects_in_window_from_cells(spec, m, ell), (m, ell)
+
+
+# defect anchors of one_site rings: the standard ring and rotations of it
+@pytest.mark.parametrize("cells", [(50, 150), (51, 151), (87, 187), (2, 102), (99, 199)])
+@pytest.mark.parametrize("ell", [1, 20, 60, 200])
+def test_bulk_rule_matches_anchor_rule_on_one_site_rings(cells, ell):
+    spec = model.ChainSpec(
+        n_sites=400, dimerization=0.3, defects=tuple(model.DefectSpec(c) for c in cells)
+    )
+    for margin in (1, 8, 15):
+        for m in range(1, spec.n_cells + 1):
+            bulk = model.edge_distance(spec, m, ell) >= margin
+            assert bulk == is_bulk_window_from_anchors(spec, m, ell, margin), (m, margin)
+
+
+@pytest.mark.parametrize("kind, a", [("one_site", 200), ("three_site", 201)])
+def test_bulk_flags_invariant_under_chain_reflection(kind, a):
+    """The ring is symmetric under the cell reflection x -> a - x (mod L),
+    which swaps the two defects; a window and its mirror image must get the
+    same edge distance and so the same bulk flag."""
+    spec = two_defect_chain(0.3, kinds=(kind, kind))
+    n_cells, n_sites, ell = spec.n_cells, spec.n_sites, 20
+    # site s -> 2a - 1 - s (1-based) reverses the two sites of every cell
+    image = (2 * a - 3 - np.arange(n_sites)) % n_sites
+    h = model.build_hamiltonian(spec)
+    assert np.array_equal(h[np.ix_(image, image)], h)
+    for m in range(1, n_cells + 1):
+        mirror = (a - m - ell) % n_cells + 1  # start of [a - m - ell + 1, a - m]
+        assert model.edge_distance(spec, m, ell) == model.edge_distance(spec, mirror, ell), m
+
+
+def test_open_chain_ends_count_toward_edge_distance():
+    spec = model.ChainSpec(n_sites=400, dimerization=0.3, boundary="open")
+    ell = 20
+    for m in range(1, spec.n_cells - ell + 2):
+        assert model.edge_distance(spec, m, ell) == min(m - 1, spec.n_cells - (m + ell - 1))
+    ring = model.ChainSpec(n_sites=400, dimerization=0.3)
+    assert model.edge_distance(ring, 1, ell) == float("inf")
 
 
 def test_json_round_trip(chain_mixed):
