@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 configuration error, 2 numerical-validation failure
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
@@ -111,73 +112,114 @@ def _chain_from_config(config: dict) -> model.ChainSpec:
         raise ConfigError(f"bad chain spec: {err}") from err
 
 
-def _table_rows(
-    table: ent.ChargeResolvedTable,
-    *,
-    m: int | None,
-    case: str,
-    n: float,
-    ell: int,
-    source: str,
-    p: float | None = None,
-) -> list[dict]:
-    rows = []
-    for i, q in enumerate(table.charges):
-        rows.append(
-            {
-                "m": m,
-                "case": case,
-                "p": p,
-                "q": int(q),
-                "dq": int(q) - ell,
-                "n": n,
-                "Z1_q": float(table.probabilities[i]),
-                "S_n_q": float(table.sre_renyi[i]),
-                "S": table.total_vn,
-                "S_c": table.config_entropy,
-                "S_f": table.fluct_entropy,
-                "source": source,
-                "dev": None,
-            }
-        )
-    return rows
+# a row's source, by index; rows of one (m, p, q, n) key come in this order
+SOURCES = ("lattice", "asymptotic", "dimerized")
+LATTICE, ASYMPTOTIC, DIMERIZED = range(3)
 
 
-def _fill_deviations(rows: list[dict]) -> None:
-    lattice = {
-        (r["m"], r["p"], r["q"], r["n"]): r for r in rows if r["source"] == "lattice"
+def _distinct(values: list, name: str) -> list:
+    """``values``, which must hold no value twice: each one keys its rows."""
+    if len(set(values)) != len(values):
+        raise ConfigError(f"{name} repeats a value: {values}")
+    return values
+
+
+def _sector_columns(tables: list[ent.ChargeResolvedTable]) -> dict[str, np.ndarray]:
+    """One row per sector of every table, in order: the sector columns and
+    each table's totals repeated over its sectors."""
+    sizes = [t.charges.size for t in tables]
+
+    def cat(arrays, dtype) -> np.ndarray:
+        return np.concatenate([np.asarray(a, dtype=dtype) for a in arrays] or [np.empty(0, dtype)])
+
+    return {
+        "q": cat([t.charges for t in tables], np.int64),
+        "Z1": cat([t.probabilities for t in tables], float),
+        "S_n": cat([t.sre_renyi for t in tables], float),
+        "S": np.repeat(np.array([t.total_vn for t in tables], dtype=float), sizes),
+        "S_c": np.repeat(np.array([t.config_entropy for t in tables], dtype=float), sizes),
+        "S_f": np.repeat(np.array([t.fluct_entropy for t in tables], dtype=float), sizes),
+        "table": np.repeat(np.arange(len(tables)), sizes),
     }
-    for r in rows:
-        if r["source"] != "lattice":
-            key = (r["m"], r["p"], r["q"], r["n"])
-            mate = lattice.get(key)
-            if mate is not None:
-                dev = abs(r["S_n_q"] - mate["S_n_q"])
-                r["dev"] = dev
-                mate["dev"] = dev
 
 
-def _sort_rows(rows: list[dict]) -> list[dict]:
-    order = {"lattice": 0, "asymptotic": 1, "dimerized": 2}
-    return sorted(
-        rows,
-        key=lambda r: (
-            r["m"] if r["m"] is not None else -1,
-            r["p"] if r["p"] is not None else -1.0,
-            r["q"],
-            r["n"],
-            order.get(r["source"], 9),
-        ),
+def _table_columns(
+    parts: list, points: list, n_list: list[float], ell: int
+) -> dict[str, np.ndarray]:
+    """``SCAN_COLUMNS`` of the tables in ``parts``, unsorted, plus the
+    ``point``, ``n_index``, ``source_index`` and ``paired`` columns.
+
+    ``parts`` lists ``(point index, n index, SOURCES index, table)`` and
+    ``points`` the ``(m, p, case)`` of each point.  An absent ``m`` or ``p``
+    is NaN in a float column, which the writers write as they wrote None.
+    """
+    sectors = _sector_columns([t for *_, t in parts])
+    tab = sectors["table"]
+    point, n_idx, source = (
+        np.array([part[k] for part in parts], dtype=np.int64)[tab] for k in range(3)
     )
+    ms, ps, cases = zip(*points) if points else ((), (), ())
+    m = np.array(ms, dtype=float if None in ms else np.int64)
+    rows = len(tab)
+    return {
+        "m": m[point],
+        "case": np.array(cases, dtype=object)[point],
+        "p": np.array(ps, dtype=float)[point],
+        "q": sectors["q"],
+        "dq": sectors["q"] - ell,
+        "n": np.array(n_list, dtype=float)[n_idx],
+        "Z1_q": sectors["Z1"],
+        "S_n_q": sectors["S_n"],
+        "S": sectors["S"],
+        "S_c": sectors["S_c"],
+        "S_f": sectors["S_f"],
+        "source": np.array(SOURCES, dtype=object)[source],
+        "dev": np.full(rows, np.nan),
+        "point": point,
+        "n_index": n_idx,
+        "source_index": source,
+        "paired": np.zeros(rows, dtype=bool),
+    }
 
 
-def _emit(config: dict, rows: list[dict], columns: list[str], schema: str) -> None:
+def _fill_deviations(data: dict[str, np.ndarray]) -> None:
+    """Join closed-form and lattice rows on (point, n, q): both rows of a pair
+    get ``dev = |S_n_q - S_n_q(lattice)|`` and ``paired``."""
+    lat = np.flatnonzero(data["source_index"] == LATTICE)
+    asy = np.flatnonzero(data["source_index"] == ASYMPTOTIC)
+    if not (lat.size and asy.size):
+        return
+    q = data["q"] - data["q"].min()
+    table = data["point"] * (data["n_index"].max() + 1) + data["n_index"]
+    key = table * (q.max() + 1) + q
+    _, il, ia = np.intersect1d(key[lat], key[asy], assume_unique=True, return_indices=True)
+    lat, asy = lat[il], asy[ia]
+    dev = np.abs(data["S_n_q"][asy] - data["S_n_q"][lat])
+    for rows in (lat, asy):
+        data["dev"][rows] = dev
+        data["paired"][rows] = True
+
+
+def _sort_rows(data: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Rows in ``(m, p, q, n, source)`` order, an absent m or p first as -1;
+    rows with equal keys keep their order."""
+
+    def key(col: np.ndarray) -> np.ndarray:
+        return np.where(np.isnan(col), -1.0, col) if col.dtype.kind == "f" else col
+
+    order = np.lexsort(
+        (data["source_index"], data["n"], data["q"], key(data["p"]), key(data["m"]))
+    )
+    return {name: col[order] for name, col in data.items()}
+
+
+def _emit(config: dict, data: dict[str, np.ndarray], columns: list[str], schema: str) -> None:
     outputs = config.get("outputs", {})
     csv_path = outputs.get("csv_path")
     json_path = outputs.get("json_path")
     if csv_path:
-        serialize.write_csv(csv_path, schema, columns, rows)
-        print(f"wrote {csv_path} ({len(rows)} rows)")
+        serialize.write_csv(csv_path, schema, columns, data)
+        print(f"wrote {csv_path} ({len(data[columns[0]])} rows)")
     if json_path:
         payload = {
             "schema": schema,
@@ -185,12 +227,11 @@ def _emit(config: dict, rows: list[dict], columns: list[str], schema: str) -> No
             "config": config,
             "config_sha256": serialize.config_digest(config),
             "versions": {"sshent": __version__, "numpy": np.__version__},
-            "rows": [[row.get(c) for c in columns] for row in rows],
         }
-        serialize.write_json(json_path, payload)
+        serialize.write_json(json_path, payload, columns, data)
         print(f"wrote {json_path}")
     if not csv_path and not json_path:
-        print(serialize.render_csv(schema, columns, rows), end="")
+        serialize.stream_csv(sys.stdout, schema, columns, data)
 
 
 def _scan_params(config: dict, spec: model.ChainSpec, command: str) -> sf.EllipticParams | None:
@@ -205,51 +246,46 @@ def _scan_params(config: dict, spec: model.ChainSpec, command: str) -> sf.Ellipt
     return sf.EllipticParams.from_dimerization(spec.dimerization)
 
 
-def _scan(points, n_list: list[float], ell: int, lattice, closed_form) -> list[dict]:
-    """Sorted lattice and closed-form rows over ``(m, p, case)`` points.
+def _scan(points, n_list: list[float], ell: int, lattice, closed_form) -> dict[str, np.ndarray]:
+    """Sorted lattice and closed-form columns over ``(m, p, case)`` points.
 
-    ``lattice(m, p)`` gives the window's correlation eigenvalues and
-    ``closed_form(case, p, n)`` its closed-form table; either may be None.
-    The lattice tables of all points come from one batched call.
+    ``lattice(points)`` gives the stacked correlation eigenvalues of the
+    points' windows and ``closed_form(case, p, n)`` a closed-form table;
+    either may be None.  The lattice tables of all points come from one
+    batched call.
     """
     points = list(points)
     if lattice:
-        spectra = np.array([lattice(m, p) for m, p, _ in points])
-        tables = ent.charge_resolved_tables(spectra, n_list)
-    rows: list[dict] = []
+        tables = ent.charge_resolved_tables(lattice(points), n_list)
+    parts = []
     for i, (m, p, case) in enumerate(points):
         for j, n in enumerate(n_list):
-            at = {"m": m, "case": case, "n": n, "ell": ell, "p": p}
             if lattice:
-                rows.extend(_table_rows(tables[i][j], source="lattice", **at))
+                parts.append((i, j, LATTICE, tables[i][j]))
             if closed_form:
-                rows.extend(_table_rows(closed_form(case, p, n), source="asymptotic", **at))
-    _fill_deviations(rows)
-    return _sort_rows(rows)
+                parts.append((i, j, ASYMPTOTIC, closed_form(case, p, n)))
+    data = _table_columns(parts, points, n_list, ell)
+    _fill_deviations(data)
+    return _sort_rows(data)
 
 
-def _gate(rows: list[dict], tol: float, label: str) -> int:
+def _gate(data: dict[str, np.ndarray], tol: float, label: str) -> int:
     """Worst paired deviation over rows with ``Z1_q >= GATE_PROB_FLOOR``.
 
-    A NaN deviation or probability in any row fails the gate by itself.
+    ``data`` holds the columns ``Z1_q``, ``dev`` and ``paired`` (and, for the
+    failure message, ``m``, ``p``, ``q`` and ``n``).  A NaN deviation of a
+    paired row, or a NaN probability of any row, fails the gate by itself.
     """
-    nan_rows = [
-        r for r in rows
-        if math.isnan(r["Z1_q"]) or (r["dev"] is not None and math.isnan(r["dev"]))
-    ]
-    worst = max(
-        (
-            r["dev"] for r in rows
-            if r["dev"] is not None and r["Z1_q"] >= GATE_PROB_FLOOR and not math.isnan(r["dev"])
-        ),
-        default=0.0,
-    )
+    z1, dev, paired = data["Z1_q"], data["dev"], data["paired"]
+    nan_rows = np.flatnonzero(np.isnan(z1) | (paired & np.isnan(dev)))
+    counted = paired & (z1 >= GATE_PROB_FLOOR) & ~np.isnan(dev)
+    worst = float(dev[counted].max()) if counted.any() else 0.0
     print(f"{label} = {worst:.3e} (tol {tol:g})")
-    if nan_rows:
-        r = nan_rows[0]
+    if nan_rows.size:
+        at = " ".join(f"{c}={_row_value(data, c, nan_rows[0])}" for c in ("m", "p", "q", "n"))
         print(
-            f"numerical validation FAILED: {len(nan_rows)} row(s) with a NaN deviation "
-            f"or probability, first at m={r.get('m')} p={r.get('p')} q={r.get('q')} n={r.get('n')}",
+            f"numerical validation FAILED: {nan_rows.size} row(s) with a NaN deviation "
+            f"or probability, first at {at}",
             file=sys.stderr,
         )
         return EXIT_VALIDATION
@@ -257,6 +293,14 @@ def _gate(rows: list[dict], tol: float, label: str) -> int:
         print("numerical validation FAILED", file=sys.stderr)
         return EXIT_VALIDATION
     return EXIT_OK
+
+
+def _row_value(data: dict[str, np.ndarray], column: str, row: int):
+    """One numeric value as a Python number; None for an absent column or a NaN."""
+    if column not in data:
+        return None
+    value = data[column][row].item()
+    return None if isinstance(value, float) and math.isnan(value) else value
 
 
 def run_scan_interval(args: argparse.Namespace) -> int:
@@ -274,9 +318,9 @@ def run_scan_interval(args: argparse.Namespace) -> int:
     spec = _chain_from_config(config)
     ell = int(config["window_length"])
     params = _scan_params(config, spec, "scan-interval")
-    n_list = [float(n) for n in config["n_list"]]
+    n_list = _distinct([float(n) for n in config["n_list"]], "n_list")
     if "m_list" in config:
-        m_values = [int(m) for m in config["m_list"]]
+        m_values = _distinct([int(m) for m in config["m_list"]], "m_list")
     else:
         lo, hi = config.get("m_range", [1, spec.n_cells])
         m_values = list(range(int(lo), int(hi) + 1))
@@ -303,8 +347,11 @@ def run_scan_interval(args: argparse.Namespace) -> int:
     if config["mode"] != "asymptotic":
         eig = eigh_symmetric(model.build_hamiltonian(spec))
 
-        def lattice(m: int, p: float | None) -> np.ndarray:
-            return gs.correlation_matrix(eig, spec, policy, (m, ell)).eigenvalues()
+        def lattice(points: list) -> np.ndarray:
+            return np.array([
+                gs.correlation_matrix(eig, spec, policy, (m, ell)).eigenvalues()
+                for m, _, _ in points
+            ])
 
     if params is not None:
         # one table per (case, n): it does not depend on the window position
@@ -316,17 +363,18 @@ def run_scan_interval(args: argparse.Namespace) -> int:
             return asym_tables[case, n]
 
     points = ((m, None, model.window_case(spec, m, ell)) for m in m_values)
-    rows = _scan(points, n_list, ell, lattice, closed_form)
+    data = _scan(points, n_list, ell, lattice, closed_form)
     status = EXIT_OK
     if config["mode"] == "both":
         margin = int(config["bulk_margin"])
-        bulk = {m: model.edge_distance(spec, m, ell) >= margin for m in m_values}
+        bulk = np.array([model.edge_distance(spec, m, ell) >= margin for m in m_values])
+        in_bulk = bulk[data["point"]]
         status = _gate(
-            [r for r in rows if bulk[r["m"]]],
+            {name: col[in_bulk] for name, col in data.items()},
             float(config["tolerance"]),
             "bulk-window max |lattice - asymptotic|",
         )
-    _emit(config, rows, SCAN_COLUMNS, SCAN_SCHEMA)
+    _emit(config, data, SCAN_COLUMNS, SCAN_SCHEMA)
     return status
 
 
@@ -345,8 +393,8 @@ def run_zero_mode_scan(args: argparse.Namespace) -> int:
     if len(spec.defects) != 2:
         raise ConfigError("zero-mode-scan needs a chain with exactly two defects")
     ell = int(config["window_length"])
-    n_list = [float(n) for n in config["n_list"]]
-    p_list = [float(p) for p in config["p_list"]]
+    n_list = _distinct([float(n) for n in config["n_list"]], "n_list")
+    p_list = _distinct([float(p) for p in config["p_list"]], "p_list")
     params = _scan_params(config, spec, "zero-mode-scan")
     m = int(config.get("window_start", spec.defects[0].cell - ell // 2 + 1))
     inside = model.defects_in_window(spec, m, ell)
@@ -360,9 +408,10 @@ def run_zero_mode_scan(args: argparse.Namespace) -> int:
         eig = eigh_symmetric(model.build_hamiltonian(spec))
         pair = gs.localized_zero_modes(eig, spec)
 
-        def lattice(m: int, p: float) -> np.ndarray:
-            policy = gs.OccupationPolicy.half(pair.with_weight(p))
-            return gs.correlation_matrix(eig, spec, policy, (m, ell)).eigenvalues()
+        def lattice(points: list) -> np.ndarray:
+            weights = [p for _, p, _ in points]
+            mats = gs.zero_mode_correlations(eig, spec, pair, (m, ell), weights)
+            return np.array([c.eigenvalues() for c in mats])
 
     if params is not None:
         # p is the weight on the *second* defect; if the window holds the
@@ -373,11 +422,11 @@ def run_zero_mode_scan(args: argparse.Namespace) -> int:
             p_out = (1.0 - p) if window_holds_second else p
             return asym.zero_mode_table(p_out, n, params, ell)
 
-    rows = _scan([(m, p, model.DEFECT) for p in p_list], n_list, ell, lattice, closed_form)
+    data = _scan([(m, p, model.DEFECT) for p in p_list], n_list, ell, lattice, closed_form)
     status = EXIT_OK
     if config["mode"] == "both":
-        status = _gate(rows, float(config["tolerance"]), "max |lattice - asymptotic|")
-    _emit(config, rows, SCAN_COLUMNS, SCAN_SCHEMA)
+        status = _gate(data, float(config["tolerance"]), "max |lattice - asymptotic|")
+    _emit(config, data, SCAN_COLUMNS, SCAN_SCHEMA)
     return status
 
 
@@ -386,26 +435,15 @@ def run_dimerized(args: argparse.Namespace) -> int:
     ell = int(config["window_length"])
     n_list = [float(n) for n in config["n_list"]]
     p_list = [float(p) for p in config.get("p_list", [])]
-    rows: list[dict] = []
-    for case in (model.TOPOLOGICAL, model.TRIVIAL, model.DEFECT):
-        for n in n_list:
-            rows.extend(
-                _table_rows(
-                    asym.dimerized_table(case, ell, n),
-                    m=None, case=case, n=n, ell=ell, source="dimerized",
-                )
-            )
-    for p in p_list:
-        for n in n_list:
-            rows.extend(
-                _table_rows(
-                    asym.dimerized_table(model.DEFECT, ell, n, zero_mode_p=p),
-                    m=None, case=model.DEFECT, n=n, ell=ell,
-                    source="dimerized", p=p,
-                )
-            )
-    rows = _sort_rows(rows)
-    _emit(config, rows, SCAN_COLUMNS, SCAN_SCHEMA)
+    points = [(None, None, case) for case in (model.TOPOLOGICAL, model.TRIVIAL, model.DEFECT)]
+    points += [(None, p, model.DEFECT) for p in p_list]
+    parts = [
+        (i, j, DIMERIZED, asym.dimerized_table(case, ell, n, zero_mode_p=p))
+        for i, (_, p, case) in enumerate(points)
+        for j, n in enumerate(n_list)
+    ]
+    data = _sort_rows(_table_columns(parts, points, n_list, ell))
+    _emit(config, data, SCAN_COLUMNS, SCAN_SCHEMA)
     return EXIT_OK
 
 
@@ -437,27 +475,25 @@ def run_statmech(args: argparse.Namespace) -> int:
     if not q_values:
         raise ConfigError("no admissible charge targets")
     reports = sm.equipartition_report(spectrum, q_values)
-    rows = [
-        {
-            "q": r.q,
-            "mu": r.mu,
-            "constrained_S": r.constrained_entropy,
-            "reconstructed_S": r.reconstructed_entropy,
-            "sre_q": r.sector_entropy,
-            "nearest_level_distance": r.nearest_level_distance,
-            "mu_at_level": r.mu_at_level,
-            "level_degenerate": r.level_degenerate,
-            "sre_mu_drift": r.sre_mu_drift,
-        }
-        for r in reports
-    ]
+    fields = {
+        "q": "q",
+        "mu": "mu",
+        "constrained_S": "constrained_entropy",
+        "reconstructed_S": "reconstructed_entropy",
+        "sre_q": "sector_entropy",
+        "nearest_level_distance": "nearest_level_distance",
+        "mu_at_level": "mu_at_level",
+        "level_degenerate": "level_degenerate",
+        "sre_mu_drift": "sre_mu_drift",
+    }
+    data = {col: np.array([getattr(r, f) for r in reports]) for col, f in fields.items()}
     config = {
         "delta": args.delta,
         "cut": args.cut,
         "window_length": ell,
         "zero_level": args.zero_level,
     }
-    _emit(_add_outputs(config, args), rows, STATMECH_COLUMNS, "statmech-1")
+    _emit(_add_outputs(config, args), data, STATMECH_COLUMNS, "statmech-1")
     return EXIT_OK
 
 
@@ -470,35 +506,33 @@ AKLT_COLUMNS = [
 def run_aklt(args: argparse.Namespace) -> int:
     config = _load_config(args, defaults={"n_list": [1.0, 2.0], "p_list": [0.1, 0.25, 0.5]})
     n_list, p_list = config["n_list"], config["p_list"]
-    rows: list[dict] = []
-
-    def add(case: str, state: str, n: float, p: float | None) -> None:
-        table = aklt_mod.aklt_entropies(case, state, n, p)
-        eta = aklt_mod.eta_from_weight(p) if p is not None else None
-        for i, jz in enumerate(table.charges):
-            rows.append(
-                {
-                    "aklt_case": case,
-                    "ground_state": state,
-                    "p": p,
-                    "eta": eta,
-                    "jz": int(jz),
-                    "n": n,
-                    "Z1_jz": float(table.probabilities[i]),
-                    "S_n_jz": float(table.sre_renyi[i]),
-                    "S": table.total_vn,
-                    "S_c": table.config_entropy,
-                    "S_f": table.fluct_entropy,
-                }
-            )
-
-    for case in (aklt_mod.TRIVIAL_PRODUCT, aklt_mod.AKLT_BULK, aklt_mod.DEFECT_INTERFACE):
-        for n in n_list:
-            add(case, aklt_mod.TRIPLET, n, None)
-    for p in p_list:
-        for n in n_list:
-            add(aklt_mod.DEFECT_INTERFACE, aklt_mod.HYBRID, n, p)
-    _emit(config, rows, AKLT_COLUMNS, "aklt-1")
+    specs = [
+        (case, aklt_mod.TRIPLET, n, None)
+        for case in (aklt_mod.TRIVIAL_PRODUCT, aklt_mod.AKLT_BULK, aklt_mod.DEFECT_INTERFACE)
+        for n in n_list
+    ]
+    specs += [(aklt_mod.DEFECT_INTERFACE, aklt_mod.HYBRID, n, p) for p in p_list for n in n_list]
+    tables, etas = [], []
+    for case, state, n, p in specs:
+        tables.append(aklt_mod.aklt_entropies(case, state, n, p))
+        etas.append(aklt_mod.eta_from_weight(p) if p is not None else None)
+    sectors = _sector_columns(tables)
+    cases, states, ns, ps = zip(*specs) if specs else ((), (), (), ())
+    tab = sectors["table"]
+    data = {
+        "aklt_case": np.array(cases, dtype=object)[tab],
+        "ground_state": np.array(states, dtype=object)[tab],
+        "p": np.array(ps, dtype=float)[tab],
+        "eta": np.array(etas, dtype=float)[tab],
+        "jz": sectors["q"],
+        "n": np.array(ns, dtype=float)[tab],
+        "Z1_jz": sectors["Z1"],
+        "S_n_jz": sectors["S_n"],
+        "S": sectors["S"],
+        "S_c": sectors["S_c"],
+        "S_f": sectors["S_f"],
+    }
+    _emit(config, data, AKLT_COLUMNS, "aklt-1")
     return EXIT_OK
 
 
@@ -576,11 +610,13 @@ def run_selftest(args: argparse.Namespace) -> int:
 
     # determinism of rendered output
     table = asym.dimerized_table("topological", 10, 2.0)
-    rows = _table_rows(table, m=None, case="topological", n=2.0, ell=10,
-                       source="dimerized")
-    text1 = serialize.render_csv(SCAN_SCHEMA, SCAN_COLUMNS, rows)
-    text2 = serialize.render_csv(SCAN_SCHEMA, SCAN_COLUMNS, rows)
-    checks.append(("deterministic rendering", text1 == text2, "byte comparison"))
+    data = _table_columns([(0, 0, DIMERIZED, table)], [(None, None, "topological")], [2.0], 10)
+    texts = []
+    for _ in range(2):
+        buf = io.StringIO()
+        serialize.stream_csv(buf, SCAN_SCHEMA, SCAN_COLUMNS, data)
+        texts.append(buf.getvalue())
+    checks.append(("deterministic rendering", texts[0] == texts[1], "byte comparison"))
 
     failed = 0
     for name, ok, detail in checks:

@@ -209,12 +209,37 @@ def correlation_matrix(
     sites = window_sites(spec, start_cell, n_cells)
     v = occupied_orbitals(eig, spec, policy, sites=sites)
     c = v @ v.T
-    zm = policy.zero_mode
-    if policy.filling == HALF and zm is not None:
-        w1 = zm.psi1[sites]
-        w2 = zm.psi2[sites]
-        p, phi = zm.p, zm.phi
-        c = c + (1.0 - p) * np.outer(w1, w1) + p * np.outer(w2, w2)
-        cross = math.sqrt(p * (1.0 - p)) * math.cos(phi)
-        c = c + cross * (np.outer(w1, w2) + np.outer(w2, w1))
+    if policy.filling == HALF and policy.zero_mode is not None:
+        c = _add_zero_mode(c, policy.zero_mode, sites)
     return CorrelationMatrix(start_cell=start_cell, n_cells=n_cells, matrix=c)
+
+
+def zero_mode_correlations(
+    eig: EigenSystem,
+    spec: ChainSpec,
+    pair: ZeroModePair,
+    window: tuple[int, int],
+    weights: list[float],
+) -> list[CorrelationMatrix]:
+    """``correlation_matrix`` at half filling for each zero-mode weight ``p``
+    in ``weights``, equal to it bit for bit.
+
+    The filled sea does not depend on the weight, so its ``v @ v.T`` is
+    computed once and only the zero-mode projector is added per weight.
+    """
+    sea = correlation_matrix(eig, spec, OccupationPolicy.below_half(), window)
+    sites = window_sites(spec, *window)
+    return [
+        replace(sea, matrix=_add_zero_mode(sea.matrix, pair.with_weight(p), sites))
+        for p in weights
+    ]
+
+
+def _add_zero_mode(c: np.ndarray, zm: ZeroModePair, sites: np.ndarray) -> np.ndarray:
+    """``c`` plus the projector on the occupied zero-mode superposition."""
+    w1 = zm.psi1[sites]
+    w2 = zm.psi2[sites]
+    p, phi = zm.p, zm.phi
+    c = c + (1.0 - p) * np.outer(w1, w1) + p * np.outer(w2, w2)
+    cross = math.sqrt(p * (1.0 - p)) * math.cos(phi)
+    return c + cross * (np.outer(w1, w2) + np.outer(w2, w1))

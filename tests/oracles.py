@@ -1,13 +1,18 @@
 """Independent reference implementations used only to check the library."""
 
+import json
 import math
 
 import numpy as np
 from scipy.integrate import quad
 
+import sshent
+from sshent import aklt
+from sshent import asymptotics as asym
 from sshent import entanglement as ent
 from sshent import groundstate as gs
 from sshent import model
+from sshent import serialize
 
 
 def brute_force_sector_data(lambdas, n):
@@ -243,3 +248,201 @@ def charge_resolved_table_loop(lambdas, n):
         fluct_entropy=s_f,
         mean_charge=float(np.sum(lam)),
     )
+
+
+# --- the row-dict output path: one dict per CSV row, written value by value ---
+
+
+def table_rows(table, *, m, case, n, ell, source, p=None):
+    """One row dict per charge sector of ``table``."""
+    rows = []
+    for i, q in enumerate(table.charges):
+        rows.append(
+            {
+                "m": m,
+                "case": case,
+                "p": p,
+                "q": int(q),
+                "dq": int(q) - ell,
+                "n": n,
+                "Z1_q": float(table.probabilities[i]),
+                "S_n_q": float(table.sre_renyi[i]),
+                "S": table.total_vn,
+                "S_c": table.config_entropy,
+                "S_f": table.fluct_entropy,
+                "source": source,
+                "dev": None,
+            }
+        )
+    return rows
+
+
+def fill_deviations(rows):
+    """Pair every non-lattice row with the lattice row of its (m, p, q, n) key."""
+    lattice = {
+        (r["m"], r["p"], r["q"], r["n"]): r for r in rows if r["source"] == "lattice"
+    }
+    for r in rows:
+        if r["source"] != "lattice":
+            mate = lattice.get((r["m"], r["p"], r["q"], r["n"]))
+            if mate is not None:
+                dev = abs(r["S_n_q"] - mate["S_n_q"])
+                r["dev"] = dev
+                mate["dev"] = dev
+
+
+def sort_rows(rows):
+    order = {"lattice": 0, "asymptotic": 1, "dimerized": 2}
+    return sorted(
+        rows,
+        key=lambda r: (
+            r["m"] if r["m"] is not None else -1,
+            r["p"] if r["p"] is not None else -1.0,
+            r["q"],
+            r["n"],
+            order.get(r["source"], 9),
+        ),
+    )
+
+
+def scan_rows(points, n_list, ell, lattice, closed_form):
+    """Sorted row dicts of a scan, from the same inputs as ``cli._scan``."""
+    points = list(points)
+    if lattice:
+        tables = ent.charge_resolved_tables(lattice(points), n_list)
+    rows = []
+    for i, (m, p, case) in enumerate(points):
+        for j, n in enumerate(n_list):
+            at = {"m": m, "case": case, "n": n, "ell": ell, "p": p}
+            if lattice:
+                rows.extend(table_rows(tables[i][j], source="lattice", **at))
+            if closed_form:
+                rows.extend(table_rows(closed_form(case, p, n), source="asymptotic", **at))
+    fill_deviations(rows)
+    return sort_rows(rows)
+
+
+def dimerized_rows(ell, n_list, p_list):
+    """Row dicts of ``sshent dimerized``."""
+    rows = []
+    for case in (model.TOPOLOGICAL, model.TRIVIAL, model.DEFECT):
+        for n in n_list:
+            rows.extend(table_rows(asym.dimerized_table(case, ell, n),
+                                   m=None, case=case, n=n, ell=ell, source="dimerized"))
+    for p in p_list:
+        for n in n_list:
+            rows.extend(table_rows(asym.dimerized_table(model.DEFECT, ell, n, zero_mode_p=p),
+                                   m=None, case=model.DEFECT, n=n, ell=ell,
+                                   source="dimerized", p=p))
+    return sort_rows(rows)
+
+
+def statmech_rows(reports):
+    """Row dicts of ``sshent statmech`` from its equipartition reports."""
+    return [
+        {
+            "q": r.q,
+            "mu": r.mu,
+            "constrained_S": r.constrained_entropy,
+            "reconstructed_S": r.reconstructed_entropy,
+            "sre_q": r.sector_entropy,
+            "nearest_level_distance": r.nearest_level_distance,
+            "mu_at_level": r.mu_at_level,
+            "level_degenerate": r.level_degenerate,
+            "sre_mu_drift": r.sre_mu_drift,
+        }
+        for r in reports
+    ]
+
+
+def aklt_rows(n_list, p_list):
+    """Row dicts of ``sshent aklt``."""
+    rows = []
+
+    def add(case, state, n, p):
+        table = aklt.aklt_entropies(case, state, n, p)
+        eta = aklt.eta_from_weight(p) if p is not None else None
+        for i, jz in enumerate(table.charges):
+            rows.append(
+                {
+                    "aklt_case": case,
+                    "ground_state": state,
+                    "p": p,
+                    "eta": eta,
+                    "jz": int(jz),
+                    "n": n,
+                    "Z1_jz": float(table.probabilities[i]),
+                    "S_n_jz": float(table.sre_renyi[i]),
+                    "S": table.total_vn,
+                    "S_c": table.config_entropy,
+                    "S_f": table.fluct_entropy,
+                }
+            )
+
+    for case in (aklt.TRIVIAL_PRODUCT, aklt.AKLT_BULK, aklt.DEFECT_INTERFACE):
+        for n in n_list:
+            add(case, aklt.TRIPLET, n, None)
+    for p in p_list:
+        for n in n_list:
+            add(aklt.DEFECT_INTERFACE, aklt.HYBRID, n, p)
+    return rows
+
+
+def format_value(x):
+    if x is None:
+        return ""
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        x = float(x)
+        if math.isnan(x):
+            return ""
+        if x == 0.0:
+            x = 0.0  # normalize -0.0
+        return repr(x)
+    return str(x)
+
+
+def render_csv(schema, columns, rows):
+    lines = [f"#schema={schema}", ",".join(columns)]
+    for row in rows:
+        lines.append(",".join(format_value(row.get(c)) for c in columns))
+    return "\n".join(lines) + "\n"
+
+
+def jsonable(x):
+    if isinstance(x, np.bool_):
+        return bool(x)
+    if isinstance(x, np.integer):
+        return int(x)
+    if isinstance(x, np.floating):
+        v = float(x)
+        return None if math.isnan(v) else v
+    if isinstance(x, float) and math.isnan(x):
+        return None
+    if isinstance(x, np.ndarray):
+        return [jsonable(v) for v in x.tolist()]
+    if isinstance(x, dict):
+        return {k: jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [jsonable(v) for v in x]
+    return x
+
+
+def render_json(payload):
+    return json.dumps(jsonable(payload), indent=2, sort_keys=True) + "\n"
+
+
+def emitted_files(config, rows, columns, schema):
+    """CSV and JSON text the CLI writes for ``rows`` under ``config``."""
+    payload = {
+        "schema": schema,
+        "columns": columns,
+        "config": config,
+        "config_sha256": serialize.config_digest(config),
+        "versions": {"sshent": sshent.__version__, "numpy": np.__version__},
+        "rows": [[row.get(c) for c in columns] for row in rows],
+    }
+    return render_csv(schema, columns, rows), render_json(payload)

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from sshent import cli
-from sshent.serialize import render_csv
+from sshent.serialize import stream_csv
 
 
 def base_config(tmp_path, **extra):
@@ -203,22 +204,31 @@ def test_std400_gate_for_both_defect_kinds_and_open_chains(
     assert rc == 0
 
 
+def gate_columns(rows):
+    """``_gate``'s columns from row dicts; ``dev`` None is an unpaired row."""
+    return {
+        "dev": np.array([np.nan if r["dev"] is None else r["dev"] for r in rows]),
+        "paired": np.array([r["dev"] is not None for r in rows]),
+        "Z1_q": np.array([r["Z1_q"] for r in rows]),
+    }
+
+
 def test_gate_counts_rows_at_the_probability_floor(capsys):
     rows = [
         {"dev": 2e-3, "Z1_q": cli.GATE_PROB_FLOOR},
         {"dev": 5.0, "Z1_q": 0.5 * cli.GATE_PROB_FLOOR},
         {"dev": None, "Z1_q": 1.0},
     ]
-    assert cli._gate(rows, 1e-3, "max |d|") == cli.EXIT_VALIDATION
+    assert cli._gate(gate_columns(rows), 1e-3, "max |d|") == cli.EXIT_VALIDATION
     assert "max |d| = 2.000e-03 (tol 0.001)" in capsys.readouterr().out
-    assert cli._gate(rows[1:], 1e-3, "max |d|") == cli.EXIT_OK
+    assert cli._gate(gate_columns(rows[1:]), 1e-3, "max |d|") == cli.EXIT_OK
 
 
 def test_gate_fails_on_nan(capsys):
     nan = float("nan")
     # a NaN met first used to stay the max and hide the 0.5 failure behind it
     rows = [{"dev": nan, "Z1_q": 0.5}, {"dev": 0.5, "Z1_q": 0.5}]
-    assert cli._gate(rows, 1e-3, "max |d|") == cli.EXIT_VALIDATION
+    assert cli._gate(gate_columns(rows), 1e-3, "max |d|") == cli.EXIT_VALIDATION
     out, err = capsys.readouterr()
     assert "max |d| = 5.000e-01" in out
     assert "NaN" in err
@@ -230,10 +240,18 @@ def test_gate_fails_on_nan(capsys):
         {"dev": None, "Z1_q": nan},
     ):
         rows = [{"dev": 1e-5, "Z1_q": 0.5}, bad, {"dev": 2e-5, "Z1_q": 0.5, "m": 3}]
-        assert cli._gate(rows, 1e-3, "max |d|") == cli.EXIT_VALIDATION, bad
+        assert cli._gate(gate_columns(rows), 1e-3, "max |d|") == cli.EXIT_VALIDATION, bad
         out, err = capsys.readouterr()
         assert "max |d| = 2.000e-05" in out
         assert "1 row(s) with a NaN" in err
+
+
+def test_gate_names_the_first_nan_row(capsys):
+    cols = gate_columns([{"dev": 1e-5, "Z1_q": 0.5}, {"dev": float("nan"), "Z1_q": 0.5}])
+    cols.update(m=np.array([3, 4]), p=np.array([np.nan, np.nan]), q=np.array([19, 20]),
+                n=np.array([1.0, 2.0]))
+    assert cli._gate(cols, 1e-3, "max |d|") == cli.EXIT_VALIDATION
+    assert "first at m=4 p=None q=20 n=2.0" in capsys.readouterr().err
 
 
 def test_zero_mode_scan_needs_defect_window(tmp_path):
@@ -308,6 +326,28 @@ def test_selftest_passes():
 
 
 def test_render_csv_schema_line():
-    text = render_csv("1", ["a", "b"], [{"a": 1, "b": float("nan")}])
+    buf = io.StringIO()
+    stream_csv(buf, "1", ["a", "b"], {"a": np.array([1]), "b": np.array([float("nan")])})
+    text = buf.getvalue()
     assert text.splitlines()[0] == "#schema=1"
     assert text.splitlines()[2] == "1,"
+
+
+@pytest.mark.parametrize("key, values", [("m_list", [41, 42, 41]), ("n_list", [1, 2, 1.0])])
+def test_scan_interval_rejects_repeated_windows_and_indices(tmp_path, capsys, key, values):
+    # a repeated window used to leave its first copy unpaired and out of the gate
+    cfg = base_config(tmp_path, **{key: values})
+    rc = cli.main(["scan-interval", "--config", write_config(tmp_path, cfg)])
+    assert rc == cli.EXIT_CONFIG
+    assert f"config error: {key} repeats a value" in capsys.readouterr().err
+    assert not (tmp_path / "scan.csv").exists()
+
+
+@pytest.mark.parametrize("key, values", [("p_list", [0.1, 0.5, 0.1]), ("n_list", [2, 2])])
+def test_zero_mode_scan_rejects_repeated_weights_and_indices(tmp_path, capsys, key, values):
+    cfg = base_config(tmp_path, window_start=19, **{key: values})
+    cfg.pop("m_range")
+    rc = cli.main(["zero-mode-scan", "--config", write_config(tmp_path, cfg)])
+    assert rc == cli.EXIT_CONFIG
+    assert f"config error: {key} repeats a value" in capsys.readouterr().err
+    assert not (tmp_path / "scan.csv").exists()

@@ -108,6 +108,30 @@ def test_window_gather_matches_full_block(eig03, chain03, zero_pair03, p, window
     assert np.array_equal(cm.matrix, ref)
 
 
+@pytest.mark.parametrize(
+    "kinds, window",
+    [
+        (("one_site", "one_site"), DEFECT_WINDOW),
+        (("one_site", "three_site"), (141, 20)),  # holds the three_site defect
+        (("three_site", "three_site"), DEFECT_WINDOW),
+    ],
+)
+def test_zero_mode_correlations_equal_correlation_matrix(kinds, window):
+    """The weight sweep, with the filled sea computed once, gives
+    ``correlation_matrix`` at every weight bit for bit."""
+    spec = two_defect_chain(0.3, kinds)
+    eig = eigh_symmetric(model.build_hamiltonian(spec))
+    pair = gs.localized_zero_modes(eig, spec)
+    weights = [0.0, 0.002, 0.5, 1.0]
+    sweep = gs.zero_mode_correlations(eig, spec, pair, window, weights)
+    assert len(sweep) == len(weights)
+    for p, cm in zip(weights, sweep):
+        policy = gs.OccupationPolicy.half(pair.with_weight(p))
+        want = gs.correlation_matrix(eig, spec, policy, window)
+        assert (cm.start_cell, cm.n_cells) == (want.start_cell, want.n_cells)
+        assert cm.matrix.tobytes() == want.matrix.tobytes(), p
+
+
 @pytest.mark.parametrize("window", [(3, 10), (36, 10)])
 def test_window_gather_matches_full_block_defect_free_half(window):
     spec = model.ChainSpec(n_sites=80, dimerization=0.3)

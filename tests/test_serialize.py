@@ -1,0 +1,258 @@
+"""The column writers against the row-dict oracle, value by value and end to end."""
+
+import copy
+import io
+import json
+
+import numpy as np
+import pytest
+
+from oracles import (
+    aklt_rows,
+    dimerized_rows,
+    emitted_files,
+    render_csv,
+    render_json,
+    scan_rows,
+    statmech_rows,
+)
+from sshent import cli, serialize
+from sshent import statmech as sm
+
+nan, inf = float("nan"), float("inf")
+STRINGS = ['a"b', "back\\slash", "tab\tnew\nline", "é☃", "", "comma,field", "\x00"]
+
+# one value per row and column, as the row dicts hold it, and the column
+# that stands for it: None is NaN in a float column
+EDGE_COLUMNS = {
+    "f": (
+        [-0.0, nan, inf, -inf, 1e-300, 0.0, 0.1],
+        np.array([-0.0, nan, inf, -inf, 1e-300, 0.0, 0.1]),
+    ),
+    "opt": (
+        [None, 1.5, None, -2.0, None, 3.0, None],
+        np.array([nan, 1.5, nan, -2.0, nan, 3.0, nan]),
+    ),
+    "i64": ([0, -1, 2**62, 3, -(2**40), 5, 6], np.array([0, -1, 2**62, 3, -(2**40), 5, 6])),
+    "i32": (
+        [np.int32(v) for v in (0, -7, 2**31 - 1, 1, 2, 3, 4)],
+        np.array([0, -7, 2**31 - 1, 1, 2, 3, 4], dtype=np.int32),
+    ),
+    "u8": (
+        [np.uint8(v) for v in (0, 255, 1, 2, 3, 4, 5)],
+        np.array([0, 255, 1, 2, 3, 4, 5], dtype=np.uint8),
+    ),
+    "f32": (
+        [np.float32(v) for v in (0.1, -0.0, nan, inf, 1e-30, 3.0, -2.5)],
+        np.array([0.1, -0.0, nan, inf, 1e-30, 3.0, -2.5], dtype=np.float32),
+    ),
+    "bool": (
+        [True, False, True, True, False, False, True],
+        np.array([1, 0, 1, 1, 0, 0, 1], dtype=bool),
+    ),
+    "np_bool": (
+        [np.bool_(v) for v in (False, True, False, False, True, True, False)],
+        np.array([0, 1, 0, 0, 1, 1, 0], dtype=bool),
+    ),
+    "str": (STRINGS, np.array(STRINGS, dtype=object)),
+    # a fixed-width str array drops trailing NULs, so this one holds none
+    "unicode": (["x", *STRINGS[-2::-1]], np.array(["x", *STRINGS[-2::-1]])),
+}
+
+
+def assert_same_text(got, want):
+    """Equal texts; on a mismatch, name the first differing line only (a full
+    diff of megabyte files takes pytest minutes)."""
+    if got != want:
+        g, w = got.split("\n"), want.split("\n")
+        i = next((k for k, (a, b) in enumerate(zip(g, w)) if a != b), min(len(g), len(w)))
+        pytest.fail(f"line {i} differs: {g[i:i + 1]} != {w[i:i + 1]} ({len(g)} vs {len(w)} lines)")
+
+
+def oracle_rows(spec):
+    names = list(spec)
+    return [dict(zip(names, values)) for values in zip(*(spec[c][0] for c in names))]
+
+
+def columns_of(spec):
+    return {c: col for c, (_, col) in spec.items()}
+
+
+def write_both(tmp_path, columns, data, payload=None):
+    payload = {"schema": "x", "meta": {"when": nan, "n": [1, 2.5]}} if payload is None else payload
+    serialize.write_csv(str(tmp_path / "t.csv"), "x", columns, data)
+    serialize.write_json(str(tmp_path / "t.json"), payload, columns, data)
+    return tuple((tmp_path / f).read_text(encoding="utf-8") for f in ("t.csv", "t.json"))
+
+
+def expected_both(columns, rows, payload=None):
+    payload = {"schema": "x", "meta": {"when": nan, "n": [1, 2.5]}} if payload is None else payload
+    body = {**payload, "rows": [[row.get(c) for c in columns] for row in rows]}
+    return render_csv("x", columns, rows), render_json(body)
+
+
+def test_edge_values_match_the_oracle(tmp_path):
+    columns = list(EDGE_COLUMNS)
+    rows = oracle_rows(EDGE_COLUMNS)
+    csv_text, json_text = write_both(tmp_path, columns, columns_of(EDGE_COLUMNS))
+    want_csv, want_json = expected_both(columns, rows)
+    assert csv_text == want_csv
+    assert json_text == want_json
+
+
+def test_float_spellings(tmp_path):
+    data = {"x": np.array([-0.0, nan, inf, -inf, 1e-300])}
+    csv_text, json_text = write_both(tmp_path, ["x"], data, payload={})
+    assert csv_text.splitlines()[2:] == ["0.0", "", "inf", "-inf", "1e-300"]
+    tokens = ["-0.0", "null", "Infinity", "-Infinity", "1e-300"]
+    rows = ",".join(f"\n    [\n      {t}\n    ]" for t in tokens)
+    assert json_text == '{\n  "rows": [' + rows + "\n  ]\n}\n"
+
+
+def test_np_bool_in_the_oracle_is_a_json_bool():
+    assert render_json({"rows": [[np.bool_(True), np.bool_(False)]]}) == (
+        '{\n  "rows": [\n    [\n      true,\n      false\n    ]\n  ]\n}\n'
+    )
+
+
+def test_zero_rows(tmp_path):
+    columns = list(EDGE_COLUMNS)
+    data = {c: col[:0] for c, col in columns_of(EDGE_COLUMNS).items()}
+    assert write_both(tmp_path, columns, data) == expected_both(columns, [])
+
+
+def test_rows_across_blocks(tmp_path):
+    rng = np.random.default_rng(7)
+    n = 2 * serialize.BLOCK_ROWS + 37
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    x[rng.integers(0, n, 50)] = nan
+    x[rng.integers(0, n, 50)] = -0.0
+    k = rng.integers(-(2**40), 2**40, n)
+    s = np.array(["lattice", "asymptotic", 'q"uote'], dtype=object)[rng.integers(0, 3, n)]
+    rows = [{"x": a, "k": b, "s": c} for a, b, c in zip(x.tolist(), k.tolist(), s.tolist())]
+    payload = {"rows_before": [], "a": 1, "z": {"rows": []}}
+    got = write_both(tmp_path, ["x", "k", "s"], {"x": x, "k": k, "s": s}, payload)
+    for text, want in zip(got, expected_both(["x", "k", "s"], rows, payload)):
+        assert_same_text(text, want)
+
+
+def test_stream_csv_writes_the_file_text(tmp_path):
+    columns = list(EDGE_COLUMNS)
+    buf = io.StringIO()
+    serialize.stream_csv(buf, "x", columns, columns_of(EDGE_COLUMNS))
+    assert buf.getvalue() == write_both(tmp_path, columns, columns_of(EDGE_COLUMNS))[0]
+
+
+# --- whole CLI runs: the files and stdout against the row-dict path ---
+
+
+def _chain(defects, boundary="periodic", n_sites=400):
+    return {
+        "n_sites": n_sites, "t": 1.0, "delta": 0.3, "boundary": boundary,
+        "defects": [{"cell": c, "kind": k} for c, k in defects],
+    }
+
+
+STD400 = {
+    "chain": _chain([(87, "one_site"), (187, "one_site")]),  # rotated by 37 cells
+    "window_length": 20,
+    "m_range": [1, 200],
+    "n_list": [1, 2],
+    "mode": "both",
+}
+ZERO_MODE = {
+    "window_length": 20,
+    "window_start": 41,
+    "p_list": [0.0, 0.002, 0.1, 0.5, 0.9, 1.0],
+    "n_list": [1, 2],
+    "mode": "both",
+}
+
+
+def _scan_configs():
+    yield pytest.param("scan-interval", STD400, id="std400-rotated")
+    for kind in ("one_site", "three_site"):
+        chain = _chain([(50, kind), (150, kind)])
+        yield pytest.param("zero-mode-scan", dict(ZERO_MODE, chain=chain), id=f"zero-mode-{kind}")
+    open_chain = dict(STD400, chain=_chain([(60, "one_site")], "open"), m_range=[1, 120])
+    yield pytest.param("scan-interval", open_chain, id="open-chain")
+    three_site = _chain([(50, "three_site"), (150, "three_site")])
+    yield pytest.param("scan-interval", dict(STD400, chain=three_site, m_range=[30, 70]),
+                       id="three-site")
+    half = dict(STD400, chain=_chain([]), filling="half", m_range=[1, 60])
+    yield pytest.param("scan-interval", half, id="half-filling")
+
+
+@pytest.fixture
+def record(monkeypatch):
+    """Run the CLI while recording what the row-dict path makes of its inputs."""
+    seen = {}
+    scan, emit, report = cli._scan, cli._emit, sm.equipartition_report
+
+    def spy_scan(points, n_list, ell, lattice, closed_form):
+        points = list(points)
+        seen["rows"] = scan_rows(points, n_list, ell, lattice, closed_form)
+        return scan(points, n_list, ell, lattice, closed_form)
+
+    def spy_emit(config, data, columns, schema):
+        seen["emit"] = (copy.deepcopy(config), columns, schema)
+        return emit(config, data, columns, schema)
+
+    def spy_report(spectrum, q_values):
+        reports = report(spectrum, q_values)
+        seen["rows"] = statmech_rows(reports)
+        return reports
+
+    monkeypatch.setattr(cli, "_scan", spy_scan)
+    monkeypatch.setattr(cli, "_emit", spy_emit)
+    monkeypatch.setattr(sm, "equipartition_report", spy_report)
+    return seen
+
+
+def _assert_files_match(tmp_path, seen, rows=None):
+    config, columns, schema = seen["emit"]
+    rows = seen["rows"] if rows is None else rows
+    want_csv, want_json = emitted_files(config, rows, columns, schema)
+    assert_same_text((tmp_path / "out.csv").read_text(encoding="utf-8"), want_csv)
+    assert_same_text((tmp_path / "out.json").read_text(encoding="utf-8"), want_json)
+
+
+@pytest.mark.parametrize("command, config", list(_scan_configs()))
+def test_scan_files_match_the_oracle(tmp_path, record, command, config):
+    cfg = dict(config, outputs={"csv_path": str(tmp_path / "out.csv"),
+                                "json_path": str(tmp_path / "out.json")})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    rc = cli.main([command, "--config", str(path)])
+    assert rc == cli.EXIT_OK
+    assert any(r["dev"] is not None for r in record["rows"])
+    _assert_files_match(tmp_path, record)
+
+
+def _out_flags(tmp_path):
+    return ["--csv", str(tmp_path / "out.csv"), "--json", str(tmp_path / "out.json")]
+
+
+def test_dimerized_files_match_the_oracle(tmp_path, record):
+    argv = ["dimerized", "--window-length", "12", "--n-list", "1,2,3", "--p-list", "0.5,0.1,0,1"]
+    assert cli.main(argv + _out_flags(tmp_path)) == 0
+    _assert_files_match(tmp_path, record, dimerized_rows(12, [1.0, 2.0, 3.0], [0.5, 0.1, 0.0, 1.0]))
+
+
+def test_statmech_files_match_the_oracle(tmp_path, record):
+    argv = ["statmech", "--delta", "0.3", "--cut", "weak", "--zero-level", "0.0"]
+    assert cli.main(argv + _out_flags(tmp_path)) == 0
+    assert any(r["level_degenerate"] for r in record["rows"])
+    _assert_files_match(tmp_path, record)
+
+
+def test_aklt_files_match_the_oracle(tmp_path, record):
+    argv = ["aklt", "--n-list", "1,2,0.5", "--p-list", "0.5,0,1"]
+    assert cli.main(argv + _out_flags(tmp_path)) == 0
+    _assert_files_match(tmp_path, record, aklt_rows([1.0, 2.0, 0.5], [0.5, 0.0, 1.0]))
+
+
+def test_stdout_csv_matches_the_oracle(capsys):
+    assert cli.main(["dimerized", "--window-length", "8", "--p-list", "0.5"]) == 0
+    want = render_csv(cli.SCAN_SCHEMA, cli.SCAN_COLUMNS, dimerized_rows(8, [1.0, 2.0], [0.5]))
+    assert_same_text(capsys.readouterr().out, want)
