@@ -1,7 +1,7 @@
 """Charge-resolved entanglement of intervals in dimerized chains with defects."""
 
-from .model import ChainSpec, DefectSpec, build_hamiltonian, localization_length
-from .linalg import EigenSystem, NumericalError, eigh_symmetric
+from .model import ChainSpec, DefectSpec, build_hamiltonian, hopping_block, localization_length
+from .linalg import ChiralSystem, NumericalError, chiral_svd
 from .specialfn import EllipticParams
 from .groundstate import (
     CorrelationMatrix,
@@ -26,10 +26,11 @@ __all__ = [
     "ChainSpec",
     "DefectSpec",
     "build_hamiltonian",
+    "hopping_block",
     "localization_length",
-    "EigenSystem",
+    "ChiralSystem",
     "NumericalError",
-    "eigh_symmetric",
+    "chiral_svd",
     "EllipticParams",
     "CorrelationMatrix",
     "OccupationPolicy",

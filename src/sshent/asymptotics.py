@@ -291,9 +291,21 @@ def zero_mode_srpf(p: float, n: float, dq: int, params: EllipticParams) -> float
         raise ValueError("weight must lie in [0, 1]")
     base = srpf_asymptotic(DEFECT, n, dq, params)
     shifted = srpf_asymptotic(DEFECT, n, dq - 1, params)
+    return _zero_mode_mix(p, n, base, shifted)
+
+
+def _zero_mode_mix(p: float, n: float, base: float, shifted: float) -> float:
     pn = p**n if p > 0.0 else 0.0
     qn = (1.0 - p) ** n if p < 1.0 else 0.0
     return pn * base + qn * shifted
+
+
+@lru_cache(maxsize=_CLOSED_FORM_CACHE)
+def _defect_srpf_column(n: float, params: EllipticParams) -> tuple[float, ...]:
+    """``srpf_asymptotic(DEFECT, n, dq, params)`` at ``dq = -DQ_TRUNCATION - 1
+    .. DQ_TRUNCATION``, every value a zero-mode table reads at any weight."""
+    dqs = range(-DQ_TRUNCATION - 1, DQ_TRUNCATION + 1)
+    return tuple(srpf_asymptotic(DEFECT, n, dq, params) for dq in dqs)
 
 
 def _zero_mode_excess_at_dq(p: float, n: float, dq: int, params: EllipticParams) -> float:
@@ -399,10 +411,22 @@ def asymptotic_table(case: str, n: float, params: EllipticParams, ell: int) -> C
 
 
 def zero_mode_table(p: float, n: float, params: EllipticParams, ell: int) -> ChargeResolvedTable:
-    """Closed-form table for a defect interval with an occupied zero mode."""
+    """Closed-form table for a defect interval with an occupied zero mode.
+
+    Its partition functions are ``zero_mode_srpf``, read off the defect
+    columns, which do not depend on ``p``.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("weight must lie in [0, 1]")
+    columns = {m: _defect_srpf_column(m, params) for m in (1.0, n)}
+
+    def srpf(m: float, dq: int, params: EllipticParams) -> float:
+        col = columns[m]
+        return _zero_mode_mix(p, m, col[dq + DQ_TRUNCATION + 1], col[dq + DQ_TRUNCATION])
+
     return _closed_form_table(
         n, ell, params,
-        partial(zero_mode_srpf, p),
+        srpf,
         partial(zero_mode_sre, p),
         partial(zero_mode_sre_vn, p),
     )

@@ -10,7 +10,7 @@ aklt            spin-chain interface tables
 selftest        quick end-to-end invariant suite
 
 Exit codes: 0 success, 1 configuration error, 2 numerical-validation failure
-(a failed gate, or a ``NumericalError`` from the eigensolvers).
+(a failed gate, or a ``NumericalError`` from the eigensolver).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from . import model
 from . import serialize
 from . import specialfn as sf
 from . import statmech as sm
-from .linalg import NumericalError, eigh_symmetric
+from .linalg import NumericalError, chiral_svd
 
 SCAN_COLUMNS = [
     "m", "case", "p", "q", "dq", "n",
@@ -345,11 +345,11 @@ def run_scan_interval(args: argparse.Namespace) -> int:
 
     lattice = closed_form = None
     if config["mode"] != "asymptotic":
-        eig = eigh_symmetric(model.build_hamiltonian(spec))
+        chiral = chiral_svd(model.hopping_block(spec))
 
         def lattice(points: list) -> np.ndarray:
             return np.array([
-                gs.correlation_matrix(eig, spec, policy, (m, ell)).eigenvalues()
+                gs.correlation_matrix(chiral, spec, policy, (m, ell)).eigenvalues()
                 for m, _, _ in points
             ])
 
@@ -405,12 +405,12 @@ def run_zero_mode_scan(args: argparse.Namespace) -> int:
 
     lattice = closed_form = None
     if config["mode"] != "asymptotic":
-        eig = eigh_symmetric(model.build_hamiltonian(spec))
-        pair = gs.localized_zero_modes(eig, spec)
+        chiral = chiral_svd(model.hopping_block(spec))
+        pair = gs.localized_zero_modes(chiral, spec)
 
         def lattice(points: list) -> np.ndarray:
             weights = [p for _, p, _ in points]
-            mats = gs.zero_mode_correlations(eig, spec, pair, (m, ell), weights)
+            mats = gs.zero_mode_correlations(chiral, spec, pair, (m, ell), weights)
             return np.array([c.eigenvalues() for c in mats])
 
     if params is not None:
@@ -548,13 +548,13 @@ def run_selftest(args: argparse.Namespace) -> int:
         n_sites=200, dimerization=1.0,
         defects=(model.DefectSpec(25), model.DefectSpec(75)),
     )
-    eig = eigh_symmetric(model.build_hamiltonian(spec))
+    chiral = chiral_svd(model.hopping_block(spec))
     policy = gs.OccupationPolicy.below_half()
     targets = {"trivial": (45, 0.0), "topological": (5, 2 * math.log(2)),
                "defect": (21, math.log(2))}
     dev = 0.0
     for case, (m, s_want) in targets.items():
-        lam = gs.correlation_matrix(eig, spec, policy, (m, 10)).eigenvalues()
+        lam = gs.correlation_matrix(chiral, spec, policy, (m, 10)).eigenvalues()
         table = ent.charge_resolved_table(lam, 2.0)
         dev = max(dev, abs(table.total_vn - s_want), abs(table.total_renyi - s_want))
     check("dimerized totals", dev, 1e-12)
@@ -574,10 +574,10 @@ def run_selftest(args: argparse.Namespace) -> int:
         n_sites=400, dimerization=0.3,
         defects=(model.DefectSpec(50), model.DefectSpec(150)),
     )
-    eig = eigh_symmetric(model.build_hamiltonian(spec))
+    chiral = chiral_svd(model.hopping_block(spec))
     dev = 0.0
     for case, m in (("topological", 175), ("trivial", 90), ("defect", 141)):
-        lam = gs.correlation_matrix(eig, spec, policy, (m, 20)).eigenvalues()
+        lam = gs.correlation_matrix(chiral, spec, policy, (m, 20)).eigenvalues()
         lat = ent.charge_resolved_table(lam, 2.0)
         at = asym.asymptotic_table(case, 2.0, params, 20)
         for dq in (-1, 0, 1):

@@ -1,12 +1,16 @@
 """Ground-state mode selection and windowed correlation matrices.
 
-The many-body states of interest are Slater determinants built from the
-single-particle eigenmodes.  With two defects present the near-zero pair is
-excluded from the filled sea ("below half" filling, L-1 modes); occupying a
-zero mode is always an explicit choice carried by the policy, because the
-numerically hybridized near-zero eigenvectors are an arbitrary basis of a
-(near-)degenerate 2d space and the physical state is a chosen superposition
-of the two *localized* modes.
+The many-body states of interest are Slater determinants of single-particle
+modes.  The chain is bipartite, every bond joining an odd to an even site, so
+its modes follow from the singular triples ``(s_i, u_i, v_i)`` of the hopping
+block alone (``linalg.ChiralSystem``): a triple with ``s_i`` above
+``NEAR_ZERO_THRESHOLD * t`` fills the mode ``(u_i, -v_i) / sqrt(2)`` at energy
+``-s_i``.  A triple below it is a zero-mode pair, exactly polarized by
+sublattice: ``u_0`` on the odd sites, ``v_0`` on the even ones.  With two
+defects that pair is excluded from the filled sea ("below half" filling, L-1
+modes); occupying a zero mode is always an explicit choice carried by the
+policy, because the physical state is a chosen superposition of the two
+localized modes.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .entanglement import clamp_lambdas
-from .linalg import EigenSystem
+from .linalg import ChiralSystem
 from .model import ChainSpec, defect_sites, defects_in_window, window_sites
 
 BELOW_HALF = "below_half"
@@ -95,72 +99,70 @@ class CorrelationMatrix:
         return float(np.trace(self.matrix))
 
 
-def localized_zero_modes(eig: EigenSystem, spec: ChainSpec) -> ZeroModePair:
-    """Rotate the near-zero eigenvector pair onto the two defects.
+def localized_zero_modes(chiral: ChiralSystem, spec: ChainSpec) -> ZeroModePair:
+    """The zero-mode pair of a two-defect chain, one mode on each defect.
 
-    The two numerically obtained near-zero eigenvectors span the zero-mode
-    space but are an arbitrary rotation of the localized modes.  Assigning
-    each site to its nearest defect (ring metric on cells), psi1 is the
-    rotation angle that maximizes the weight on defect 1's region -- a
-    closed-form 2x2 maximization -- and psi2 is its orthogonal complement.
+    The pair is the near-zero singular triple: ``u_0`` on the odd sites and
+    ``v_0`` on the even ones, each localized on one defect.  Assigning each
+    site to its nearest defect (ring metric on cells), psi1 is the one of the
+    two with the larger weight on defect 1's region.
     """
     if len(spec.defects) != 2:
         raise ValueError("localized zero modes need exactly two defects")
-    idx = np.nonzero(np.abs(eig.eigenvalues) < NEAR_ZERO_THRESHOLD * spec.hopping)[0]
-    if idx.size != 2:
+    zero = chiral.singular_values <= NEAR_ZERO_THRESHOLD * spec.hopping
+    found = 2 * int(np.count_nonzero(zero))
+    if found != 2:
         raise ValueError(
-            f"expected 2 near-zero modes below {NEAR_ZERO_THRESHOLD:g}*t, found {idx.size}"
+            f"expected 2 near-zero modes below {NEAR_ZERO_THRESHOLD:g}*t, found {found}"
         )
-    v1 = eig.eigenvectors[:, idx[0]]
-    v2 = eig.eigenvectors[:, idx[1]]
+    n = spec.n_sites
+    odd = np.zeros(n)
+    odd[0::2] = chiral.u[:, -1]
+    even = np.zeros(n)
+    even[1::2] = chiral.v[:, -1]
 
     anchors = [sites[len(sites) // 2] - 1 for _, sites in defect_sites(spec)]
-    site = np.arange(spec.n_sites)
-    n = spec.n_sites
+    site = np.arange(n)
 
     def ring_dist(a):
         d = np.abs(site - a)
         return np.minimum(d, n - d) if spec.boundary == "periodic" else d
 
     region1 = ring_dist(anchors[0]) <= ring_dist(anchors[1])
-
-    a = float(np.sum(v1[region1] ** 2))
-    b = float(np.sum(v1[region1] * v2[region1]))
-    c = float(np.sum(v2[region1] ** 2))
-    theta = 0.5 * math.atan2(2.0 * b, a - c)
-    psi1 = math.cos(theta) * v1 + math.sin(theta) * v2
-    psi2 = -math.sin(theta) * v1 + math.cos(theta) * v2
-    # atan2 pins a stationary point; pick the branch that maximizes region-1 weight
-    if float(np.sum(psi1[region1] ** 2)) < float(np.sum(psi2[region1] ** 2)):
-        psi1, psi2 = psi2, -psi1
-    # deterministic sign: largest-magnitude amplitude positive
-    for psi in (psi1, psi2):
-        jmax = int(np.argmax(np.abs(psi)))
-        if psi[jmax] < 0:
-            psi *= -1.0
-    return ZeroModePair(psi1=psi1, psi2=psi2)
+    if float(np.sum(odd[region1] ** 2)) >= float(np.sum(even[region1] ** 2)):
+        psi1, psi2 = odd, even
+    else:
+        psi1, psi2 = even, odd
+    return ZeroModePair(psi1=_fix_sign(psi1), psi2=_fix_sign(psi2))
 
 
-def occupied_orbitals(
-    eig: EigenSystem,
-    spec: ChainSpec,
-    policy: OccupationPolicy,
-    sites: np.ndarray | None = None,
-) -> np.ndarray:
-    """Columns of the filled extended modes (excluding any explicit zero mode).
+def _fix_sign(psi: np.ndarray) -> np.ndarray:
+    """``psi`` in place with a deterministic sign, and returned.
 
-    ``sites`` (0-based, in the order wanted) restricts the rows before the
-    columns are selected, so a window copies only its own ``2 ell x N_occ``
-    block; without it every site is returned.
+    The first site whose magnitude is within a relative ``1e-6`` of the
+    largest is positive.  A mode with two extreme entries of equal magnitude
+    (a trimer-like zero mode) then gets the same sign from any solver, where
+    "largest entry positive" would pick between the two by rounding.
     """
-    energies = eig.eigenvalues
+    mag = np.abs(psi)
+    if psi[int(np.argmax(mag >= (1.0 - 1e-6) * mag.max()))] < 0:
+        psi *= -1.0
+    return psi
+
+
+def filled_triples(chiral: ChiralSystem, spec: ChainSpec, policy: OccupationPolicy) -> int:
+    """Number of filled singular triples (excluding any explicit zero mode).
+
+    They are the leading columns of ``chiral.u`` and ``chiral.v``; the rest
+    are zero modes.  Checks that the policy is consistent with the spectrum.
+    """
+    filled = int(np.count_nonzero(chiral.singular_values > NEAR_ZERO_THRESHOLD * spec.hopping))
     n_def = len(spec.defects)
     if n_def:
-        occ = energies < -NEAR_ZERO_THRESHOLD * spec.hopping
         expected = spec.n_cells - (n_def + 1) // 2
-        if int(occ.sum()) != expected:
+        if filled != expected:
             raise ValueError(
-                f"found {int(occ.sum())} strictly negative modes, expected {expected}"
+                f"found {filled} strictly negative modes, expected {expected}"
             )
         if policy.filling == HALF and policy.zero_mode is None:
             raise ValueError(
@@ -170,24 +172,18 @@ def occupied_orbitals(
         raise ValueError("the chain has no defects to host a zero mode")
     elif policy.filling == BELOW_HALF:
         # excludes open-chain edge modes too; on a gapped ring this is half filling
-        occ = energies < -NEAR_ZERO_THRESHOLD * spec.hopping
-        if int(occ.sum()) not in (spec.n_cells, spec.n_cells - 1):
+        if filled not in (spec.n_cells, spec.n_cells - 1):
             raise ValueError(
                 "band states reach the near-zero window; dimerization too small"
             )
-    else:
-        occ = energies < 0.0
-        if int(occ.sum()) != spec.n_cells:
-            raise ValueError("half filling is ambiguous: Fermi level not in a gap")
-    if sites is None:
-        return eig.eigenvectors[:, occ]
-    # a single gather with no 2 ell x N intermediate, C-ordered like a row
-    # slice of the full block
-    return eig.eigenvectors[np.ix_(sites, occ)]
+    elif filled != spec.n_cells:
+        # zero modes (open-chain edge modes) sit on the Fermi level
+        raise ValueError("half filling is ambiguous: Fermi level not in a gap")
+    return filled
 
 
 def correlation_matrix(
-    eig: EigenSystem,
+    chiral: ChiralSystem,
     spec: ChainSpec,
     policy: OccupationPolicy,
     window: tuple[int, int],
@@ -206,16 +202,16 @@ def correlation_matrix(
         raise ValueError(
             f"window contains {len(inside)} defects; at most one is supported"
         )
-    sites = window_sites(spec, start_cell, n_cells)
-    v = occupied_orbitals(eig, spec, policy, sites=sites)
-    c = v @ v.T
+    filled = filled_triples(chiral, spec, policy)
+    c = _sea_correlations(chiral, filled, _window_rows(spec, start_cell, n_cells))
     if policy.filling == HALF and policy.zero_mode is not None:
-        c = _add_zero_mode(c, policy.zero_mode, sites)
+        sites = window_sites(spec, start_cell, n_cells)
+        c = _add_zero_mode(c, policy.zero_mode, _zero_mode_outer(policy.zero_mode, sites))
     return CorrelationMatrix(start_cell=start_cell, n_cells=n_cells, matrix=c)
 
 
 def zero_mode_correlations(
-    eig: EigenSystem,
+    chiral: ChiralSystem,
     spec: ChainSpec,
     pair: ZeroModePair,
     window: tuple[int, int],
@@ -224,22 +220,62 @@ def zero_mode_correlations(
     """``correlation_matrix`` at half filling for each zero-mode weight ``p``
     in ``weights``, equal to it bit for bit.
 
-    The filled sea does not depend on the weight, so its ``v @ v.T`` is
-    computed once and only the zero-mode projector is added per weight.
+    The filled sea and the zero modes' outer products do not depend on the
+    weight, so they are computed once and only their weighted sum per weight.
     """
-    sea = correlation_matrix(eig, spec, OccupationPolicy.below_half(), window)
-    sites = window_sites(spec, *window)
+    sea = correlation_matrix(chiral, spec, OccupationPolicy.below_half(), window)
+    outer = _zero_mode_outer(pair, window_sites(spec, *window))
     return [
-        replace(sea, matrix=_add_zero_mode(sea.matrix, pair.with_weight(p), sites))
+        replace(sea, matrix=_add_zero_mode(sea.matrix, pair.with_weight(p), outer))
         for p in weights
     ]
 
 
-def _add_zero_mode(c: np.ndarray, zm: ZeroModePair, sites: np.ndarray) -> np.ndarray:
-    """``c`` plus the projector on the occupied zero-mode superposition."""
+def _window_rows(spec: ChainSpec, start_cell: int, n_cells: int) -> slice | np.ndarray:
+    """Rows of ``u`` and ``v`` (0-based cells) of a validated window: a slice,
+    or the wrapped cells' indices for a window across the cell-1 seam."""
+    first = start_cell - 1
+    if first + n_cells <= spec.n_cells:
+        return slice(first, first + n_cells)
+    return np.arange(first, first + n_cells) % spec.n_cells
+
+
+def _sea_correlations(chiral: ChiralSystem, filled: int, rows: slice | np.ndarray) -> np.ndarray:
+    """Filled-sea correlations of the window cells ``rows``, in site order.
+
+    With ``A``/``B`` the window's odd/even sites and ``Z`` the zero columns,
+    ``C_AA = (I - Z_A Z_A^T) / 2``, ``C_BB = (I - Z_B Z_B^T) / 2`` and
+    ``C_AB = -U_A V_B^T / 2`` over the filled columns.
+    """
+    u, v = chiral.u[rows], chiral.v[rows]
+    ell = u.shape[0]
+    eye = np.eye(ell)
+    zu, zv = u[:, filled:], v[:, filled:]
+    cab = -0.5 * (u[:, :filled] @ v[:, :filled].T)
+    c = np.empty((2 * ell, 2 * ell))
+    c[0::2, 0::2] = 0.5 * (eye - zu @ zu.T)
+    c[1::2, 1::2] = 0.5 * (eye - zv @ zv.T)
+    c[0::2, 1::2] = cab
+    c[1::2, 0::2] = cab.T
+    return c
+
+
+def _zero_mode_outer(
+    zm: ZeroModePair, sites: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Window outer products of the two zero modes: 11, 22 and 12 + 21."""
     w1 = zm.psi1[sites]
     w2 = zm.psi2[sites]
+    return np.outer(w1, w1), np.outer(w2, w2), np.outer(w1, w2) + np.outer(w2, w1)
+
+
+def _add_zero_mode(
+    c: np.ndarray, zm: ZeroModePair, outer: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """``c`` plus the projector on the occupied zero-mode superposition, from
+    the window's ``_zero_mode_outer``."""
+    o11, o22, o12 = outer
     p, phi = zm.p, zm.phi
-    c = c + (1.0 - p) * np.outer(w1, w1) + p * np.outer(w2, w2)
+    c = c + (1.0 - p) * o11 + p * o22
     cross = math.sqrt(p * (1.0 - p)) * math.cos(phi)
-    return c + cross * (np.outer(w1, w2) + np.outer(w2, w1))
+    return c + cross * o12

@@ -1,12 +1,10 @@
-"""Real-symmetric eigendecomposition with validated inputs."""
+"""Singular value decomposition of a chiral chain's hopping block."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-SYMMETRY_RTOL = 1e-12
 
 
 class NumericalError(ValueError):
@@ -18,46 +16,37 @@ class NumericalError(ValueError):
 
 
 @dataclass(frozen=True)
-class EigenSystem:
-    """Ascending eigenvalues and the matching orthonormal eigenvector columns."""
+class ChiralSystem:
+    """Singular triples of a hopping block ``T = u @ diag(s) @ v.T``.
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def residual(self, matrix: np.ndarray) -> float:
-        """Max-norm residual ``|A v - lambda v|`` over all pairs."""
-        r = matrix @ self.eigenvectors - self.eigenvectors * self.eigenvalues
-        return float(np.max(np.abs(r)))
-
-    def orthonormality_defect(self) -> float:
-        v = self.eigenvectors
-        g = v.T @ v - np.eye(v.shape[1])
-        return float(np.max(np.abs(g)))
-
-
-def eigh_symmetric(matrix: np.ndarray) -> EigenSystem:
-    """Diagonalize a real symmetric matrix.
-
-    Rejects inputs whose asymmetry exceeds ``SYMMETRY_RTOL`` relative to the
-    max-norm; the symmetric part is what gets diagonalized.  Non-convergence
-    of the underlying solver is re-raised as ``NumericalError`` with the
-    matrix scale attached.
+    ``singular_values`` descend; column ``i`` of ``u`` and of ``v`` belong to
+    ``singular_values[i]``.  For the hopping matrix ``[[0, T], [T^T, 0]]`` each
+    triple gives the pair of modes ``(u_i, +-v_i) / sqrt(2)`` at energies
+    ``+-s_i``, and a triple with ``s_i = 0`` two zero modes, ``u_i`` on the
+    first sublattice and ``v_i`` on the second.
     """
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+
+    singular_values: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+
+
+def chiral_svd(block: np.ndarray) -> ChiralSystem:
+    """Singular triples of a square hopping block.
+
+    Non-convergence of the underlying solver is re-raised as
+    ``NumericalError`` with the block scale attached.
+    """
+    t = np.asarray(block, dtype=float)
+    if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ValueError("expected a square matrix")
-    scale = max(float(np.max(np.abs(a))), 1.0)
-    asym = float(np.max(np.abs(a - a.T)))
-    if asym > SYMMETRY_RTOL * scale:
-        raise ValueError(
-            f"matrix is not symmetric: asymmetry {asym:.3e} exceeds "
-            f"{SYMMETRY_RTOL:.1e} * {scale:.3e}"
-        )
-    sym = 0.5 * (a + a.T)
     try:
-        w, v = np.linalg.eigh(sym)
+        u, s, vt = np.linalg.svd(t)
     except np.linalg.LinAlgError as err:
+        scale = max(float(np.max(np.abs(t))), 1.0)
         raise NumericalError(
-            f"eigensolver did not converge (matrix scale {scale:.3e}): {err}"
+            f"eigensolver did not converge (SVD of the {t.shape[0]}x{t.shape[0]} "
+            f"hopping block, scale {scale:.3e}): {err}"
         ) from err
-    return EigenSystem(eigenvalues=w, eigenvectors=v)
+    # C order, so a window's rows are contiguous
+    return ChiralSystem(singular_values=s, u=u, v=np.ascontiguousarray(vt.T))

@@ -209,17 +209,32 @@ def _amplitudes_at(spec: ChainSpec, bonds: np.ndarray) -> np.ndarray:
     return np.where((bonds % 2 == 1) ^ flipped, weak, strong)
 
 
+def hopping_block(spec: ChainSpec) -> np.ndarray:
+    """Sublattice block ``T`` of the hopping matrix (L x L).
+
+    Row ``a`` is the odd site of cell ``a + 1`` and column ``b`` the even
+    site of cell ``b + 1``; every bond joins an odd and an even site, so in
+    sublattice order the hopping matrix is ``[[0, T], [T^T, 0]]``.  Bond
+    ``2a + 1`` sits at ``T[a, a]`` and bond ``2b + 2`` at ``T[b + 1, b]``.
+    """
+    n_cells = spec.n_cells
+    amps = bond_amplitudes(spec)
+    t = np.zeros((n_cells, n_cells))
+    a = np.arange(n_cells)
+    t[a, a] = amps[0::2]
+    t[a[1:], a[:-1]] = amps[1 : 2 * n_cells - 1 : 2]
+    if amps.size == spec.n_sites:
+        # periodic wrap bond; added, since on a two-site ring it joins the pair of bond 1
+        t[0, n_cells - 1] += amps[-1]
+    return t
+
+
 def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
     """Single-particle hopping matrix of the chain (real symmetric, N x N)."""
-    n = spec.n_sites
-    amps = bond_amplitudes(spec)
-    h = np.zeros((n, n))
-    i = np.arange(n - 1)
-    h[i, i + 1] = h[i + 1, i] = amps[: n - 1]
-    if amps.size == n:
-        # periodic wrap bond; added, since on a two-site ring it joins the pair of bond 1
-        h[n - 1, 0] += amps[n - 1]
-        h[0, n - 1] += amps[n - 1]
+    t = hopping_block(spec)
+    h = np.zeros((spec.n_sites, spec.n_sites))
+    h[0::2, 1::2] = t
+    h[1::2, 0::2] = t.T
     return h
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from sshent import model
 from sshent.groundstate import OccupationPolicy, localized_zero_modes
-from sshent.linalg import eigh_symmetric
+from sshent.linalg import chiral_svd
 from sshent.specialfn import EllipticParams
 
 # the standard two-defect ring used throughout: N = 400, defects at L/4, 3L/4
@@ -26,14 +26,19 @@ def two_defect_chain(delta, kinds=("one_site", "one_site"), n_sites=400):
     )
 
 
+def chiral_system(spec):
+    """Singular triples of the chain's hopping block, as the CLI computes them."""
+    return chiral_svd(model.hopping_block(spec))
+
+
 @pytest.fixture(scope="session")
 def chain03():
     return two_defect_chain(0.3)
 
 
 @pytest.fixture(scope="session")
-def eig03(chain03):
-    return eigh_symmetric(model.build_hamiltonian(chain03))
+def chiral03(chain03):
+    return chiral_system(chain03)
 
 
 @pytest.fixture(scope="session")
@@ -42,8 +47,8 @@ def chain_dimerized():
 
 
 @pytest.fixture(scope="session")
-def eig_dimerized(chain_dimerized):
-    return eigh_symmetric(model.build_hamiltonian(chain_dimerized))
+def chiral_dimerized(chain_dimerized):
+    return chiral_system(chain_dimerized)
 
 
 @pytest.fixture(scope="session")
@@ -52,8 +57,8 @@ def chain_mixed():
 
 
 @pytest.fixture(scope="session")
-def eig_mixed(chain_mixed):
-    return eigh_symmetric(model.build_hamiltonian(chain_mixed))
+def chiral_mixed(chain_mixed):
+    return chiral_system(chain_mixed)
 
 
 @pytest.fixture(scope="session")
@@ -62,8 +67,8 @@ def params03():
 
 
 @pytest.fixture(scope="session")
-def zero_pair03(eig03, chain03):
-    return localized_zero_modes(eig03, chain03)
+def zero_pair03(chiral03, chain03):
+    return localized_zero_modes(chiral03, chain03)
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -13,6 +14,7 @@ from sshent import entanglement as ent
 from sshent import groundstate as gs
 from sshent import model
 from sshent import serialize
+from sshent.linalg import NumericalError
 
 
 def brute_force_sector_data(lambdas, n):
@@ -155,12 +157,16 @@ def hamiltonian_loop(spec):
     return h
 
 
-def correlation_matrix_full_block(eig, spec, policy, window):
-    """Window correlation matrix sliced from the full N x N_occ occupied block,
-    with the zero-mode projector added in the same order as the library."""
-    sites = model.window_sites(spec, *window)
-    v = gs.occupied_orbitals(eig, spec, policy)[sites]
-    c = v @ v.T
+def correlation_matrix_full_block(chiral, spec, policy, window):
+    """Window correlation matrix from the rows of the window's cells gathered
+    out of the full ``u`` and ``v``, with the zero-mode projector added in the
+    same order as the library."""
+    cells = np.asarray(model.window_cells(spec, *window)) - 1
+    c = gs._sea_correlations(chiral, gs.filled_triples(chiral, spec, policy), cells)
+    return _add_zero_mode_terms(c, policy, model.window_sites(spec, *window))
+
+
+def _add_zero_mode_terms(c, policy, sites):
     zm = policy.zero_mode
     if policy.filling == gs.HALF and zm is not None:
         w1, w2 = zm.psi1[sites], zm.psi2[sites]
@@ -169,6 +175,111 @@ def correlation_matrix_full_block(eig, spec, policy, window):
         cross = math.sqrt(p * (1.0 - p)) * math.cos(phi)
         c = c + cross * (np.outer(w1, w2) + np.outer(w2, w1))
     return c
+
+
+# ------------------------------------------- dense N x N eigensolver reference
+
+SYMMETRY_RTOL = 1e-12
+
+
+@dataclass(frozen=True)
+class EigenSystem:
+    """Ascending eigenvalues and the matching orthonormal eigenvector columns."""
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+    def residual(self, matrix: np.ndarray) -> float:
+        """Max-norm residual ``|A v - lambda v|`` over all pairs."""
+        r = matrix @ self.eigenvectors - self.eigenvectors * self.eigenvalues
+        return float(np.max(np.abs(r)))
+
+    def orthonormality_defect(self) -> float:
+        v = self.eigenvectors
+        g = v.T @ v - np.eye(v.shape[1])
+        return float(np.max(np.abs(g)))
+
+
+def eigh_symmetric(matrix: np.ndarray) -> EigenSystem:
+    """Diagonalize a real symmetric matrix.
+
+    Rejects inputs whose asymmetry exceeds ``SYMMETRY_RTOL`` relative to the
+    max-norm; the symmetric part is what gets diagonalized.  Non-convergence
+    of the underlying solver is re-raised as ``NumericalError`` with the
+    matrix scale attached.
+    """
+    a = np.asarray(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("expected a square matrix")
+    scale = max(float(np.max(np.abs(a))), 1.0)
+    asym = float(np.max(np.abs(a - a.T)))
+    if asym > SYMMETRY_RTOL * scale:
+        raise ValueError(
+            f"matrix is not symmetric: asymmetry {asym:.3e} exceeds "
+            f"{SYMMETRY_RTOL:.1e} * {scale:.3e}"
+        )
+    sym = 0.5 * (a + a.T)
+    try:
+        w, v = np.linalg.eigh(sym)
+    except np.linalg.LinAlgError as err:
+        raise NumericalError(
+            f"eigensolver did not converge (matrix scale {scale:.3e}): {err}"
+        ) from err
+    return EigenSystem(eigenvalues=w, eigenvectors=v)
+
+
+def dense_eigensystem(spec):
+    return eigh_symmetric(model.build_hamiltonian(spec))
+
+
+def dense_occupied_orbitals(eig, spec, policy):
+    """Eigenvector columns of the modes below the Fermi level: below
+    ``-NEAR_ZERO_THRESHOLD * t``, or below 0 on a half-filled defect-free chain."""
+    threshold = gs.NEAR_ZERO_THRESHOLD * spec.hopping
+    if spec.defects or policy.filling == gs.BELOW_HALF:
+        occ = eig.eigenvalues < -threshold
+    else:
+        occ = eig.eigenvalues < 0.0
+    return eig.eigenvectors[:, occ]
+
+
+def dense_correlation_matrix(occupied, spec, policy, window):
+    """Window correlation matrix ``v v^T`` over the rows of ``occupied``
+    (``dense_occupied_orbitals`` for ``policy``), plus any occupied zero-mode
+    projector."""
+    sites = model.window_sites(spec, *window)
+    v = occupied[sites]
+    return _add_zero_mode_terms(v @ v.T, policy, sites)
+
+
+def dense_localized_zero_modes(eig, spec):
+    """The near-zero eigenvector pair rotated onto the two defects: psi1 is
+    the rotation angle that maximizes the weight on defect 1's region (sites
+    nearest to it), a closed-form 2x2 maximization, and psi2 its orthogonal
+    complement; signs by the library's rule."""
+    idx = np.nonzero(np.abs(eig.eigenvalues) < gs.NEAR_ZERO_THRESHOLD * spec.hopping)[0]
+    assert idx.size == 2, idx
+    v1 = eig.eigenvectors[:, idx[0]]
+    v2 = eig.eigenvectors[:, idx[1]]
+    anchors = [sites[len(sites) // 2] - 1 for _, sites in model.defect_sites(spec)]
+    site = np.arange(spec.n_sites)
+    n = spec.n_sites
+
+    def ring_dist(a):
+        d = np.abs(site - a)
+        return np.minimum(d, n - d) if spec.boundary == "periodic" else d
+
+    region1 = ring_dist(anchors[0]) <= ring_dist(anchors[1])
+    a = float(np.sum(v1[region1] ** 2))
+    b = float(np.sum(v1[region1] * v2[region1]))
+    c = float(np.sum(v2[region1] ** 2))
+    theta = 0.5 * math.atan2(2.0 * b, a - c)
+    psi1 = math.cos(theta) * v1 + math.sin(theta) * v2
+    psi2 = -math.sin(theta) * v1 + math.cos(theta) * v2
+    # atan2 pins a stationary point; pick the branch that maximizes region-1 weight
+    if float(np.sum(psi1[region1] ** 2)) < float(np.sum(psi2[region1] ** 2)):
+        psi1, psi2 = psi2, -psi1
+    return gs.ZeroModePair(psi1=gs._fix_sign(psi1), psi2=gs._fix_sign(psi2))
 
 
 def srpf_loop(lambdas, n):

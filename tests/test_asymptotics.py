@@ -9,10 +9,9 @@ from sshent import asymptotics as asym
 from sshent import entanglement as ent
 from sshent import groundstate as gs
 from sshent import model
-from sshent.linalg import eigh_symmetric
 from sshent.specialfn import EllipticParams
 
-from conftest import DEFECT_WINDOW, ELL, TOP_WINDOW, TRIV_WINDOW, two_defect_chain
+from conftest import DEFECT_WINDOW, ELL, TOP_WINDOW, TRIV_WINDOW, chiral_system, two_defect_chain
 
 CASES = ("topological", "trivial", "defect")
 CASE_WINDOWS = {
@@ -24,9 +23,9 @@ CASE_WINDOWS = {
 LOG2 = math.log(2.0)
 
 
-def lattice_lambdas(eig, spec, window):
+def lattice_lambdas(chiral, spec, window):
     policy = gs.OccupationPolicy.below_half()
-    return gs.correlation_matrix(eig, spec, policy, window).eigenvalues()
+    return gs.correlation_matrix(chiral, spec, policy, window).eigenvalues()
 
 
 # ------------------------------------------------------------- dimerized
@@ -123,9 +122,9 @@ def test_phase_moduli_match_boundary_products(params03):
 # ---------------------------------------------------- charged moments
 
 
-def test_charged_moment_vs_lattice(eig03, chain03, params03):
+def test_charged_moment_vs_lattice(chiral03, chain03, params03):
     for case, window in CASE_WINDOWS.items():
-        lam = lattice_lambdas(eig03, chain03, window)
+        lam = lattice_lambdas(chiral03, chain03, window)
         for n in (1.0, 2.0, 3.0):
             lat = ent.charged_moment(lam, n, 0.0)
             ana = asym.charged_moment_asymptotic(case, n, 0.0, ELL, params03)
@@ -165,9 +164,9 @@ def test_defect_moment_modulus_continuity(params03):
 # ---------------------------------------------------------- SRPF / SRE
 
 
-def test_srpf_vs_lattice_absolute(eig03, chain03, params03):
+def test_srpf_vs_lattice_absolute(chiral03, chain03, params03):
     for case, window in CASE_WINDOWS.items():
-        lam = lattice_lambdas(eig03, chain03, window)
+        lam = lattice_lambdas(chiral03, chain03, window)
         for n in (1.0, 2.0, 3.0):
             zq = ent.srpf(lam, n)
             for dq in range(-2, 3):
@@ -216,8 +215,8 @@ def test_parity_equipartition_structure(params03):
         assert asym.sre_asymptotic("trivial", n, 0, params03) == pytest.approx(t_odd, abs=1e-12)
 
 
-def test_sre_vn_matches_lattice_at_center(eig03, chain03, params03):
-    lam = lattice_lambdas(eig03, chain03, DEFECT_WINDOW)
+def test_sre_vn_matches_lattice_at_center(chiral03, chain03, params03):
+    lam = lattice_lambdas(chiral03, chain03, DEFECT_WINDOW)
     table = ent.charge_resolved_table(lam, 1.0)
     assert asym.sre_vn_asymptotic("defect", 0, params03) == pytest.approx(
         table.sre_v(ELL), abs=1e-4
@@ -249,10 +248,10 @@ def test_consistency_grid():
         params = EllipticParams.from_dimerization(delta)
         xi = model.localization_length(delta)
         spec = two_defect_chain(delta)
-        eig = eigh_symmetric(model.build_hamiltonian(spec))
+        chiral = chiral_system(spec)
         z_bound = max(1e-4, 5.0 * math.exp(-ELL / xi))
         for case, window in CASE_WINDOWS.items():
-            lam = lattice_lambdas(eig, spec, window)
+            lam = lattice_lambdas(chiral, spec, window)
             s_bound = z_bound
             if case == "defect":
                 s_bound = max(z_bound, 25.0 * math.exp(-(ELL - 2) / xi))
@@ -291,8 +290,8 @@ def test_bulk_defect_spectrum_window(params03):
     np.testing.assert_allclose(b, params03.spacing * np.arange(-4, 5), atol=1e-14)
 
 
-def test_defect_spectrum_matches_lattice(eig03, chain03, params03):
-    lam = np.sort(lattice_lambdas(eig03, chain03, DEFECT_WINDOW))
+def test_defect_spectrum_matches_lattice(chiral03, chain03, params03):
+    lam = np.sort(lattice_lambdas(chiral03, chain03, DEFECT_WINDOW))
     with np.errstate(divide="ignore"):
         eps_lat = np.log((1.0 - lam) / np.clip(lam, 1e-300, None))
     middle = np.sort(eps_lat[np.argsort(np.abs(eps_lat))[:11]])
@@ -359,10 +358,10 @@ def test_zero_mode_srpf_shift_at_extremes(params03):
         assert asym.zero_mode_srpf(0.0, 2.0, dq, params03) == pytest.approx(shifted, abs=1e-15)
 
 
-def test_zero_mode_table_vs_lattice(eig03, chain03, params03, zero_pair03):
+def test_zero_mode_table_vs_lattice(chiral03, chain03, params03, zero_pair03):
     for p in (0.02, 0.1, 0.5, 0.98):
         policy = gs.OccupationPolicy.half(zero_pair03.with_weight(p))
-        lam = gs.correlation_matrix(eig03, chain03, policy, DEFECT_WINDOW).eigenvalues()
+        lam = gs.correlation_matrix(chiral03, chain03, policy, DEFECT_WINDOW).eigenvalues()
         lat = ent.charge_resolved_table(lam, 1.0)
         ana = asym.zero_mode_table(p, 1.0, params03, ELL)
         for dq in range(-2, 3):
@@ -394,7 +393,9 @@ def test_zero_mode_table_at_full_weight_is_the_defect_table(params03):
             assert np.array_equal(got, want), field.name
 
 
-CLOSED_FORM_CACHES = (asym.srpf_asymptotic, asym.sre_asymptotic, asym.sre_vn_asymptotic)
+CLOSED_FORM_CACHES = (
+    asym.srpf_asymptotic, asym.sre_asymptotic, asym.sre_vn_asymptotic, asym._defect_srpf_column,
+)
 
 
 def _clear_closed_form_caches():
@@ -418,6 +419,18 @@ def test_zero_mode_table_same_with_cold_and_warm_cache(params03):
     for a, b in zip(cold, warm):
         for field in dataclasses.fields(a):
             assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
+
+
+@pytest.mark.parametrize("n", [0.5, 1.0, 2.0])
+def test_zero_mode_table_partitions_are_zero_mode_srpf(params03, n):
+    """The table reads the weight-independent defect columns once; its
+    partition functions equal ``zero_mode_srpf`` bit for bit."""
+    for p in (0.0, 0.002, 0.3, 0.5, 1.0):
+        table = asym.zero_mode_table(p, n, params03, ELL)
+        want = [asym.zero_mode_srpf(p, n, int(q) - ELL, params03) for q in table.charges]
+        probs = [asym.zero_mode_srpf(p, 1.0, int(q) - ELL, params03) for q in table.charges]
+        assert table.partition.tolist() == want
+        assert table.probabilities.tolist() == probs
 
 
 def test_closed_form_caches_keep_dimerizations_apart(params03):

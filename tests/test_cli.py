@@ -113,15 +113,26 @@ def test_validation_failure_exit_code(tmp_path):
 
 def test_eigensolver_failure_is_numerical_error(tmp_path, monkeypatch, capsys):
     def no_convergence(a):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
     cfg = base_config(tmp_path)
     rc = cli.main(["scan-interval", "--config", write_config(tmp_path, cfg)])
     assert rc == 2
     err = capsys.readouterr().err
     assert "numerical error: eigensolver did not converge" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "scan.csv").exists()
+
+
+def test_open_chain_half_filling_is_config_error(tmp_path, capsys):
+    """The edge-mode pair sits on the Fermi level, so half filling is
+    ambiguous; it is refused whatever signs rounding gives its two energies."""
+    chain = {"n_sites": 80, "t": 1.0, "delta": 0.3, "boundary": "open"}
+    cfg = base_config(tmp_path, chain=chain, window_length=10, m_range=[2, 30], filling="half")
+    rc = cli.main(["scan-interval", "--config", write_config(tmp_path, cfg)])
+    assert rc == 1
+    assert "config error: half filling is ambiguous" in capsys.readouterr().err
     assert not (tmp_path / "scan.csv").exists()
 
 

@@ -303,9 +303,9 @@ def test_tables_match_the_per_window_loop(name):
                 assert np.array_equal(got_v, want_v), (n, field.name)
 
 
-def test_tables_equal_single_window_tables(eig03, chain03, below_half):
+def test_tables_equal_single_window_tables(chiral03, chain03, below_half):
     stack = np.array([
-        gs.correlation_matrix(eig03, chain03, below_half, (m, 20)).eigenvalues()
+        gs.correlation_matrix(chiral03, chain03, below_half, (m, 20)).eigenvalues()
         for m in (41, 45, 90, 141, 175)
     ])
     tables = ent.charge_resolved_tables(stack, [1, 2])

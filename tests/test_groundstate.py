@@ -6,22 +6,27 @@ import pytest
 from sshent import entanglement as ent
 from sshent import groundstate as gs
 from sshent import model
-from sshent.linalg import eigh_symmetric
 
-from conftest import DEFECT_WINDOW, TOP_WINDOW, TRIV_WINDOW, two_defect_chain
-from oracles import correlation_matrix_full_block
+from conftest import DEFECT_WINDOW, TOP_WINDOW, TRIV_WINDOW, chiral_system, two_defect_chain
+from oracles import (
+    correlation_matrix_full_block,
+    dense_correlation_matrix,
+    dense_eigensystem,
+    dense_localized_zero_modes,
+    dense_occupied_orbitals,
+)
 
 SEAM_WINDOW = (195, 10)  # cells 195..200 then 1..4: wraps the cell-1 seam
 
 
-def sorted_lambdas(eig, spec, policy, window):
-    return np.sort(gs.correlation_matrix(eig, spec, policy, window).eigenvalues())
+def sorted_lambdas(chiral, spec, policy, window):
+    return np.sort(gs.correlation_matrix(chiral, spec, policy, window).eigenvalues())
 
 
 # ---------------------------------------------------------------- windows
 
 
-def test_dimerized_window_spectra(eig_dimerized, chain_dimerized, below_half):
+def test_dimerized_window_spectra(chiral_dimerized, chain_dimerized, below_half):
     ell = 20
     want = {
         TRIV_WINDOW: [0.0] * ell + [1.0] * ell,
@@ -29,22 +34,22 @@ def test_dimerized_window_spectra(eig_dimerized, chain_dimerized, below_half):
         DEFECT_WINDOW: [0.0] * ell + [0.5] + [1.0] * (ell - 1),
     }
     for window, lam_want in want.items():
-        lam = sorted_lambdas(eig_dimerized, chain_dimerized, below_half, window)
+        lam = sorted_lambdas(chiral_dimerized, chain_dimerized, below_half, window)
         np.testing.assert_allclose(lam, np.sort(lam_want), atol=1e-10)
 
 
-def test_dimerized_translation_invariance(eig_dimerized, chain_dimerized, below_half):
-    ref = sorted_lambdas(eig_dimerized, chain_dimerized, below_half, (5, 20))
+def test_dimerized_translation_invariance(chiral_dimerized, chain_dimerized, below_half):
+    ref = sorted_lambdas(chiral_dimerized, chain_dimerized, below_half, (5, 20))
     for m in (2, 11, 23):
-        lam = sorted_lambdas(eig_dimerized, chain_dimerized, below_half, (m, 20))
+        lam = sorted_lambdas(chiral_dimerized, chain_dimerized, below_half, (m, 20))
         np.testing.assert_allclose(lam, ref, atol=1e-10)
 
 
 def test_dimerized_3s_interior_block():
     """The trimer block of the correlation matrix has eigenvalues {1, 0, 0}."""
     spec = two_defect_chain(1.0, kinds=("three_site", "three_site"))
-    eig = eigh_symmetric(model.build_hamiltonian(spec))
-    cm = gs.correlation_matrix(eig, spec, gs.OccupationPolicy.below_half(), (41, 20))
+    chiral = chiral_system(spec)
+    cm = gs.correlation_matrix(chiral, spec, gs.OccupationPolicy.below_half(), (41, 20))
     sites = list(model.window_sites(spec, 41, 20))
     trimer = [sites.index(s - 1) for s in model.defect_sites(spec)[0][1]]
     block = cm.matrix[np.ix_(trimer, trimer)]
@@ -55,40 +60,40 @@ def test_dimerized_3s_interior_block():
     assert off == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)), abs=1e-10)
 
 
-def test_purity_at_full_window(eig03, chain03, zero_pair03):
+def test_purity_at_full_window(chiral03, chain03, zero_pair03):
     for policy in (
         gs.OccupationPolicy.below_half(),
         gs.OccupationPolicy.half(zero_pair03.with_weight(0.3)),
     ):
-        cm = gs.correlation_matrix(eig03, chain03, policy, (1, chain03.n_cells))
+        cm = gs.correlation_matrix(chiral03, chain03, policy, (1, chain03.n_cells))
         c = cm.matrix
         assert np.max(np.abs(c @ c - c)) < 1e-10
 
 
-def test_trace_equals_contained_weight(eig03, chain03, below_half):
-    cm = gs.correlation_matrix(eig03, chain03, below_half, DEFECT_WINDOW)
+def test_trace_equals_contained_weight(chiral03, chain03, below_half):
+    cm = gs.correlation_matrix(chiral03, chain03, below_half, DEFECT_WINDOW)
     sites = model.window_sites(chain03, *DEFECT_WINDOW)
-    occ = gs.occupied_orbitals(eig03, chain03, below_half)
+    occ = dense_occupied_orbitals(dense_eigensystem(chain03), chain03, below_half)
     assert cm.trace() == pytest.approx(float(np.sum(occ[sites] ** 2)), abs=1e-10)
     assert cm.trace() == pytest.approx(19.5, abs=1e-3)
 
 
-def test_window_with_two_defects_rejected(eig03, chain03, below_half):
+def test_window_with_two_defects_rejected(chiral03, chain03, below_half):
     with pytest.raises(ValueError, match="defects"):
-        gs.correlation_matrix(eig03, chain03, below_half, (45, 110))
+        gs.correlation_matrix(chiral03, chain03, below_half, (45, 110))
 
 
-def test_half_filling_with_defects_needs_explicit_zero_mode(eig03, chain03):
+def test_half_filling_with_defects_needs_explicit_zero_mode(chiral03, chain03):
     with pytest.raises(ValueError, match="zero-mode"):
         gs.correlation_matrix(
-            eig03, chain03, gs.OccupationPolicy.half(), DEFECT_WINDOW
+            chiral03, chain03, gs.OccupationPolicy.half(), DEFECT_WINDOW
         )
 
 
 def test_half_filling_defect_free_chain():
     spec = model.ChainSpec(n_sites=80, dimerization=0.3)
-    eig = eigh_symmetric(model.build_hamiltonian(spec))
-    cm = gs.correlation_matrix(eig, spec, gs.OccupationPolicy.half(), (3, 10))
+    chiral = chiral_system(spec)
+    cm = gs.correlation_matrix(chiral, spec, gs.OccupationPolicy.half(), (3, 10))
     assert cm.trace() == pytest.approx(10.0, abs=1e-9)
     lam = cm.eigenvalues()
     assert lam.min() >= -1e-12 and lam.max() <= 1.0 + 1e-12
@@ -96,15 +101,15 @@ def test_half_filling_defect_free_chain():
 
 @pytest.mark.parametrize("window", [DEFECT_WINDOW, TOP_WINDOW, TRIV_WINDOW, SEAM_WINDOW])
 @pytest.mark.parametrize("p", [None, 0.0, 0.3, 1.0])
-def test_window_gather_matches_full_block(eig03, chain03, zero_pair03, p, window):
+def test_window_gather_matches_full_block(chiral03, chain03, zero_pair03, p, window):
     """Gathering the window rows first gives the full-block matrix bit for bit;
     ``p=None`` is below half filling, otherwise half with the zero mode at p."""
     if p is None:
         policy = gs.OccupationPolicy.below_half()
     else:
         policy = gs.OccupationPolicy.half(zero_pair03.with_weight(p))
-    cm = gs.correlation_matrix(eig03, chain03, policy, window)
-    ref = correlation_matrix_full_block(eig03, chain03, policy, window)
+    cm = gs.correlation_matrix(chiral03, chain03, policy, window)
+    ref = correlation_matrix_full_block(chiral03, chain03, policy, window)
     assert np.array_equal(cm.matrix, ref)
 
 
@@ -120,14 +125,14 @@ def test_zero_mode_correlations_equal_correlation_matrix(kinds, window):
     """The weight sweep, with the filled sea computed once, gives
     ``correlation_matrix`` at every weight bit for bit."""
     spec = two_defect_chain(0.3, kinds)
-    eig = eigh_symmetric(model.build_hamiltonian(spec))
-    pair = gs.localized_zero_modes(eig, spec)
+    chiral = chiral_system(spec)
+    pair = gs.localized_zero_modes(chiral, spec)
     weights = [0.0, 0.002, 0.5, 1.0]
-    sweep = gs.zero_mode_correlations(eig, spec, pair, window, weights)
+    sweep = gs.zero_mode_correlations(chiral, spec, pair, window, weights)
     assert len(sweep) == len(weights)
     for p, cm in zip(weights, sweep):
         policy = gs.OccupationPolicy.half(pair.with_weight(p))
-        want = gs.correlation_matrix(eig, spec, policy, window)
+        want = gs.correlation_matrix(chiral, spec, policy, window)
         assert (cm.start_cell, cm.n_cells) == (want.start_cell, want.n_cells)
         assert cm.matrix.tobytes() == want.matrix.tobytes(), p
 
@@ -135,10 +140,10 @@ def test_zero_mode_correlations_equal_correlation_matrix(kinds, window):
 @pytest.mark.parametrize("window", [(3, 10), (36, 10)])
 def test_window_gather_matches_full_block_defect_free_half(window):
     spec = model.ChainSpec(n_sites=80, dimerization=0.3)
-    eig = eigh_symmetric(model.build_hamiltonian(spec))
+    chiral = chiral_system(spec)
     policy = gs.OccupationPolicy.half()
-    cm = gs.correlation_matrix(eig, spec, policy, window)
-    assert np.array_equal(cm.matrix, correlation_matrix_full_block(eig, spec, policy, window))
+    cm = gs.correlation_matrix(chiral, spec, policy, window)
+    assert np.array_equal(cm.matrix, correlation_matrix_full_block(chiral, spec, policy, window))
 
 
 # ---------------------------------------------------------------- zero modes
@@ -172,8 +177,8 @@ def test_localized_mode_envelope_decay(zero_pair03):
     assert slope == pytest.approx(-1.0 / xi, rel=0.1)
 
 
-def test_dimerized_zero_mode_is_single_site(eig_dimerized, chain_dimerized):
-    pair = gs.localized_zero_modes(eig_dimerized, chain_dimerized)
+def test_dimerized_zero_mode_is_single_site(chiral_dimerized, chain_dimerized):
+    pair = gs.localized_zero_modes(chiral_dimerized, chain_dimerized)
     assert np.max(pair.psi1**2) == pytest.approx(1.0, abs=1e-12)
     assert int(np.argmax(pair.psi1**2)) == 99  # site 100, cell 50
     assert int(np.argmax(pair.psi2**2)) == 298  # site 299, cell 150
@@ -181,22 +186,22 @@ def test_dimerized_zero_mode_is_single_site(eig_dimerized, chain_dimerized):
 
 def test_zero_mode_count_mismatch_rejected(chain03):
     spec = model.ChainSpec(n_sites=80, dimerization=0.3)
-    eig = eigh_symmetric(model.build_hamiltonian(spec))
+    chiral = chiral_system(spec)
     with pytest.raises(ValueError, match="two defects"):
-        gs.localized_zero_modes(eig, spec)
+        gs.localized_zero_modes(chiral, spec)
 
 
-def test_rank_one_update_and_p_invariance(eig03, chain03, zero_pair03, below_half):
+def test_rank_one_update_and_p_invariance(chiral03, chain03, zero_pair03, below_half):
     """One eigenvalue tracks 1-p, the rest do not move with p."""
     window = (39, 24)  # defect centered; edge tails below the tolerance
     base = np.sort(
-        gs.correlation_matrix(eig03, chain03, below_half, window).eigenvalues()
+        gs.correlation_matrix(chiral03, chain03, below_half, window).eigenvalues()
     )
     base_rest = np.delete(base, int(np.argmin(np.abs(base))))
     for p in (0.0, 0.25, 0.75, 1.0):
         policy = gs.OccupationPolicy.half(zero_pair03.with_weight(p))
         lam = np.sort(
-            gs.correlation_matrix(eig03, chain03, policy, window).eigenvalues()
+            gs.correlation_matrix(chiral03, chain03, policy, window).eigenvalues()
         )
         i = int(np.argmin(np.abs(lam - (1.0 - p))))
         assert lam[i] == pytest.approx(1.0 - p, abs=1e-6)
@@ -206,32 +211,32 @@ def test_rank_one_update_and_p_invariance(eig03, chain03, zero_pair03, below_hal
     # p = 1/2 puts the added level exactly on the intrinsic half-filled one;
     # the avoided-crossing pair still averages to 1/2
     policy = gs.OccupationPolicy.half(zero_pair03.with_weight(0.5))
-    lam = np.sort(gs.correlation_matrix(eig03, chain03, policy, window).eigenvalues())
+    lam = np.sort(gs.correlation_matrix(chiral03, chain03, policy, window).eigenvalues())
     nearest = lam[np.argsort(np.abs(lam - 0.5))[:2]]
     assert float(np.mean(nearest)) == pytest.approx(0.5, abs=1e-9)
 
 
-def test_phase_has_no_windowed_effect(eig03, chain03, zero_pair03):
+def test_phase_has_no_windowed_effect(chiral03, chain03, zero_pair03):
     tables = []
     for phi in (0.0, 0.7, math.pi / 2, math.pi):
         policy = gs.OccupationPolicy.half(zero_pair03.with_weight(0.3, phi=phi))
-        lam = gs.correlation_matrix(eig03, chain03, policy, DEFECT_WINDOW).eigenvalues()
+        lam = gs.correlation_matrix(chiral03, chain03, policy, DEFECT_WINDOW).eigenvalues()
         tables.append(ent.charge_resolved_table(lam, 2.0))
     for t in tables[1:]:
         assert t.total_vn == pytest.approx(tables[0].total_vn, abs=1e-6)
         np.testing.assert_allclose(t.probabilities, tables[0].probabilities, atol=1e-6)
 
 
-def test_fully_localized_zero_mode_shifts_charges(eig03, chain03, zero_pair03, below_half):
+def test_fully_localized_zero_mode_shifts_charges(chiral03, chain03, zero_pair03, below_half):
     """p=0 puts the occupied mode inside: the table shifts by one charge unit.
 
     Uses the centered 30-cell window so the mode's tail outside the interval
     stays below the 1e-6 tolerance even in the charge-suppressed sectors.
     """
     window = (36, 30)
-    lam_empty = gs.correlation_matrix(eig03, chain03, below_half, window).eigenvalues()
+    lam_empty = gs.correlation_matrix(chiral03, chain03, below_half, window).eigenvalues()
     policy = gs.OccupationPolicy.half(zero_pair03.with_weight(0.0))
-    lam_full = gs.correlation_matrix(eig03, chain03, policy, window).eigenvalues()
+    lam_full = gs.correlation_matrix(chiral03, chain03, policy, window).eigenvalues()
     empty = ent.charge_resolved_table(lam_empty, 2.0)
     full = ent.charge_resolved_table(lam_full, 2.0)
     for q in range(28, 33):
@@ -243,45 +248,144 @@ def test_fully_localized_zero_mode_shifts_charges(eig03, chain03, zero_pair03, b
     assert full.mean_charge == pytest.approx(empty.mean_charge + 1.0, abs=1e-6)
 
 
-def test_below_half_excludes_zero_modes(eig03, chain03, below_half):
-    occ = gs.occupied_orbitals(eig03, chain03, below_half)
-    assert occ.shape[1] == chain03.n_cells - 1
+def test_below_half_excludes_zero_modes(chiral03, chain03, below_half):
+    assert gs.filled_triples(chiral03, chain03, below_half) == chain03.n_cells - 1
 
 
 def test_below_half_excludes_open_chain_edge_modes(below_half):
     spec = model.ChainSpec(n_sites=80, dimerization=0.5, boundary="open")
-    eig = eigh_symmetric(model.build_hamiltonian(spec))
-    assert int(np.sum(np.abs(eig.eigenvalues) < 1e-4)) == 2  # edge pair
-    occ = gs.occupied_orbitals(eig, spec, below_half)
-    assert occ.shape[1] == spec.n_cells - 1
+    assert int(np.sum(np.abs(dense_eigensystem(spec).eigenvalues) < 1e-4)) == 2  # edge pair
+    chiral = chiral_system(spec)
+    assert int(np.sum(chiral.singular_values < 1e-4)) == 1  # one triple holds the pair
+    assert gs.filled_triples(chiral, spec, below_half) == spec.n_cells - 1
 
 
 def test_negative_dimerization_trivial_ring(below_half):
     """delta = -1: intra-cell dimers; every whole-cell window is trivial."""
     spec = model.ChainSpec(n_sites=40, dimerization=-1.0)
-    eig = eigh_symmetric(model.build_hamiltonian(spec))
+    chiral = chiral_system(spec)
     assert model.window_case(spec, 3, 6) == "trivial"
     policy = gs.OccupationPolicy.half()
-    lam = np.sort(gs.correlation_matrix(eig, spec, policy, (3, 6)).eigenvalues())
+    lam = np.sort(gs.correlation_matrix(chiral, spec, policy, (3, 6)).eigenvalues())
     np.testing.assert_allclose(lam, np.sort([0.0] * 6 + [1.0] * 6), atol=1e-12)
 
 
 def test_zero_mode_policy_needs_defects():
     spec = model.ChainSpec(n_sites=40, dimerization=0.5)
-    eig = eigh_symmetric(model.build_hamiltonian(spec))
+    chiral = chiral_system(spec)
     fake = gs.ZeroModePair(psi1=np.zeros(40), psi2=np.zeros(40))
     with pytest.raises(ValueError, match="no defects"):
-        gs.correlation_matrix(eig, spec, gs.OccupationPolicy.half(fake), (3, 6))
+        gs.correlation_matrix(chiral, spec, gs.OccupationPolicy.half(fake), (3, 6))
 
 
 @pytest.mark.parametrize("delta", [0.2, 0.45, -0.6])
 def test_half_filled_window_particle_hole_symmetric(delta):
     """Half-filled chiral chain: window eigenvalues come in (lam, 1-lam) pairs."""
     spec = model.ChainSpec(n_sites=120, dimerization=delta)
-    eig = eigh_symmetric(model.build_hamiltonian(spec))
+    chiral = chiral_system(spec)
     lam = np.sort(
         gs.correlation_matrix(
-            eig, spec, gs.OccupationPolicy.half(), (7, 15)
+            chiral, spec, gs.OccupationPolicy.half(), (7, 15)
         ).eigenvalues()
     )
     np.testing.assert_allclose(lam, np.sort(1.0 - lam), atol=1e-10)
+
+
+# ------------------------------------------- against the dense N x N eigensolver
+
+KINDS = {
+    "one-one": ("one_site", "one_site"),
+    "three-three": ("three_site", "three_site"),
+    "one-three": ("one_site", "three_site"),
+}
+
+
+def _open_chain(defects=()):
+    return model.ChainSpec(
+        n_sites=400, dimerization=0.3, boundary="open",
+        defects=tuple(model.DefectSpec(60, kind) for kind in defects),
+    )
+
+
+DENSE_ORACLE_CHAINS = {
+    **{
+        f"{name}-{delta:+g}": (two_defect_chain(delta, kinds), "below_half")
+        for name, kinds in KINDS.items()
+        for delta in (-0.3, 0.1, 0.3, 1.0)
+    },
+    "ring-below": (model.ChainSpec(n_sites=400, dimerization=0.3), "below_half"),
+    "ring-half": (model.ChainSpec(n_sites=400, dimerization=0.3), "half"),
+    "open": (_open_chain(), "below_half"),
+    "open-one": (_open_chain(["one_site"]), "below_half"),
+    "open-three": (_open_chain(["three_site"]), "below_half"),
+    "big2000": (
+        model.ChainSpec(
+            n_sites=2000, dimerization=0.3,
+            defects=(model.DefectSpec(250), model.DefectSpec(750)),
+        ),
+        "below_half",
+    ),
+}
+
+
+def _worst_window_deviation(spec, policies, ell=20):
+    """Largest |lambda_chiral - lambda_dense| over every window of ``ell``
+    cells, for each ``(chiral policy, dense policy)`` pair."""
+    chiral, eig = chiral_system(spec), dense_eigensystem(spec)
+    last = spec.n_cells if spec.boundary == "periodic" else spec.n_cells - ell + 1
+    worst = (0.0, None)
+    for policy, dense_policy in policies:
+        occupied = dense_occupied_orbitals(eig, spec, dense_policy)
+        for m in range(1, last + 1):
+            lam = np.sort(gs.correlation_matrix(chiral, spec, policy, (m, ell)).eigenvalues())
+            c = dense_correlation_matrix(occupied, spec, dense_policy, (m, ell))
+            want = np.sort(gs.CorrelationMatrix(m, ell, c).eigenvalues())
+            worst = max(worst, (float(np.max(np.abs(lam - want))), m))
+    return worst
+
+
+@pytest.mark.parametrize("name", DENSE_ORACLE_CHAINS)
+def test_window_spectra_match_dense_eigensolver(name):
+    """Every window's correlation eigenvalues from the singular triples agree
+    with those of the dense N x N eigenvectors to 1e-13."""
+    spec, filling = DENSE_ORACLE_CHAINS[name]
+    policy = gs.OccupationPolicy(filling=filling)
+    dev, m = _worst_window_deviation(spec, [(policy, policy)])
+    assert dev <= 1e-13, (dev, m)
+
+
+@pytest.mark.parametrize("kinds", KINDS)
+def test_zero_mode_window_spectra_match_dense_eigensolver(kinds):
+    """The same with an occupied zero mode at weights from 0 to 1, each path
+    with its own localized pair."""
+    spec = two_defect_chain(0.3, KINDS[kinds])
+    pair = gs.localized_zero_modes(chiral_system(spec), spec)
+    dense_pair = dense_localized_zero_modes(dense_eigensystem(spec), spec)
+    policies = [
+        (gs.OccupationPolicy.half(pair.with_weight(p)),
+         gs.OccupationPolicy.half(dense_pair.with_weight(p)))
+        for p in (0.0, 0.002, 0.3, 0.5, 1.0)
+    ]
+    dev, m = _worst_window_deviation(spec, policies)
+    assert dev <= 1e-13, (dev, m)
+
+
+@pytest.mark.parametrize("delta", [0.3, -0.3, 1.0 / 3.0])
+@pytest.mark.parametrize("kind", ["one_site", "three_site"])
+def test_zero_mode_signs_match_dense_eigensolver(kind, delta):
+    """The trimer-like modes (three_site at delta > 0, one_site at delta < 0)
+    have two extreme entries of equal magnitude; at delta = 1/3 a one_site
+    mode's neighbours are exactly half its peak.  Both solvers still give the
+    same psi1 and psi2, signs included."""
+    spec = two_defect_chain(delta, (kind, kind))
+    pair = gs.localized_zero_modes(chiral_system(spec), spec)
+    dense = dense_localized_zero_modes(dense_eigensystem(spec), spec)
+    np.testing.assert_allclose(pair.psi1, dense.psi1, atol=1e-12)
+    np.testing.assert_allclose(pair.psi2, dense.psi2, atol=1e-12)
+
+
+def test_zero_modes_are_sublattice_polarized(zero_pair03):
+    """Each zero mode lives on one sublattice: psi1 on the even sites (its
+    defect site is site 100), psi2 on the odd ones."""
+    assert not zero_pair03.psi1[0::2].any()
+    assert not zero_pair03.psi2[1::2].any()

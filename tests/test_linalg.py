@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from sshent.linalg import eigh_symmetric
+from sshent import model
+from sshent.linalg import NumericalError, chiral_svd
+
+from conftest import two_defect_chain
+from oracles import eigh_symmetric
+
 
 
 def _cofactor_det(a):
@@ -63,3 +68,31 @@ def test_rejects_non_symmetric():
 def test_rejects_non_square():
     with pytest.raises(ValueError, match="square"):
         eigh_symmetric(np.zeros((3, 2)))
+
+
+def test_chiral_svd_reconstructs_the_block():
+    spec = two_defect_chain(0.3, kinds=("one_site", "three_site"))
+    block = model.hopping_block(spec)
+    chiral = chiral_svd(block)
+    s, u, v = chiral.singular_values, chiral.u, chiral.v
+    assert np.all(np.diff(s) <= 0.0)
+    np.testing.assert_allclose((u * s) @ v.T, block, atol=1e-13)
+    for q in (u, v):
+        assert np.max(np.abs(q.T @ q - np.eye(q.shape[1]))) < 1e-13
+    # the chiral spectrum: +-s are the eigenvalues of [[0, T], [T^T, 0]]
+    w = eigh_symmetric(model.build_hamiltonian(spec)).eigenvalues
+    np.testing.assert_allclose(np.sort(np.concatenate([-s, s])), w, atol=1e-13)
+
+
+def test_chiral_svd_rejects_non_square():
+    with pytest.raises(ValueError, match="square"):
+        chiral_svd(np.zeros((3, 2)))
+
+
+def test_chiral_svd_non_convergence_is_numerical_error(monkeypatch):
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    with pytest.raises(NumericalError, match="eigensolver did not converge"):
+        chiral_svd(np.eye(3))

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sshent import model
-from sshent.linalg import eigh_symmetric
 
 from conftest import two_defect_chain
 from oracles import (
     bond_amplitudes_loop,
+    dense_eigensystem,
     defects_in_window_from_cells,
     hamiltonian_loop,
     is_bulk_window_from_anchors,
@@ -62,7 +62,7 @@ def test_two_site_ring_sums_both_bonds():
 
 def test_two_defects_host_two_zero_modes():
     spec = two_defect_chain(0.3)
-    w = eigh_symmetric(model.build_hamiltonian(spec)).eigenvalues
+    w = dense_eigensystem(spec).eigenvalues
     assert int(np.sum(np.abs(w) < 1e-6)) == 2
 
 
@@ -96,7 +96,7 @@ def test_three_site_defect_pattern():
 
 def test_trimer_adds_band_external_pair():
     spec = two_defect_chain(0.3, kinds=("one_site", "three_site"))
-    w = eigh_symmetric(model.build_hamiltonian(spec)).eigenvalues
+    w = dense_eigensystem(spec).eigenvalues
     assert int(np.sum(w > 2.0 + 1e-9)) == 1
     assert int(np.sum(w < -2.0 - 1e-9)) == 1
     assert int(np.sum(np.abs(w) < 1e-6)) == 2
@@ -129,6 +129,19 @@ def test_vectorized_bonds_match_loop(name):
     spec = ORACLE_SPECS[name]
     assert np.array_equal(model.bond_amplitudes(spec), bond_amplitudes_loop(spec))
     assert np.array_equal(model.build_hamiltonian(spec), hamiltonian_loop(spec))
+
+
+@pytest.mark.parametrize("name", ORACLE_SPECS)
+def test_hopping_block_is_the_sublattice_block(name):
+    """Every bond joins an odd and an even site: the odd-odd and even-even
+    blocks are zero and the odd-even one is ``hopping_block``, bit for bit."""
+    spec = ORACLE_SPECS[name]
+    h = hamiltonian_loop(spec)
+    block = model.hopping_block(spec)
+    assert block.shape == (spec.n_cells, spec.n_cells)
+    assert np.array_equal(block, model.build_hamiltonian(spec)[0::2, 1::2])
+    assert np.array_equal(block, h[0::2, 1::2])
+    assert not h[0::2, 0::2].any() and not h[1::2, 1::2].any()
 
 
 @pytest.mark.parametrize("name", ["ring-mixed", "ring-mixed-negative", "open-one-defect"])
