@@ -348,10 +348,8 @@ def run_scan_interval(args: argparse.Namespace) -> int:
         chiral = chiral_svd(model.hopping_block(spec))
 
         def lattice(points: list) -> np.ndarray:
-            return np.array([
-                gs.correlation_matrix(chiral, spec, policy, (m, ell)).eigenvalues()
-                for m, _, _ in points
-            ])
+            mats = (gs.correlation_matrix(chiral, spec, policy, (m, ell)) for m, _, _ in points)
+            return gs.correlation_spectra(mats, len(points), ell)
 
     if params is not None:
         # one table per (case, n): it does not depend on the window position
@@ -411,7 +409,7 @@ def run_zero_mode_scan(args: argparse.Namespace) -> int:
         def lattice(points: list) -> np.ndarray:
             weights = [p for _, p, _ in points]
             mats = gs.zero_mode_correlations(chiral, spec, pair, (m, ell), weights)
-            return np.array([c.eigenvalues() for c in mats])
+            return gs.correlation_spectra(mats, len(mats), ell)
 
     if params is not None:
         # p is the weight on the *second* defect; if the window holds the

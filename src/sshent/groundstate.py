@@ -3,19 +3,23 @@
 The many-body states of interest are Slater determinants of single-particle
 modes.  The chain is bipartite, every bond joining an odd to an even site, so
 its modes follow from the singular triples ``(s_i, u_i, v_i)`` of the hopping
-block alone (``linalg.ChiralSystem``): a triple with ``s_i`` above
-``NEAR_ZERO_THRESHOLD * t`` fills the mode ``(u_i, -v_i) / sqrt(2)`` at energy
-``-s_i``.  A triple below it is a zero-mode pair, exactly polarized by
-sublattice: ``u_0`` on the odd sites, ``v_0`` on the even ones.  With two
-defects that pair is excluded from the filled sea ("below half" filling, L-1
-modes); occupying a zero mode is always an explicit choice carried by the
-policy, because the physical state is a chosen superposition of the two
-localized modes.
+block alone (``linalg.ChiralSystem``, from one ``eigh`` of the Gram block
+``T^T T``): a triple with ``s_i`` above ``NEAR_ZERO_THRESHOLD * t`` fills the
+mode ``(u_i, -v_i) / sqrt(2)`` at energy ``-s_i``.  A triple below it is a
+zero-mode pair, exactly polarized by sublattice: ``u_0`` on the odd sites,
+``v_0`` on the even ones.  ``chiral_svd`` resolves the near-zero triples in
+their own subspace, so the zero-mode splitting compared with the threshold
+is accurate to rounding, not the ``1e-8`` noise of ``sqrt`` of an
+eigenvalue.  With two defects that pair is excluded from the filled sea
+("below half" filling, L-1 modes); occupying a zero mode is always an
+explicit choice carried by the policy, because the physical state is a
+chosen superposition of the two localized modes.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,6 +32,9 @@ BELOW_HALF = "below_half"
 HALF = "half"
 
 NEAR_ZERO_THRESHOLD = 1e-4  # in units of the hopping t
+# windows per stacked eigvalsh call: amortizes the call overhead while the
+# stack (16 windows of 40 x 40 at ell = 20) stays in cache
+SPECTRA_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -97,6 +104,26 @@ class CorrelationMatrix:
 
     def trace(self) -> float:
         return float(np.trace(self.matrix))
+
+
+def correlation_spectra(mats: Iterable[CorrelationMatrix], count: int, n_cells: int) -> np.ndarray:
+    """``CorrelationMatrix.eigenvalues`` of each of ``count`` windows of
+    ``n_cells`` cells, bit for bit, as a ``(count, 2 * n_cells)`` stack.
+
+    The symmetric parts are written into a preallocated stack of
+    ``SPECTRA_CHUNK`` windows, which takes one ``eigvalsh`` call, and the
+    whole result one ``clamp_lambdas`` call.
+    """
+    size = 2 * n_cells
+    lam = np.empty((count, size))
+    stack = np.empty((min(count, SPECTRA_CHUNK), size, size))
+    for i, cm in zip(range(count), mats, strict=True):
+        j = i % SPECTRA_CHUNK
+        np.add(cm.matrix, cm.matrix.T, out=stack[j])
+        stack[j] *= 0.5
+        if j == SPECTRA_CHUNK - 1 or i == count - 1:
+            lam[i - j : i + 1] = np.linalg.eigvalsh(stack[: j + 1])
+    return clamp_lambdas(lam)
 
 
 def localized_zero_modes(chiral: ChiralSystem, spec: ChainSpec) -> ZeroModePair:

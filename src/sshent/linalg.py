@@ -1,10 +1,15 @@
-"""Singular value decomposition of a chiral chain's hopping block."""
+"""Singular triples of a chiral chain's hopping block from one ``eigh``."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+
+# Singular values above this fraction of the largest come from the Gram
+# block's eigenvalues; below it, sqrt of an eigenvalue is noise of about
+# sqrt(eps) * s_max, so those triples are resolved in their own subspace.
+ZERO_SPLIT = 1e-4
 
 
 class NumericalError(ValueError):
@@ -34,19 +39,71 @@ class ChiralSystem:
 def chiral_svd(block: np.ndarray) -> ChiralSystem:
     """Singular triples of a square hopping block.
 
-    Non-convergence of the underlying solver is re-raised as
-    ``NumericalError`` with the block scale attached.
+    One ``eigh`` of the Gram block ``T^T T`` gives ``v`` and, for the
+    triples above ``ZERO_SPLIT * s_max``, ``s = sqrt(w)`` and
+    ``u = T v / s``.  The trailing near-zero triples are resolved in their
+    own subspace, from the triples of a small block, so their singular
+    values are never read off the noisy eigenvalues.  ``v`` is in C order,
+    so a window's rows are contiguous.  Non-convergence of the eigensolver
+    is re-raised as ``NumericalError`` with the block scale attached.
     """
     t = np.asarray(block, dtype=float)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ValueError("expected a square matrix")
     try:
-        u, s, vt = np.linalg.svd(t)
+        return _triples(t)
     except np.linalg.LinAlgError as err:
         scale = max(float(np.max(np.abs(t))), 1.0)
         raise NumericalError(
-            f"eigensolver did not converge (SVD of the {t.shape[0]}x{t.shape[0]} "
-            f"hopping block, scale {scale:.3e}): {err}"
+            f"eigensolver did not converge (eigh of the Gram block of the "
+            f"{t.shape[0]}x{t.shape[0]} hopping block, scale {scale:.3e}): {err}"
         ) from err
-    # C order, so a window's rows are contiguous
-    return ChiralSystem(singular_values=s, u=u, v=np.ascontiguousarray(vt.T))
+
+
+def _triples(t: np.ndarray) -> ChiralSystem:
+    w, v = np.linalg.eigh(t.T @ t)
+    s = np.sqrt(np.maximum(w[::-1], 0.0))
+    v = np.ascontiguousarray(v[:, ::-1])
+    u = t @ v
+    filled = int(np.count_nonzero(s > ZERO_SPLIT * s.max(initial=0.0)))
+    u[:, :filled] /= s[:filled]
+    if filled < s.size:
+        # The trailing columns of u hold T V0.  U0, an orthonormal basis of the
+        # complement of the filled u, spans T V0, so the triples of the small
+        # block U0^T T V0 rotate U0 and V0 into singular pairs and give their
+        # singular values.  With nothing filled every singular value is 0
+        # and any orthonormal U0 will do.
+        u0 = _complement(u[:, :filled], s.size - filled)
+        if filled:
+            inner = _triples(u0.T @ u[:, filled:])
+            s[filled:] = inner.singular_values
+            u0 = u0 @ inner.u
+            v[:, filled:] = v[:, filled:] @ inner.v
+        u[:, filled:] = u0
+    return ChiralSystem(singular_values=s, u=u, v=v)
+
+
+def _complement(q: np.ndarray, k: int) -> np.ndarray:
+    """``k`` orthonormal columns orthogonal to the orthonormal columns of
+    ``q``, which with them span the whole space.
+
+    Pivoted Gram-Schmidt on the columns of ``I - q q^T``: only the diagonal
+    and the column picked are formed, so the cost is O(k n f) for ``q`` of
+    shape ``(n, f)``.  Each pick is orthogonalized twice against ``q`` and
+    the columns picked before it.
+    """
+    n = q.shape[0]
+    basis = np.empty((n, k))
+    weight = 1.0 - np.einsum("ij,ij->i", q, q)  # squared norms of the columns
+    for j in range(k):
+        pivot = int(np.argmax(weight))
+        col = -(q @ q[pivot])
+        col[pivot] += 1.0
+        done = basis[:, :j]
+        for _ in range(2):
+            col -= q @ (q.T @ col)
+            col -= done @ (done.T @ col)
+        col /= np.linalg.norm(col)
+        basis[:, j] = col
+        weight -= col * col
+    return basis

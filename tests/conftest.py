@@ -26,6 +26,14 @@ def two_defect_chain(delta, kinds=("one_site", "one_site"), n_sites=400):
     )
 
 
+def open_chain(defects=()):
+    """An open 400-site chain at delta = 0.3 with the given defect kinds at cell 60."""
+    return model.ChainSpec(
+        n_sites=400, dimerization=0.3, boundary="open",
+        defects=tuple(model.DefectSpec(60, kind) for kind in defects),
+    )
+
+
 def chiral_system(spec):
     """Singular triples of the chain's hopping block, as the CLI computes them."""
     return chiral_svd(model.hopping_block(spec))

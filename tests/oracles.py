@@ -14,7 +14,7 @@ from sshent import entanglement as ent
 from sshent import groundstate as gs
 from sshent import model
 from sshent import serialize
-from sshent.linalg import NumericalError
+from sshent.linalg import ChiralSystem, NumericalError
 
 
 def brute_force_sector_data(lambdas, n):
@@ -280,6 +280,27 @@ def dense_localized_zero_modes(eig, spec):
     if float(np.sum(psi1[region1] ** 2)) < float(np.sum(psi2[region1] ** 2)):
         psi1, psi2 = psi2, -psi1
     return gs.ZeroModePair(psi1=gs._fix_sign(psi1), psi2=gs._fix_sign(psi2))
+
+
+# ------------------------------------------- L x L hopping-block SVD reference
+
+
+def svd_chiral(block):
+    """Singular triples of a square hopping block from LAPACK's SVD (gesdd):
+    the ``linalg.chiral_svd`` contract, with ``s`` descending and ``v`` in C
+    order."""
+    t = np.asarray(block, dtype=float)
+    if t.ndim != 2 or t.shape[0] != t.shape[1]:
+        raise ValueError("expected a square matrix")
+    try:
+        u, s, vt = np.linalg.svd(t)
+    except np.linalg.LinAlgError as err:
+        scale = max(float(np.max(np.abs(t))), 1.0)
+        raise NumericalError(
+            f"eigensolver did not converge (SVD of the {t.shape[0]}x{t.shape[0]} "
+            f"hopping block, scale {scale:.3e}): {err}"
+        ) from err
+    return ChiralSystem(singular_values=s, u=u, v=np.ascontiguousarray(vt.T))
 
 
 def srpf_loop(lambdas, n):

@@ -113,9 +113,9 @@ def test_validation_failure_exit_code(tmp_path):
 
 def test_eigensolver_failure_is_numerical_error(tmp_path, monkeypatch, capsys):
     def no_convergence(a):
-        raise np.linalg.LinAlgError("SVD did not converge")
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
     cfg = base_config(tmp_path)
     rc = cli.main(["scan-interval", "--config", write_config(tmp_path, cfg)])
     assert rc == 2

@@ -7,7 +7,14 @@ from sshent import entanglement as ent
 from sshent import groundstate as gs
 from sshent import model
 
-from conftest import DEFECT_WINDOW, TOP_WINDOW, TRIV_WINDOW, chiral_system, two_defect_chain
+from conftest import (
+    DEFECT_WINDOW,
+    TOP_WINDOW,
+    TRIV_WINDOW,
+    chiral_system,
+    open_chain,
+    two_defect_chain,
+)
 from oracles import (
     correlation_matrix_full_block,
     dense_correlation_matrix,
@@ -144,6 +151,29 @@ def test_window_gather_matches_full_block_defect_free_half(window):
     policy = gs.OccupationPolicy.half()
     cm = gs.correlation_matrix(chiral, spec, policy, window)
     assert np.array_equal(cm.matrix, correlation_matrix_full_block(chiral, spec, policy, window))
+
+
+@pytest.mark.parametrize("kinds", [("one_site", "one_site"), ("one_site", "three_site")])
+def test_correlation_spectra_equal_per_window_eigenvalues(kinds):
+    """One stacked eigensolve gives every window's eigenvalues bit for bit,
+    over all windows of a scan and over a zero-mode weight sweep."""
+    spec = two_defect_chain(0.3, kinds)
+    chiral = chiral_system(spec)
+    policy = gs.OccupationPolicy.below_half()
+    windows = [(m, 20) for m in range(1, spec.n_cells + 1)]
+    mats = [gs.correlation_matrix(chiral, spec, policy, w) for w in windows]
+    pair = gs.localized_zero_modes(chiral, spec)
+    sweep = gs.zero_mode_correlations(chiral, spec, pair, DEFECT_WINDOW, [0.0, 0.3, 0.5, 1.0])
+    for group in (mats, sweep):
+        stacked = gs.correlation_spectra(iter(group), len(group), 20)
+        want = np.array([cm.eigenvalues() for cm in group])
+        assert stacked.tobytes() == want.tobytes()
+
+
+def test_correlation_spectra_need_the_stated_count(chiral03, chain03, below_half):
+    cm = gs.correlation_matrix(chiral03, chain03, below_half, DEFECT_WINDOW)
+    with pytest.raises(ValueError):
+        gs.correlation_spectra([cm], 2, DEFECT_WINDOW[1])
 
 
 # ---------------------------------------------------------------- zero modes
@@ -300,24 +330,17 @@ KINDS = {
 }
 
 
-def _open_chain(defects=()):
-    return model.ChainSpec(
-        n_sites=400, dimerization=0.3, boundary="open",
-        defects=tuple(model.DefectSpec(60, kind) for kind in defects),
-    )
-
-
 DENSE_ORACLE_CHAINS = {
     **{
         f"{name}-{delta:+g}": (two_defect_chain(delta, kinds), "below_half")
         for name, kinds in KINDS.items()
-        for delta in (-0.3, 0.1, 0.3, 1.0)
+        for delta in (-0.3, 0.05, 0.1, 0.3, 1.0)
     },
     "ring-below": (model.ChainSpec(n_sites=400, dimerization=0.3), "below_half"),
     "ring-half": (model.ChainSpec(n_sites=400, dimerization=0.3), "half"),
-    "open": (_open_chain(), "below_half"),
-    "open-one": (_open_chain(["one_site"]), "below_half"),
-    "open-three": (_open_chain(["three_site"]), "below_half"),
+    "open": (open_chain(), "below_half"),
+    "open-one": (open_chain(["one_site"]), "below_half"),
+    "open-three": (open_chain(["three_site"]), "below_half"),
     "big2000": (
         model.ChainSpec(
             n_sites=2000, dimerization=0.3,

@@ -4,9 +4,8 @@ import pytest
 from sshent import model
 from sshent.linalg import NumericalError, chiral_svd
 
-from conftest import two_defect_chain
-from oracles import eigh_symmetric
-
+from conftest import open_chain, two_defect_chain
+from oracles import eigh_symmetric, svd_chiral
 
 
 def _cofactor_det(a):
@@ -91,8 +90,52 @@ def test_chiral_svd_rejects_non_square():
 
 def test_chiral_svd_non_convergence_is_numerical_error(monkeypatch):
     def no_convergence(a):
-        raise np.linalg.LinAlgError("SVD did not converge")
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
     with pytest.raises(NumericalError, match="eigensolver did not converge"):
         chiral_svd(np.eye(3))
+
+
+def _prescribed_block(singular_values, seed=7):
+    """A dense block with the given singular values, between random
+    orthogonal factors: several near-zero triples at different scales."""
+    rng = np.random.default_rng(seed)
+    n = len(singular_values)
+    q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (q1 * np.asarray(singular_values, dtype=float)) @ q2.T
+
+
+KIND_PAIRS = (("one_site", "one_site"), ("three_site", "three_site"), ("one_site", "three_site"))
+TRIPLE_BLOCKS = {
+    **{
+        f"{a}-{b}-{delta:+g}": model.hopping_block(two_defect_chain(delta, (a, b)))
+        for a, b in KIND_PAIRS
+        for delta in (0.05, 0.1, 0.3, -0.3, 1.0)
+    },
+    "open": model.hopping_block(open_chain()),
+    "open-one": model.hopping_block(open_chain(["one_site"])),
+    "ring": model.hopping_block(model.ChainSpec(n_sites=400, dimerization=0.3)),
+    "two-site-ring": model.hopping_block(model.ChainSpec(n_sites=2, dimerization=0.3)),
+    "three-near-zero": _prescribed_block([3.0, 2.0, 1.0, 1e-6, 1e-9, 0.0]),
+    "zero": np.zeros((3, 3)),
+}
+
+
+@pytest.mark.parametrize("name", TRIPLE_BLOCKS)
+def test_chiral_triples_match_svd_oracle(name):
+    """The Gram-block triples against LAPACK's SVD: every singular value to
+    1e-13 (the near-zero ones absolutely, never sqrt of a noisy eigenvalue),
+    both singular relations and both orthonormalities to 1e-12."""
+    t = TRIPLE_BLOCKS[name]
+    chiral = chiral_svd(t)
+    s, u, v = chiral.singular_values, chiral.u, chiral.v
+    want = svd_chiral(t).singular_values
+    assert np.all(np.diff(s) <= 0.0)
+    assert v.flags["C_CONTIGUOUS"]
+    assert np.max(np.abs(s - want)) <= 1e-13
+    for residual in (t @ v - u * s, t.T @ u - v * s):
+        assert np.max(np.linalg.norm(residual, axis=0)) <= 1e-12
+    for q in (u, v):
+        assert np.max(np.abs(q.T @ q - np.eye(q.shape[1]))) <= 1e-12
