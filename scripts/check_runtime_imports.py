@@ -1,0 +1,56 @@
+"""Check that a CLI run imports nothing outside the standard library, numpy and sshent.
+
+    python scripts/check_runtime_imports.py
+
+Runs one ``scan-interval`` (lattice and closed forms) and one
+``zero-mode-scan`` in this fresh interpreter, with their CSVs in a temporary
+directory, and lists every top-level module the runs imported that is not
+part of the standard library, numpy or sshent.  Exit code 0 if there is none
+and both runs pass; 1 otherwise.  numpy is the only runtime dependency;
+scipy and the other test tools must not creep onto the run's path.
+"""
+
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ALLOWED = {"numpy", "sshent"}
+CHAIN = {
+    "n_sites": 400, "t": 1.0, "delta": 0.3, "boundary": "periodic",
+    "defects": [{"cell": 50, "kind": "one_site"}, {"cell": 150, "kind": "three_site"}],
+}
+RUNS = {
+    "scan-interval": {"chain": CHAIN, "window_length": 20, "m_range": [1, 200],
+                      "n_list": [1, 2], "mode": "both"},
+    "zero-mode-scan": {"chain": CHAIN, "window_length": 20, "window_start": 41,
+                       "p_list": [0.0, 0.3, 1.0], "n_list": [1], "mode": "both"},
+}
+
+
+def main() -> int:
+    before = set(sys.modules)
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+    from sshent import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for command, config in RUNS.items():
+            path = Path(tmp) / f"{command}.json"
+            outputs = {"csv_path": str(Path(tmp) / f"{command}.csv")}
+            path.write_text(json.dumps(dict(config, outputs=outputs)))
+            rc = cli.main([command, "--config", str(path)])
+            if rc != cli.EXIT_OK:
+                print(f"{command} exited {rc}", file=sys.stderr)
+                return 1
+    imported = {name.partition(".")[0] for name in set(sys.modules) - before}
+    foreign = sorted(imported - ALLOWED - set(sys.stdlib_module_names))
+    if foreign:
+        print(f"the runs imported modules outside the standard library and numpy: {foreign}",
+              file=sys.stderr)
+        return 1
+    print(f"runtime imports: {sorted(imported & ALLOWED)} and the standard library only")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,6 +1,6 @@
 """Charge-resolved entanglement of intervals in dimerized chains with defects."""
 
-from .model import ChainSpec, DefectSpec, build_hamiltonian, hopping_block, localization_length
+from .model import ChainSpec, DefectSpec, hopping_bands, localization_length
 from .linalg import ChiralSystem, NumericalError, chiral_svd
 from .specialfn import EllipticParams
 from .groundstate import (
@@ -12,7 +12,6 @@ from .groundstate import (
 )
 from .entanglement import (
     ChargeResolvedTable,
-    EntanglementSpectrum,
     charge_resolved_table,
     charged_moment,
     srpf,
@@ -25,8 +24,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ChainSpec",
     "DefectSpec",
-    "build_hamiltonian",
-    "hopping_block",
+    "hopping_bands",
     "localization_length",
     "ChiralSystem",
     "NumericalError",
@@ -38,7 +36,6 @@ __all__ = [
     "correlation_matrix",
     "localized_zero_modes",
     "ChargeResolvedTable",
-    "EntanglementSpectrum",
     "charge_resolved_table",
     "charged_moment",
     "srpf",

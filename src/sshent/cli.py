@@ -124,62 +124,49 @@ def _distinct(values: list, name: str) -> list:
     return values
 
 
-def _sector_columns(tables: list[ent.ChargeResolvedTable]) -> dict[str, np.ndarray]:
-    """One row per sector of every table, in order: the sector columns and
-    each table's totals repeated over its sectors."""
-    sizes = [t.charges.size for t in tables]
-
-    def cat(arrays, dtype) -> np.ndarray:
-        return np.concatenate([np.asarray(a, dtype=dtype) for a in arrays] or [np.empty(0, dtype)])
-
-    return {
-        "q": cat([t.charges for t in tables], np.int64),
-        "Z1": cat([t.probabilities for t in tables], float),
-        "S_n": cat([t.sre_renyi for t in tables], float),
-        "S": np.repeat(np.array([t.total_vn for t in tables], dtype=float), sizes),
-        "S_c": np.repeat(np.array([t.config_entropy for t in tables], dtype=float), sizes),
-        "S_f": np.repeat(np.array([t.fluct_entropy for t in tables], dtype=float), sizes),
-        "table": np.repeat(np.arange(len(tables)), sizes),
-    }
-
-
-def _table_columns(
-    parts: list, points: list, n_list: list[float], ell: int
+def _sector_rows(
+    sectors: dict[str, np.ndarray], source: int, points: list, n_list: list[float], ell: int
 ) -> dict[str, np.ndarray]:
-    """``SCAN_COLUMNS`` of the tables in ``parts``, unsorted, plus the
-    ``point``, ``n_index``, ``source_index`` and ``paired`` columns.
-
-    ``parts`` lists ``(point index, n index, SOURCES index, table)`` and
-    ``points`` the ``(m, p, case)`` of each point.  An absent ``m`` or ``p``
-    is NaN in a float column, which the writers write as they wrote None.
-    """
-    sectors = _sector_columns([t for *_, t in parts])
-    tab = sectors["table"]
-    point, n_idx, source = (
-        np.array([part[k] for part in parts], dtype=np.int64)[tab] for k in range(3)
-    )
+    """``SCAN_COLUMNS``, unsorted, plus ``point``, ``n_index``, ``source_index``
+    and ``paired``, of sector columns (as ``ent.charge_resolved_tables`` gives
+    them: ``window`` is the point) from ``SOURCES[source]``; ``points`` holds
+    each point's ``(m, p, case)``.  An absent ``m`` or ``p`` is NaN in a float
+    column, which the writers write as they wrote None."""
+    point, n_index = sectors["window"], sectors["n_index"]
     ms, ps, cases = zip(*points) if points else ((), (), ())
     m = np.array(ms, dtype=float if None in ms else np.int64)
-    rows = len(tab)
+    rows = point.size
+    source_index = np.full(rows, source)
     return {
         "m": m[point],
         "case": np.array(cases, dtype=object)[point],
         "p": np.array(ps, dtype=float)[point],
         "q": sectors["q"],
         "dq": sectors["q"] - ell,
-        "n": np.array(n_list, dtype=float)[n_idx],
+        "n": np.array(n_list, dtype=float)[n_index],
         "Z1_q": sectors["Z1"],
         "S_n_q": sectors["S_n"],
         "S": sectors["S"],
         "S_c": sectors["S_c"],
         "S_f": sectors["S_f"],
-        "source": np.array(SOURCES, dtype=object)[source],
+        "source": np.array(SOURCES, dtype=object)[source_index],
         "dev": np.full(rows, np.nan),
         "point": point,
-        "n_index": n_idx,
-        "source_index": source,
+        "n_index": n_index,
+        "source_index": source_index,
         "paired": np.zeros(rows, dtype=bool),
     }
+
+
+def _table_rows(
+    parts: list, source: int, points: list, n_list: list[float], ell: int
+) -> dict[str, np.ndarray]:
+    """``_sector_rows`` of table objects: ``parts`` lists
+    ``(point index, n index, table)``."""
+    sectors = ent.table_columns([t for *_, t in parts])
+    keys = np.array([part[:2] for part in parts], dtype=np.int64).reshape(-1, 2)[sectors["table"]]
+    sectors["window"], sectors["n_index"] = keys[:, 0], keys[:, 1]
+    return _sector_rows(sectors, source, points, n_list, ell)
 
 
 def _fill_deviations(data: dict[str, np.ndarray]) -> None:
@@ -251,20 +238,23 @@ def _scan(points, n_list: list[float], ell: int, lattice, closed_form) -> dict[s
 
     ``lattice(points)`` gives the stacked correlation eigenvalues of the
     points' windows and ``closed_form(case, p, n)`` a closed-form table;
-    either may be None.  The lattice tables of all points come from one
-    batched call.
+    either may be None.  The lattice rows of all points come from one
+    batched ``charge_resolved_tables`` call.
     """
     points = list(points)
-    if lattice:
-        tables = ent.charge_resolved_tables(lattice(points), n_list)
     parts = []
-    for i, (m, p, case) in enumerate(points):
-        for j, n in enumerate(n_list):
-            if lattice:
-                parts.append((i, j, LATTICE, tables[i][j]))
-            if closed_form:
-                parts.append((i, j, ASYMPTOTIC, closed_form(case, p, n)))
-    data = _table_columns(parts, points, n_list, ell)
+    if lattice:
+        sectors = ent.charge_resolved_tables(lattice(points), n_list)
+        parts.append(_sector_rows(sectors, LATTICE, points, n_list, ell))
+    if closed_form:
+        tables = [
+            (i, j, closed_form(case, p, n))
+            for i, (m, p, case) in enumerate(points)
+            for j, n in enumerate(n_list)
+        ]
+        parts.append(_table_rows(tables, ASYMPTOTIC, points, n_list, ell))
+    # popped column by column, so the halves are freed as the rows are joined
+    data = {name: np.concatenate([part.pop(name) for part in parts]) for name in list(parts[0])}
     _fill_deviations(data)
     return _sort_rows(data)
 
@@ -316,14 +306,14 @@ def run_scan_interval(args: argparse.Namespace) -> int:
         },
     )
     spec = _chain_from_config(config)
-    ell = int(config["window_length"])
+    ell = model.integer(config["window_length"], "window_length")
     params = _scan_params(config, spec, "scan-interval")
     n_list = _distinct([float(n) for n in config["n_list"]], "n_list")
     if "m_list" in config:
-        m_values = _distinct([int(m) for m in config["m_list"]], "m_list")
+        m_values = _distinct([model.integer(m, "m_list") for m in config["m_list"]], "m_list")
     else:
-        lo, hi = config.get("m_range", [1, spec.n_cells])
-        m_values = list(range(int(lo), int(hi) + 1))
+        lo, hi = (model.integer(m, "m_range") for m in config.get("m_range", [1, spec.n_cells]))
+        m_values = list(range(lo, hi + 1))
     if spec.boundary == model.OPEN:
         # keep both interval boundaries in the interior so case labels exist
         m_values = [m for m in m_values if 2 <= m and m + ell - 1 <= spec.n_cells - 1]
@@ -345,11 +335,10 @@ def run_scan_interval(args: argparse.Namespace) -> int:
 
     lattice = closed_form = None
     if config["mode"] != "asymptotic":
-        chiral = chiral_svd(model.hopping_block(spec))
+        chiral = chiral_svd(model.hopping_bands(spec))
 
         def lattice(points: list) -> np.ndarray:
-            mats = (gs.correlation_matrix(chiral, spec, policy, (m, ell)) for m, _, _ in points)
-            return gs.correlation_spectra(mats, len(points), ell)
+            return gs.correlation_spectra(chiral, spec, policy, [m for m, _, _ in points], ell)
 
     if params is not None:
         # one table per (case, n): it does not depend on the window position
@@ -364,7 +353,7 @@ def run_scan_interval(args: argparse.Namespace) -> int:
     data = _scan(points, n_list, ell, lattice, closed_form)
     status = EXIT_OK
     if config["mode"] == "both":
-        margin = int(config["bulk_margin"])
+        margin = model.integer(config["bulk_margin"], "bulk_margin")
         bulk = np.array([model.edge_distance(spec, m, ell) >= margin for m in m_values])
         in_bulk = bulk[data["point"]]
         status = _gate(
@@ -390,11 +379,12 @@ def run_zero_mode_scan(args: argparse.Namespace) -> int:
     spec = _chain_from_config(config)
     if len(spec.defects) != 2:
         raise ConfigError("zero-mode-scan needs a chain with exactly two defects")
-    ell = int(config["window_length"])
+    ell = model.integer(config["window_length"], "window_length")
     n_list = _distinct([float(n) for n in config["n_list"]], "n_list")
     p_list = _distinct([float(p) for p in config["p_list"]], "p_list")
     params = _scan_params(config, spec, "zero-mode-scan")
-    m = int(config.get("window_start", spec.defects[0].cell - ell // 2 + 1))
+    default_start = spec.defects[0].cell - ell // 2 + 1
+    m = model.integer(config.get("window_start", default_start), "window_start")
     inside = model.defects_in_window(spec, m, ell)
     if len(inside) != 1:
         raise ConfigError(
@@ -403,13 +393,12 @@ def run_zero_mode_scan(args: argparse.Namespace) -> int:
 
     lattice = closed_form = None
     if config["mode"] != "asymptotic":
-        chiral = chiral_svd(model.hopping_block(spec))
-        pair = gs.localized_zero_modes(chiral, spec)
+        chiral = chiral_svd(model.hopping_bands(spec))
+        policy = gs.OccupationPolicy.half(gs.localized_zero_modes(chiral, spec))
 
         def lattice(points: list) -> np.ndarray:
             weights = [p for _, p, _ in points]
-            mats = gs.zero_mode_correlations(chiral, spec, pair, (m, ell), weights)
-            return gs.correlation_spectra(mats, len(mats), ell)
+            return gs.correlation_spectra(chiral, spec, policy, [m] * len(points), ell, weights)
 
     if params is not None:
         # p is the weight on the *second* defect; if the window holds the
@@ -430,17 +419,17 @@ def run_zero_mode_scan(args: argparse.Namespace) -> int:
 
 def run_dimerized(args: argparse.Namespace) -> int:
     config = _load_config(args, defaults={"window_length": 20, "n_list": [1.0, 2.0]})
-    ell = int(config["window_length"])
+    ell = model.integer(config["window_length"], "window_length")
     n_list = [float(n) for n in config["n_list"]]
     p_list = [float(p) for p in config.get("p_list", [])]
     points = [(None, None, case) for case in (model.TOPOLOGICAL, model.TRIVIAL, model.DEFECT)]
     points += [(None, p, model.DEFECT) for p in p_list]
     parts = [
-        (i, j, DIMERIZED, asym.dimerized_table(case, ell, n, zero_mode_p=p))
+        (i, j, asym.dimerized_table(case, ell, n, zero_mode_p=p))
         for i, (_, p, case) in enumerate(points)
         for j, n in enumerate(n_list)
     ]
-    data = _sort_rows(_table_columns(parts, points, n_list, ell))
+    data = _sort_rows(_table_rows(parts, DIMERIZED, points, n_list, ell))
     _emit(config, data, SCAN_COLUMNS, SCAN_SCHEMA)
     return EXIT_OK
 
@@ -514,7 +503,7 @@ def run_aklt(args: argparse.Namespace) -> int:
     for case, state, n, p in specs:
         tables.append(aklt_mod.aklt_entropies(case, state, n, p))
         etas.append(aklt_mod.eta_from_weight(p) if p is not None else None)
-    sectors = _sector_columns(tables)
+    sectors = ent.table_columns(tables)
     cases, states, ns, ps = zip(*specs) if specs else ((), (), (), ())
     tab = sectors["table"]
     data = {
@@ -546,7 +535,7 @@ def run_selftest(args: argparse.Namespace) -> int:
         n_sites=200, dimerization=1.0,
         defects=(model.DefectSpec(25), model.DefectSpec(75)),
     )
-    chiral = chiral_svd(model.hopping_block(spec))
+    chiral = chiral_svd(model.hopping_bands(spec))
     policy = gs.OccupationPolicy.below_half()
     targets = {"trivial": (45, 0.0), "topological": (5, 2 * math.log(2)),
                "defect": (21, math.log(2))}
@@ -572,7 +561,7 @@ def run_selftest(args: argparse.Namespace) -> int:
         n_sites=400, dimerization=0.3,
         defects=(model.DefectSpec(50), model.DefectSpec(150)),
     )
-    chiral = chiral_svd(model.hopping_block(spec))
+    chiral = chiral_svd(model.hopping_bands(spec))
     dev = 0.0
     for case, m in (("topological", 175), ("trivial", 90), ("defect", 141)):
         lam = gs.correlation_matrix(chiral, spec, policy, (m, 20)).eigenvalues()
@@ -608,7 +597,7 @@ def run_selftest(args: argparse.Namespace) -> int:
 
     # determinism of rendered output
     table = asym.dimerized_table("topological", 10, 2.0)
-    data = _table_columns([(0, 0, DIMERIZED, table)], [(None, None, "topological")], [2.0], 10)
+    data = _table_rows([(0, 0, table)], DIMERIZED, [(None, None, "topological")], [2.0], 10)
     texts = []
     for _ in range(2):
         buf = io.StringIO()

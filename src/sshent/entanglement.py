@@ -37,25 +37,6 @@ def clamp_lambdas(lambdas: np.ndarray) -> np.ndarray:
     return np.clip(lam, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class EntanglementSpectrum:
-    """Correlation eigenvalues and the matching single-particle pseudo-energies.
-
-    ``epsilons[i] = log((1 - lambda_i) / lambda_i)``, with ``+-inf`` sentinels
-    at ``lambda in {0, 1}``.
-    """
-
-    lambdas: np.ndarray
-    epsilons: np.ndarray
-
-    @classmethod
-    def from_lambdas(cls, lambdas: np.ndarray) -> "EntanglementSpectrum":
-        lam = clamp_lambdas(lambdas)
-        with np.errstate(divide="ignore"):
-            eps = np.log(1.0 - lam) - np.log(lam)
-        return cls(lambdas=lam, epsilons=eps)
-
-
 def occupations_from_levels(epsilons: np.ndarray, mu: float = 0.0) -> np.ndarray:
     """Fermi factors ``1 / (exp(eps - mu) + 1)``; inverse of the spectrum map."""
     eps = np.asarray(epsilons, dtype=float)
@@ -63,10 +44,8 @@ def occupations_from_levels(epsilons: np.ndarray, mu: float = 0.0) -> np.ndarray
 
 
 def _xlogx(x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
-    pos = x > 0.0
-    out[pos] = x[pos] * np.log(x[pos])
-    return out
+    """``x log x``, and 0 at ``x = 0``."""
+    return x * np.log(np.where(x > 0.0, x, 1.0))
 
 
 def _rows(lam: np.ndarray) -> np.ndarray:
@@ -115,27 +94,6 @@ def charged_moment(lambdas: np.ndarray, n: float, alpha: float) -> complex:
     return cmath.exp(log_sum)
 
 
-# The sector kernels below run on a (W, M) stack of spectra and must give,
-# row by row, the same bits as one np.convolve per mode.  The mode factors
-# therefore use the scalar ``**`` and ``math.log`` element by element (array
-# ``**`` takes square/SIMD fast paths and ``np.log`` differs from ``math.log``
-# in the last ulp); elementwise ``*``, ``+``, ``/`` and ``max`` are exact
-# matches of their scalar forms.
-
-
-def _scalar_pow(x: np.ndarray, n: float) -> np.ndarray:
-    return np.array([v**n for v in x.ravel().tolist()]).reshape(x.shape)
-
-
-def _scalar_log(x: np.ndarray) -> np.ndarray:
-    return np.array([math.log(v) for v in x.ravel().tolist()]).reshape(x.shape)
-
-
-def _scalar_xlogx(x: np.ndarray) -> np.ndarray:
-    """``x * math.log(x)``, and 0 at ``x = 0``."""
-    return x * _scalar_log(np.where(x > 0.0, x, 1.0))
-
-
 def _padded(w: int, m: int, constant: float) -> np.ndarray:
     """Coefficient rows with a zero column either side of room for ``m + 1``
     coefficients; the running polynomial starts as ``constant``."""
@@ -147,7 +105,7 @@ def _padded(w: int, m: int, constant: float) -> np.ndarray:
 def _srpf_rows(lam: np.ndarray, n: float) -> np.ndarray:
     """``srpf`` of every row of a clamped ``(W, M)`` stack."""
     w, m = lam.shape
-    f0, f1 = _scalar_pow(1.0 - lam, n), _scalar_pow(lam, n)
+    f0, f1 = (1.0 - lam) ** n, lam**n
     coeffs = _padded(w, m, 1.0)
     peaks = np.empty((w, m))
     for j in range(m):
@@ -159,19 +117,15 @@ def _srpf_rows(lam: np.ndarray, n: float) -> np.ndarray:
         peak = cur.max(axis=1, keepdims=True)
         np.divide(cur, peak, out=cur, where=peak > 0.0)
         peaks[:, j] = peak[:, 0]
-    logs = _scalar_log(np.where(peaks > 0.0, peaks, 1.0))
-    log_scale = np.zeros(w)
-    for j in range(m):
-        log_scale += logs[:, j]
-    scale = np.array([math.exp(v) for v in log_scale.tolist()])
-    return coeffs[:, 1:] * scale[:, None]
+    log_scale = np.sum(np.log(np.where(peaks > 0.0, peaks, 1.0)), axis=1)
+    return coeffs[:, 1:] * np.exp(log_scale)[:, None]
 
 
 def _srpf_vn_rows(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``srpf_with_vn_derivative`` of every row of a clamped ``(W, M)`` stack."""
     w, m = lam.shape
     f0, f1 = 1.0 - lam, lam
-    fp0, fp1 = _scalar_xlogx(f0), _scalar_xlogx(f1)
+    fp0, fp1 = _xlogx(f0), _xlogx(f1)
     p = _padded(w, m, 1.0)
     d = _padded(w, m, 0.0)
     for j in range(m):
@@ -219,15 +173,6 @@ def srpf_with_vn_derivative(lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return z1.reshape(shape), g.reshape(shape)
 
 
-def config_fluct_split(probabilities: np.ndarray, sector_vn: np.ndarray) -> tuple[float, float]:
-    """Configuration and fluctuation parts: ``S_c = sum p S(q)``, ``S_f = -sum p log p``."""
-    p = np.asarray(probabilities, dtype=float)
-    s = np.asarray(sector_vn, dtype=float)
-    s_c = float(np.sum(p * s))
-    s_f = float(-np.sum(_xlogx(p)))
-    return s_c, s_f
-
-
 @dataclass(frozen=True)
 class ChargeResolvedTable:
     """Per-charge-sector partition functions, probabilities, and entropies.
@@ -265,7 +210,7 @@ class ChargeResolvedTable:
         zn = np.asarray(partition, dtype=float)[keep]
         probs = probs[keep]
         vn = np.asarray(sre_vn, dtype=float)[keep]
-        s_c, s_f = config_fluct_split(probs, vn)
+        s_c, s_f = float(np.sum(probs * vn)), float(-np.sum(_xlogx(probs)))
         if n == 1.0:
             tot_renyi = s_c + s_f
         else:
@@ -300,57 +245,101 @@ class ChargeResolvedTable:
         return float(self.sre_vn[self.sector(q)])
 
 
-def charge_resolved_tables(lambdas: np.ndarray, n_list) -> list[list[ChargeResolvedTable]]:
-    """Charge-resolved tables of a ``(W, M)`` stack of interval spectra.
-
-    ``tables[w][i]`` belongs to row ``w`` at Renyi index ``n_list[i]``.
-    Sectors are filtered as in ``ChargeResolvedTable.from_sectors``, but the
-    totals and the mean charge come exactly from the spectrum itself.
-    ``Z_1``, ``G``, the von Neumann columns and totals are computed once per
-    row and shared by every index.
-    """
+def _tabulate(lambdas: np.ndarray, n_list) -> dict[str, np.ndarray]:
+    """Per-sector ``(W, [len(n_list),] M + 1)`` and per-row arrays of a
+    ``(W, M)`` stack of spectra.  ``Z_1``, ``G`` and the von Neumann columns
+    are shared by every index; ``S_c`` and ``S_f`` are masked row sums."""
     for n in n_list:
         if not n > 0:
             raise ValueError("Renyi index must be positive")
     lam = _rows(clamp_lambdas(lambdas))
     z1, g = _srpf_vn_rows(lam)
     occupied = z1 > EMPTY_SECTOR_THRESHOLD
-    log_z1 = _scalar_log(np.where(occupied, z1, 1.0))
+    log_z1 = np.log(np.where(occupied, z1, 1.0))
     vn = np.divide(g, z1, out=np.zeros_like(g), where=occupied) + log_z1
-    tot_vn = _total_vn_rows(lam)
-    mean = np.sum(lam, axis=-1)
-    per_n = []
-    for n in n_list:
+    total_vn = _total_vn_rows(lam)
+    shape = (lam.shape[0], len(n_list), lam.shape[1] + 1)
+    zn, renyi = np.empty(shape), np.empty(shape)
+    total_renyi = np.empty(shape[:2])
+    for j, n in enumerate(n_list):
         if n == 1.0:
-            per_n.append((n, z1, vn, tot_vn))
+            zn[:, j], renyi[:, j], total_renyi[:, j] = z1, vn, total_vn
             continue
-        zn = _srpf_rows(lam, n)
-        log_zn = _scalar_log(np.where(occupied, zn, 1.0))
-        renyi = (log_zn - n * log_z1) / (1.0 - n)
-        per_n.append((n, zn, renyi, _total_renyi_rows(lam, n)))
-    tables = []
-    for w in range(lam.shape[0]):
-        charges = np.flatnonzero(occupied[w])
-        s_c, s_f = config_fluct_split(z1[w, charges], vn[w, charges])
-        tables.append([
-            ChargeResolvedTable(
-                renyi_index=n,
-                charges=charges,
-                partition=zn[w, charges],
-                probabilities=z1[w, charges],
-                sre_renyi=renyi[w, charges],
-                sre_vn=vn[w, charges],
-                total_renyi=float(tot_renyi[w]),
-                total_vn=float(tot_vn[w]),
-                config_entropy=s_c,
-                fluct_entropy=s_f,
-                mean_charge=float(mean[w]),
-            )
-            for n, zn, renyi, tot_renyi in per_n
-        ])
-    return tables
+        zn[:, j] = _srpf_rows(lam, n)
+        renyi[:, j] = (np.log(np.where(occupied, zn[:, j], 1.0)) - n * log_z1) / (1.0 - n)
+        total_renyi[:, j] = _total_renyi_rows(lam, n)
+    return {
+        "occupied": occupied, "z1": z1, "vn": vn, "zn": zn, "renyi": renyi,
+        "total_renyi": total_renyi, "total_vn": total_vn,
+        # the occupied sectors of a row are contiguous (Z_1 is log-concave in
+        # q), and a masked sum over one run adds exactly as over the run alone
+        "s_c": np.sum(z1 * vn, axis=1, where=occupied),
+        "s_f": -np.sum(_xlogx(z1), axis=1, where=occupied),
+        "mean": np.sum(lam, axis=1),
+    }
+
+
+def charge_resolved_tables(lambdas: np.ndarray, n_list) -> dict[str, np.ndarray]:
+    """Charge-resolved tables of a ``(W, M)`` stack of interval spectra, as
+    columns with one entry per occupied sector of every row and index, in
+    ``(window, n_index, q)`` order: ``window`` is the row of ``lambdas``,
+    ``n_index`` the position in ``n_list``.  ``Z1``, ``S_n`` (von Neumann at
+    ``n = 1``), ``S``, ``S_c`` and ``S_f`` are those of ``charge_resolved_table``.
+    """
+    t = _tabulate(lambdas, n_list)
+    occupied = np.broadcast_to(t["occupied"][:, None, :], t["renyi"].shape)
+    window, n_index, q = np.nonzero(occupied)
+    return {
+        "window": window,
+        "n_index": n_index,
+        "q": q,
+        "Z1": t["z1"][window, q],
+        "S_n": t["renyi"][window, n_index, q],
+        "S": t["total_vn"][window],
+        "S_c": t["s_c"][window],
+        "S_f": t["s_f"][window],
+    }
 
 
 def charge_resolved_table(lambdas: np.ndarray, n: float) -> ChargeResolvedTable:
-    """The charge-resolved table of one interval spectrum (see ``charge_resolved_tables``)."""
-    return charge_resolved_tables(lambdas, [n])[0][0]
+    """The charge-resolved table of one interval spectrum: the one-row case
+    of ``charge_resolved_tables``, equal to its row bit for bit."""
+    t = _tabulate(lambdas, [n])
+    charges = np.flatnonzero(t["occupied"][0])
+    return ChargeResolvedTable(
+        renyi_index=n,
+        charges=charges,
+        partition=t["zn"][0, 0, charges],
+        probabilities=t["z1"][0, charges],
+        sre_renyi=t["renyi"][0, 0, charges],
+        sre_vn=t["vn"][0, charges],
+        total_renyi=float(t["total_renyi"][0, 0]),
+        total_vn=float(t["total_vn"][0]),
+        config_entropy=float(t["s_c"][0]),
+        fluct_entropy=float(t["s_f"][0]),
+        mean_charge=float(t["mean"][0]),
+    )
+
+
+def table_columns(tables: list[ChargeResolvedTable]) -> dict[str, np.ndarray]:
+    """The columns of ``charge_resolved_tables`` for table objects (closed
+    forms): each table's sectors in turn, ``table`` its position in
+    ``tables``, and its totals repeated over its sectors."""
+    sizes = [t.charges.size for t in tables]
+
+    def cat(field: str, dtype=float) -> np.ndarray:
+        arrays = [getattr(t, field).astype(dtype) for t in tables]
+        return np.concatenate(arrays or [np.empty(0, dtype)])
+
+    def each(field: str) -> np.ndarray:
+        return np.repeat(np.array([getattr(t, field) for t in tables], dtype=float), sizes)
+
+    return {
+        "table": np.repeat(np.arange(len(tables)), sizes),
+        "q": cat("charges", np.int64),
+        "Z1": cat("probabilities"),
+        "S_n": cat("sre_renyi"),
+        "S": each("total_vn"),
+        "S_c": each("config_entropy"),
+        "S_f": each("fluct_entropy"),
+    }

@@ -19,14 +19,14 @@ chosen superposition of the two localized modes.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .entanglement import clamp_lambdas
 from .linalg import ChiralSystem
-from .model import ChainSpec, defect_sites, defects_in_window, window_sites
+from .model import ChainSpec, defect_sites, window_defect_counts
 
 BELOW_HALF = "below_half"
 HALF = "half"
@@ -99,31 +99,7 @@ class CorrelationMatrix:
     matrix: np.ndarray
 
     def eigenvalues(self) -> np.ndarray:
-        lam = np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.T))
-        return clamp_lambdas(lam)
-
-    def trace(self) -> float:
-        return float(np.trace(self.matrix))
-
-
-def correlation_spectra(mats: Iterable[CorrelationMatrix], count: int, n_cells: int) -> np.ndarray:
-    """``CorrelationMatrix.eigenvalues`` of each of ``count`` windows of
-    ``n_cells`` cells, bit for bit, as a ``(count, 2 * n_cells)`` stack.
-
-    The symmetric parts are written into a preallocated stack of
-    ``SPECTRA_CHUNK`` windows, which takes one ``eigvalsh`` call, and the
-    whole result one ``clamp_lambdas`` call.
-    """
-    size = 2 * n_cells
-    lam = np.empty((count, size))
-    stack = np.empty((min(count, SPECTRA_CHUNK), size, size))
-    for i, cm in zip(range(count), mats, strict=True):
-        j = i % SPECTRA_CHUNK
-        np.add(cm.matrix, cm.matrix.T, out=stack[j])
-        stack[j] *= 0.5
-        if j == SPECTRA_CHUNK - 1 or i == count - 1:
-            lam[i - j : i + 1] = np.linalg.eigvalsh(stack[: j + 1])
-    return clamp_lambdas(lam)
+        return clamp_lambdas(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.T)))
 
 
 def localized_zero_modes(chiral: ChiralSystem, spec: ChainSpec) -> ZeroModePair:
@@ -209,100 +185,121 @@ def filled_triples(chiral: ChiralSystem, spec: ChainSpec, policy: OccupationPoli
     return filled
 
 
+def correlation_stacks(
+    chiral: ChiralSystem,
+    spec: ChainSpec,
+    policy: OccupationPolicy,
+    starts: Sequence[int],
+    n_cells: int,
+    weights: Sequence[float] | None = None,
+) -> Iterator[np.ndarray]:
+    """Correlation matrices of the intervals ``[m, m + n_cells - 1]`` (cells),
+    ``m`` in ``starts``, in stacks of up to ``SPECTRA_CHUNK`` windows (views of
+    one buffer, each overwritten by the next).
+
+    With ``Z`` the zero columns, ``C_AA = (I - Z_A Z_A^T) / 2`` on the odd
+    sites, ``C_BB`` likewise on the even ones, and ``C_AB`` is gathered from
+    ``_band``.  Cells are taken modulo ``L``: windows across the cell-1 seam
+    and the full ring (a purity diagnostic, which may hold two defects) take
+    the same path.  An occupied zero mode adds its projector, at weight
+    ``weights[i]`` in window ``i`` if given; its phase enters only through the
+    real interference term, the imaginary part being antisymmetric and as small.
+    """
+    starts = np.asarray(starts, dtype=int)
+    counts = window_defect_counts(spec, starts, n_cells)
+    if n_cells < spec.n_cells and np.any(counts > 1):
+        raise ValueError(
+            f"window contains {counts[counts > 1][0]} defects; at most one is supported"
+        )
+    filled = filled_triples(chiral, spec, policy)
+    zm = policy.zero_mode
+    if zm is not None:
+        p = np.full(starts.size, zm.p) if weights is None else np.asarray(weights, dtype=float)
+        if not np.all((p >= 0.0) & (p <= 1.0)):
+            raise ValueError("hybridization weight must lie in [0, 1]")
+    offsets = np.arange(n_cells)
+    cells = (starts[:, None] - 1 + offsets) % spec.n_cells
+    band = _band(chiral, filled, n_cells, cells).ravel()
+    shift = offsets - offsets[:, None] + n_cells  # band column of Q[r, r + j - i], less r % ell
+    zeros = chiral.u[:, filled:], chiral.v[:, filled:]
+    eye = np.eye(n_cells)
+    buf = np.empty((min(starts.size, SPECTRA_CHUNK), 2 * n_cells, 2 * n_cells))
+    for lo in range(0, starts.size, SPECTRA_CHUNK):
+        rows = cells[lo : lo + SPECTRA_CHUNK]
+        out = buf[: len(rows)]
+        cab = band[(rows * (3 * n_cells) + rows % n_cells)[:, :, None] + shift]
+        out[:, 0::2, 1::2] = cab
+        out[:, 1::2, 0::2] = cab.transpose(0, 2, 1)
+        for z, block in zip(zeros, (out[:, 0::2, 0::2], out[:, 1::2, 1::2])):
+            zr = z[rows]
+            np.subtract(eye, zr @ zr.transpose(0, 2, 1), out=block)
+            block *= 0.5
+        if zm is not None:
+            sites = (2 * rows[:, :, None] + np.arange(2)).reshape(len(rows), -1)
+            _add_zero_mode(out, _zero_mode_outer(zm, sites), p[lo : lo + SPECTRA_CHUNK], zm.phi)
+        yield out
+
+
+def _band(chiral: ChiralSystem, filled: int, ell: int, cells: np.ndarray) -> np.ndarray:
+    """The rows that ``cells`` touch of the band ``|i - j| < ell`` of ``-Q / 2``,
+    ``Q = U_f V_f^T``: row ``r`` holds the ``3 ell`` cells from
+    ``(r // ell - 1) * ell`` on, modulo ``L``.  Each block row of ``ell``
+    cells, anchored at cell 1, is one GEMM of its rows of ``u`` against
+    those rows of ``v``."""
+    n = chiral.u.shape[0]
+    u, v = chiral.u[:, :filled], chiral.v[:, :filled]
+    band = np.empty((-(-n // ell) * ell, 3 * ell))
+    for i0 in np.flatnonzero(np.bincount(cells.ravel() // ell)) * ell:
+        block = band[i0 : min(i0 + ell, n)]
+        np.matmul(u[i0 : i0 + ell], v[np.arange(i0 - ell, i0 + 2 * ell) % n].T, out=block)
+        block *= -0.5
+    return band
+
+
 def correlation_matrix(
     chiral: ChiralSystem,
     spec: ChainSpec,
     policy: OccupationPolicy,
     window: tuple[int, int],
 ) -> CorrelationMatrix:
-    """Correlation matrix of the interval ``[m, m + ell - 1]`` (cells).
-
-    The window may contain at most one defect.  When the policy occupies a
-    hybridized zero mode, its projector is added with the phase entering only
-    through the real interference term; the imaginary part is antisymmetric
-    and of the same exponentially small order as the interference itself.
-    """
+    """Correlation matrix of the interval ``[m, m + ell - 1]`` (cells): the
+    one-window case of ``correlation_stacks``."""
     start_cell, n_cells = window
-    inside = defects_in_window(spec, start_cell, n_cells)
-    if len(inside) > 1 and n_cells < spec.n_cells:
-        # the full ring is allowed as a purity diagnostic
-        raise ValueError(
-            f"window contains {len(inside)} defects; at most one is supported"
-        )
-    filled = filled_triples(chiral, spec, policy)
-    c = _sea_correlations(chiral, filled, _window_rows(spec, start_cell, n_cells))
-    if policy.filling == HALF and policy.zero_mode is not None:
-        sites = window_sites(spec, start_cell, n_cells)
-        c = _add_zero_mode(c, policy.zero_mode, _zero_mode_outer(policy.zero_mode, sites))
-    return CorrelationMatrix(start_cell=start_cell, n_cells=n_cells, matrix=c)
+    (stack,) = correlation_stacks(chiral, spec, policy, [start_cell], n_cells)
+    return CorrelationMatrix(start_cell=start_cell, n_cells=n_cells, matrix=stack[0])
 
 
-def zero_mode_correlations(
+def correlation_spectra(
     chiral: ChiralSystem,
     spec: ChainSpec,
-    pair: ZeroModePair,
-    window: tuple[int, int],
-    weights: list[float],
-) -> list[CorrelationMatrix]:
-    """``correlation_matrix`` at half filling for each zero-mode weight ``p``
-    in ``weights``, equal to it bit for bit.
-
-    The filled sea and the zero modes' outer products do not depend on the
-    weight, so they are computed once and only their weighted sum per weight.
-    """
-    sea = correlation_matrix(chiral, spec, OccupationPolicy.below_half(), window)
-    outer = _zero_mode_outer(pair, window_sites(spec, *window))
-    return [
-        replace(sea, matrix=_add_zero_mode(sea.matrix, pair.with_weight(p), outer))
-        for p in weights
-    ]
-
-
-def _window_rows(spec: ChainSpec, start_cell: int, n_cells: int) -> slice | np.ndarray:
-    """Rows of ``u`` and ``v`` (0-based cells) of a validated window: a slice,
-    or the wrapped cells' indices for a window across the cell-1 seam."""
-    first = start_cell - 1
-    if first + n_cells <= spec.n_cells:
-        return slice(first, first + n_cells)
-    return np.arange(first, first + n_cells) % spec.n_cells
-
-
-def _sea_correlations(chiral: ChiralSystem, filled: int, rows: slice | np.ndarray) -> np.ndarray:
-    """Filled-sea correlations of the window cells ``rows``, in site order.
-
-    With ``A``/``B`` the window's odd/even sites and ``Z`` the zero columns,
-    ``C_AA = (I - Z_A Z_A^T) / 2``, ``C_BB = (I - Z_B Z_B^T) / 2`` and
-    ``C_AB = -U_A V_B^T / 2`` over the filled columns.
-    """
-    u, v = chiral.u[rows], chiral.v[rows]
-    ell = u.shape[0]
-    eye = np.eye(ell)
-    zu, zv = u[:, filled:], v[:, filled:]
-    cab = -0.5 * (u[:, :filled] @ v[:, :filled].T)
-    c = np.empty((2 * ell, 2 * ell))
-    c[0::2, 0::2] = 0.5 * (eye - zu @ zu.T)
-    c[1::2, 1::2] = 0.5 * (eye - zv @ zv.T)
-    c[0::2, 1::2] = cab
-    c[1::2, 0::2] = cab.T
-    return c
+    policy: OccupationPolicy,
+    starts: Sequence[int],
+    n_cells: int,
+    weights: Sequence[float] | None = None,
+) -> np.ndarray:
+    """Eigenvalues of the windows of ``correlation_stacks``, one row each:
+    one ``eigvalsh`` per stack and one ``clamp_lambdas`` per scan."""
+    stacks = correlation_stacks(chiral, spec, policy, starts, n_cells, weights)
+    return clamp_lambdas(np.concatenate([np.linalg.eigvalsh(stack) for stack in stacks]))
 
 
 def _zero_mode_outer(
     zm: ZeroModePair, sites: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Window outer products of the two zero modes: 11, 22 and 12 + 21."""
-    w1 = zm.psi1[sites]
-    w2 = zm.psi2[sites]
-    return np.outer(w1, w1), np.outer(w2, w2), np.outer(w1, w2) + np.outer(w2, w1)
+    """Outer products of the two zero modes on each row of window sites
+    ``sites``: 11, 22 and 12 + 21."""
+    w1, w2 = zm.psi1[sites][:, :, None], zm.psi2[sites][:, :, None]
+    t1, t2 = w1.transpose(0, 2, 1), w2.transpose(0, 2, 1)
+    return w1 * t1, w2 * t2, w1 * t2 + w2 * t1
 
 
 def _add_zero_mode(
-    c: np.ndarray, zm: ZeroModePair, outer: tuple[np.ndarray, np.ndarray, np.ndarray]
-) -> np.ndarray:
-    """``c`` plus the projector on the occupied zero-mode superposition, from
-    the window's ``_zero_mode_outer``."""
+    c: np.ndarray, outer: tuple[np.ndarray, np.ndarray, np.ndarray], p: np.ndarray, phi: float
+) -> None:
+    """Add to each ``c[i]`` the projector on the zero-mode superposition at
+    weight ``p[i]`` and phase ``phi``, from the windows' ``_zero_mode_outer``."""
     o11, o22, o12 = outer
-    p, phi = zm.p, zm.phi
-    c = c + (1.0 - p) * o11 + p * o22
-    cross = math.sqrt(p * (1.0 - p)) * math.cos(phi)
-    return c + cross * o12
+    p = p[:, None, None]
+    c += (1.0 - p) * o11
+    c += p * o22
+    c += np.sqrt(p * (1.0 - p)) * math.cos(phi) * o12

@@ -36,8 +36,36 @@ class ChiralSystem:
     v: np.ndarray
 
 
-def chiral_svd(block: np.ndarray) -> ChiralSystem:
-    """Singular triples of a square hopping block.
+@dataclass(frozen=True)
+class BandedBlock:
+    """An L x L hopping block as its two bands: ``T[r, r] = diag[r]`` plus
+    ``T[r, r - 1 mod L] = sub[r]``, with a ring's wrap bond at ``sub[0]``.
+    ``T^T T`` then costs O(L) and ``T @ V`` two scaled row shifts."""
+
+    diag: np.ndarray
+    sub: np.ndarray
+
+    def gram(self) -> np.ndarray:
+        """``T^T T``: column ``i`` of ``T`` holds ``diag[i]`` and ``sub[i + 1]``."""
+        n = self.diag.size
+        r, up = np.arange(n), np.roll(self.sub, -1)
+        g = np.zeros((n, n))
+        g[r, r] = self.diag**2 + up**2
+        off = up * np.roll(self.diag, -1)
+        # np.add.at: on rings of one or two cells the terms share entries
+        np.add.at(g, (r, (r + 1) % n), off)
+        np.add.at(g, ((r + 1) % n, r), off)
+        return g
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        u = self.diag[:, None] * v
+        u[1:] += self.sub[1:, None] * v[:-1]
+        u[0] += self.sub[0] * v[-1]
+        return u
+
+
+def chiral_svd(block: np.ndarray | BandedBlock) -> ChiralSystem:
+    """Singular triples of a square hopping block, dense or banded.
 
     One ``eigh`` of the Gram block ``T^T T`` gives ``v`` and, for the
     triples above ``ZERO_SPLIT * s_max``, ``s = sqrt(w)`` and
@@ -47,21 +75,25 @@ def chiral_svd(block: np.ndarray) -> ChiralSystem:
     so a window's rows are contiguous.  Non-convergence of the eigensolver
     is re-raised as ``NumericalError`` with the block scale attached.
     """
-    t = np.asarray(block, dtype=float)
-    if t.ndim != 2 or t.shape[0] != t.shape[1]:
-        raise ValueError("expected a square matrix")
+    if isinstance(block, BandedBlock):
+        n, entries = block.diag.size, np.concatenate([block.diag, block.sub])
+    else:
+        block = entries = np.asarray(block, dtype=float)
+        if block.ndim != 2 or block.shape[0] != block.shape[1]:
+            raise ValueError("expected a square matrix")
+        n = block.shape[0]
     try:
-        return _triples(t)
+        return _triples(block)
     except np.linalg.LinAlgError as err:
-        scale = max(float(np.max(np.abs(t))), 1.0)
+        scale = max(float(np.max(np.abs(entries))), 1.0)
         raise NumericalError(
             f"eigensolver did not converge (eigh of the Gram block of the "
-            f"{t.shape[0]}x{t.shape[0]} hopping block, scale {scale:.3e}): {err}"
+            f"{n}x{n} hopping block, scale {scale:.3e}): {err}"
         ) from err
 
 
-def _triples(t: np.ndarray) -> ChiralSystem:
-    w, v = np.linalg.eigh(t.T @ t)
+def _triples(t: np.ndarray | BandedBlock) -> ChiralSystem:
+    w, v = np.linalg.eigh(t.gram() if isinstance(t, BandedBlock) else t.T @ t)
     s = np.sqrt(np.maximum(w[::-1], 0.0))
     v = np.ascontiguousarray(v[:, ::-1])
     u = t @ v

@@ -29,9 +29,12 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .linalg import BandedBlock
 
 ONE_SITE = "one_site"
 THREE_SITE = "three_site"
@@ -146,16 +149,26 @@ class ChainSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "ChainSpec":
         defects = tuple(
-            DefectSpec(cell=int(d["cell"]), kind=str(d.get("kind", ONE_SITE)))
+            DefectSpec(cell=integer(d["cell"], "defect cell"), kind=str(d.get("kind", ONE_SITE)))
             for d in data.get("defects", ())
         )
         return cls(
-            n_sites=int(data["n_sites"]),
+            n_sites=integer(data["n_sites"], "n_sites"),
             hopping=float(data.get("t", 1.0)),
             dimerization=float(data["delta"]),
             boundary=str(data.get("boundary", PERIODIC)),
             defects=defects,
         )
+
+
+def integer(value, key: str) -> int:
+    """``value`` as an int: an integer, or a float with an integral value such
+    as ``20.0``.  A boolean, a fractional value or anything else is a
+    ``ValueError`` that names ``key``."""
+    integral = isinstance(value, numbers.Real) and float(value).is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 def localization_length(delta: float) -> float:
@@ -209,33 +222,21 @@ def _amplitudes_at(spec: ChainSpec, bonds: np.ndarray) -> np.ndarray:
     return np.where((bonds % 2 == 1) ^ flipped, weak, strong)
 
 
-def hopping_block(spec: ChainSpec) -> np.ndarray:
-    """Sublattice block ``T`` of the hopping matrix (L x L).
+def hopping_bands(spec: ChainSpec) -> BandedBlock:
+    """Sublattice block ``T`` of the hopping matrix (L x L), as its two bands.
 
     Row ``a`` is the odd site of cell ``a + 1`` and column ``b`` the even
     site of cell ``b + 1``; every bond joins an odd and an even site, so in
     sublattice order the hopping matrix is ``[[0, T], [T^T, 0]]``.  Bond
-    ``2a + 1`` sits at ``T[a, a]`` and bond ``2b + 2`` at ``T[b + 1, b]``.
+    ``2a + 1`` sits at ``T[a, a]`` and bond ``2b + 2`` at ``T[b + 1, b]``;
+    the periodic wrap bond at ``T[0, L - 1]``.
     """
-    n_cells = spec.n_cells
     amps = bond_amplitudes(spec)
-    t = np.zeros((n_cells, n_cells))
-    a = np.arange(n_cells)
-    t[a, a] = amps[0::2]
-    t[a[1:], a[:-1]] = amps[1 : 2 * n_cells - 1 : 2]
+    sub = np.zeros(spec.n_cells)
+    sub[1:] = amps[1 : spec.n_sites - 1 : 2]
     if amps.size == spec.n_sites:
-        # periodic wrap bond; added, since on a two-site ring it joins the pair of bond 1
-        t[0, n_cells - 1] += amps[-1]
-    return t
-
-
-def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
-    """Single-particle hopping matrix of the chain (real symmetric, N x N)."""
-    t = hopping_block(spec)
-    h = np.zeros((spec.n_sites, spec.n_sites))
-    h[0::2, 1::2] = t
-    h[1::2, 0::2] = t.T
-    return h
+        sub[0] = amps[-1]
+    return BandedBlock(diag=amps[0::2], sub=sub)
 
 
 def defect_sites(spec: ChainSpec) -> list[tuple[DefectSpec, tuple[int, ...]]]:
@@ -257,20 +258,6 @@ def defect_sites(spec: ChainSpec) -> list[tuple[DefectSpec, tuple[int, ...]]]:
     return out
 
 
-def dispersion_eigenvalues(spec: ChainSpec) -> np.ndarray:
-    """Sorted exact single-particle energies of the defect-free periodic chain.
-
-    The two bands are ``+-2t sqrt(cos^2(k/2) + delta^2 sin^2(k/2))`` at
-    momenta ``k = 2 pi j / L``; the band gap at ``k = pi`` is ``4 t |delta|``.
-    """
-    if spec.defects or spec.boundary != PERIODIC:
-        raise ValueError("dispersion applies to the defect-free periodic chain")
-    t, delta = spec.hopping, spec.dimerization
-    k = 2.0 * np.pi * np.arange(spec.n_cells) / spec.n_cells
-    band = 2.0 * t * np.sqrt(np.cos(k / 2) ** 2 + delta**2 * np.sin(k / 2) ** 2)
-    return np.sort(np.concatenate([-band, band]))
-
-
 def _last_cell(spec: ChainSpec, start_cell: int, n_cells: int) -> int:
     """Last cell of the interval ``[m, m + ell - 1]``, wrapped under PBC."""
     if not 1 <= start_cell <= spec.n_cells:
@@ -288,14 +275,6 @@ def window_cells(spec: ChainSpec, start_cell: int, n_cells: int) -> list[int]:
     return [(start_cell - 1 + i) % spec.n_cells + 1 for i in range(n_cells)]
 
 
-def window_sites(spec: ChainSpec, start_cell: int, n_cells: int) -> np.ndarray:
-    """0-based site indices of an interval of whole cells, in window order."""
-    sites = []
-    for c in window_cells(spec, start_cell, n_cells):
-        sites.extend((2 * c - 2, 2 * c - 1))
-    return np.asarray(sites, dtype=int)
-
-
 def defects_in_window(spec: ChainSpec, start_cell: int, n_cells: int) -> list[DefectSpec]:
     """Defects whose footprint intersects the window (partial overlaps count)."""
     _last_cell(spec, start_cell, n_cells)
@@ -304,6 +283,18 @@ def defects_in_window(spec: ChainSpec, start_cell: int, n_cells: int) -> list[De
         for d, cs in zip(spec.defects, spec._cell_footprints())
         if any((c - start_cell) % spec.n_cells < n_cells for c in cs)
     ]
+
+
+def window_defect_counts(spec: ChainSpec, starts: np.ndarray, n_cells: int) -> np.ndarray:
+    """Number of defects in each window ``(m, n_cells)``, ``m`` in ``starts``,
+    counted as in ``defects_in_window``, after its range checks."""
+    starts = np.asarray(starts, dtype=int)
+    for m in (starts.min(), starts.max()) if starts.size else ():
+        _last_cell(spec, int(m), n_cells)
+    counts = np.zeros(starts.shape, dtype=int)
+    for cells in spec._cell_footprints():
+        counts += np.any([(c - starts) % spec.n_cells < n_cells for c in cells], axis=0)
+    return counts
 
 
 def edge_distance(spec: ChainSpec, start_cell: int, n_cells: int) -> float:

@@ -36,7 +36,7 @@ def open_chain(defects=()):
 
 def chiral_system(spec):
     """Singular triples of the chain's hopping block, as the CLI computes them."""
-    return chiral_svd(model.hopping_block(spec))
+    return chiral_svd(model.hopping_bands(spec))
 
 
 @pytest.fixture(scope="session")

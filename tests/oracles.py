@@ -146,6 +146,49 @@ def is_bulk_window_from_anchors(spec, m, ell, margin):
     return True
 
 
+def hopping_block(spec):
+    """The chain's L x L sublattice hopping block, dense, from its two bands."""
+    bands = model.hopping_bands(spec)
+    n = spec.n_cells
+    r = np.arange(n)
+    t = np.zeros((n, n))
+    t[r, r] = bands.diag
+    t[r, (r - 1) % n] += bands.sub  # added: on a two-site ring both fall on T[0, 0]
+    return t
+
+
+def window_sites(spec, start_cell, n_cells):
+    """0-based site indices of an interval of whole cells, in window order."""
+    sites = []
+    for c in model.window_cells(spec, start_cell, n_cells):
+        sites.extend((2 * c - 2, 2 * c - 1))
+    return np.asarray(sites, dtype=int)
+
+
+def build_hamiltonian(spec):
+    """Single-particle hopping matrix of the chain (real symmetric, N x N),
+    from the sublattice block."""
+    t = hopping_block(spec)
+    h = np.zeros((spec.n_sites, spec.n_sites))
+    h[0::2, 1::2] = t
+    h[1::2, 0::2] = t.T
+    return h
+
+
+def dispersion_eigenvalues(spec):
+    """Sorted exact single-particle energies of the defect-free periodic chain.
+
+    The two bands are ``+-2t sqrt(cos^2(k/2) + delta^2 sin^2(k/2))`` at
+    momenta ``k = 2 pi j / L``; the band gap at ``k = pi`` is ``4 t |delta|``.
+    """
+    if spec.defects or spec.boundary != model.PERIODIC:
+        raise ValueError("dispersion applies to the defect-free periodic chain")
+    t, delta = spec.hopping, spec.dimerization
+    k = 2.0 * np.pi * np.arange(spec.n_cells) / spec.n_cells
+    band = 2.0 * t * np.sqrt(np.cos(k / 2) ** 2 + delta**2 * np.sin(k / 2) ** 2)
+    return np.sort(np.concatenate([-band, band]))
+
+
 def hamiltonian_loop(spec):
     """Hopping matrix summed bond by bond; bond r joins sites r and r+1 (mod N)."""
     n = spec.n_sites
@@ -159,11 +202,24 @@ def hamiltonian_loop(spec):
 
 def correlation_matrix_full_block(chiral, spec, policy, window):
     """Window correlation matrix from the rows of the window's cells gathered
-    out of the full ``u`` and ``v``, with the zero-mode projector added in the
-    same order as the library."""
+    out of the full ``u`` and ``v``, with the zero-mode projector added.
+
+    With ``A``/``B`` the window's odd/even sites and ``Z`` the zero columns,
+    ``C_AA = (I - Z_A Z_A^T) / 2``, ``C_BB = (I - Z_B Z_B^T) / 2`` and
+    ``C_AB = -U_A V_B^T / 2`` over the filled columns.
+    """
     cells = np.asarray(model.window_cells(spec, *window)) - 1
-    c = gs._sea_correlations(chiral, gs.filled_triples(chiral, spec, policy), cells)
-    return _add_zero_mode_terms(c, policy, model.window_sites(spec, *window))
+    filled = gs.filled_triples(chiral, spec, policy)
+    u, v = chiral.u[cells], chiral.v[cells]
+    eye = np.eye(cells.size)
+    zu, zv = u[:, filled:], v[:, filled:]
+    cab = -0.5 * (u[:, :filled] @ v[:, :filled].T)
+    c = np.empty((2 * cells.size, 2 * cells.size))
+    c[0::2, 0::2] = 0.5 * (eye - zu @ zu.T)
+    c[1::2, 1::2] = 0.5 * (eye - zv @ zv.T)
+    c[0::2, 1::2] = cab
+    c[1::2, 0::2] = cab.T
+    return _add_zero_mode_terms(c, policy, window_sites(spec, *window))
 
 
 def _add_zero_mode_terms(c, policy, sites):
@@ -229,7 +285,7 @@ def eigh_symmetric(matrix: np.ndarray) -> EigenSystem:
 
 
 def dense_eigensystem(spec):
-    return eigh_symmetric(model.build_hamiltonian(spec))
+    return eigh_symmetric(build_hamiltonian(spec))
 
 
 def dense_occupied_orbitals(eig, spec, policy):
@@ -247,7 +303,7 @@ def dense_correlation_matrix(occupied, spec, policy, window):
     """Window correlation matrix ``v v^T`` over the rows of ``occupied``
     (``dense_occupied_orbitals`` for ``policy``), plus any occupied zero-mode
     projector."""
-    sites = model.window_sites(spec, *window)
+    sites = window_sites(spec, *window)
     v = occupied[sites]
     return _add_zero_mode_terms(v @ v.T, policy, sites)
 
@@ -280,6 +336,25 @@ def dense_localized_zero_modes(eig, spec):
     if float(np.sum(psi1[region1] ** 2)) < float(np.sum(psi2[region1] ** 2)):
         psi1, psi2 = psi2, -psi1
     return gs.ZeroModePair(psi1=gs._fix_sign(psi1), psi2=gs._fix_sign(psi2))
+
+
+@dataclass(frozen=True)
+class EntanglementSpectrum:
+    """Correlation eigenvalues and the matching single-particle pseudo-energies.
+
+    ``epsilons[i] = log((1 - lambda_i) / lambda_i)``, with ``+-inf`` sentinels
+    at ``lambda in {0, 1}``.
+    """
+
+    lambdas: np.ndarray
+    epsilons: np.ndarray
+
+    @classmethod
+    def from_lambdas(cls, lambdas):
+        lam = ent.clamp_lambdas(lambdas)
+        with np.errstate(divide="ignore"):
+            eps = np.log(1.0 - lam) - np.log(lam)
+        return cls(lambdas=lam, epsilons=eps)
 
 
 # ------------------------------------------- L x L hopping-block SVD reference
@@ -366,7 +441,7 @@ def charge_resolved_table_loop(lambdas, n):
     else:
         renyi = np.array([sre_renyi_from_partitions(zn[q], z1[q], n) for q in charges])
         total_renyi = float(np.sum(np.log(lam**n + (1.0 - lam) ** n)) / (1.0 - n))
-    s_c, s_f = ent.config_fluct_split(probs, vn)
+    s_c, s_f = float(np.sum(probs * vn)), float(-np.sum(_xlogx(probs)))
     return ent.ChargeResolvedTable(
         renyi_index=n,
         charges=charges,
@@ -438,16 +513,18 @@ def sort_rows(rows):
 
 
 def scan_rows(points, n_list, ell, lattice, closed_form):
-    """Sorted row dicts of a scan, from the same inputs as ``cli._scan``."""
+    """Sorted row dicts of a scan, from the same inputs as ``cli._scan``; the
+    lattice tables one window at a time."""
     points = list(points)
     if lattice:
-        tables = ent.charge_resolved_tables(lattice(points), n_list)
+        spectra = lattice(points)
     rows = []
     for i, (m, p, case) in enumerate(points):
         for j, n in enumerate(n_list):
             at = {"m": m, "case": case, "n": n, "ell": ell, "p": p}
             if lattice:
-                rows.extend(table_rows(tables[i][j], source="lattice", **at))
+                table = ent.charge_resolved_table(spectra[i], n)
+                rows.extend(table_rows(table, source="lattice", **at))
             if closed_form:
                 rows.extend(table_rows(closed_form(case, p, n), source="asymptotic", **at))
     fill_deviations(rows)

