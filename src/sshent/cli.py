@@ -16,10 +16,13 @@ Exit codes: 0 success, 1 configuration error, 2 numerical-validation failure
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import math
+import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -200,13 +203,34 @@ def _sort_rows(data: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return {name: col[order] for name, col in data.items()}
 
 
+def _claim_outputs(paths: list[str]) -> None:
+    """Open every output path for writing before any is written; on the first
+    that cannot be opened, remove the files this made and raise ConfigError."""
+    made = []
+    for path in paths:
+        existed = os.path.lexists(path)
+        try:
+            open(path, "ab").close()
+        except OSError as err:
+            for p in made:
+                os.remove(p)
+            raise ConfigError(f"cannot write {path}: {err.strerror or err}") from err
+        if not existed:
+            made.append(path)
+
+
 def _emit(config: dict, data: dict[str, np.ndarray], columns: list[str], schema: str) -> None:
+    """Render the named columns of ``data`` once and write the configured CSV
+    and JSON files from it, or the CSV to stdout if neither is configured.
+    The columns are taken out of ``data``, so their arrays can be freed."""
     outputs = config.get("outputs", {})
     csv_path = outputs.get("csv_path")
     json_path = outputs.get("json_path")
+    _claim_outputs([p for p in (csv_path, json_path) if p])
+    rendering = serialize.render(columns, {c: data.pop(c) for c in columns})
     if csv_path:
-        serialize.write_csv(csv_path, schema, columns, data)
-        print(f"wrote {csv_path} ({len(data[columns[0]])} rows)")
+        serialize.write_csv(csv_path, schema, rendering)
+        print(f"wrote {csv_path} ({rendering.n_rows} rows)")
     if json_path:
         payload = {
             "schema": schema,
@@ -215,10 +239,10 @@ def _emit(config: dict, data: dict[str, np.ndarray], columns: list[str], schema:
             "config_sha256": serialize.config_digest(config),
             "versions": {"sshent": __version__, "numpy": np.__version__},
         }
-        serialize.write_json(json_path, payload, columns, data)
+        serialize.write_json(json_path, payload, rendering)
         print(f"wrote {json_path}")
     if not csv_path and not json_path:
-        serialize.stream_csv(sys.stdout, schema, columns, data)
+        serialize.stream_csv(sys.stdout, schema, rendering)
 
 
 def _scan_params(config: dict, spec: model.ChainSpec, command: str) -> sf.EllipticParams | None:
@@ -349,12 +373,13 @@ def run_scan_interval(args: argparse.Namespace) -> int:
                 asym_tables[case, n] = asym.asymptotic_table(case, n, params, ell)
             return asym_tables[case, n]
 
-    points = ((m, None, model.window_case(spec, m, ell)) for m in m_values)
+    cases = model.window_cases(spec, m_values, ell)
+    points = ((m, None, case) for m, case in zip(m_values, cases))
     data = _scan(points, n_list, ell, lattice, closed_form)
     status = EXIT_OK
     if config["mode"] == "both":
         margin = model.integer(config["bulk_margin"], "bulk_margin")
-        bulk = np.array([model.edge_distance(spec, m, ell) >= margin for m in m_values])
+        bulk = model.edge_distances(spec, m_values, ell) >= margin
         in_bulk = bulk[data["point"]]
         status = _gate(
             {name: col[in_bulk] for name, col in data.items()},
@@ -595,15 +620,25 @@ def run_selftest(args: argparse.Namespace) -> int:
     dev = max(dev, abs(sm.solve_mu(doubled, ell + 1) - params.spacing))
     check("chemical potential pinning", dev, 1e-10)
 
-    # determinism of rendered output
+    # one rendering gives the same CSV written alone, beside the JSON, and to stdout
     table = asym.dimerized_table("topological", 10, 2.0)
     data = _table_rows([(0, 0, table)], DIMERIZED, [(None, None, "topological")], [2.0], 10)
-    texts = []
-    for _ in range(2):
-        buf = io.StringIO()
-        serialize.stream_csv(buf, SCAN_SCHEMA, SCAN_COLUMNS, data)
-        texts.append(buf.getvalue())
-    checks.append(("deterministic rendering", texts[0] == texts[1], "byte comparison"))
+    rendering = serialize.render(SCAN_COLUMNS, data)
+    with tempfile.TemporaryDirectory() as tmp:
+        alone, beside = os.path.join(tmp, "alone.csv"), os.path.join(tmp, "beside.csv")
+        serialize.write_csv(alone, SCAN_SCHEMA, rendering)
+        serialize.write_json(os.path.join(tmp, "beside.json"), {}, rendering)
+        serialize.write_csv(beside, SCAN_SCHEMA, rendering)
+        texts = []
+        for path in (alone, beside):
+            with open(path, encoding="utf-8", newline="") as fh:
+                texts.append(fh.read())
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        serialize.stream_csv(sys.stdout, SCAN_SCHEMA, rendering)
+    texts.append(stdout.getvalue())
+    same = texts[0] == texts[1] == texts[2] and len(texts[0].splitlines()) == 2 + rendering.n_rows
+    checks.append(("deterministic rendering", same, "alone, beside the JSON and stdout"))
 
     failed = 0
     for name, ok, detail in checks:

@@ -258,26 +258,28 @@ def defect_sites(spec: ChainSpec) -> list[tuple[DefectSpec, tuple[int, ...]]]:
     return out
 
 
-def _last_cell(spec: ChainSpec, start_cell: int, n_cells: int) -> int:
-    """Last cell of the interval ``[m, m + ell - 1]``, wrapped under PBC."""
-    if not 1 <= start_cell <= spec.n_cells:
+def _window_ends(spec: ChainSpec, starts: np.ndarray, n_cells: int) -> np.ndarray:
+    """Last cell of each interval ``[m, m + n_cells - 1]``, ``m`` in ``starts``,
+    wrapped under PBC; a ``ValueError`` if any interval is not on the chain."""
+    starts = np.asarray(starts, dtype=int)
+    if starts.size and not (1 <= starts.min() and starts.max() <= spec.n_cells):
         raise ValueError("window start cell out of range")
     if not 1 <= n_cells <= spec.n_cells:
         raise ValueError("window length out of range")
-    if spec.boundary == OPEN and start_cell + n_cells - 1 > spec.n_cells:
+    if spec.boundary == OPEN and starts.size and starts.max() + n_cells - 1 > spec.n_cells:
         raise ValueError("window exceeds the open chain")
-    return (start_cell + n_cells - 2) % spec.n_cells + 1
+    return (starts + n_cells - 2) % spec.n_cells + 1
 
 
 def window_cells(spec: ChainSpec, start_cell: int, n_cells: int) -> list[int]:
     """Cells of the interval ``[m, m + ell - 1]``, wrapped under PBC."""
-    _last_cell(spec, start_cell, n_cells)
+    _window_ends(spec, [start_cell], n_cells)
     return [(start_cell - 1 + i) % spec.n_cells + 1 for i in range(n_cells)]
 
 
 def defects_in_window(spec: ChainSpec, start_cell: int, n_cells: int) -> list[DefectSpec]:
     """Defects whose footprint intersects the window (partial overlaps count)."""
-    _last_cell(spec, start_cell, n_cells)
+    _window_ends(spec, [start_cell], n_cells)
     return [
         d
         for d, cs in zip(spec.defects, spec._cell_footprints())
@@ -289,53 +291,67 @@ def window_defect_counts(spec: ChainSpec, starts: np.ndarray, n_cells: int) -> n
     """Number of defects in each window ``(m, n_cells)``, ``m`` in ``starts``,
     counted as in ``defects_in_window``, after its range checks."""
     starts = np.asarray(starts, dtype=int)
-    for m in (starts.min(), starts.max()) if starts.size else ():
-        _last_cell(spec, int(m), n_cells)
+    _window_ends(spec, starts, n_cells)
     counts = np.zeros(starts.shape, dtype=int)
     for cells in spec._cell_footprints():
         counts += np.any([(c - starts) % spec.n_cells < n_cells for c in cells], axis=0)
     return counts
 
 
-def edge_distance(spec: ChainSpec, start_cell: int, n_cells: int) -> float:
-    """Distance in cells from the interval's edge cells to the nearest defect
-    footprint cell or, on an open chain, chain end; ``inf`` if there is none.
+def edge_distances(spec: ChainSpec, starts: np.ndarray, n_cells: int) -> np.ndarray:
+    """Distance in cells from the edge cells of each interval ``(m, n_cells)``,
+    ``m`` in ``starts``, to the nearest defect footprint cell or, on an open
+    chain, chain end; ``inf`` if there is none.
 
     The window cell nearest to a cell outside the window is an edge cell, so
     ``edge_distance >= margin`` says that every defect lies at least
     ``margin`` cells inside the interval or at least that far outside it.
     """
-    ends = (start_cell, _last_cell(spec, start_cell, n_cells))
+    starts = np.asarray(starts, dtype=int)
+    ends = _window_ends(spec, starts, n_cells)
     features = [c for cs in spec._cell_footprints() for c in cs]
     if spec.boundary == OPEN:
         features += [1, spec.n_cells]
-    gaps = [abs(e - c) for e in ends for c in features]
+    if not features:
+        return np.full(starts.shape, math.inf)
+    gaps = np.abs(np.stack([starts, ends])[..., None] - np.array(features))
     if spec.boundary == PERIODIC:
-        gaps = [min(g, spec.n_cells - g) for g in gaps]
-    return min(gaps, default=math.inf)
+        gaps = np.minimum(gaps, spec.n_cells - gaps)
+    return gaps.min(axis=(0, 2)).astype(float)
 
 
-def window_case(spec: ChainSpec, start_cell: int, n_cells: int) -> str:
-    """Classify an interval as topological, trivial, or defect-containing.
+def edge_distance(spec: ChainSpec, start_cell: int, n_cells: int) -> float:
+    """``edge_distances`` of one interval."""
+    return float(edge_distances(spec, [start_cell], n_cells)[0])
 
-    The label is read off the two bonds cut by the interval boundaries:
-    two strong cuts -> topological, two weak cuts -> trivial, one of each ->
-    defect.  Requires ``dimerization != 0``.
+
+def window_cases(spec: ChainSpec, starts: np.ndarray, n_cells: int) -> np.ndarray:
+    """Classify each interval ``(m, n_cells)``, ``m`` in ``starts``, as
+    topological, trivial, or defect-containing (an object array of labels).
+
+    A window holding a defect footprint cell is a defect window.  Otherwise
+    the label is read off the two bonds cut by the interval boundaries: two
+    strong cuts -> topological, two weak cuts -> trivial, one of each ->
+    defect.  Requires ``dimerization != 0``, and on an open chain both cut
+    bonds of every defect-free window in the interior.
     """
     if spec.dimerization == 0.0:
         raise ValueError("window case is undefined at zero dimerization")
-    if defects_in_window(spec, start_cell, n_cells):
-        return DEFECT
-    end_cell = start_cell + n_cells - 1
-    if spec.boundary == OPEN and (start_cell == 1 or end_cell >= spec.n_cells):
+    starts = np.asarray(starts, dtype=int)
+    has_defect = window_defect_counts(spec, starts, n_cells) > 0
+    ends = starts + n_cells - 1
+    if spec.boundary == OPEN and np.any(~has_defect & ((starts == 1) | (ends >= spec.n_cells))):
         raise ValueError("case labeling needs both window boundaries interior")
-    left = (2 * (start_cell - 1) - 1) % spec.n_sites  # bond entering cell m
-    right = (2 * end_cell - 1) % spec.n_sites
-    amps = _amplitudes_at(spec, np.array([left, right]) + 1)
+    left = (2 * (starts - 1) - 1) % spec.n_sites  # bond entering cell m
+    right = (2 * ends - 1) % spec.n_sites
+    amps = _amplitudes_at(spec, np.stack([left, right]) + 1)
     weak = abs(spec.hopping) * (1.0 - abs(spec.dimerization))
-    cuts_strong = [abs(a) > weak + 1e-15 for a in amps]
-    if all(cuts_strong):
-        return TOPOLOGICAL
-    if not any(cuts_strong):
-        return TRIVIAL
-    return DEFECT
+    strong_cuts = (np.abs(amps) > weak + 1e-15).sum(axis=0)
+    labels = np.array([TRIVIAL, DEFECT, TOPOLOGICAL], dtype=object)[strong_cuts]
+    labels[has_defect] = DEFECT
+    return labels
+
+
+def window_case(spec: ChainSpec, start_cell: int, n_cells: int) -> str:
+    """``window_cases`` of one interval."""
+    return window_cases(spec, [start_cell], n_cells)[0]

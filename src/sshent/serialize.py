@@ -16,87 +16,203 @@ column's dtype says how its values are written:
 The CSV begins with a ``#schema=`` comment line followed by a header row, so
 identical inputs give byte-identical files.  The JSON mirror carries the rows
 plus run metadata (config digest, package and numpy versions), laid out as
-``json.dump(payload, indent=2, sort_keys=True)`` lays it out.  Both writers
-format ``BLOCK_ROWS`` rows at a time, one column at a time, and write each
-block before formatting the next, so no file is held in memory whole.
+``json.dump(payload, indent=2, sort_keys=True)`` lays it out.
+
+``render`` spells a table once for both formats.  Each column becomes a
+vocabulary of its distinct written values, each formatted one time
+(``float.__repr__``, ``str`` or ``json.dumps``), and one compact code per row
+into it; a value the two formats spell differently (-0.0, NaN, infinities,
+strings) has one vocabulary entry per format.  The vocabulary is a byte
+matrix, one entry per row, padded with 0xFF, a byte that UTF-8 text never
+holds.  ``write_csv``, ``write_json`` and ``stream_csv`` all read one
+rendering ``BLOCK_ROWS`` rows at a time: they gather a block's entries into
+one byte matrix laid out row by row, drop the padding, and write the block
+before gathering the next, so no file is held in memory whole.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
-from typing import IO, Any, Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from typing import IO, Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 BLOCK_ROWS = 1024
 
-# the rows key in the indent=2 skeleton, and the layout of one row under it
+_CSV, _JSON = range(2)
+_PAD = 0xFF
+# each format's row layout: (row prefix, column separator, row suffix); every
+# JSON row starts with the comma that ends the row before it
+_LAYOUTS = {_CSV: ("", ",", "\n"), _JSON: (",\n    [\n      ", ",\n      ", "\n    ]")}
+# the rows key in the indent=2 skeleton
 _ROWS_SLOT = '\n  "rows": []'
-_ROW_OPEN, _ROW_SEP, _ROW_CLOSE = "\n    [\n      ", ",\n      ", "\n    ]"
 
 
-def _float_tokens(a: np.ndarray, for_json: bool) -> list[str]:
-    # each distinct value is formatted once: tables repeat their totals on
-    # every sector row.  np.unique merges -0.0 with 0.0 (and may merge NaNs),
-    # so zeros and non-finite values are set from ``a`` itself.
-    distinct, index = np.unique(a, return_inverse=True)
-    out = np.array(list(map(float.__repr__, distinct.tolist())), dtype=object)[index]
-    out[a == 0.0] = "0.0"
-    if for_json:
-        out[(a == 0.0) & np.signbit(a)] = "-0.0"
-        out[np.isnan(a)] = "null"
-        out[a == np.inf] = "Infinity"
-        out[a == -np.inf] = "-Infinity"
-    else:
-        out[np.isnan(a)] = ""
-    return out.tolist()
+@dataclass(frozen=True)
+class _Column:
+    codes: np.ndarray  # each row's value index, which is its CSV vocabulary row
+    json_rows: np.ndarray  # value index -> JSON vocabulary row
+    vocabulary: np.ndarray  # (entries, width) uint8, each entry padded with _PAD
 
 
-def _tokens(col: np.ndarray, for_json: bool, memo: dict) -> list[str]:
-    """The written form of every value of one column (block)."""
-    kind = col.dtype.kind
+@dataclass(frozen=True)
+class Rendering:
+    """The named columns of a table, spelled for both formats."""
+
+    columns: list[str]
+    n_rows: int
+    parts: list[_Column]
+
+
+def _values(col: np.ndarray) -> tuple[Any, np.ndarray]:
+    """The distinct values of ``col`` (an array, or a list of strings) and each
+    row's index into them.  Floats keep -0.0 apart from 0.0."""
+    if col.dtype.kind in "fiub":
+        values, codes = np.unique(col, return_inverse=True)
+        if col.dtype.kind == "f":
+            # np.unique merges the zeros under either sign; split them again
+            values[values == 0.0] = 0.0
+            negative_zero = (col == 0.0) & np.signbit(col)
+            if negative_zero.any():
+                codes[negative_zero] = len(values)
+                values = np.append(values, -values.dtype.type(0.0))
+        return values, codes
+    items = col.tolist()
+    index = dict.fromkeys(items)
+    if not all(type(v) is str for v in index):
+        # equal non-strings (1, 1.0, True) can have different spellings
+        items = list(map(str, items))
+        index = dict.fromkeys(items)
+    for i, v in enumerate(index):
+        index[v] = i
+    codes = np.fromiter(map(index.__getitem__, items), np.intp, len(items))
+    return list(index), codes
+
+
+def _csv_spelling(kind: str, values: Any) -> list[str]:
+    """The CSV spelling of each of ``values``, distinct values of a column of
+    dtype kind ``kind``."""
     if kind == "f":
-        return _float_tokens(col, for_json)
+        tokens = list(map(float.__repr__, values.tolist()))
+        for i in np.flatnonzero(np.isnan(values) | (values == 0.0)):
+            tokens[i] = "" if np.isnan(values[i]) else "0.0"
+        return tokens
     if kind in "iu":
-        return list(map(str, col.tolist()))
+        return list(map(str, values.tolist()))
     if kind == "b":
-        return ["true" if v else "false" for v in col.tolist()]
-    values = map(str, col.tolist())
-    if not for_json:
-        return list(values)
-    out = []
-    for s in values:
-        tok = memo.get(s)
-        if tok is None:
-            tok = memo[s] = json.dumps(s)
-        out.append(tok)
+        return ["true" if v else "false" for v in values.tolist()]
+    return values
+
+
+def _json_spelling(kind: str, values: Any) -> tuple[np.ndarray, list[str]]:
+    """The indices of ``values`` that JSON spells unlike the CSV, and their
+    JSON spelling."""
+    if kind == "f":
+        index = np.flatnonzero(~np.isfinite(values) | ((values == 0.0) & np.signbit(values)))
+        return index, ["null" if v != v else json.dumps(v) for v in values[index].tolist()]
+    if kind in "iub":
+        return np.arange(0), []
+    return np.arange(len(values)), list(map(json.dumps, values))
+
+
+def _padded(tokens: list[str]) -> np.ndarray:
+    """``tokens`` as UTF-8, one row of a uint8 matrix each, padded with _PAD."""
+    raw = [t.encode("utf-8") for t in tokens]
+    lengths = np.fromiter(map(len, raw), np.intp, len(raw))
+    width = max(int(lengths.max(initial=0)), 1)
+    matrix = np.array(raw, dtype=f"S{width}").view(np.uint8).reshape(len(raw), width)
+    matrix[np.arange(width) >= lengths[:, None]] = _PAD
+    return matrix
+
+
+def _pack(chunks: Iterable[list[str]]) -> np.ndarray:
+    """``_padded`` of all tokens of ``chunks``; only one chunk is held as
+    Python strings at a time."""
+    packed = [_padded(tokens) for tokens in chunks if tokens]
+    if len(packed) == 1:
+        return packed[0]
+    width = max((m.shape[1] for m in packed), default=1)
+    out = np.full((sum(map(len, packed)), width), _PAD, np.uint8)
+    row = 0
+    for matrix in packed:
+        out[row : row + len(matrix), : matrix.shape[1]] = matrix
+        row += len(matrix)
     return out
 
 
-def _blocks(
-    columns: Sequence[str], data: Mapping[str, Any], for_json: bool
-) -> Iterator[list[tuple[str, ...]]]:
-    """The rows of ``data``, ``BLOCK_ROWS`` at a time, as tuples of tokens."""
-    cols = [np.asarray(data[c]) for c in columns]
-    memos: list[dict] = [{} for _ in cols]
-    n_rows = len(cols[0]) if cols else 0
-    for lo in range(0, n_rows, BLOCK_ROWS):
-        hi = lo + BLOCK_ROWS
-        yield list(zip(*(_tokens(c[lo:hi], for_json, m) for c, m in zip(cols, memos))))
+def _index(a: np.ndarray, size: int) -> np.ndarray:
+    """``a`` in the smallest unsigned type that holds indices below ``size``."""
+    return a.astype(np.min_scalar_type(max(size - 1, 0)), copy=False)
 
 
-def stream_csv(fh: IO[str], schema: str, columns: Sequence[str], data: Mapping[str, Any]) -> None:
-    """Write the CSV of the named columns of ``data`` to an open text stream."""
-    fh.write(f"#schema={schema}\n{','.join(columns)}\n")
-    for rows in _blocks(columns, data, for_json=False):
-        fh.write("\n".join(map(",".join, rows)) + "\n")
+def _render_column(col: np.ndarray) -> _Column:
+    kind = col.dtype.kind
+    values, codes = _values(col)
+    k = len(values)
+    # vocabulary rows: the CSV spelling of every value, then the JSON
+    # spellings that differ from it
+    differ, json_tokens = _json_spelling(kind, values)
+    csv_chunks = (_csv_spelling(kind, values[lo : lo + BLOCK_ROWS]) for lo in range(0, k, BLOCK_ROWS))
+    vocabulary = _pack(itertools.chain(csv_chunks, [json_tokens]))
+    json_rows = np.arange(k)
+    json_rows[differ] = k + np.arange(len(differ))
+    return _Column(_index(codes, k), _index(json_rows, len(vocabulary)), vocabulary)
 
 
-def write_csv(path: str, schema: str, columns: Sequence[str], data: Mapping[str, Any]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        stream_csv(fh, schema, columns, data)
+def render(columns: Sequence[str], data: Mapping[str, Any]) -> Rendering:
+    """Spell the named columns of ``data`` for ``write_csv``, ``write_json``
+    and ``stream_csv``."""
+    parts = [_render_column(np.asarray(data[c])) for c in columns]
+    lengths = {len(p.codes) for p in parts}
+    if len(lengths) > 1:
+        raise ValueError(f"columns differ in length: {sorted(lengths)}")
+    return Rendering(list(columns), lengths.pop() if parts else 0, parts)
+
+
+def _blocks(rendering: Rendering, fmt: int) -> Iterator[np.ndarray]:
+    """The rows of ``rendering`` in format ``fmt``, ``BLOCK_ROWS`` at a time,
+    as UTF-8 bytes (uint8 arrays)."""
+    parts = rendering.parts
+    if not parts:
+        return
+    prefix, sep, suffix = (np.frombuffer(s.encode(), np.uint8) for s in _LAYOUTS[fmt])
+    leads = [prefix] + [sep] * (len(parts) - 1)
+    width = sum(len(s) + p.vocabulary.shape[1] for s, p in zip(leads, parts)) + len(suffix)
+    for lo in range(0, rendering.n_rows, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, rendering.n_rows)
+        block = np.empty((hi - lo, width), np.uint8)
+        at = 0
+        for lead, part in zip(leads, parts):
+            block[:, at : at + len(lead)] = lead
+            at += len(lead)
+            rows = part.codes[lo:hi] if fmt == _CSV else part.json_rows[part.codes[lo:hi]]
+            vocab = part.vocabulary
+            block[:, at : at + vocab.shape[1]] = np.take(vocab, rows, axis=0)
+            at += vocab.shape[1]
+        block[:, at:] = suffix
+        yield block[block != _PAD]
+
+
+def _csv_header(schema: str, rendering: Rendering) -> str:
+    return f"#schema={schema}\n{','.join(rendering.columns)}\n"
+
+
+def stream_csv(fh: IO[str], schema: str, rendering: Rendering) -> None:
+    """Write the CSV of ``rendering`` to an open text stream."""
+    fh.write(_csv_header(schema, rendering))
+    for block in _blocks(rendering, _CSV):
+        fh.write(block.tobytes().decode("utf-8"))
+
+
+def write_csv(path: str, schema: str, rendering: Rendering) -> None:
+    with open(path, "wb") as fh:
+        fh.write(_csv_header(schema, rendering).encode("utf-8"))
+        for block in _blocks(rendering, _CSV):
+            fh.write(block)
 
 
 def config_digest(config: dict) -> str:
@@ -114,17 +230,15 @@ def _nan_to_none(x: Any) -> Any:
     return x
 
 
-def write_json(
-    path: str, payload: dict, columns: Sequence[str], data: Mapping[str, Any]
-) -> None:
+def write_json(path: str, payload: dict, rendering: Rendering) -> None:
     """Write ``payload`` (JSON values; NaN is written as null) plus a ``rows``
-    key holding the named columns of ``data`` row by row."""
+    key holding the columns of ``rendering`` row by row."""
     skeleton = json.dumps(_nan_to_none({**payload, "rows": []}), indent=2, sort_keys=True)
     head, tail = skeleton.split(_ROWS_SLOT)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(head + _ROWS_SLOT[:-1])
-        sep = ""
-        for rows in _blocks(columns, data, for_json=True):
-            fh.write(sep + ",".join(_ROW_OPEN + _ROW_SEP.join(r) + _ROW_CLOSE for r in rows))
-            sep = ","
-        fh.write(("\n  ]" if sep else "]") + tail + "\n")
+    with open(path, "wb") as fh:
+        fh.write((head + _ROWS_SLOT[:-1]).encode("utf-8"))
+        first = True
+        for block in _blocks(rendering, _JSON):
+            fh.write(block[1:] if first else block)  # the first row has no comma before it
+            first = False
+        fh.write((("]" if first else "\n  ]") + tail + "\n").encode("utf-8"))

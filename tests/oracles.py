@@ -118,6 +118,19 @@ def window_case_from_loop(spec, m, ell):
     return model.DEFECT
 
 
+def edge_distance_from_features(spec, m, ell):
+    """Smallest gap from the window's two edge cells to a footprint cell or,
+    on an open chain, a chain end, one pair at a time; ``inf`` if none."""
+    ends = (m, model.window_cells(spec, m, ell)[-1])
+    features = [c for cs in spec._cell_footprints() for c in cs]
+    if spec.boundary == model.OPEN:
+        features += [1, spec.n_cells]
+    gaps = [abs(e - c) for e in ends for c in features]
+    if spec.boundary == model.PERIODIC:
+        gaps = [min(g, spec.n_cells - g) for g in gaps]
+    return min(gaps, default=math.inf)
+
+
 def defects_in_window_from_cells(spec, m, ell):
     """Defects whose footprint shares a cell with the window, by set intersection."""
     cells = set(model.window_cells(spec, m, ell))

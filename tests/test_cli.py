@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sshent import cli
-from sshent.serialize import stream_csv
+from sshent.serialize import render, stream_csv
 
 
 def base_config(tmp_path, **extra):
@@ -335,13 +335,37 @@ def test_aklt_command(tmp_path):
     assert hybrid and all(r["eta"] == "1.0" for r in hybrid)
 
 
+def test_unwritable_csv_path_is_a_config_error(tmp_path, capsys):
+    bad = tmp_path / "missing" / "x.csv"
+    rc = cli.main(["dimerized", "--csv", str(bad)])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: cannot write {bad}: No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("csv_existed", [False, True])
+def test_unwritable_json_path_leaves_no_csv_behind(tmp_path, capsys, csv_existed):
+    """Every output is opened before any is written: a bad --json leaves no new
+    CSV on disk, and a CSV that was there already is left as it was."""
+    csv, bad = tmp_path / "out.csv", tmp_path / "missing" / "out.json"
+    if csv_existed:
+        csv.write_text("old\n")
+    rc = cli.main(["dimerized", "--csv", str(csv), "--json", str(bad)])
+    assert rc == cli.EXIT_CONFIG
+    assert f"config error: cannot write {bad}: " in capsys.readouterr().err
+    assert csv.exists() == csv_existed
+    assert not csv_existed or csv.read_text() == "old\n"
+    assert not bad.parent.exists()
+
+
 def test_selftest_passes():
     assert cli.main(["selftest"]) == 0
 
 
 def test_render_csv_schema_line():
     buf = io.StringIO()
-    stream_csv(buf, "1", ["a", "b"], {"a": np.array([1]), "b": np.array([float("nan")])})
+    stream_csv(buf, "1", render(["a", "b"], {"a": np.array([1]), "b": np.array([float("nan")])}))
     text = buf.getvalue()
     assert text.splitlines()[0] == "#schema=1"
     assert text.splitlines()[2] == "1,"

@@ -13,6 +13,7 @@ from oracles import (
     dense_eigensystem,
     dispersion_eigenvalues,
     defects_in_window_from_cells,
+    edge_distance_from_features,
     hamiltonian_loop,
     hopping_block,
     is_bulk_window_from_anchors,
@@ -219,6 +220,72 @@ def test_open_chain_ends_count_toward_edge_distance():
         assert model.edge_distance(spec, m, ell) == min(m - 1, spec.n_cells - (m + ell - 1))
     ring = model.ChainSpec(n_sites=400, dimerization=0.3)
     assert model.edge_distance(ring, 1, ell) == float("inf")
+
+
+def _random_chain(rng, boundary):
+    """A random valid chain: 4-60 cells, mixed defect kinds (an even number on
+    a ring), and a nonzero dimerization of either sign, sometimes |delta| = 1."""
+    while True:
+        n_cells = int(rng.integers(4, 61))
+        n_defects = int(rng.choice([0, 2, 4] if boundary == model.PERIODIC else [0, 1, 2, 3]))
+        cells = np.sort(rng.choice(np.arange(2, n_cells), size=min(n_defects, n_cells - 2),
+                                   replace=False))
+        kinds = rng.choice([model.ONE_SITE, model.THREE_SITE], size=cells.size)
+        delta = (1.0 if rng.random() < 0.25 else rng.uniform(0.05, 1.0)) * rng.choice([-1, 1])
+        try:
+            return model.ChainSpec(
+                n_sites=2 * n_cells, dimerization=float(delta), boundary=boundary,
+                defects=tuple(model.DefectSpec(int(c), str(k)) for c, k in zip(cells, kinds)),
+            )
+        except ValueError:
+            continue
+
+
+@pytest.mark.parametrize("boundary", [model.PERIODIC, model.OPEN])
+@pytest.mark.parametrize("seed", range(12))
+def test_window_arrays_match_one_window_calls(boundary, seed):
+    """``window_cases`` and ``edge_distances`` over all starts equal their
+    one-window calls and the loop oracles: windows across the seam, ell = 1,
+    and (on rings) the full ring."""
+    rng = np.random.default_rng(seed)
+    spec = _random_chain(rng, boundary)
+    n = spec.n_cells
+    for ell in sorted({1, int(rng.integers(1, n + 1)), n}):
+        if boundary == model.PERIODIC:
+            starts = np.arange(1, n + 1)
+        else:
+            starts = np.arange(1, n - ell + 2)
+        distances = model.edge_distances(spec, starts, ell)
+        assert distances.tolist() == [model.edge_distance(spec, m, ell) for m in starts]
+        assert distances.tolist() == [edge_distance_from_features(spec, m, ell) for m in starts]
+        if boundary == model.OPEN:  # labels need both cut bonds interior
+            starts = starts[(starts >= 2) & (starts + ell - 1 <= n - 1)]
+        labels = model.window_cases(spec, starts, ell)
+        assert labels.tolist() == [model.window_case(spec, m, ell) for m in starts]
+        assert labels.tolist() == [window_case_from_loop(spec, m, ell) for m in starts]
+
+
+def test_window_arrays_keep_the_one_window_errors():
+    flat = model.ChainSpec(n_sites=40, dimerization=0.0)
+    with pytest.raises(ValueError, match="undefined at zero dimerization"):
+        model.window_cases(flat, [3], 5)
+    ring = two_defect_chain(0.3)
+    for starts, ell, message in (([0, 3], 5, "start cell out of range"),
+                                 ([3, ring.n_cells + 1], 5, "start cell out of range"),
+                                 ([3], ring.n_cells + 1, "length out of range")):
+        for fn in (model.window_cases, model.edge_distances):
+            with pytest.raises(ValueError, match=message):
+                fn(ring, starts, ell)
+    chain = ORACLE_SPECS["open-one-defect"]
+    with pytest.raises(ValueError, match="exceeds the open chain"):
+        model.edge_distances(chain, [2, chain.n_cells - 3], 5)
+    # a defect-free window at a chain end has no case; one holding a defect does
+    with pytest.raises(ValueError, match="both window boundaries interior"):
+        model.window_cases(chain, [1, 5], 5)
+    with pytest.raises(ValueError, match="both window boundaries interior"):
+        model.window_case(chain, 1, 5)
+    assert model.window_cases(chain, [1], 12).tolist() == ["defect"]
+    assert model.window_case(chain, 1, 12) == "defect"
 
 
 def test_json_round_trip(chain_mixed):

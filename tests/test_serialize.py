@@ -6,6 +6,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oracles import (
     aklt_rows,
@@ -80,9 +81,10 @@ def columns_of(spec):
 
 def write_both(tmp_path, columns, data, payload=None):
     payload = {"schema": "x", "meta": {"when": nan, "n": [1, 2.5]}} if payload is None else payload
-    serialize.write_csv(str(tmp_path / "t.csv"), "x", columns, data)
-    serialize.write_json(str(tmp_path / "t.json"), payload, columns, data)
-    return tuple((tmp_path / f).read_text(encoding="utf-8") for f in ("t.csv", "t.json"))
+    rendering = serialize.render(columns, data)
+    serialize.write_csv(str(tmp_path / "t.csv"), "x", rendering)
+    serialize.write_json(str(tmp_path / "t.json"), payload, rendering)
+    return tuple((tmp_path / f).read_bytes().decode("utf-8") for f in ("t.csv", "t.json"))
 
 
 def expected_both(columns, rows, payload=None):
@@ -139,8 +141,70 @@ def test_rows_across_blocks(tmp_path):
 def test_stream_csv_writes_the_file_text(tmp_path):
     columns = list(EDGE_COLUMNS)
     buf = io.StringIO()
-    serialize.stream_csv(buf, "x", columns, columns_of(EDGE_COLUMNS))
+    serialize.stream_csv(buf, "x", serialize.render(columns, columns_of(EDGE_COLUMNS)))
     assert buf.getvalue() == write_both(tmp_path, columns, columns_of(EDGE_COLUMNS))[0]
+
+
+def test_signed_zeros_share_a_value_but_not_a_json_spelling(tmp_path):
+    x = np.array([0.0, -0.0, 0.0, -0.0])
+    part = serialize.render(["x"], {"x": x}).parts[0]
+    assert part.codes.tolist() == [0, 1, 0, 1]
+    csv_text, json_text = write_both(tmp_path, ["x"], {"x": x}, payload={})
+    assert csv_text.splitlines()[2:] == ["0.0"] * 4
+    tokens = [line.strip() for line in json_text.splitlines() if "0.0" in line]
+    assert tokens == ["0.0", "-0.0"] * 2
+
+
+def test_object_columns_are_written_as_strings(tmp_path):
+    # 1, 1.0 and True are equal keys, but each is written as its own str()
+    values = [1, 1.0, True, None, "1", 1]
+    csv_text, json_text = write_both(tmp_path, ["o"], {"o": np.array(values, dtype=object)}, {})
+    assert csv_text.splitlines()[2:] == ["1", "1.0", "True", "None", "1", "1"]
+    assert json.loads(json_text)["rows"] == [["1"], ["1.0"], ["True"], ["None"], ["1"], ["1"]]
+
+
+# value pools of every dtype the writers take; a column draws its rows from a
+# few values, so values repeat within blocks and across block boundaries
+_json_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+_POOLS = {
+    "f64": (np.float64, st.floats() | st.sampled_from([-0.0, 0.0, nan, inf, -inf, 5e-324])),
+    "f32": (np.float32, st.floats(width=32) | st.sampled_from([-0.0, 0.0, nan, inf, -inf])),
+    "i64": (np.int64, st.integers(-(2**63), 2**63 - 1) | st.sampled_from([-(2**63), 2**63 - 1])),
+    "i32": (np.int32, st.integers(-(2**31), 2**31 - 1)),
+    "u8": (np.uint8, st.integers(0, 255)),
+    "bool": (bool, st.booleans()),
+    "str": (object, _json_text | st.sampled_from(STRINGS)),
+    # a fixed-width str array drops trailing NULs
+    "unicode": (str, _json_text.filter(lambda t: not t.endswith("\x00"))),
+}
+
+
+@st.composite
+def _tables(draw):
+    n_rows = draw(st.sampled_from([0, 1, serialize.BLOCK_ROWS, serialize.BLOCK_ROWS + 1])
+                  | st.integers(0, 2 * serialize.BLOCK_ROWS + 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = {}
+    for i, kind in enumerate(draw(st.lists(st.sampled_from(list(_POOLS)), min_size=1, max_size=6))):
+        dtype, values = _POOLS[kind]
+        pool = draw(st.lists(values, min_size=1, max_size=6))
+        if kind == "f64" and draw(st.booleans()):
+            pool += [-0.0, 0.0]
+        data[f"{kind}{i}"] = np.array(pool, dtype=dtype)[rng.integers(0, len(pool), n_rows)]
+    return data
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_tables())
+def test_random_tables_match_the_oracle(tmp_path, data):
+    columns = list(data)
+    rows = [dict(zip(columns, values)) for values in zip(*(data[c].tolist() for c in columns))]
+    got = write_both(tmp_path, columns, data)
+    for text, want in zip(got, expected_both(columns, rows)):
+        assert_same_text(text, want)
+    buf = io.StringIO()
+    serialize.stream_csv(buf, "x", serialize.render(columns, data))
+    assert buf.getvalue() == got[0]
 
 
 # --- whole CLI runs: the files and stdout against the row-dict path ---
