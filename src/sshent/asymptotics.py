@@ -28,6 +28,7 @@ from .entanglement import (
     ChargeResolvedTable,
     charge_resolved_table,
     EMPTY_SECTOR_THRESHOLD,
+    _xlogx,
 )
 from .model import DEFECT, TOPOLOGICAL, TRIVIAL
 from .specialfn import EllipticParams, theta2, theta3
@@ -410,23 +411,117 @@ def asymptotic_table(case: str, n: float, params: EllipticParams, ell: int) -> C
     )
 
 
+_DQS = np.arange(-DQ_TRUNCATION, DQ_TRUNCATION + 1)
+
+
+def _math_map(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` (a ``math`` function) of every value of ``x``: the scalar
+    closed forms' rounding, which numpy's vectorized functions need not keep."""
+    return np.fromiter(map(fn, x.tolist()), float, x.size)
+
+
+def _zero_mode_sectors(ps, n_list, params: EllipticParams) -> dict[str, np.ndarray]:
+    """Sector arrays of the zero-mode tables of every weight in ``ps`` and
+    index in ``n_list``, on the ``(P, [len(n_list),] 2 DQ_TRUNCATION + 1)``
+    grid of ``dq = -DQ_TRUNCATION .. DQ_TRUNCATION``.
+
+    Every value is the one ``zero_mode_srpf`` (at ``n = 1``),
+    ``zero_mode_sre`` or ``zero_mode_sre_vn`` gives for its weight and
+    ``dq``, bit for bit: the same ``math`` calls per value, with numpy only
+    for the arithmetic.  ``S_c`` and ``S_f`` are masked row sums over the
+    occupied sectors.
+    """
+    ps = np.asarray(ps, dtype=float).reshape(-1)
+    if not np.all((ps >= 0.0) & (ps <= 1.0)):
+        raise ValueError("weight must lie in [0, 1]")
+    for n in n_list:
+        if not n > 0:
+            raise ValueError("replica index must be positive")
+    eps = params.spacing
+    col = np.array(_defect_srpf_column(1.0, params))
+    # p^1 = p and (1 - p)^1 = 1 - p in _zero_mode_mix
+    z1 = ps[:, None] * col[1:] + (1.0 - ps)[:, None] * col[:-1]
+    keep = z1 > EMPTY_SECTOR_THRESHOLD
+    # a sector no weight occupies is never evaluated: its closed forms may divide by 0
+    used = keep.any(axis=0)
+
+    def base(closed_form) -> np.ndarray:
+        out = np.zeros(_DQS.size)
+        out[used] = [closed_form(dq) for dq in _DQS[used].tolist()]
+        return np.tile(out, (ps.size, 1))
+
+    # the excess over the defect values, at the occupied cells of 0 < p < 1
+    inside = (ps > 0.0) & (ps < 1.0)
+    cells = np.flatnonzero(keep & inside[:, None])
+    row, dq = np.divmod(cells, _DQS.size)
+    dq = _DQS[dq].astype(float)
+    lp, lq, added = np.zeros((3, ps.size))
+    lp[inside] = _math_map(math.log, ps[inside])
+    lq[inside] = _math_map(math.log, 1.0 - ps[inside])
+    added[inside] = _math_map(math.log, ps[inside] / (1.0 - ps[inside]))
+    lp, lq, added = lp[row], lq[row], added[row]
+
+    # zero_mode_sre_vn: the binary entropy of the added level's Fermi factor
+    f = 0.5 * (1.0 - _math_map(math.tanh, 0.5 * (added - eps * dq)))
+    mixed = (f != 0.0) & (f != 1.0)
+    g = f[mixed]
+    excess = np.zeros(f.size)
+    excess[mixed] = -g * _math_map(math.log, g) - (1.0 - g) * _math_map(math.log, 1.0 - g)
+    vn = base(partial(sre_vn_asymptotic, DEFECT, params=params))
+    vn.flat[cells] += excess
+
+    renyi = np.empty((ps.size, len(n_list), _DQS.size))
+    for j, n in enumerate(n_list):
+        if n == 1.0:
+            renyi[:, j] = vn
+            continue
+        # zero_mode_sre: _zero_mode_excess_at_dq in log space
+        num = np.logaddexp(n * lp, n * lq + n * eps * dq)
+        den = n * np.logaddexp(lp, lq + eps * dq)
+        values = base(partial(sre_asymptotic, DEFECT, n, params=params))
+        values.flat[cells] += (num - den) / (1.0 - n)
+        renyi[:, j] = values
+    return {
+        "occupied": keep, "z1": z1, "vn": vn, "renyi": renyi,
+        "s_c": np.sum(z1 * vn, axis=1, where=keep),
+        "s_f": -np.sum(_xlogx(z1), axis=1, where=keep),
+    }
+
+
+def zero_mode_tables(ps, n_list, params: EllipticParams, ell: int) -> dict[str, np.ndarray]:
+    """Closed-form zero-mode tables of every weight in ``ps`` and index in
+    ``n_list``, as the columns of ``ent.charge_resolved_tables`` in
+    ``(point, n_index, q)`` order: ``window`` is the weight's position in
+    ``ps``.  Each table equals ``zero_mode_table`` bit for bit."""
+    t = _zero_mode_sectors(ps, n_list, params)
+    occupied = np.broadcast_to(t["occupied"][:, None, :], t["renyi"].shape)
+    point, n_index, j = np.nonzero(occupied)
+    s_c, s_f = t["s_c"][point], t["s_f"][point]
+    return {
+        "window": point,
+        "n_index": n_index,
+        "q": _DQS[j] + ell,
+        "Z1": t["z1"][point, j],
+        "S_n": t["renyi"][point, n_index, j],
+        "S": s_c + s_f,
+        "S_c": s_c,
+        "S_f": s_f,
+    }
+
+
 def zero_mode_table(p: float, n: float, params: EllipticParams, ell: int) -> ChargeResolvedTable:
-    """Closed-form table for a defect interval with an occupied zero mode.
+    """Closed-form table for a defect interval with an occupied zero mode:
+    the one-weight case of ``zero_mode_tables``.
 
     Its partition functions are ``zero_mode_srpf``, read off the defect
     columns, which do not depend on ``p``.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("weight must lie in [0, 1]")
-    columns = {m: _defect_srpf_column(m, params) for m in (1.0, n)}
-
-    def srpf(m: float, dq: int, params: EllipticParams) -> float:
-        col = columns[m]
-        return _zero_mode_mix(p, m, col[dq + DQ_TRUNCATION + 1], col[dq + DQ_TRUNCATION])
-
-    return _closed_form_table(
-        n, ell, params,
-        srpf,
-        partial(zero_mode_sre, p),
-        partial(zero_mode_sre_vn, p),
+    t = _zero_mode_sectors([p], [n], params)
+    keep = t["occupied"][0]
+    col = _defect_srpf_column(n, params)
+    dqs = _DQS[keep]
+    zn = [_zero_mode_mix(p, n, col[dq + DQ_TRUNCATION + 1], col[dq + DQ_TRUNCATION])
+          for dq in dqs.tolist()]
+    return ChargeResolvedTable.from_sectors(
+        n, dqs + ell, zn, t["z1"][0, keep], t["renyi"][0, 0, keep], t["vn"][0, keep]
     )

@@ -118,10 +118,15 @@ def _chain_from_config(config: dict) -> model.ChainSpec:
 # a row's source, by index; rows of one (m, p, q, n) key come in this order
 SOURCES = ("lattice", "asymptotic", "dimerized")
 LATTICE, ASYMPTOTIC, DIMERIZED = range(3)
+# a row's window case, by index
+CASES = (model.TOPOLOGICAL, model.TRIVIAL, model.DEFECT)
 
 
 def _distinct(values: list, name: str) -> list:
-    """``values``, which must hold no value twice: each one keys its rows."""
+    """``values``, which must be non-empty and hold no value twice: each one
+    keys its rows."""
+    if not values:
+        raise ConfigError(f"{name} is empty")
     if len(set(values)) != len(values):
         raise ConfigError(f"{name} repeats a value: {values}")
     return values
@@ -130,19 +135,21 @@ def _distinct(values: list, name: str) -> list:
 def _sector_rows(
     sectors: dict[str, np.ndarray], source: int, points: list, n_list: list[float], ell: int
 ) -> dict[str, np.ndarray]:
-    """``SCAN_COLUMNS``, unsorted, plus ``point``, ``n_index``, ``source_index``
-    and ``paired``, of sector columns (as ``ent.charge_resolved_tables`` gives
-    them: ``window`` is the point) from ``SOURCES[source]``; ``points`` holds
-    each point's ``(m, p, case)``.  An absent ``m`` or ``p`` is NaN in a float
-    column, which the writers write as they wrote None."""
+    """``SCAN_COLUMNS``, unsorted, plus ``point``, ``n_index`` and ``paired``,
+    of sector columns (as ``ent.charge_resolved_tables`` gives them:
+    ``window`` is the point) from ``SOURCES[source]``; ``points`` holds each
+    point's ``(m, p, case)``.  ``case`` and ``source`` are held as their
+    indices ``case_index`` and ``source_index`` into ``CASES`` and
+    ``SOURCES`` until ``_labelled``.  An absent ``m`` or ``p`` is NaN in a
+    float column, which the writers write as they wrote None."""
     point, n_index = sectors["window"], sectors["n_index"]
     ms, ps, cases = zip(*points) if points else ((), (), ())
     m = np.array(ms, dtype=float if None in ms else np.int64)
     rows = point.size
-    source_index = np.full(rows, source)
+    case_index = np.array([CASES.index(c) for c in cases], dtype=np.int64)
     return {
         "m": m[point],
-        "case": np.array(cases, dtype=object)[point],
+        "case_index": case_index[point],
         "p": np.array(ps, dtype=float)[point],
         "q": sectors["q"],
         "dq": sectors["q"] - ell,
@@ -152,24 +159,21 @@ def _sector_rows(
         "S": sectors["S"],
         "S_c": sectors["S_c"],
         "S_f": sectors["S_f"],
-        "source": np.array(SOURCES, dtype=object)[source_index],
         "dev": np.full(rows, np.nan),
         "point": point,
         "n_index": n_index,
-        "source_index": source_index,
+        "source_index": np.full(rows, source),
         "paired": np.zeros(rows, dtype=bool),
     }
 
 
-def _table_rows(
-    parts: list, source: int, points: list, n_list: list[float], ell: int
-) -> dict[str, np.ndarray]:
-    """``_sector_rows`` of table objects: ``parts`` lists
-    ``(point index, n index, table)``."""
+def _table_sectors(parts: list) -> dict[str, np.ndarray]:
+    """The sector columns of table objects, as ``_sector_rows`` takes them:
+    ``parts`` lists ``(point index, n index, table)``."""
     sectors = ent.table_columns([t for *_, t in parts])
     keys = np.array([part[:2] for part in parts], dtype=np.int64).reshape(-1, 2)[sectors["table"]]
     sectors["window"], sectors["n_index"] = keys[:, 0], keys[:, 1]
-    return _sector_rows(sectors, source, points, n_list, ell)
+    return sectors
 
 
 def _fill_deviations(data: dict[str, np.ndarray]) -> None:
@@ -245,6 +249,14 @@ def _emit(config: dict, data: dict[str, np.ndarray], columns: list[str], schema:
         serialize.stream_csv(sys.stdout, schema, rendering)
 
 
+def _labelled(data: dict[str, np.ndarray]) -> dict:
+    """``_sector_rows`` ready to render: ``case`` and ``source`` are their
+    label indices with the labels, so no string column is factorized."""
+    data["case"] = serialize.Labels(CASES, data.pop("case_index"))
+    data["source"] = serialize.Labels(SOURCES, data["source_index"])
+    return data
+
+
 def _scan_params(config: dict, spec: model.ChainSpec, command: str) -> sf.EllipticParams | None:
     """Validate the scan mode; elliptic parameters when closed forms are needed."""
     mode = config["mode"]
@@ -261,9 +273,10 @@ def _scan(points, n_list: list[float], ell: int, lattice, closed_form) -> dict[s
     """Sorted lattice and closed-form columns over ``(m, p, case)`` points.
 
     ``lattice(points)`` gives the stacked correlation eigenvalues of the
-    points' windows and ``closed_form(case, p, n)`` a closed-form table;
-    either may be None.  The lattice rows of all points come from one
-    batched ``charge_resolved_tables`` call.
+    points' windows and ``closed_form(points)`` their closed-form sector
+    columns, as ``ent.charge_resolved_tables`` gives them; either may be
+    None.  The lattice rows of all points come from one batched
+    ``charge_resolved_tables`` call.
     """
     points = list(points)
     parts = []
@@ -271,12 +284,7 @@ def _scan(points, n_list: list[float], ell: int, lattice, closed_form) -> dict[s
         sectors = ent.charge_resolved_tables(lattice(points), n_list)
         parts.append(_sector_rows(sectors, LATTICE, points, n_list, ell))
     if closed_form:
-        tables = [
-            (i, j, closed_form(case, p, n))
-            for i, (m, p, case) in enumerate(points)
-            for j, n in enumerate(n_list)
-        ]
-        parts.append(_table_rows(tables, ASYMPTOTIC, points, n_list, ell))
+        parts.append(_sector_rows(closed_form(points), ASYMPTOTIC, points, n_list, ell))
     # popped column by column, so the halves are freed as the rows are joined
     data = {name: np.concatenate([part.pop(name) for part in parts]) for name in list(parts[0])}
     _fill_deviations(data)
@@ -365,13 +373,17 @@ def run_scan_interval(args: argparse.Namespace) -> int:
             return gs.correlation_spectra(chiral, spec, policy, [m for m, _, _ in points], ell)
 
     if params is not None:
-        # one table per (case, n): it does not depend on the window position
-        asym_tables: dict[tuple[str, float], ent.ChargeResolvedTable] = {}
 
-        def closed_form(case: str, p: float | None, n: float) -> ent.ChargeResolvedTable:
-            if (case, n) not in asym_tables:
-                asym_tables[case, n] = asym.asymptotic_table(case, n, params, ell)
-            return asym_tables[case, n]
+        def closed_form(points: list) -> dict[str, np.ndarray]:
+            # one table per (case, n): it does not depend on the window position
+            tables: dict[tuple[str, float], ent.ChargeResolvedTable] = {}
+            parts = []
+            for i, (_, _, case) in enumerate(points):
+                for j, n in enumerate(n_list):
+                    if (case, n) not in tables:
+                        tables[case, n] = asym.asymptotic_table(case, n, params, ell)
+                    parts.append((i, j, tables[case, n]))
+            return _table_sectors(parts)
 
     cases = model.window_cases(spec, m_values, ell)
     points = ((m, None, case) for m, case in zip(m_values, cases))
@@ -386,7 +398,7 @@ def run_scan_interval(args: argparse.Namespace) -> int:
             float(config["tolerance"]),
             "bulk-window max |lattice - asymptotic|",
         )
-    _emit(config, data, SCAN_COLUMNS, SCAN_SCHEMA)
+    _emit(config, _labelled(data), SCAN_COLUMNS, SCAN_SCHEMA)
     return status
 
 
@@ -430,15 +442,16 @@ def run_zero_mode_scan(args: argparse.Namespace) -> int:
         # second defect, the closed forms see the complementary outside weight
         window_holds_second = inside[0] == spec.defects[1]
 
-        def closed_form(case: str, p: float, n: float) -> ent.ChargeResolvedTable:
-            p_out = (1.0 - p) if window_holds_second else p
-            return asym.zero_mode_table(p_out, n, params, ell)
+        def closed_form(points: list) -> dict[str, np.ndarray]:
+            ps = np.array([p for _, p, _ in points])
+            p_out = 1.0 - ps if window_holds_second else ps
+            return asym.zero_mode_tables(p_out, n_list, params, ell)
 
     data = _scan([(m, p, model.DEFECT) for p in p_list], n_list, ell, lattice, closed_form)
     status = EXIT_OK
     if config["mode"] == "both":
         status = _gate(data, float(config["tolerance"]), "max |lattice - asymptotic|")
-    _emit(config, data, SCAN_COLUMNS, SCAN_SCHEMA)
+    _emit(config, _labelled(data), SCAN_COLUMNS, SCAN_SCHEMA)
     return status
 
 
@@ -454,8 +467,8 @@ def run_dimerized(args: argparse.Namespace) -> int:
         for i, (_, p, case) in enumerate(points)
         for j, n in enumerate(n_list)
     ]
-    data = _sort_rows(_table_rows(parts, DIMERIZED, points, n_list, ell))
-    _emit(config, data, SCAN_COLUMNS, SCAN_SCHEMA)
+    data = _sort_rows(_sector_rows(_table_sectors(parts), DIMERIZED, points, n_list, ell))
+    _emit(config, _labelled(data), SCAN_COLUMNS, SCAN_SCHEMA)
     return EXIT_OK
 
 
@@ -620,10 +633,28 @@ def run_selftest(args: argparse.Namespace) -> int:
     dev = max(dev, abs(sm.solve_mu(doubled, ell + 1) - params.spacing))
     check("chemical potential pinning", dev, 1e-10)
 
+    # the batched zero-mode columns are the per-weight tables, bit for bit
+    n_list, ps = [1.0, 2.0], [0.0, asym.crossing_weight(1, params), 1.0]
+    batched = asym.zero_mode_tables(ps, n_list, params, 20)
+    same = True
+    for i, p in enumerate(ps):
+        for j, n in enumerate(n_list):
+            table = asym.zero_mode_table(p, n, params, 20)
+            rows = (batched["window"] == i) & (batched["n_index"] == j)
+            want = {
+                "q": table.charges, "Z1": table.probabilities, "S_n": table.sre_renyi,
+                "S": table.total_vn, "S_c": table.config_entropy, "S_f": table.fluct_entropy,
+            }
+            for key, value in want.items():
+                got = batched[key][rows]
+                same &= got.size == table.charges.size and bool(np.all(got == value))
+    checks.append(("batched zero-mode columns", same, "p = 0, a crossing weight, 1; n = 1, 2"))
+
     # one rendering gives the same CSV written alone, beside the JSON, and to stdout
     table = asym.dimerized_table("topological", 10, 2.0)
-    data = _table_rows([(0, 0, table)], DIMERIZED, [(None, None, "topological")], [2.0], 10)
-    rendering = serialize.render(SCAN_COLUMNS, data)
+    data = _sector_rows(_table_sectors([(0, 0, table)]), DIMERIZED, [(None, None, "topological")],
+                        [2.0], 10)
+    rendering = serialize.render(SCAN_COLUMNS, _labelled(data))
     with tempfile.TemporaryDirectory() as tmp:
         alone, beside = os.path.join(tmp, "alone.csv"), os.path.join(tmp, "beside.csv")
         serialize.write_csv(alone, SCAN_SCHEMA, rendering)

@@ -204,6 +204,8 @@ def correlation_stacks(
     the same path.  An occupied zero mode adds its projector, at weight
     ``weights[i]`` in window ``i`` if given; its phase enters only through the
     real interference term, the imaginary part being antisymmetric and as small.
+    When every window covers the same cells (a sweep of the weight), the part
+    no weight enters is built once and copied into each stack.
     """
     starts = np.asarray(starts, dtype=int)
     counts = window_defect_counts(spec, starts, n_cells)
@@ -223,10 +225,10 @@ def correlation_stacks(
     shift = offsets - offsets[:, None] + n_cells  # band column of Q[r, r + j - i], less r % ell
     zeros = chiral.u[:, filled:], chiral.v[:, filled:]
     eye = np.eye(n_cells)
-    buf = np.empty((min(starts.size, SPECTRA_CHUNK), 2 * n_cells, 2 * n_cells))
-    for lo in range(0, starts.size, SPECTRA_CHUNK):
-        rows = cells[lo : lo + SPECTRA_CHUNK]
-        out = buf[: len(rows)]
+
+    def fill(out: np.ndarray, rows: np.ndarray) -> None:
+        """The part of the windows over the cells ``rows`` that no zero-mode
+        weight enters: C_AB and the two diagonal blocks."""
         cab = band[(rows * (3 * n_cells) + rows % n_cells)[:, :, None] + shift]
         out[:, 0::2, 1::2] = cab
         out[:, 1::2, 0::2] = cab.transpose(0, 2, 1)
@@ -234,9 +236,30 @@ def correlation_stacks(
             zr = z[rows]
             np.subtract(eye, zr @ zr.transpose(0, 2, 1), out=block)
             block *= 0.5
+
+    def outer(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        sites = (2 * rows[:, :, None] + np.arange(2)).reshape(len(rows), -1)
+        return _zero_mode_outer(zm, sites)
+
+    buf = np.empty((min(starts.size, SPECTRA_CHUNK), 2 * n_cells, 2 * n_cells))
+    if zm is not None and starts.size and np.all(cells == cells[0]):
+        # one window under many weights: its weight-independent part and the
+        # zero-mode products are built once, and each stack copies them
+        fixed = np.empty((1,) + buf.shape[1:])
+        fill(fixed, cells[:1])
+        products = outer(cells[:1])
+        for lo in range(0, starts.size, SPECTRA_CHUNK):
+            out = buf[: min(SPECTRA_CHUNK, starts.size - lo)]
+            out[:] = fixed
+            _add_zero_mode(out, products, p[lo : lo + SPECTRA_CHUNK], zm.phi)
+            yield out
+        return
+    for lo in range(0, starts.size, SPECTRA_CHUNK):
+        rows = cells[lo : lo + SPECTRA_CHUNK]
+        out = buf[: len(rows)]
+        fill(out, rows)
         if zm is not None:
-            sites = (2 * rows[:, :, None] + np.arange(2)).reshape(len(rows), -1)
-            _add_zero_mode(out, _zero_mode_outer(zm, sites), p[lo : lo + SPECTRA_CHUNK], zm.phi)
+            _add_zero_mode(out, outer(rows), p[lo : lo + SPECTRA_CHUNK], zm.phi)
         yield out
 
 

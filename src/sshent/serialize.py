@@ -11,7 +11,8 @@ column's dtype says how its values are written:
 - integer: decimal.
 - bool: ``true``/``false``.
 - anything else: strings, written as they are in the CSV and escaped as
-  JSON strings in the JSON.
+  JSON strings in the JSON.  A string column whose rows already index a
+  few labels can be given as ``Labels``: its labels and those indices.
 
 The CSV begins with a ``#schema=`` comment line followed by a header row, so
 identical inputs give byte-identical files.  The JSON mirror carries the rows
@@ -60,6 +61,14 @@ class _Column:
 
 
 @dataclass(frozen=True)
+class Labels:
+    """A string column as its labels (strings) and each row's index into them."""
+
+    labels: Sequence[str]
+    codes: np.ndarray
+
+
+@dataclass(frozen=True)
 class Rendering:
     """The named columns of a table, spelled for both formats."""
 
@@ -68,19 +77,30 @@ class Rendering:
     parts: list[_Column]
 
 
+def _float_values(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_values`` of a float column.  Only the non-NaN values are sorted (a
+    NaN takes the sort off numpy's vectorized path); every NaN shares the
+    last value, and -0.0, kept apart from 0.0, the one before it."""
+    nan = np.isnan(col)
+    values, inverse = np.unique(col[~nan], return_inverse=True)
+    # np.unique merges the zeros under either sign; split them again
+    values[values == 0.0] = 0.0
+    negative_zero = (col == 0.0) & np.signbit(col)
+    extra = ([-0.0] if negative_zero.any() else []) + ([np.nan] if nan.any() else [])
+    codes = np.empty(col.size, inverse.dtype)
+    codes[~nan] = inverse
+    codes[negative_zero] = len(values)
+    codes[nan] = len(values) + len(extra) - 1
+    return np.append(values, np.array(extra, values.dtype)), codes
+
+
 def _values(col: np.ndarray) -> tuple[Any, np.ndarray]:
     """The distinct values of ``col`` (an array, or a list of strings) and each
     row's index into them.  Floats keep -0.0 apart from 0.0."""
-    if col.dtype.kind in "fiub":
-        values, codes = np.unique(col, return_inverse=True)
-        if col.dtype.kind == "f":
-            # np.unique merges the zeros under either sign; split them again
-            values[values == 0.0] = 0.0
-            negative_zero = (col == 0.0) & np.signbit(col)
-            if negative_zero.any():
-                codes[negative_zero] = len(values)
-                values = np.append(values, -values.dtype.type(0.0))
-        return values, codes
+    if col.dtype.kind == "f":
+        return _float_values(col)
+    if col.dtype.kind in "iub":
+        return np.unique(col, return_inverse=True)
     items = col.tolist()
     index = dict.fromkeys(items)
     if not all(type(v) is str for v in index):
@@ -149,9 +169,13 @@ def _index(a: np.ndarray, size: int) -> np.ndarray:
     return a.astype(np.min_scalar_type(max(size - 1, 0)), copy=False)
 
 
-def _render_column(col: np.ndarray) -> _Column:
-    kind = col.dtype.kind
-    values, codes = _values(col)
+def _render_column(col: Any) -> _Column:
+    if isinstance(col, Labels):
+        kind, values, codes = "U", list(col.labels), np.asarray(col.codes)
+    else:
+        col = np.asarray(col)
+        kind = col.dtype.kind
+        values, codes = _values(col)
     k = len(values)
     # vocabulary rows: the CSV spelling of every value, then the JSON
     # spellings that differ from it
@@ -166,7 +190,7 @@ def _render_column(col: np.ndarray) -> _Column:
 def render(columns: Sequence[str], data: Mapping[str, Any]) -> Rendering:
     """Spell the named columns of ``data`` for ``write_csv``, ``write_json``
     and ``stream_csv``."""
-    parts = [_render_column(np.asarray(data[c])) for c in columns]
+    parts = [_render_column(data[c]) for c in columns]
     lengths = {len(p.codes) for p in parts}
     if len(lengths) > 1:
         raise ValueError(f"columns differ in length: {sorted(lengths)}")

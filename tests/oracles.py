@@ -3,6 +3,7 @@
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.integrate import quad
@@ -470,6 +471,26 @@ def charge_resolved_table_loop(lambdas, n):
     )
 
 
+
+def zero_mode_table_loop(p, n, params, ell):
+    """A zero-mode table one sector at a time, from the per-``dq`` closed
+    forms ``zero_mode_sre`` and ``zero_mode_sre_vn``."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("weight must lie in [0, 1]")
+    columns = {m: asym._defect_srpf_column(m, params) for m in (1.0, n)}
+
+    def srpf(m, dq, params):
+        col = columns[m]
+        t = asym.DQ_TRUNCATION
+        return asym._zero_mode_mix(p, m, col[dq + t + 1], col[dq + t])
+
+    return asym._closed_form_table(
+        n, ell, params,
+        srpf,
+        partial(asym.zero_mode_sre, p),
+        partial(asym.zero_mode_sre_vn, p),
+    )
+
 # --- the row-dict output path: one dict per CSV row, written value by value ---
 
 
@@ -490,6 +511,32 @@ def table_rows(table, *, m, case, n, ell, source, p=None):
                 "S": table.total_vn,
                 "S_c": table.config_entropy,
                 "S_f": table.fluct_entropy,
+                "source": source,
+                "dev": None,
+            }
+        )
+    return rows
+
+
+def sector_rows(sectors, point, n_index, *, m, case, n, ell, source, p=None):
+    """One row dict per sector of ``point`` and ``n_index`` in columns laid
+    out as ``ent.charge_resolved_tables`` gives them."""
+    rows = []
+    for k in np.flatnonzero((sectors["window"] == point) & (sectors["n_index"] == n_index)):
+        q = int(sectors["q"][k])
+        rows.append(
+            {
+                "m": m,
+                "case": case,
+                "p": p,
+                "q": q,
+                "dq": q - ell,
+                "n": n,
+                "Z1_q": float(sectors["Z1"][k]),
+                "S_n_q": float(sectors["S_n"][k]),
+                "S": float(sectors["S"][k]),
+                "S_c": float(sectors["S_c"][k]),
+                "S_f": float(sectors["S_f"][k]),
                 "source": source,
                 "dev": None,
             }
@@ -527,10 +574,13 @@ def sort_rows(rows):
 
 def scan_rows(points, n_list, ell, lattice, closed_form):
     """Sorted row dicts of a scan, from the same inputs as ``cli._scan``; the
-    lattice tables one window at a time."""
+    lattice tables one window at a time, the closed-form rows one
+    ``(point, n)`` at a time."""
     points = list(points)
     if lattice:
         spectra = lattice(points)
+    if closed_form:
+        sectors = closed_form(points)
     rows = []
     for i, (m, p, case) in enumerate(points):
         for j, n in enumerate(n_list):
@@ -539,7 +589,7 @@ def scan_rows(points, n_list, ell, lattice, closed_form):
                 table = ent.charge_resolved_table(spectra[i], n)
                 rows.extend(table_rows(table, source="lattice", **at))
             if closed_form:
-                rows.extend(table_rows(closed_form(case, p, n), source="asymptotic", **at))
+                rows.extend(sector_rows(sectors, i, j, source="asymptotic", **at))
     fill_deviations(rows)
     return sort_rows(rows)
 

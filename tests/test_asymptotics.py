@@ -12,6 +12,7 @@ from sshent import model
 from sshent.specialfn import EllipticParams
 
 from conftest import DEFECT_WINDOW, ELL, TOP_WINDOW, TRIV_WINDOW, chiral_system, two_defect_chain
+from oracles import zero_mode_table_loop
 
 CASES = ("topological", "trivial", "defect")
 CASE_WINDOWS = {
@@ -447,3 +448,57 @@ def test_closed_form_caches_keep_dimerizations_apart(params03):
     for a, b in zip(alone, after_other):
         assert np.array_equal(a.sre_vn, b.sre_vn)
     assert not np.array_equal(first[1].sre_vn, after_other[1].sre_vn)
+
+
+def _sweep_weights(params):
+    crossings = [asym.crossing_weight(dq, params) for dq in range(-3, 4)]
+    spread = np.random.default_rng(13).random(120).tolist()
+    return [0.0, 1e-12, *crossings, 0.5, 1.0 - 1e-12, 1.0, *spread]
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_list", [[0.5, 1.0, 2.0, 3.0], [2.0, 1.0], [3.0, 0.5, 1.0], [1.0]])
+@pytest.mark.parametrize("delta", [0.3, 0.9])
+def test_zero_mode_tables_match_the_per_weight_oracle(n_list, delta):
+    """Every (p, n) of the batched columns is the per-weight, per-sector
+    table of ``oracles.zero_mode_table_loop``, bit for bit, and so is
+    ``zero_mode_table``: weights at both ends, within 1e-12 of them and on
+    the crossings, with n = 1 anywhere in ``n_list``."""
+    params = EllipticParams.from_dimerization(delta)
+    weights = _sweep_weights(params)
+    cols = asym.zero_mode_tables(weights, n_list, params, ELL)
+    # (point, n_index, q) order
+    order = np.lexsort((cols["q"], cols["n_index"], cols["window"]))
+    assert np.array_equal(order, np.arange(order.size))
+    for i, p in enumerate(weights):
+        for j, n in enumerate(n_list):
+            want = zero_mode_table_loop(p, n, params, ELL)
+            rows = (cols["window"] == i) & (cols["n_index"] == j)
+            for key, field in [("q", "charges"), ("Z1", "probabilities"), ("S_n", "sre_renyi")]:
+                expected = getattr(want, field).astype(cols[key].dtype)
+                assert _same_bits(cols[key][rows], expected), (p, n, key)
+            for key, total in [("S", want.total_vn), ("S_c", want.config_entropy),
+                               ("S_f", want.fluct_entropy)]:
+                assert _same_bits(cols[key][rows], np.full(want.charges.size, total)), (p, n, key)
+            one = asym.zero_mode_table(p, n, params, ELL)
+            for field in dataclasses.fields(one):
+                assert _same_bits(getattr(one, field.name), getattr(want, field.name)), field.name
+
+
+def test_zero_mode_tables_reject_what_the_table_rejects(params03):
+    for bad in ([0.5, 1.5], [-0.1], [math.nan]):
+        with pytest.raises(ValueError, match="weight must lie in"):
+            asym.zero_mode_tables(bad, [1.0], params03, ELL)
+    with pytest.raises(ValueError, match="weight must lie in"):
+        asym.zero_mode_table(1.5, 1.0, params03, ELL)
+    for n in (0.0, -1.0):
+        with pytest.raises(ValueError, match="replica index must be positive"):
+            asym.zero_mode_tables([0.5], [1.0, n], params03, ELL)
+        with pytest.raises(ValueError, match="replica index must be positive"):
+            asym.zero_mode_table(0.5, n, params03, ELL)
+    empty = asym.zero_mode_tables([], [1.0], params03, ELL)
+    assert all(col.size == 0 for col in empty.values())

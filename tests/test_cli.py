@@ -391,6 +391,28 @@ def test_zero_mode_scan_rejects_repeated_weights_and_indices(tmp_path, capsys, k
     assert not (tmp_path / "scan.csv").exists()
 
 
+
+@pytest.mark.parametrize(
+    "command, key, mode",
+    [
+        ("scan-interval", "n_list", "both"),
+        ("zero-mode-scan", "n_list", "both"),
+        ("zero-mode-scan", "p_list", "both"),
+        ("zero-mode-scan", "p_list", "asymptotic"),
+    ],
+)
+def test_empty_index_and_weight_lists_are_config_errors(tmp_path, capsys, command, key, mode):
+    """An empty list used to pass a vacuous gate with a header-only CSV, or
+    (p_list in both modes) end in numpy's concatenate error."""
+    cfg = base_config(tmp_path, mode=mode, **{key: []})
+    if command == "zero-mode-scan":
+        cfg.pop("m_range")
+        cfg["window_start"] = 19
+    rc = cli.main([command, "--config", write_config(tmp_path, cfg)])
+    assert rc == cli.EXIT_CONFIG
+    assert f"config error: {key} is empty" in capsys.readouterr().err
+    assert not (tmp_path / "scan.csv").exists()
+
 def _with_chain(cfg, **chain):
     cfg["chain"] = dict(cfg["chain"], **chain)
     return cfg

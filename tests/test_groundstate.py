@@ -150,6 +150,47 @@ def test_zero_mode_correlations_equal_correlation_matrix(kinds, window):
         assert lam.tobytes() == want.tobytes(), p
 
 
+
+def _stacks(chiral, spec, policy, starts, weights):
+    return np.concatenate(
+        [s.copy() for s in gs.correlation_stacks(chiral, spec, policy, starts, 20, weights)]
+    )
+
+
+@pytest.mark.parametrize(
+    "kinds, start, phi",
+    [
+        (("one_site", "one_site"), DEFECT_WINDOW[0], 0.7),
+        (("one_site", "one_site"), 141, 2.3),  # the window holds the second defect
+        (("one_site", "three_site"), 141, 0.0),
+    ],
+)
+def test_fixed_window_stacks_equal_per_window_gathers(monkeypatch, kinds, start, phi):
+    """A sweep of one window builds its weight-independent part once.  Each
+    of its matrices, the partial last stack included, equals the one the
+    per-window path gathers bit for bit; starts that differ take that path."""
+    spec = two_defect_chain(0.3, kinds)
+    chiral = chiral_system(spec)
+    policy = gs.OccupationPolicy.half(gs.localized_zero_modes(chiral, spec).with_weight(1.0, phi))
+    weights = np.linspace(0.0, 1.0, 2 * gs.SPECTRA_CHUNK + 5)
+    outer, calls = gs._zero_mode_outer, []
+    monkeypatch.setattr(gs, "_zero_mode_outer", lambda *a: calls.append(1) or outer(*a))
+    fixed = _stacks(chiral, spec, policy, [start] * weights.size, weights)
+    assert len(calls) == 1
+    # interleaved with a neighbouring window (the last start is the first
+    # again), the sweep takes the per-window path
+    starts = np.append(np.repeat([[start, start + 1]], weights.size, axis=0).ravel(), start)
+    calls.clear()
+    mixed = _stacks(chiral, spec, policy, starts, np.append(np.repeat(weights, 2), 0.0))
+    assert len(calls) == -(-starts.size // gs.SPECTRA_CHUNK)
+    assert fixed.tobytes() == mixed[0:-1:2].tobytes()
+    assert fixed[0].tobytes() == mixed[-1].tobytes()
+    # and the neighbouring window is the same whether or not it is interleaved
+    calls.clear()
+    alone = _stacks(chiral, spec, policy, [start + 1] * weights.size, weights)
+    assert len(calls) == 1
+    assert alone.tobytes() == mixed[1::2].tobytes()
+
 def test_weight_sweep_rejects_bad_weights(chiral03, chain03, zero_pair03):
     policy = gs.OccupationPolicy.half(zero_pair03)
     with pytest.raises(ValueError, match="weight"):

@@ -8,17 +8,26 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import chiral_system, two_defect_chain
 from oracles import (
     aklt_rows,
     dimerized_rows,
     emitted_files,
+    fill_deviations,
     render_csv,
     render_json,
     scan_rows,
+    sort_rows,
     statmech_rows,
+    table_rows,
+    zero_mode_table_loop,
 )
+from sshent import asymptotics as asym
 from sshent import cli, serialize
+from sshent import entanglement as ent
+from sshent import groundstate as gs
 from sshent import statmech as sm
+from sshent.specialfn import EllipticParams
 
 nan, inf = float("nan"), float("inf")
 STRINGS = ['a"b', "back\\slash", "tab\tnew\nline", "é☃", "", "comma,field", "\x00"]
@@ -207,6 +216,33 @@ def test_random_tables_match_the_oracle(tmp_path, data):
     assert buf.getvalue() == got[0]
 
 
+
+def test_labels_render_as_their_string_column(tmp_path):
+    labels = ["topological", "trivial", 'de"fect', "é☃"]
+    codes = np.array([2, 0, 0, 3, 2, 2, 0], dtype=np.int64)
+    as_labels = write_both(tmp_path, ["c"], {"c": serialize.Labels(labels, codes)})
+    as_strings = write_both(tmp_path, ["c"], {"c": np.array(labels, dtype=object)[codes]})
+    assert as_labels == as_strings
+    # a label no row takes is written nowhere
+    assert "trivial" not in as_labels[0]
+
+
+def test_float_values_give_nan_one_code():
+    """NaNs of any payload share one value; inf, -inf, 0.0 and -0.0 keep
+    their own, and codes index the values."""
+    other_nan = np.array([0x7FF8000000000001], dtype=np.uint64).view(float)[0]
+    col = np.array([nan, 1.5, -0.0, inf, other_nan, 0.0, -inf, nan, 1.5, -nan])
+    values, codes = serialize._values(col)
+    assert len(values) == 6
+    assert np.isnan(values[codes[[0, 4, 7, 9]]]).all()
+    assert len(set(codes[[0, 4, 7, 9]].tolist())) == 1
+    back = values[codes]
+    same = (back == col) & (np.signbit(back) == np.signbit(col))
+    assert (same | np.isnan(col)).all()
+    for column in (col[~np.isnan(col)], np.array([nan, nan]), np.array([], float)):
+        values, codes = serialize._values(column)
+        assert values[codes].tobytes() == column.tobytes() or np.isnan(column).all()
+
 # --- whole CLI runs: the files and stdout against the row-dict path ---
 
 
@@ -280,6 +316,42 @@ def _assert_files_match(tmp_path, seen, rows=None):
     assert_same_text((tmp_path / "out.csv").read_text(encoding="utf-8"), want_csv)
     assert_same_text((tmp_path / "out.json").read_text(encoding="utf-8"), want_json)
 
+
+
+def test_zero_mode_scan_on_the_second_defect_matches_per_weight_tables(tmp_path):
+    """With the window on the second defect, at n = 0.5 and 2, the files are
+    those of one lattice window per weight and one per-sector oracle table
+    per weight at the outside weight 1 - p; the exit code is the gate's."""
+    spec = two_defect_chain(0.3)
+    chiral = chiral_system(spec)
+    pair = gs.localized_zero_modes(chiral, spec)
+    params = EllipticParams.from_dimerization(0.3)
+    ell, m, n_list = 20, 141, [0.5, 2.0]
+    weights = [0.0, 1e-12, asym.crossing_weight(-1, params), 0.3, 0.5,
+               asym.crossing_weight(2, params), 1.0]
+    rows = []
+    for p in weights:
+        policy = gs.OccupationPolicy.half(pair.with_weight(p))
+        lam = gs.correlation_matrix(chiral, spec, policy, (m, ell)).eigenvalues()
+        for n in n_list:
+            at = {"m": m, "case": "defect", "n": n, "ell": ell, "p": p}
+            rows += table_rows(ent.charge_resolved_table(lam, n), source="lattice", **at)
+            rows += table_rows(zero_mode_table_loop(1.0 - p, n, params, ell),
+                               source="asymptotic", **at)
+    fill_deviations(rows)
+    rows = sort_rows(rows)
+    config = dict(ZERO_MODE, chain=_chain([(50, "one_site"), (150, "one_site")]),
+                  window_start=m, n_list=n_list, p_list=weights, tolerance=1e-3,
+                  outputs={"csv_path": str(tmp_path / "out.csv"),
+                           "json_path": str(tmp_path / "out.json")})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    rc = cli.main(["zero-mode-scan", "--config", str(path)])
+    gated = [r["dev"] for r in rows if r["dev"] is not None and r["Z1_q"] >= cli.GATE_PROB_FLOOR]
+    assert rc == (cli.EXIT_VALIDATION if max(gated) > config["tolerance"] else cli.EXIT_OK)
+    want_csv, want_json = emitted_files(config, rows, cli.SCAN_COLUMNS, cli.SCAN_SCHEMA)
+    assert_same_text((tmp_path / "out.csv").read_text(encoding="utf-8"), want_csv)
+    assert_same_text((tmp_path / "out.json").read_text(encoding="utf-8"), want_json)
 
 @pytest.mark.parametrize("command, config", list(_scan_configs()))
 def test_scan_files_match_the_oracle(tmp_path, record, command, config):
