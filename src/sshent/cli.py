@@ -176,6 +176,34 @@ def _table_sectors(parts: list) -> dict[str, np.ndarray]:
     return sectors
 
 
+def _case_sectors(
+    case_index: np.ndarray, n_list: list[float], params: sf.EllipticParams, ell: int
+) -> dict[str, np.ndarray]:
+    """Closed-form sector columns of windows of the cases ``CASES[case_index]``,
+    as ``ent.charge_resolved_tables`` gives them: ``window`` is the position
+    in ``case_index``.  A window's table does not depend on its position, so
+    each (case, n) in use is tabulated once, and every window's rows are one
+    ragged take from those tables in ``(window, n_index, q)`` order."""
+    # bincount, not np.unique: without return_inverse it takes numpy's hash
+    # path, which imports numpy.ma (about 1 MB and 15 ms) on its first call
+    in_use = np.bincount(case_index, minlength=len(CASES)) > 0
+    pool = ent.table_columns(
+        [asym.asymptotic_table(CASES[c], n, params, ell)
+         for c in np.flatnonzero(in_use).tolist() for n in n_list]
+    )
+    # the pool rows of each case in use, in (n_index, q) order
+    sizes = np.bincount(pool["table"] // len(n_list), minlength=int(in_use.sum()))
+    starts = np.cumsum(sizes) - sizes
+    slot = (np.cumsum(in_use) - 1)[case_index]
+    counts = sizes[slot]
+    window = np.repeat(np.arange(case_index.size), counts)
+    offset = np.cumsum(counts) - counts
+    take = np.arange(window.size) + np.repeat(starts[slot] - offset, counts)
+    sectors = {name: col[take] for name, col in pool.items() if name != "table"}
+    sectors["window"], sectors["n_index"] = window, pool["table"][take] % len(n_list)
+    return sectors
+
+
 def _fill_deviations(data: dict[str, np.ndarray]) -> None:
     """Join closed-form and lattice rows on (point, n, q): both rows of a pair
     get ``dev = |S_n_q - S_n_q(lattice)|`` and ``paired``."""
@@ -209,7 +237,13 @@ def _sort_rows(data: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 
 def _claim_outputs(paths: list[str]) -> None:
     """Open every output path for writing before any is written; on the first
-    that cannot be opened, remove the files this made and raise ConfigError."""
+    that cannot be opened, remove the files this made and raise ConfigError.
+    Two paths naming one file are a ConfigError before any is opened: the
+    second write would replace the first."""
+    real = [os.path.realpath(path) for path in paths]
+    for i, path in enumerate(real):
+        if path in real[:i]:
+            raise ConfigError(f"outputs {paths[real.index(path)]} and {paths[i]} are the same file")
     made = []
     for path in paths:
         existed = os.path.lexists(path)
@@ -375,15 +409,8 @@ def run_scan_interval(args: argparse.Namespace) -> int:
     if params is not None:
 
         def closed_form(points: list) -> dict[str, np.ndarray]:
-            # one table per (case, n): it does not depend on the window position
-            tables: dict[tuple[str, float], ent.ChargeResolvedTable] = {}
-            parts = []
-            for i, (_, _, case) in enumerate(points):
-                for j, n in enumerate(n_list):
-                    if (case, n) not in tables:
-                        tables[case, n] = asym.asymptotic_table(case, n, params, ell)
-                    parts.append((i, j, tables[case, n]))
-            return _table_sectors(parts)
+            case_index = np.array([CASES.index(c) for *_, c in points], dtype=np.int64)
+            return _case_sectors(case_index, n_list, params, ell)
 
     cases = model.window_cases(spec, m_values, ell)
     points = ((m, None, case) for m, case in zip(m_values, cases))
@@ -458,8 +485,10 @@ def run_zero_mode_scan(args: argparse.Namespace) -> int:
 def run_dimerized(args: argparse.Namespace) -> int:
     config = _load_config(args, defaults={"window_length": 20, "n_list": [1.0, 2.0]})
     ell = model.integer(config["window_length"], "window_length")
-    n_list = [float(n) for n in config["n_list"]]
+    n_list = _distinct([float(n) for n in config["n_list"]], "n_list")
     p_list = [float(p) for p in config.get("p_list", [])]
+    if p_list:
+        _distinct(p_list, "p_list")
     points = [(None, None, case) for case in (model.TOPOLOGICAL, model.TRIVIAL, model.DEFECT)]
     points += [(None, p, model.DEFECT) for p in p_list]
     parts = [
@@ -530,7 +559,8 @@ AKLT_COLUMNS = [
 
 def run_aklt(args: argparse.Namespace) -> int:
     config = _load_config(args, defaults={"n_list": [1.0, 2.0], "p_list": [0.1, 0.25, 0.5]})
-    n_list, p_list = config["n_list"], config["p_list"]
+    n_list = _distinct([float(n) for n in config["n_list"]], "n_list")
+    p_list = _distinct([float(p) for p in config["p_list"]], "p_list")
     specs = [
         (case, aklt_mod.TRIPLET, n, None)
         for case in (aklt_mod.TRIVIAL_PRODUCT, aklt_mod.AKLT_BULK, aklt_mod.DEFECT_INTERFACE)

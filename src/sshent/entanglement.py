@@ -94,55 +94,78 @@ def charged_moment(lambdas: np.ndarray, n: float, alpha: float) -> complex:
     return cmath.exp(log_sum)
 
 
-def _padded(w: int, m: int, constant: float) -> np.ndarray:
-    """Coefficient rows with a zero column either side of room for ``m + 1``
-    coefficients; the running polynomial starts as ``constant``."""
-    buf = np.zeros((w, m + 2))
-    buf[:, 1] = constant
+def _modes(lam: np.ndarray) -> np.ndarray:
+    """A ``(W, M)`` stack mode-major: its ``(M, W)`` transpose, C-contiguous,
+    so that one mode of every window is one contiguous row."""
+    return np.ascontiguousarray(lam.T)
+
+
+def _padded(m: int, w: int, constant: float) -> np.ndarray:
+    """Mode-major coefficient rows ``(M + 2, W)``: a zero row either side of
+    room for ``m + 1`` coefficients; the running polynomial starts as
+    ``constant``."""
+    buf = np.zeros((m + 2, w))
+    buf[1] = constant
     return buf
 
 
-def _srpf_rows(lam: np.ndarray, n: float) -> np.ndarray:
-    """``srpf`` of every row of a clamped ``(W, M)`` stack."""
-    w, m = lam.shape
-    f0, f1 = (1.0 - lam) ** n, lam**n
-    coeffs = _padded(w, m, 1.0)
-    peaks = np.empty((w, m))
+def _window_major(buf: np.ndarray) -> np.ndarray:
+    """Coefficients ``q = 0 .. M`` of a padded mode-major buffer as a
+    C-contiguous ``(W, M + 1)`` array."""
+    return np.ascontiguousarray(buf[1:].T)
+
+
+def _srpf_rows(modes: np.ndarray, n: float) -> np.ndarray:
+    """``srpf`` of every window of a clamped mode-major ``(M, W)`` stack, as
+    ``(W, M + 1)`` rows."""
+    m, w = modes.shape
+    f0, f1 = (1.0 - modes) ** n, modes**n
+    coeffs = _padded(m, w, 1.0)
+    shifted = np.empty_like(coeffs)
+    # each step's peak, 1 where it is 0 (every coefficient is then 0)
+    peaks = np.empty((m, w))
     for j in range(m):
         # c_k f0 + c_{k-1} f1 for k = 0 .. j + 1, written in place of c
-        cur, low = coeffs[:, 1 : j + 3], coeffs[:, : j + 2]
-        shifted = low * f1[:, j, None]
-        cur *= f0[:, j, None]
-        cur += shifted
-        peak = cur.max(axis=1, keepdims=True)
-        np.divide(cur, peak, out=cur, where=peak > 0.0)
-        peaks[:, j] = peak[:, 0]
-    log_scale = np.sum(np.log(np.where(peaks > 0.0, peaks, 1.0)), axis=1)
-    return coeffs[:, 1:] * np.exp(log_scale)[:, None]
+        cur, low, tmp = coeffs[1 : j + 3], coeffs[: j + 2], shifted[: j + 2]
+        np.multiply(low, f1[j], out=tmp)
+        cur *= f0[j]
+        cur += tmp
+        peak = cur.max(axis=0)
+        np.copyto(peak, 1.0, where=peak <= 0.0)
+        cur /= peak
+        peaks[j] = peak
+    # summed along the rows of a C-contiguous (W, M) array, in the order of a
+    # row-major recursion's sum
+    log_scale = np.sum(np.log(np.ascontiguousarray(peaks.T)), axis=1)
+    return _window_major(coeffs) * np.exp(log_scale)[:, None]
 
 
-def _srpf_vn_rows(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``srpf_with_vn_derivative`` of every row of a clamped ``(W, M)`` stack."""
-    w, m = lam.shape
-    f0, f1 = 1.0 - lam, lam
+def _srpf_vn_rows(modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``srpf_with_vn_derivative`` of every window of a clamped mode-major
+    ``(M, W)`` stack, as ``(W, M + 1)`` rows."""
+    m, w = modes.shape
+    f0, f1 = 1.0 - modes, modes
     fp0, fp1 = _xlogx(f0), _xlogx(f1)
-    p = _padded(w, m, 1.0)
-    d = _padded(w, m, 0.0)
+    p = _padded(m, w, 1.0)
+    d = _padded(m, w, 0.0)
+    tmp, from_p = np.empty_like(p), np.empty_like(p)
     for j in range(m):
-        a, b = f0[:, j, None], f1[:, j, None]
-        p_cur, p_low = p[:, 1 : j + 3], p[:, : j + 2]
-        d_cur, d_low = d[:, 1 : j + 3], d[:, : j + 2]
+        a, b = f0[j], f1[j]
+        p_cur, p_low = p[1 : j + 3], p[: j + 2]
+        d_cur, d_low = d[1 : j + 3], d[: j + 2]
+        t, fp = tmp[: j + 2], from_p[: j + 2]
         # D <- D * f + P * f', then P <- P * f, each in place
-        shifted = d_low * b
+        np.multiply(d_low, b, out=t)
         d_cur *= a
-        d_cur += shifted
-        from_p = p_cur * fp0[:, j, None]
-        from_p += p_low * fp1[:, j, None]
-        d_cur += from_p
-        shifted = p_low * b
+        d_cur += t
+        np.multiply(p_cur, fp0[j], out=fp)
+        fp += np.multiply(p_low, fp1[j], out=t)
+        d_cur += fp
+        np.multiply(p_low, b, out=t)
         p_cur *= a
-        p_cur += shifted
-    return p[:, 1:], -d[:, 1:]
+        p_cur += t
+    g = _window_major(d)
+    return _window_major(p), np.negative(g, out=g)
 
 
 def srpf(lambdas: np.ndarray, n: float) -> np.ndarray:
@@ -155,7 +178,7 @@ def srpf(lambdas: np.ndarray, n: float) -> np.ndarray:
     if not n > 0:
         raise ValueError("Renyi index must be positive")
     lam = clamp_lambdas(lambdas)
-    return _srpf_rows(_rows(lam), n).reshape(lam.shape[:-1] + (-1,))
+    return _srpf_rows(_modes(_rows(lam)), n).reshape(lam.shape[:-1] + (-1,))
 
 
 def srpf_with_vn_derivative(lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -168,7 +191,7 @@ def srpf_with_vn_derivative(lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray
     sign of ``G``), so no cancellation occurs.
     """
     lam = clamp_lambdas(lambdas)
-    z1, g = _srpf_vn_rows(_rows(lam))
+    z1, g = _srpf_vn_rows(_modes(_rows(lam)))
     shape = lam.shape[:-1] + (-1,)
     return z1.reshape(shape), g.reshape(shape)
 
@@ -253,7 +276,8 @@ def _tabulate(lambdas: np.ndarray, n_list) -> dict[str, np.ndarray]:
         if not n > 0:
             raise ValueError("Renyi index must be positive")
     lam = _rows(clamp_lambdas(lambdas))
-    z1, g = _srpf_vn_rows(lam)
+    modes = _modes(lam)
+    z1, g = _srpf_vn_rows(modes)
     occupied = z1 > EMPTY_SECTOR_THRESHOLD
     log_z1 = np.log(np.where(occupied, z1, 1.0))
     vn = np.divide(g, z1, out=np.zeros_like(g), where=occupied) + log_z1
@@ -265,7 +289,7 @@ def _tabulate(lambdas: np.ndarray, n_list) -> dict[str, np.ndarray]:
         if n == 1.0:
             zn[:, j], renyi[:, j], total_renyi[:, j] = z1, vn, total_vn
             continue
-        zn[:, j] = _srpf_rows(lam, n)
+        zn[:, j] = _srpf_rows(modes, n)
         renyi[:, j] = (np.log(np.where(occupied, zn[:, j], 1.0)) - n * log_z1) / (1.0 - n)
         total_renyi[:, j] = _total_renyi_rows(lam, n)
     return {

@@ -11,6 +11,7 @@ from scipy.integrate import quad
 import sshent
 from sshent import aklt
 from sshent import asymptotics as asym
+from sshent import cli
 from sshent import entanglement as ent
 from sshent import groundstate as gs
 from sshent import model
@@ -423,6 +424,58 @@ def srpf_with_vn_derivative_loop(lambdas):
     return p, -d
 
 
+# --- the row-major sector recursions: the same arithmetic as the library's
+# mode-major kernels on a (W, M) stack, one strided column block per step ---
+
+
+def _padded_rows(w, m, constant):
+    buf = np.zeros((w, m + 2))
+    buf[:, 1] = constant
+    return buf
+
+
+def srpf_rows_row_major(lam, n):
+    """``srpf`` of every row of a clamped ``(W, M)`` stack, row-major."""
+    w, m = lam.shape
+    f0, f1 = (1.0 - lam) ** n, lam**n
+    coeffs = _padded_rows(w, m, 1.0)
+    peaks = np.empty((w, m))
+    for j in range(m):
+        cur, low = coeffs[:, 1 : j + 3], coeffs[:, : j + 2]
+        shifted = low * f1[:, j, None]
+        cur *= f0[:, j, None]
+        cur += shifted
+        peak = cur.max(axis=1, keepdims=True)
+        np.divide(cur, peak, out=cur, where=peak > 0.0)
+        peaks[:, j] = peak[:, 0]
+    log_scale = np.sum(np.log(np.where(peaks > 0.0, peaks, 1.0)), axis=1)
+    return coeffs[:, 1:] * np.exp(log_scale)[:, None]
+
+
+def srpf_vn_rows_row_major(lam):
+    """``srpf_with_vn_derivative`` of every row of a clamped ``(W, M)``
+    stack, row-major."""
+    w, m = lam.shape
+    f0, f1 = 1.0 - lam, lam
+    fp0, fp1 = ent._xlogx(f0), ent._xlogx(f1)
+    p = _padded_rows(w, m, 1.0)
+    d = _padded_rows(w, m, 0.0)
+    for j in range(m):
+        a, b = f0[:, j, None], f1[:, j, None]
+        p_cur, p_low = p[:, 1 : j + 3], p[:, : j + 2]
+        d_cur, d_low = d[:, 1 : j + 3], d[:, : j + 2]
+        shifted = d_low * b
+        d_cur *= a
+        d_cur += shifted
+        from_p = p_cur * fp0[:, j, None]
+        from_p += p_low * fp1[:, j, None]
+        d_cur += from_p
+        shifted = p_low * b
+        p_cur *= a
+        p_cur += shifted
+    return p[:, 1:], -d[:, 1:]
+
+
 def sre_vn_from_partitions(z_1_q, g_q):
     """Sector von Neumann entropy ``G(q)/Z_1(q) + log Z_1(q)``."""
     return g_q / z_1_q + math.log(z_1_q)
@@ -490,6 +543,19 @@ def zero_mode_table_loop(p, n, params, ell):
         partial(asym.zero_mode_sre, p),
         partial(asym.zero_mode_sre_vn, p),
     )
+
+def closed_form_sectors_by_reference(points, n_list, params, ell):
+    """``scan-interval``'s closed-form sector columns by the per-window
+    reference path: one table reference per (window, n), each (case, n)
+    tabulated once, concatenated by ``cli._table_sectors``."""
+    tables, parts = {}, []
+    for i, (_, _, case) in enumerate(points):
+        for j, n in enumerate(n_list):
+            if (case, n) not in tables:
+                tables[case, n] = asym.asymptotic_table(case, n, params, ell)
+            parts.append((i, j, tables[case, n]))
+    return cli._table_sectors(parts)
+
 
 # --- the row-dict output path: one dict per CSV row, written value by value ---
 

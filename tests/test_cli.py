@@ -8,7 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
+
+from sshent import asymptotics as asym
 from sshent import cli
+from sshent import specialfn as sf
 from sshent.serialize import render, stream_csv
 
 
@@ -357,6 +361,112 @@ def test_unwritable_json_path_leaves_no_csv_behind(tmp_path, capsys, csv_existed
     assert csv.exists() == csv_existed
     assert not csv_existed or csv.read_text() == "old\n"
     assert not bad.parent.exists()
+
+
+@pytest.mark.parametrize("json_name", ["X", "./X", "sub/../X"])
+def test_one_path_for_csv_and_json_is_a_config_error(tmp_path, capsys, monkeypatch, json_name):
+    """The JSON used to replace the CSV written at the same path, after
+    "wrote X (42 rows)" and exit 0."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    rc = cli.main(["scan-interval", "--n-sites", "40", "--delta", "0.3",
+                   "--csv", "X", "--json", json_name])
+    assert rc == cli.EXIT_CONFIG
+    out = capsys.readouterr()
+    assert out.err == f"config error: outputs X and {json_name} are the same file\n"
+    assert "wrote" not in out.out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
+
+
+@pytest.mark.parametrize(
+    "command, argv, key",
+    [
+        ("dimerized", ["--n-list", "1,1"], "n_list"),
+        ("dimerized", ["--p-list", "0.5,0.5"], "p_list"),
+        ("aklt", ["--n-list", "1,1"], "n_list"),
+        ("aklt", ["--p-list", "0.5,0.5"], "p_list"),
+    ],
+)
+def test_dimerized_and_aklt_reject_repeated_values(tmp_path, capsys, command, argv, key):
+    """A repeated value used to write each of its rows twice, with exit 0."""
+    csv = tmp_path / "out.csv"
+    rc = cli.main([command, *argv, "--csv", str(csv)])
+    assert rc == cli.EXIT_CONFIG
+    assert f"config error: {key} repeats a value" in capsys.readouterr().err
+    assert not csv.exists()
+
+
+def test_dimerized_rejects_an_empty_n_list(tmp_path, capsys):
+    """An empty n_list used to write a header-only CSV with exit 0."""
+    csv = tmp_path / "out.csv"
+    cfg = write_config(tmp_path, {"n_list": []})
+    rc = cli.main(["dimerized", "--config", cfg, "--csv", str(csv)])
+    assert rc == cli.EXIT_CONFIG
+    assert "config error: n_list is empty" in capsys.readouterr().err
+    assert not csv.exists()
+
+
+def test_dimerized_p_list_may_be_empty(tmp_path):
+    csv = tmp_path / "out.csv"
+    cfg = write_config(tmp_path, {"p_list": []})
+    assert cli.main(["dimerized", "--config", cfg, "--csv", str(csv)]) == cli.EXIT_OK
+    assert {r["p"] for r in read_rows(csv)} == {""}
+
+
+CLOSED_FORM_SCANS = {
+    "two-defect-ring": lambda cfg: None,
+    "defect-free-ring": lambda cfg: cfg["chain"].update(defects=[]),
+    "open-chain": lambda cfg: cfg["chain"].update(
+        boundary="open", defects=[{"cell": 60, "kind": "one_site"}]
+    ),
+    "mixed-kinds": lambda cfg: cfg["chain"].update(
+        defects=[{"cell": 25, "kind": "one_site"}, {"cell": 75, "kind": "three_site"}]
+    ),
+    "unsorted-m-list": lambda cfg: cfg.update(m_list=[70, 3, 41, 20, 99, 1]),
+    "n-one-not-first": lambda cfg: cfg.update(n_list=[2, 0.5, 1, 3]),
+}
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_SCANS)
+def test_scan_interval_closed_forms_equal_the_per_window_references(tmp_path, monkeypatch, name):
+    """``scan-interval`` tabulates each (case, n) it needs once and takes every
+    window's closed-form rows from those columns, bit for bit the per-window
+    reference columns, with no per-window table references."""
+    seen, built = {}, []
+    scan, table = cli._scan, asym.asymptotic_table
+
+    def spy_scan(points, n_list, ell, lattice, closed_form):
+        points = list(points)
+        seen.update(points=points, n_list=n_list, ell=ell, closed_form=closed_form)
+        return scan(points, n_list, ell, lattice, closed_form)
+
+    def spy_table(case, n, params, ell):
+        built.append((case, n))
+        return table(case, n, params, ell)
+
+    def no_references(parts):
+        raise AssertionError("scan-interval built per-window table references")
+
+    monkeypatch.setattr(cli, "_scan", spy_scan)
+    monkeypatch.setattr(asym, "asymptotic_table", spy_table)
+    monkeypatch.setattr(cli, "_table_sectors", no_references)
+    cfg = base_config(tmp_path, mode="asymptotic", m_range=[1, 100])
+    CLOSED_FORM_SCANS[name](cfg)
+    assert cli.main(["scan-interval", "--config", write_config(tmp_path, cfg)]) == cli.EXIT_OK
+    monkeypatch.undo()
+
+    points, n_list = seen["points"], seen["n_list"]
+    cases = {case for *_, case in points}
+    assert sorted(built) == sorted((case, n) for case in cases for n in n_list)
+    if name == "defect-free-ring":
+        assert "defect" not in {case for case, _ in built}
+    got = seen["closed_form"](points)
+    params = sf.EllipticParams.from_dimerization(0.3)
+    want = oracles.closed_form_sectors_by_reference(points, n_list, params, seen["ell"])
+    assert set(got) == set(want) - {"table"}
+    for key, col in got.items():
+        assert col.dtype == want[key].dtype, key
+        assert col.tobytes() == want[key].tobytes(), key
 
 
 def test_selftest_passes():

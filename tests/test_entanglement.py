@@ -299,6 +299,61 @@ def test_batched_kernels_match_convolve_loops(name, n):
     assert np.array_equal(ent.srpf(stack[-1], n), zn[-1])
 
 
+RECURSION_STACKS = dict(
+    STACKS,
+    **{
+        "W=1": np.random.default_rng(6).uniform(0.0, 1.0, size=(1, 9)),
+        "M=1": np.array([[0.0], [0.3], [0.5], [1.0]]),
+        # exact 0 and 1 among generic values, in every position
+        "exact-0-1": np.array([[0.0, 0.4, 1.0, 0.7], [1.0, 1.0, 0.2, 0.0], [0.0, 0.0, 0.0, 0.0],
+                               [1.0, 1.0, 1.0, 1.0]]),
+    },
+)
+
+
+def assert_same_bits(got, want):
+    """Equal bit for bit, in a C-contiguous array of the same shape."""
+    assert got.flags.c_contiguous
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_kernels_match_row_major(stack, n_list):
+    lam = ent.clamp_lambdas(stack)
+    modes = ent._modes(lam)
+    for n in n_list:
+        assert_same_bits(ent._srpf_rows(modes, n), oracles.srpf_rows_row_major(lam, n))
+    for got, want in zip(ent._srpf_vn_rows(modes), oracles.srpf_vn_rows_row_major(lam)):
+        assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("name", RECURSION_STACKS)
+def test_mode_major_kernels_equal_the_row_major_recursions(name):
+    assert_kernels_match_row_major(RECURSION_STACKS[name], [0.5, 1.0, 2.0, 3.0])
+
+
+def test_mode_major_kernels_keep_a_zero_running_peak():
+    """At n = 1100, 0.5^n underflows to 0: a row of 0.5 has every coefficient
+    0 after its first mode, and its peak is skipped in the division and the
+    log scale, beside rows whose peaks are not."""
+    stack = np.array([np.full(5, 0.5), [0.5, 0.0, 1.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0, 0.0]])
+    assert not ent._srpf_rows(ent._modes(stack), 1100.0)[0].any()
+    assert_kernels_match_row_major(stack, [1100.0, 0.5, 2.0])
+
+
+@st.composite
+def spectrum_stacks(draw):
+    w, m = draw(st.integers(1, 6)), draw(st.integers(1, 10))
+    values = st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0.0, 1.0, allow_nan=False))
+    return np.array(draw(st.lists(values, min_size=w * m, max_size=w * m))).reshape(w, m)
+
+
+@given(spectrum_stacks())
+@settings(max_examples=100, deadline=None)
+def test_mode_major_kernels_equal_the_row_major_recursions_on_random_stacks(stack):
+    assert_kernels_match_row_major(stack, [0.5, 1.0, 2.0, 3.0])
+
+
 def assert_table_close(table, want):
     assert np.array_equal(table.charges, want.charges)
     for field in ("partition", "probabilities"):
