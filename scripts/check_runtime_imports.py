@@ -3,11 +3,13 @@
     python scripts/check_runtime_imports.py
 
 Runs one ``scan-interval`` (lattice and closed forms) and one
-``zero-mode-scan`` in this fresh interpreter, with their CSVs in a temporary
-directory, and lists every top-level module the runs imported that is not
-part of the standard library, numpy or sshent.  Exit code 0 if there is none
-and both runs pass; 1 otherwise.  numpy is the only runtime dependency;
-scipy and the other test tools must not creep onto the run's path.
+``zero-mode-scan`` in this fresh interpreter, with their CSV and JSON files
+in a temporary directory, and lists every top-level module the runs
+imported that is not part of the standard library, numpy or sshent, and
+every standard-library module in ``HEAVY`` they loaded.  Exit code 0 if
+there is none and both runs pass; 1 otherwise.  numpy is the only runtime
+dependency; scipy and the other test tools must not creep onto the run's
+path.
 """
 
 import json
@@ -16,6 +18,8 @@ import tempfile
 from pathlib import Path
 
 ALLOWED = {"numpy", "sshent"}
+# standard-library modules a run must not load, with what they cost
+HEAVY = {"_hashlib": "OpenSSL's libcrypto, about 3.5 MB of resident memory"}
 CHAIN = {
     "n_sites": 400, "t": 1.0, "delta": 0.3, "boundary": "periodic",
     "defects": [{"cell": 50, "kind": "one_site"}, {"cell": 150, "kind": "three_site"}],
@@ -36,7 +40,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for command, config in RUNS.items():
             path = Path(tmp) / f"{command}.json"
-            outputs = {"csv_path": str(Path(tmp) / f"{command}.csv")}
+            outputs = {"csv_path": str(Path(tmp) / f"{command}.csv"),
+                       "json_path": str(Path(tmp) / f"{command}.json")}
             path.write_text(json.dumps(dict(config, outputs=outputs)))
             rc = cli.main([command, "--config", str(path)])
             if rc != cli.EXIT_OK:
@@ -46,6 +51,11 @@ def main() -> int:
     foreign = sorted(imported - ALLOWED - set(sys.stdlib_module_names))
     if foreign:
         print(f"the runs imported modules outside the standard library and numpy: {foreign}",
+              file=sys.stderr)
+        return 1
+    heavy = sorted(imported & HEAVY.keys())
+    if heavy:
+        print("the runs loaded " + "; ".join(f"{m} ({HEAVY[m]})" for m in heavy),
               file=sys.stderr)
         return 1
     print(f"runtime imports: {sorted(imported & ALLOWED)} and the standard library only")

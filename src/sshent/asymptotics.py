@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterator
+from contextlib import contextmanager
 from functools import lru_cache, partial
 
 import numpy as np
@@ -30,6 +32,7 @@ from .entanglement import (
     EMPTY_SECTOR_THRESHOLD,
     _xlogx,
 )
+from .linalg import NumericalError
 from .model import DEFECT, TOPOLOGICAL, TRIVIAL
 from .specialfn import EllipticParams, theta2, theta3
 
@@ -46,6 +49,26 @@ _CASES = (TOPOLOGICAL, TRIVIAL, DEFECT)
 def _check_case(case: str) -> None:
     if case not in _CASES:
         raise ValueError(f"unknown interval case {case!r}")
+
+
+def _log(x: float) -> float:
+    """``math.log`` of a closed-form quantity that is positive in exact
+    arithmetic: 0 (an underflow) is a ``NumericalError``, not a domain error."""
+    if not x > 0.0:
+        raise NumericalError(f"a closed form underflows to {x!r}")
+    return math.log(x)
+
+
+@contextmanager
+def _double_range(n: float) -> Iterator[None]:
+    """Raise an underflow, overflow or division by zero of the closed forms at
+    Renyi index ``n`` as a ``NumericalError`` that names ``n``."""
+    try:
+        yield
+    except (ArithmeticError, NumericalError) as err:
+        raise NumericalError(
+            f"closed forms at Renyi index n = {n:g} leave double range: {err}"
+        ) from err
 
 
 def _modulus_factor(case: str, n: float, params: EllipticParams) -> float:
@@ -155,7 +178,7 @@ def sre_offset(n: float, params: EllipticParams) -> float:
         / theta3(0.0, zn) ** 2
         * ((k * kp) ** n / (4.0 ** (n - 1.0) * kn * knp)) ** (1.0 / 3.0)
     )
-    return math.log(arg) / (1.0 - n)
+    return _log(arg) / (1.0 - n)
 
 
 @lru_cache(maxsize=_CLOSED_FORM_CACHE)
@@ -173,7 +196,7 @@ def sre_asymptotic(case: str, n: float, dq: int, params: EllipticParams) -> floa
     if case == DEFECT:
         num = 2.0 ** (n - 1.0) * theta2(0.0, math.exp(-n * eps / 2.0))
         den = theta2(0.0, math.exp(-eps / 2.0)) ** n
-        return sre_offset(n, params) + math.log(num / den) / (1.0 - n)
+        return sre_offset(n, params) + _log(num / den) / (1.0 - n)
     z2n = math.exp(-2.0 * n * eps)
     z2 = math.exp(-2.0 * eps)
     odd = dq % 2 != 0
@@ -182,7 +205,7 @@ def sre_asymptotic(case: str, n: float, dq: int, params: EllipticParams) -> floa
         ratio = theta3(0.0, z2n) / theta3(0.0, z2) ** n
     else:
         ratio = theta2(0.0, z2n) / theta2(0.0, z2) ** n
-    return sre_offset(n, params) + math.log(ratio) / (1.0 - n)
+    return sre_offset(n, params) + _log(ratio) / (1.0 - n)
 
 
 @lru_cache(maxsize=_CLOSED_FORM_CACHE)
@@ -403,12 +426,13 @@ def _closed_form_table(
 def asymptotic_table(case: str, n: float, params: EllipticParams, ell: int) -> ChargeResolvedTable:
     """Closed-form charge-resolved table for an ``ell``-cell interval."""
     _check_case(case)
-    return _closed_form_table(
-        n, ell, params,
-        partial(srpf_asymptotic, case),
-        partial(sre_asymptotic, case),
-        partial(sre_vn_asymptotic, case),
-    )
+    with _double_range(n):
+        return _closed_form_table(
+            n, ell, params,
+            partial(srpf_asymptotic, case),
+            partial(sre_asymptotic, case),
+            partial(sre_vn_asymptotic, case),
+        )
 
 
 _DQS = np.arange(-DQ_TRUNCATION, DQ_TRUNCATION + 1)
@@ -478,7 +502,8 @@ def _zero_mode_sectors(ps, n_list, params: EllipticParams) -> dict[str, np.ndarr
         # zero_mode_sre: _zero_mode_excess_at_dq in log space
         num = np.logaddexp(n * lp, n * lq + n * eps * dq)
         den = n * np.logaddexp(lp, lq + eps * dq)
-        values = base(partial(sre_asymptotic, DEFECT, n, params=params))
+        with _double_range(n):
+            values = base(partial(sre_asymptotic, DEFECT, n, params=params))
         values.flat[cells] += (num - den) / (1.0 - n)
         renyi[:, j] = values
     return {
@@ -518,7 +543,8 @@ def zero_mode_table(p: float, n: float, params: EllipticParams, ell: int) -> Cha
     """
     t = _zero_mode_sectors([p], [n], params)
     keep = t["occupied"][0]
-    col = _defect_srpf_column(n, params)
+    with _double_range(n):
+        col = _defect_srpf_column(n, params)
     dqs = _DQS[keep]
     zn = [_zero_mode_mix(p, n, col[dq + DQ_TRUNCATION + 1], col[dq + DQ_TRUNCATION])
           for dq in dqs.tolist()]

@@ -10,7 +10,8 @@ aklt            spin-chain interface tables
 selftest        quick end-to-end invariant suite
 
 Exit codes: 0 success, 1 configuration error, 2 numerical-validation failure
-(a failed gate, or a ``NumericalError`` from the eigensolver).
+(a failed gate, or a ``NumericalError``: an eigensolver that did not
+converge, or entropies outside double range).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 from . import __version__, aklt as aklt_mod, asymptotics as asym
 from . import entanglement as ent
 from . import groundstate as gs
+from . import lanes
 from . import model
 from . import serialize
 from . import specialfn as sf
@@ -130,6 +132,41 @@ def _distinct(values: list, name: str) -> list:
     if len(set(values)) != len(values):
         raise ConfigError(f"{name} repeats a value: {values}")
     return values
+
+
+def _renyi_indices(config: dict) -> list[float]:
+    """``config["n_list"]``: a list of distinct Renyi indices, each finite and
+    positive."""
+    values = config["n_list"]
+    if not isinstance(values, list):
+        raise ConfigError(f"n_list must be a list of Renyi indices, got {values!r}")
+    try:
+        n_list = _distinct([float(n) for n in values], "n_list")
+    except TypeError as err:
+        raise ConfigError(f"n_list must hold numbers, got {values!r}") from err
+    for n in n_list:
+        if not n > 0:
+            raise ConfigError("Renyi index must be positive")
+        if math.isinf(n):
+            raise ConfigError(f"Renyi index must be finite, got {n!r}")
+    return n_list
+
+
+def _gate_settings(config: dict) -> tuple[float, int | None]:
+    """The gate's ``tolerance``, finite and above 0, and its ``bulk_margin``,
+    an integer of at least 0 (None where the config sets none)."""
+    try:
+        tol = float(config["tolerance"])
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"tolerance must be a number, got {config['tolerance']!r}") from err
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ConfigError(f"tolerance must be finite and above 0, got {tol!r}")
+    margin = None
+    if "bulk_margin" in config:
+        margin = model.integer(config["bulk_margin"], "bulk_margin")
+        if margin < 0:
+            raise ConfigError(f"bulk_margin must be at least 0, got {margin}")
+    return tol, margin
 
 
 def _sector_rows(
@@ -266,10 +303,11 @@ def _emit(config: dict, data: dict[str, np.ndarray], columns: list[str], schema:
     json_path = outputs.get("json_path")
     _claim_outputs([p for p in (csv_path, json_path) if p])
     rendering = serialize.render(columns, {c: data.pop(c) for c in columns})
-    if csv_path:
+
+    def write_csv() -> None:
         serialize.write_csv(csv_path, schema, rendering)
-        print(f"wrote {csv_path} ({rendering.n_rows} rows)")
-    if json_path:
+
+    def write_json() -> None:
         payload = {
             "schema": schema,
             "columns": columns,
@@ -278,9 +316,20 @@ def _emit(config: dict, data: dict[str, np.ndarray], columns: list[str], schema:
             "versions": {"sshent": __version__, "numpy": np.__version__},
         }
         serialize.write_json(json_path, payload, rendering)
-        print(f"wrote {json_path}")
-    if not csv_path and not json_path:
+
+    # both files read the one rendering, so the JSON is written beside the CSV
+    if csv_path and json_path:
+        lanes.beside(write_csv, write_json)
+    elif csv_path:
+        write_csv()
+    elif json_path:
+        write_json()
+    else:
         serialize.stream_csv(sys.stdout, schema, rendering)
+    if csv_path:
+        print(f"wrote {csv_path} ({rendering.n_rows} rows)")
+    if json_path:
+        print(f"wrote {json_path}")
 
 
 def _labelled(data: dict[str, np.ndarray]) -> dict:
@@ -374,7 +423,8 @@ def run_scan_interval(args: argparse.Namespace) -> int:
     spec = _chain_from_config(config)
     ell = model.integer(config["window_length"], "window_length")
     params = _scan_params(config, spec, "scan-interval")
-    n_list = _distinct([float(n) for n in config["n_list"]], "n_list")
+    n_list = _renyi_indices(config)
+    tol, margin = _gate_settings(config)
     if "m_list" in config:
         m_values = _distinct([model.integer(m, "m_list") for m in config["m_list"]], "m_list")
     else:
@@ -417,12 +467,11 @@ def run_scan_interval(args: argparse.Namespace) -> int:
     data = _scan(points, n_list, ell, lattice, closed_form)
     status = EXIT_OK
     if config["mode"] == "both":
-        margin = model.integer(config["bulk_margin"], "bulk_margin")
         bulk = model.edge_distances(spec, m_values, ell) >= margin
         in_bulk = bulk[data["point"]]
         status = _gate(
             {name: col[in_bulk] for name, col in data.items()},
-            float(config["tolerance"]),
+            tol,
             "bulk-window max |lattice - asymptotic|",
         )
     _emit(config, _labelled(data), SCAN_COLUMNS, SCAN_SCHEMA)
@@ -444,9 +493,10 @@ def run_zero_mode_scan(args: argparse.Namespace) -> int:
     if len(spec.defects) != 2:
         raise ConfigError("zero-mode-scan needs a chain with exactly two defects")
     ell = model.integer(config["window_length"], "window_length")
-    n_list = _distinct([float(n) for n in config["n_list"]], "n_list")
+    n_list = _renyi_indices(config)
     p_list = _distinct([float(p) for p in config["p_list"]], "p_list")
     params = _scan_params(config, spec, "zero-mode-scan")
+    tol, _ = _gate_settings(config)
     default_start = spec.defects[0].cell - ell // 2 + 1
     m = model.integer(config.get("window_start", default_start), "window_start")
     inside = model.defects_in_window(spec, m, ell)
@@ -477,7 +527,7 @@ def run_zero_mode_scan(args: argparse.Namespace) -> int:
     data = _scan([(m, p, model.DEFECT) for p in p_list], n_list, ell, lattice, closed_form)
     status = EXIT_OK
     if config["mode"] == "both":
-        status = _gate(data, float(config["tolerance"]), "max |lattice - asymptotic|")
+        status = _gate(data, tol, "max |lattice - asymptotic|")
     _emit(config, _labelled(data), SCAN_COLUMNS, SCAN_SCHEMA)
     return status
 
@@ -485,7 +535,7 @@ def run_zero_mode_scan(args: argparse.Namespace) -> int:
 def run_dimerized(args: argparse.Namespace) -> int:
     config = _load_config(args, defaults={"window_length": 20, "n_list": [1.0, 2.0]})
     ell = model.integer(config["window_length"], "window_length")
-    n_list = _distinct([float(n) for n in config["n_list"]], "n_list")
+    n_list = _renyi_indices(config)
     p_list = [float(p) for p in config.get("p_list", [])]
     if p_list:
         _distinct(p_list, "p_list")
@@ -559,7 +609,7 @@ AKLT_COLUMNS = [
 
 def run_aklt(args: argparse.Namespace) -> int:
     config = _load_config(args, defaults={"n_list": [1.0, 2.0], "p_list": [0.1, 0.25, 0.5]})
-    n_list = _distinct([float(n) for n in config["n_list"]], "n_list")
+    n_list = _renyi_indices(config)
     p_list = _distinct([float(p) for p in config["p_list"]], "p_list")
     specs = [
         (case, aklt_mod.TRIPLET, n, None)

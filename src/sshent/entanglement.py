@@ -237,7 +237,13 @@ class ChargeResolvedTable:
         if n == 1.0:
             tot_renyi = s_c + s_f
         else:
-            tot_renyi = math.log(float(np.sum(zn))) / (1.0 - n)
+            total = float(np.sum(zn))
+            if not total > 0.0:
+                raise NumericalError(
+                    f"Renyi entropies at n = {n:g} leave double range: the sector "
+                    f"partition functions sum to {total!r}"
+                )
+            tot_renyi = math.log(total) / (1.0 - n)
         return cls(
             renyi_index=n,
             charges=charges,
@@ -290,8 +296,17 @@ def _tabulate(lambdas: np.ndarray, n_list) -> dict[str, np.ndarray]:
             zn[:, j], renyi[:, j], total_renyi[:, j] = z1, vn, total_vn
             continue
         zn[:, j] = _srpf_rows(modes, n)
-        renyi[:, j] = (np.log(np.where(occupied, zn[:, j], 1.0)) - n * log_z1) / (1.0 - n)
-        total_renyi[:, j] = _total_renyi_rows(lam, n)
+        # at large n, (1 - lam)^n + lam^n can underflow to 0: its log is
+        # checked below instead of warned about
+        with np.errstate(divide="ignore"):
+            renyi[:, j] = (np.log(np.where(occupied, zn[:, j], 1.0)) - n * log_z1) / (1.0 - n)
+            total_renyi[:, j] = _total_renyi_rows(lam, n)
+        finite = np.isfinite(total_renyi[:, j]) & np.all(np.isfinite(renyi[:, j]), axis=1)
+        if not finite.all():
+            raise NumericalError(
+                f"Renyi entropies at n = {n:g} leave double range: the partition "
+                f"functions of spectrum {int(np.argmin(finite))} underflow to 0"
+            )
     return {
         "occupied": occupied, "z1": z1, "vn": vn, "zn": zn, "renyi": renyi,
         "total_renyi": total_renyi, "total_vn": total_vn,

@@ -19,13 +19,14 @@ chosen superposition of the two localized modes.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import lanes
 from .entanglement import clamp_lambdas
-from .linalg import ChiralSystem
+from .linalg import ChiralSystem, NumericalError
 from .model import ChainSpec, defect_sites, window_defect_counts
 
 BELOW_HALF = "below_half"
@@ -33,7 +34,9 @@ HALF = "half"
 
 NEAR_ZERO_THRESHOLD = 1e-4  # in units of the hopping t
 # windows per stacked eigvalsh call: amortizes the call overhead while the
-# stack (16 windows of 40 x 40 at ell = 20) stays in cache
+# stack (16 windows of 40 x 40 at ell = 20) stays in cache.  The two lanes of
+# correlation_spectra split a scan at a whole stack, so each lane's stacks
+# hold the windows, and each window's matrix the bits, of the one-lane stacks
 SPECTRA_CHUNK = 16
 
 
@@ -207,6 +210,30 @@ def correlation_stacks(
     When every window covers the same cells (a sweep of the weight), the part
     no weight enters is built once and copied into each stack.
     """
+    size, fill = _window_builder(chiral, spec, policy, starts, n_cells, weights)
+    buf = _stack_buffer(size, n_cells)
+    for lo in range(0, size, SPECTRA_CHUNK):
+        out = buf[: min(SPECTRA_CHUNK, size - lo)]
+        fill(out, lo)
+        yield out
+
+
+def _stack_buffer(size: int, n_cells: int) -> np.ndarray:
+    return np.empty((min(size, SPECTRA_CHUNK), 2 * n_cells, 2 * n_cells))
+
+
+def _window_builder(
+    chiral: ChiralSystem,
+    spec: ChainSpec,
+    policy: OccupationPolicy,
+    starts: Sequence[int],
+    n_cells: int,
+    weights: Sequence[float] | None,
+) -> tuple[int, Callable[[np.ndarray, int], None]]:
+    """The window count of ``correlation_stacks`` and ``fill(out, lo)``, which
+    writes the windows ``lo .. lo + len(out) - 1`` into ``out``.  Everything
+    ``fill`` reads is built here and only read after, so fills of disjoint
+    windows into their own buffers may run at once."""
     starts = np.asarray(starts, dtype=int)
     counts = window_defect_counts(spec, starts, n_cells)
     if n_cells < spec.n_cells and np.any(counts > 1):
@@ -226,7 +253,7 @@ def correlation_stacks(
     zeros = chiral.u[:, filled:], chiral.v[:, filled:]
     eye = np.eye(n_cells)
 
-    def fill(out: np.ndarray, rows: np.ndarray) -> None:
+    def weightless(out: np.ndarray, rows: np.ndarray) -> None:
         """The part of the windows over the cells ``rows`` that no zero-mode
         weight enters: C_AB and the two diagonal blocks."""
         cab = band[(rows * (3 * n_cells) + rows % n_cells)[:, :, None] + shift]
@@ -241,26 +268,26 @@ def correlation_stacks(
         sites = (2 * rows[:, :, None] + np.arange(2)).reshape(len(rows), -1)
         return _zero_mode_outer(zm, sites)
 
-    buf = np.empty((min(starts.size, SPECTRA_CHUNK), 2 * n_cells, 2 * n_cells))
     if zm is not None and starts.size and np.all(cells == cells[0]):
         # one window under many weights: its weight-independent part and the
         # zero-mode products are built once, and each stack copies them
-        fixed = np.empty((1,) + buf.shape[1:])
-        fill(fixed, cells[:1])
+        fixed = np.empty((1, 2 * n_cells, 2 * n_cells))
+        weightless(fixed, cells[:1])
         products = outer(cells[:1])
-        for lo in range(0, starts.size, SPECTRA_CHUNK):
-            out = buf[: min(SPECTRA_CHUNK, starts.size - lo)]
+
+        def fill(out: np.ndarray, lo: int) -> None:
             out[:] = fixed
-            _add_zero_mode(out, products, p[lo : lo + SPECTRA_CHUNK], zm.phi)
-            yield out
-        return
-    for lo in range(0, starts.size, SPECTRA_CHUNK):
-        rows = cells[lo : lo + SPECTRA_CHUNK]
-        out = buf[: len(rows)]
-        fill(out, rows)
+            _add_zero_mode(out, products, p[lo : lo + len(out)], zm.phi)
+
+        return starts.size, fill
+
+    def fill(out: np.ndarray, lo: int) -> None:
+        rows = cells[lo : lo + len(out)]
+        weightless(out, rows)
         if zm is not None:
-            _add_zero_mode(out, outer(rows), p[lo : lo + SPECTRA_CHUNK], zm.phi)
-        yield out
+            _add_zero_mode(out, outer(rows), p[lo : lo + len(out)], zm.phi)
+
+    return starts.size, fill
 
 
 def _band(chiral: ChiralSystem, filled: int, ell: int, cells: np.ndarray) -> np.ndarray:
@@ -301,9 +328,42 @@ def correlation_spectra(
     weights: Sequence[float] | None = None,
 ) -> np.ndarray:
     """Eigenvalues of the windows of ``correlation_stacks``, one row each:
-    one ``eigvalsh`` per stack and one ``clamp_lambdas`` per scan."""
-    stacks = correlation_stacks(chiral, spec, policy, starts, n_cells, weights)
-    return clamp_lambdas(np.concatenate([np.linalg.eigvalsh(stack) for stack in stacks]))
+    one ``eigvalsh`` per stack and one ``clamp_lambdas`` per scan.
+
+    The stacks are split into two contiguous runs, solved on two lanes
+    (``lanes.beside``), each filling its own stack buffer from the shared
+    read-only band and writing its own rows of the result.  Every stack
+    holds the same windows and bits as on one lane and each matrix's
+    ``eigvalsh`` depends on that matrix alone, so the spectra are the
+    one-lane spectra bit for bit.  A window solve that does not converge is
+    a ``NumericalError`` naming the first window of its stack; with both
+    runs failing, the earlier one's is raised, as on one lane.
+    """
+    starts = np.asarray(starts, dtype=int)
+    size, fill = _window_builder(chiral, spec, policy, starts, n_cells, weights)
+    spectra = np.empty((size, 2 * n_cells))
+
+    def solve(lo: int, hi: int) -> None:
+        buf = _stack_buffer(hi - lo, n_cells)
+        for first in range(lo, hi, SPECTRA_CHUNK):
+            stack = buf[: min(SPECTRA_CHUNK, hi - first)]
+            fill(stack, first)
+            try:
+                spectra[first : first + len(stack)] = np.linalg.eigvalsh(stack)
+            except np.linalg.LinAlgError as err:
+                raise NumericalError(
+                    f"eigensolver did not converge (eigvalsh of the {2 * n_cells}x{2 * n_cells} "
+                    f"correlation matrices of windows {first}..{first + len(stack) - 1}, the "
+                    f"first at cell {int(starts[first])}): {err}"
+                ) from err
+
+    stacks = -(-size // SPECTRA_CHUNK)
+    if stacks < 2:
+        solve(0, size)
+    else:
+        split = -(-stacks // 2) * SPECTRA_CHUNK  # this thread's run is the longer
+        lanes.beside(lambda: solve(0, split), lambda: solve(split, size))
+    return clamp_lambdas(spectra)
 
 
 def _zero_mode_outer(

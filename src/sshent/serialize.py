@@ -33,7 +33,6 @@ before gathering the next, so no file is held in memory whole.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
@@ -41,6 +40,16 @@ from dataclasses import dataclass
 from typing import IO, Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
+
+# SHA-256 from the interpreter's builtin module: hashlib would load OpenSSL's
+# libcrypto (about 3.5 MB of resident memory) for this one digest
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 BLOCK_ROWS = 1024
 
@@ -241,7 +250,7 @@ def write_csv(path: str, schema: str, rendering: Rendering) -> None:
 
 def config_digest(config: dict) -> str:
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _nan_to_none(x: Any) -> Any:

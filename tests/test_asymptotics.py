@@ -9,6 +9,7 @@ from sshent import asymptotics as asym
 from sshent import entanglement as ent
 from sshent import groundstate as gs
 from sshent import model
+from sshent.linalg import NumericalError
 from sshent.specialfn import EllipticParams
 
 from conftest import DEFECT_WINDOW, ELL, TOP_WINDOW, TRIV_WINDOW, chiral_system, two_defect_chain
@@ -502,3 +503,32 @@ def test_zero_mode_tables_reject_what_the_table_rejects(params03):
             asym.zero_mode_table(0.5, n, params03, ELL)
     empty = asym.zero_mode_tables([], [1.0], params03, ELL)
     assert all(col.size == 0 for col in empty.values())
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        *[pytest.param(lambda n, p, case=case: asym.asymptotic_table(case, n, p, ELL), id=case)
+          for case in ("topological", "trivial", "defect")],
+        pytest.param(lambda n, p: asym.zero_mode_tables([0.0, 0.4, 1.0], [1.0, n], p, ELL),
+                     id="zero-mode-tables"),
+        pytest.param(lambda n, p: asym.zero_mode_table(0.4, n, p, ELL), id="zero-mode-table"),
+    ],
+)
+def test_closed_forms_beyond_double_range_are_numerical_errors(build):
+    """At n = 1100 a modulus, a theta power or a log argument leaves double
+    range: a division by zero, an overflow or a log of 0 used to escape as
+    ZeroDivisionError, OverflowError or a "math domain error" ValueError."""
+    params = EllipticParams.from_dimerization(0.3)
+    with pytest.raises(NumericalError, match="closed forms at Renyi index n = 1100 leave double"):
+        build(1100.0, params)
+    build(3.0, params)
+
+
+def test_sector_log_underflow_is_a_numerical_error():
+    """The topological sector entropy at n = 100 (delta = 0.3) takes the log
+    of a theta ratio that underflows to 0."""
+    params = EllipticParams.from_dimerization(0.3)
+    with pytest.raises(NumericalError, match="n = 100 .*underflows to 0.0"):
+        asym.asymptotic_table("topological", 100.0, params, ELL)
+    asym.asymptotic_table("defect", 100.0, params, ELL)

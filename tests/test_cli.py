@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -581,3 +582,133 @@ def test_runs_import_only_numpy_and_the_standard_library():
     script = Path(__file__).resolve().parent.parent / "scripts" / "check_runtime_imports.py"
     run = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+
+
+def _no_outputs(tmp_path, capsys):
+    std = capsys.readouterr()
+    assert "Traceback" not in std.err
+    assert not list(tmp_path.glob("scan.*"))
+    return std
+
+
+def _zero_mode_config(tmp_path, **extra):
+    cfg = base_config(tmp_path, window_start=19, p_list=[0.1, 0.5], n_list=[1])
+    cfg.pop("m_range")
+    cfg.update(extra)
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "command, extra, flags, message",
+    [
+        ("scan-interval", {}, ["--tolerance", "nan"], "tolerance must be finite and above 0"),
+        ("scan-interval", {}, ["--tolerance", "inf"], "tolerance must be finite and above 0"),
+        ("scan-interval", {}, ["--tolerance", "-1"], "tolerance must be finite and above 0"),
+        ("scan-interval", {}, ["--tolerance", "0"], "tolerance must be finite and above 0"),
+        ("scan-interval", {"tolerance": "tight"}, [], "tolerance must be a number"),
+        ("scan-interval", {"tolerance": None}, [], "tolerance must be a number"),
+        ("scan-interval", {}, ["--bulk-margin", "-2"], "bulk_margin must be at least 0"),
+        ("scan-interval", {"bulk_margin": 1.5}, [], "bulk_margin must be an integer"),
+        ("scan-interval", {"bulk_margin": None}, [], "bulk_margin must be an integer"),
+        # a lattice scan does not gate, but its gate settings are still configuration
+        ("scan-interval", {"mode": "lattice"}, ["--tolerance", "nan"], "tolerance must be finite"),
+        ("zero-mode-scan", {}, ["--tolerance", "nan"], "tolerance must be finite and above 0"),
+        ("zero-mode-scan", {"tolerance": -1e-3}, [], "tolerance must be finite and above 0"),
+        ("zero-mode-scan", {"bulk_margin": -1}, [], "bulk_margin must be at least 0"),
+    ],
+)
+def test_bad_gate_settings_are_config_errors(tmp_path, capsys, command, extra, flags, message):
+    """A NaN tolerance used to pass every gate; a negative tolerance or
+    margin failed the scan as a numerical validation failure."""
+    make = _zero_mode_config if command == "zero-mode-scan" else base_config
+    path = write_config(tmp_path, make(tmp_path, **extra))
+    assert cli.main([command, "--config", path] + flags) == cli.EXIT_CONFIG
+    std = _no_outputs(tmp_path, capsys)
+    assert std.out == ""
+    assert std.err.startswith("config error: ") and message in std.err
+
+
+def test_default_gate_settings_are_unchanged(tmp_path, capsys):
+    path = write_config(tmp_path, base_config(tmp_path))
+    assert cli.main(["scan-interval", "--config", path]) == cli.EXIT_OK
+    assert "(tol 0.001)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, config_text, message",
+    [
+        (["--n-list", "inf"], None, "Renyi index must be finite, got inf"),
+        ([], '"n_list": [1, 1e400]', "Renyi index must be finite, got inf"),
+        ([], '"n_list": 2', "n_list must be a list of Renyi indices, got 2"),
+        ([], '"n_list": [1, null]', "n_list must hold numbers, got [1, None]"),
+        (["--n-list", "-1"], None, "Renyi index must be positive"),
+    ],
+)
+@pytest.mark.parametrize("command", ["scan-interval", "zero-mode-scan"])
+def test_bad_renyi_indices_are_config_errors(tmp_path, capsys, command, argv, config_text, message):
+    make = _zero_mode_config if command == "zero-mode-scan" else base_config
+    text = json.dumps(make(tmp_path))
+    if config_text:
+        text = text[:-1] + ", " + config_text + "}"
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert cli.main([command, "--config", str(path)] + argv) == cli.EXIT_CONFIG
+    std = _no_outputs(tmp_path, capsys)
+    assert std.err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["dimerized", "aklt"])
+def test_table_commands_check_renyi_indices(capsys, command):
+    assert cli.main([command, "--n-list", "1,inf"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: Renyi index must be finite, got inf\n"
+
+
+@pytest.mark.parametrize(
+    "command, mode, message",
+    [
+        ("scan-interval", "both", "Renyi entropies at n = 1100 leave double range"),
+        ("scan-interval", "lattice", "Renyi entropies at n = 1100 leave double range"),
+        ("scan-interval", "asymptotic", "closed forms at Renyi index n = 1100 leave double range"),
+        ("zero-mode-scan", "both", "Renyi entropies at n = 1100 leave double range"),
+        ("zero-mode-scan", "lattice", "Renyi entropies at n = 1100 leave double range"),
+        ("zero-mode-scan", "asymptotic", "closed forms at Renyi index n = 1100 leave double range"),
+    ],
+)
+def test_underflowing_renyi_index_is_a_numerical_error(tmp_path, capsys, command, mode, message):
+    """At n = 1100 every (1 - lam)^n + lam^n near lam = 1/2, and the closed
+    forms' moduli, underflow.  The scan used to end in a bare
+    ZeroDivisionError, or (lattice only) write rows of S_n_q = inf with two
+    RuntimeWarnings and exit 0."""
+    make = _zero_mode_config if command == "zero-mode-scan" else base_config
+    path = write_config(tmp_path, make(tmp_path, mode=mode, n_list=[1, 1100]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([command, "--config", path]) == cli.EXIT_VALIDATION
+    std = _no_outputs(tmp_path, capsys)
+    assert std.out == ""
+    assert std.err.startswith(f"numerical error: {message}")
+
+
+@pytest.mark.parametrize("command", ["dimerized", "aklt"])
+def test_table_commands_report_underflow_as_numerical(capsys, command):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([command, "--n-list", "1100"]) == cli.EXIT_VALIDATION
+    std = capsys.readouterr()
+    assert std.out == ""
+    assert std.err.startswith("numerical error: Renyi entropies at n = 1100 leave double range")
+
+
+def test_a_scan_does_not_load_openssl():
+    """The JSON digest comes from the interpreter's builtin SHA-256, so a
+    scan's process never maps libcrypto (about 3.5 MB of resident memory)."""
+    code = (
+        "import sys; from sshent import cli, serialize; "
+        "assert serialize.config_digest({'a': 1}); "
+        "print('_hashlib' in sys.modules)"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={"PYTHONPATH": src, "PATH": ""})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -422,3 +423,18 @@ def test_tables_reject_bad_input():
         ent.charge_resolved_tables(np.full((2, 3), 0.5), [1.0, 0.0])
     with pytest.raises(ValueError, match="outside"):
         ent.charge_resolved_tables(np.array([[0.5, 0.5], [0.5, 1.1]]), [1.0])
+
+
+def test_underflowing_renyi_index_is_a_numerical_error_without_warnings():
+    """At n = 1100, (1 - lam)^n + lam^n underflows to 0 for lam near 1/2: the
+    tables raise instead of writing S_n = inf after two RuntimeWarnings."""
+    lam = np.array([[0.0, 0.5, 1.0, 0.2], [0.0, 1.0, 1.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="n = 1100 leave double range.* spectrum 0 "):
+            ent.charge_resolved_tables(lam, [1.0, 1100.0])
+        with pytest.raises(NumericalError, match="n = 1100 leave double range"):
+            ent.charge_resolved_table(lam[0], 1100.0)
+        # the second spectrum is pure: its one sector has Z_n = 1 at every n
+        table = ent.charge_resolved_table(lam[1], 1100.0)
+    assert np.all(np.isfinite(table.sre_renyi)) and math.isfinite(table.total_renyi)

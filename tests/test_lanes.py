@@ -1,0 +1,248 @@
+"""Two lanes: the window spectra and the output files are those of one lane.
+
+Every test sets the CPU count it needs by patching ``lanes.usable_cpus``,
+so the two-lane paths run (on two threads) on any host.
+"""
+
+import json
+import os
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from sshent import cli
+from sshent import groundstate as gs
+from sshent import lanes
+from sshent import model
+
+from conftest import chiral_system, two_defect_chain
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    def use(count):
+        monkeypatch.setattr(lanes, "usable_cpus", lambda: count)
+
+    return use
+
+
+def test_usable_cpus_counts_the_affinity_set(monkeypatch):
+    assert 1 <= lanes.usable_cpus() <= (os.cpu_count() or 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert lanes.usable_cpus() == 1
+    # where the platform reports no affinity set, the machine's count
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert lanes.usable_cpus() == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert lanes.usable_cpus() == 4
+
+
+def test_beside_runs_the_other_lane_on_a_second_thread(cpus):
+    seen = {}
+    cpus(2)
+    lanes.beside(lambda: seen.setdefault("main", threading.get_ident()),
+                 lambda: seen.setdefault("other", threading.get_ident()))
+    assert seen["main"] == threading.get_ident() != seen["other"]
+    cpus(1)
+    order = []
+    lanes.beside(lambda: order.append(threading.get_ident()),
+                 lambda: order.append(threading.get_ident()))
+    assert order == [threading.get_ident()] * 2
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_beside_raises_the_main_lanes_error_first_after_both_end(cpus, count):
+    cpus(count)
+    ended = []
+
+    def fails(name):
+        def run():
+            ended.append(name)
+            raise KeyError(name)
+
+        return run
+
+    with pytest.raises(KeyError, match="main"):
+        lanes.beside(fails("main"), lambda: ended.append("other"))
+    # one lane stops at the main lane's error, two lanes join the other first
+    assert sorted(ended) == (["main"] if count == 1 else ["main", "other"])
+    with pytest.raises(KeyError, match="other"):
+        lanes.beside(lambda: None, fails("other"))
+    ended.clear()
+    with pytest.raises(KeyError, match="main"):
+        lanes.beside(fails("main"), fails("other"))
+
+
+def _ring(n_sites):
+    """The benchmark's rings: defects at a quarter and three quarters."""
+    cells = n_sites // 2
+    return model.ChainSpec(
+        n_sites=n_sites, dimerization=0.3,
+        defects=(model.DefectSpec(cells // 4), model.DefectSpec(3 * cells // 4)),
+    )
+
+
+def _spectra_cases():
+    chunk = gs.SPECTRA_CHUNK
+    yield pytest.param(_ring(400), None, list(range(1, 201)), id="std400")
+    yield pytest.param(_ring(2000), None, list(range(1, 1001)), id="big2000")
+    yield pytest.param(_ring(400), None, [41], id="one-window")
+    yield pytest.param(_ring(400), None, list(range(30, 30 + chunk - 3)), id="under-one-stack")
+    yield pytest.param(_ring(400), None, list(range(1, 1 + 5 * chunk - 2)), id="odd-stacks")
+    # one window under 37 weights: the fixed-window path, last stack partial
+    yield pytest.param(_ring(400), 41, np.linspace(0.0, 1.0, 37), id="zero-mode-37")
+    yield pytest.param(_ring(400), 141, np.linspace(0.0, 1.0, 37), id="second-defect")
+
+
+@pytest.mark.parametrize("spec, start, values", _spectra_cases())
+def test_two_lanes_equal_one_lane_bit_for_bit(cpus, monkeypatch, spec, start, values):
+    chiral = chiral_system(spec)
+    if start is None:
+        policy, starts, weights = gs.OccupationPolicy.below_half(), values, None
+    else:
+        policy = gs.OccupationPolicy.half(gs.localized_zero_modes(chiral, spec))
+        starts, weights = [start] * len(values), values
+    threads = set()
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a):
+        threads.add(threading.get_ident())
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    spectra = {}
+    for count in (1, 2):
+        cpus(count)
+        threads.clear()
+        spectra[count] = gs.correlation_spectra(chiral, spec, policy, starts, 20, weights)
+        stacks = -(-len(starts) // gs.SPECTRA_CHUNK)
+        assert len(threads) == (2 if count == 2 and stacks > 1 else 1)
+    assert spectra[1].shape == (len(starts), 40)
+    assert spectra[1].flags.c_contiguous and spectra[2].flags.c_contiguous
+    assert spectra[1].tobytes() == spectra[2].tobytes()
+    # and both are the windows' own spectra, a stack at a time
+    stacked = np.concatenate(
+        [np.linalg.eigvalsh(s) for s in gs.correlation_stacks(chiral, spec, policy, starts, 20,
+                                                              weights)]
+    )
+    assert spectra[1].tobytes() == np.clip(stacked, 0.0, 1.0).tobytes()
+
+
+def test_lanes_under_frequent_thread_switches(cpus, chiral03, chain03, below_half):
+    """The two lanes write disjoint rows of one array: with the interpreter
+    switching threads every microsecond, the spectra still equal one lane's,
+    and no lane thread outlives the call."""
+    starts = list(range(1, 201))
+    cpus(1)
+    want = gs.correlation_spectra(chiral03, chain03, below_half, starts, 20)
+    cpus(2)
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            got = gs.correlation_spectra(chiral03, chain03, below_half, starts, 20)
+            assert got.tobytes() == want.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+
+
+def test_no_windows_give_no_spectra(chiral03, chain03, below_half):
+    assert gs.correlation_spectra(chiral03, chain03, below_half, [], 20).shape == (0, 40)
+
+
+# ---------------------------------------------------------------- the CLI
+
+CHAIN = {
+    "n_sites": 400, "t": 1.0, "delta": 0.3, "boundary": "periodic",
+    "defects": [{"cell": 50, "kind": "one_site"}, {"cell": 150, "kind": "one_site"}],
+}
+SCANS = {
+    "scan-interval": {"chain": CHAIN, "window_length": 20, "m_range": [1, 200],
+                      "n_list": [1, 2], "mode": "both"},
+    "zero-mode-scan": {"chain": CHAIN, "window_length": 20, "window_start": 41,
+                       "p_list": [round(0.01 * i, 2) for i in range(1, 100)],
+                       "n_list": [1], "mode": "both"},
+}
+
+
+def _run(tmp_path, capsys, command, config, name):
+    out = tmp_path / name
+    out.mkdir()
+    # one output path for both runs: the JSON holds the config
+    cfg = dict(config, outputs={"csv_path": str(tmp_path / "scan.csv"),
+                                "json_path": str(tmp_path / "scan.json")})
+    path = out / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    rc = cli.main([command, "--config", str(path)])
+    std = capsys.readouterr()
+    files = {p.name: p.read_bytes() for p in tmp_path.glob("scan.*")}
+    for p in tmp_path.glob("scan.*"):
+        p.unlink()
+    return rc, std.out, std.err, files
+
+
+@pytest.mark.parametrize("command", SCANS)
+def test_cli_outputs_and_lines_are_those_of_one_lane(tmp_path, capsys, cpus, command):
+    runs = {}
+    for count in (1, 2):
+        cpus(count)
+        runs[count] = _run(tmp_path, capsys, command, SCANS[command], f"cpus{count}")
+    assert runs[1] == runs[2]
+    rc, out, err, files = runs[2]
+    assert rc == cli.EXIT_OK and err == ""
+    assert sorted(files) == ["scan.csv", "scan.json"]
+    rows = files["scan.csv"].count(b"\n") - 2
+    # the gate line, then the files in the order they were always written
+    assert out.splitlines()[1:] == [
+        f"wrote {tmp_path / 'scan.csv'} ({rows} rows)",
+        f"wrote {tmp_path / 'scan.json'}",
+    ]
+
+
+def _failing_window(monkeypatch, spec, policy, m, threads):
+    """Make ``eigvalsh`` fail on the stack whose first window starts at ``m``,
+    recording the thread it failed on."""
+    chiral = chiral_system(spec)
+    target = gs.correlation_matrix(chiral, spec, policy, (m, 20)).matrix
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a):
+        if np.array_equal(a[0], target):
+            threads.append(threading.current_thread() is threading.main_thread())
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+
+
+@pytest.mark.parametrize("first_window", [1 + 10 * gs.SPECTRA_CHUNK, 1 + 2 * gs.SPECTRA_CHUNK])
+def test_window_solve_failure_is_a_numerical_error_on_either_lane(
+    tmp_path, capsys, cpus, monkeypatch, first_window
+):
+    """The 200 windows are 13 stacks, split 7 + 6: stack 10 is the other
+    lane's, stack 2 the main lane's.  Either way the run exits 2 with the one-lane message, naming
+    the first window of the failing stack, and writes no file."""
+    spec = two_defect_chain(0.3)
+    threads = []
+    _failing_window(monkeypatch, spec, gs.OccupationPolicy.below_half(), first_window, threads)
+    runs = {}
+    for count in (1, 2):
+        cpus(count)
+        runs[count] = _run(tmp_path, capsys, "scan-interval", SCANS["scan-interval"],
+                           f"cpus{count}")
+    assert runs[1] == runs[2]
+    rc, out, err, files = runs[2]
+    assert rc == cli.EXIT_VALIDATION and out == "" and files == {}
+    first = first_window - 1
+    assert err == (
+        "numerical error: eigensolver did not converge (eigvalsh of the 40x40 correlation "
+        f"matrices of windows {first}..{first + gs.SPECTRA_CHUNK - 1}, the first at cell "
+        f"{first_window}): Eigenvalues did not converge\n"
+    )
+    on_main = first_window <= 7 * gs.SPECTRA_CHUNK
+    assert threads == [True, on_main]
