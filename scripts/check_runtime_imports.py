@@ -3,7 +3,10 @@
     python scripts/check_runtime_imports.py
 
 Runs one ``scan-interval`` (lattice and closed forms) and one
-``zero-mode-scan`` in this fresh interpreter, with their CSV and JSON files
+``zero-mode-scan`` on an N = 400 ring, whose filled sea comes from the
+eigensolve, and one ``scan-interval`` on an N = 2000 ring, whose filled sea
+comes from the banded polar solve, in this fresh interpreter, with their CSV
+and JSON files
 in a temporary directory, and lists every top-level module the runs
 imported that is not part of the standard library, numpy or sshent, and
 every standard-library module in ``HEAVY`` they loaded.  Exit code 0 if
@@ -24,12 +27,16 @@ CHAIN = {
     "n_sites": 400, "t": 1.0, "delta": 0.3, "boundary": "periodic",
     "defects": [{"cell": 50, "kind": "one_site"}, {"cell": 150, "kind": "three_site"}],
 }
-RUNS = {
-    "scan-interval": {"chain": CHAIN, "window_length": 20, "m_range": [1, 200],
-                      "n_list": [1, 2], "mode": "both"},
-    "zero-mode-scan": {"chain": CHAIN, "window_length": 20, "window_start": 41,
-                       "p_list": [0.0, 0.3, 1.0], "n_list": [1], "mode": "both"},
-}
+BIG_CHAIN = dict(CHAIN, n_sites=2000, defects=[{"cell": 250, "kind": "one_site"},
+                                                {"cell": 750, "kind": "three_site"}])
+RUNS = [
+    ("scan-interval", {"chain": CHAIN, "window_length": 20, "m_range": [1, 200],
+                       "n_list": [1, 2], "mode": "both"}),
+    ("zero-mode-scan", {"chain": CHAIN, "window_length": 20, "window_start": 41,
+                        "p_list": [0.0, 0.3, 1.0], "n_list": [1], "mode": "both"}),
+    ("scan-interval", {"chain": BIG_CHAIN, "window_length": 20, "m_range": [201, 320],
+                       "n_list": [1, 2], "mode": "both"}),
+]
 
 
 def main() -> int:
@@ -38,10 +45,10 @@ def main() -> int:
     from sshent import cli
 
     with tempfile.TemporaryDirectory() as tmp:
-        for command, config in RUNS.items():
-            path = Path(tmp) / f"{command}.json"
-            outputs = {"csv_path": str(Path(tmp) / f"{command}.csv"),
-                       "json_path": str(Path(tmp) / f"{command}.json")}
+        for i, (command, config) in enumerate(RUNS):
+            path = Path(tmp) / f"{i}.config.json"
+            outputs = {"csv_path": str(Path(tmp) / f"{i}.csv"),
+                       "json_path": str(Path(tmp) / f"{i}.json")}
             path.write_text(json.dumps(dict(config, outputs=outputs)))
             rc = cli.main([command, "--config", str(path)])
             if rc != cli.EXIT_OK:

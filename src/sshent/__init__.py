@@ -1,13 +1,14 @@
 """Charge-resolved entanglement of intervals in dimerized chains with defects."""
 
 from .model import ChainSpec, DefectSpec, hopping_bands, localization_length
-from .linalg import ChiralSystem, NumericalError, chiral_svd
+from .linalg import FilledSea, NumericalError
 from .specialfn import EllipticParams
 from .groundstate import (
     CorrelationMatrix,
     OccupationPolicy,
     ZeroModePair,
     correlation_matrix,
+    filled_sea,
     localized_zero_modes,
 )
 from .entanglement import (
@@ -26,14 +27,14 @@ __all__ = [
     "DefectSpec",
     "hopping_bands",
     "localization_length",
-    "ChiralSystem",
+    "FilledSea",
     "NumericalError",
-    "chiral_svd",
     "EllipticParams",
     "CorrelationMatrix",
     "OccupationPolicy",
     "ZeroModePair",
     "correlation_matrix",
+    "filled_sea",
     "localized_zero_modes",
     "ChargeResolvedTable",
     "charge_resolved_table",

@@ -35,7 +35,7 @@ from . import model
 from . import serialize
 from . import specialfn as sf
 from . import statmech as sm
-from .linalg import NumericalError, chiral_svd
+from .linalg import NumericalError
 
 SCAN_COLUMNS = [
     "m", "case", "p", "q", "dq", "n",
@@ -451,10 +451,10 @@ def run_scan_interval(args: argparse.Namespace) -> int:
 
     lattice = closed_form = None
     if config["mode"] != "asymptotic":
-        chiral = chiral_svd(model.hopping_bands(spec))
+        sea = gs.filled_sea(spec, ell)
 
         def lattice(points: list) -> np.ndarray:
-            return gs.correlation_spectra(chiral, spec, policy, [m for m, _, _ in points], ell)
+            return gs.correlation_spectra(sea, spec, policy, [m for m, _, _ in points], ell)
 
     if params is not None:
 
@@ -507,12 +507,12 @@ def run_zero_mode_scan(args: argparse.Namespace) -> int:
 
     lattice = closed_form = None
     if config["mode"] != "asymptotic":
-        chiral = chiral_svd(model.hopping_bands(spec))
-        policy = gs.OccupationPolicy.half(gs.localized_zero_modes(chiral, spec))
+        sea = gs.filled_sea(spec, ell)
+        policy = gs.OccupationPolicy.half(gs.localized_zero_modes(sea, spec))
 
         def lattice(points: list) -> np.ndarray:
             weights = [p for _, p, _ in points]
-            return gs.correlation_spectra(chiral, spec, policy, [m] * len(points), ell, weights)
+            return gs.correlation_spectra(sea, spec, policy, [m] * len(points), ell, weights)
 
     if params is not None:
         # p is the weight on the *second* defect; if the window holds the
@@ -653,13 +653,13 @@ def run_selftest(args: argparse.Namespace) -> int:
         n_sites=200, dimerization=1.0,
         defects=(model.DefectSpec(25), model.DefectSpec(75)),
     )
-    chiral = chiral_svd(model.hopping_bands(spec))
+    sea = gs.filled_sea(spec, 10)
     policy = gs.OccupationPolicy.below_half()
     targets = {"trivial": (45, 0.0), "topological": (5, 2 * math.log(2)),
                "defect": (21, math.log(2))}
     dev = 0.0
     for case, (m, s_want) in targets.items():
-        lam = gs.correlation_matrix(chiral, spec, policy, (m, 10)).eigenvalues()
+        lam = gs.correlation_matrix(sea, spec, policy, (m, 10)).eigenvalues()
         table = ent.charge_resolved_table(lam, 2.0)
         dev = max(dev, abs(table.total_vn - s_want), abs(table.total_renyi - s_want))
     check("dimerized totals", dev, 1e-12)
@@ -679,10 +679,10 @@ def run_selftest(args: argparse.Namespace) -> int:
         n_sites=400, dimerization=0.3,
         defects=(model.DefectSpec(50), model.DefectSpec(150)),
     )
-    chiral = chiral_svd(model.hopping_bands(spec))
+    sea = gs.filled_sea(spec, 20)
     dev = 0.0
     for case, m in (("topological", 175), ("trivial", 90), ("defect", 141)):
-        lam = gs.correlation_matrix(chiral, spec, policy, (m, 20)).eigenvalues()
+        lam = gs.correlation_matrix(sea, spec, policy, (m, 20)).eigenvalues()
         lat = ent.charge_resolved_table(lam, 2.0)
         at = asym.asymptotic_table(case, 2.0, params, 20)
         for dq in (-1, 0, 1):

@@ -20,6 +20,7 @@ import numpy as np
 from .linalg import NumericalError
 
 EMPTY_SECTOR_THRESHOLD = 1e-14
+_TINY = np.finfo(float).tiny  # the smallest normal double
 _LAMBDA_SLACK = 1e-10
 
 
@@ -138,6 +139,25 @@ def _srpf_rows(modes: np.ndarray, n: float) -> np.ndarray:
     # row-major recursion's sum
     log_scale = np.sum(np.log(np.ascontiguousarray(peaks.T)), axis=1)
     return _window_major(coeffs) * np.exp(log_scale)[:, None]
+
+
+def _log_srpf_rows(modes: np.ndarray, n: float) -> np.ndarray:
+    """``log Z_n(q)`` of every window of a clamped mode-major ``(M, W)``
+    stack, as ``(W, M + 1)`` rows: the recursion of ``_srpf_rows`` on the
+    logs, ``log Z_q <- logaddexp(log Z_q + n log(1 - lam), log Z_{q-1} +
+    n log lam)``.  Slower, but no sector leaves double range before its log
+    does; ``_srpf_rows`` factors out only each step's peak, so at large ``n``
+    the sectors far below it underflow to 0."""
+    m, w = modes.shape
+    with np.errstate(divide="ignore"):
+        f0, f1 = n * np.log1p(-modes), n * np.log(modes)
+    logs = np.full((m + 1, w), -np.inf)
+    logs[0] = 0.0
+    for j in range(m):
+        # both sides are read before the in-place write of q = 1 .. j + 1
+        np.logaddexp(logs[1 : j + 2] + f0[j], logs[: j + 1] + f1[j], out=logs[1 : j + 2])
+        logs[0] += f0[j]
+    return np.ascontiguousarray(logs.T)
 
 
 def _srpf_vn_rows(modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -299,7 +319,15 @@ def _tabulate(lambdas: np.ndarray, n_list) -> dict[str, np.ndarray]:
         # at large n, (1 - lam)^n + lam^n can underflow to 0: its log is
         # checked below instead of warned about
         with np.errstate(divide="ignore"):
-            renyi[:, j] = (np.log(np.where(occupied, zn[:, j], 1.0)) - n * log_z1) / (1.0 - n)
+            log_zn = np.log(np.where(occupied, zn[:, j], 1.0))
+            # an occupied sector whose Z_n(q) left the normal range takes its
+            # log from the log recursion, run on the rows that hold one
+            low = occupied & (zn[:, j] < _TINY)
+            rows = np.flatnonzero(low.any(axis=1))
+            if rows.size:
+                logs = _log_srpf_rows(np.ascontiguousarray(modes[:, rows]), n)
+                log_zn[rows] = np.where(low[rows], logs, log_zn[rows])
+            renyi[:, j] = (log_zn - n * log_z1) / (1.0 - n)
             total_renyi[:, j] = _total_renyi_rows(lam, n)
         finite = np.isfinite(total_renyi[:, j]) & np.all(np.isfinite(renyi[:, j]), axis=1)
         if not finite.all():

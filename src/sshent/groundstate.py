@@ -3,17 +3,24 @@
 The many-body states of interest are Slater determinants of single-particle
 modes.  The chain is bipartite, every bond joining an odd to an even site, so
 its modes follow from the singular triples ``(s_i, u_i, v_i)`` of the hopping
-block alone (``linalg.ChiralSystem``, from one ``eigh`` of the Gram block
-``T^T T``): a triple with ``s_i`` above ``NEAR_ZERO_THRESHOLD * t`` fills the
-mode ``(u_i, -v_i) / sqrt(2)`` at energy ``-s_i``.  A triple below it is a
-zero-mode pair, exactly polarized by sublattice: ``u_0`` on the odd sites,
-``v_0`` on the even ones.  ``chiral_svd`` resolves the near-zero triples in
+block ``T`` alone: a triple with ``s_i`` above ``NEAR_ZERO_THRESHOLD * t``
+fills the mode ``(u_i, -v_i) / sqrt(2)`` at energy ``-s_i``.  A triple below
+it is a zero-mode pair, exactly polarized by sublattice: ``u_0`` on the odd
+sites, ``v_0`` on the even ones.  With two defects that pair is excluded from
+the filled sea ("below half" filling, L-1 modes); occupying a zero mode is
+always an explicit choice carried by the policy, because the physical state
+is a chosen superposition of the two localized modes.
+
+A window's correlations need only the band of ``Q = U_f V_f^T`` over the
+filled triples and the zero columns: a ``linalg.FilledSea``, which
+``filled_sea`` builds.  On a chain of at least ``POLAR_MIN_BLOCKS`` blocks
+of ``POLAR_CELLS_PER_XI`` localization lengths it is the banded polar factor
+of ``T`` (``linalg.polar_sea``, no L x L array); on a shorter chain, or where
+that iteration does not settle, it comes from one ``eigh`` of the Gram block
+``T^T T`` (``linalg.eigh_sea``).  Both resolve the near-zero triples in
 their own subspace, so the zero-mode splitting compared with the threshold
 is accurate to rounding, not the ``1e-8`` noise of ``sqrt`` of an
-eigenvalue.  With two defects that pair is excluded from the filled sea
-("below half" filling, L-1 modes); occupying a zero mode is always an
-explicit choice carried by the policy, because the physical state is a
-chosen superposition of the two localized modes.
+eigenvalue.
 """
 
 from __future__ import annotations
@@ -26,13 +33,24 @@ import numpy as np
 
 from . import lanes
 from .entanglement import clamp_lambdas
-from .linalg import ChiralSystem, NumericalError
-from .model import ChainSpec, defect_sites, window_defect_counts
+from .linalg import FilledSea, NumericalError, eigh_sea, polar_sea
+from .model import ChainSpec, defect_sites, hopping_bands, localization_length, window_defect_counts
 
 BELOW_HALF = "below_half"
 HALF = "half"
 
 NEAR_ZERO_THRESHOLD = 1e-4  # in units of the hopping t
+# Blocks of the polar solve, in localization lengths xi: the filled sea's
+# correlations fall off as exp(-d / xi), and at delta = 0.3 (xi = 1.62) blocks
+# of 30 xi leave the zero columns 5e-14 off an LAPACK SVD, of 34 xi 1e-15.
+POLAR_CELLS_PER_XI = 36
+# The fewest blocks for which the polar solve runs.  polar_sea against
+# eigh_sea, each with its band (OpenBLAS, one thread, medians of 5): at 7
+# blocks it takes 0.55 of the time with blocks of 59 cells (delta = 0.3) and
+# 0.95 with blocks of 180 (delta = 0.1), at 6 blocks 0.77 and 1.19, at 5
+# blocks 1.33 and 1.65.  The N = 400 chains of the standard scans make 3
+# blocks, so they keep the eigensolve.
+POLAR_MIN_BLOCKS = 7
 # windows per stacked eigvalsh call: amortizes the call overhead while the
 # stack (16 windows of 40 x 40 at ell = 20) stays in cache.  The two lanes of
 # correlation_spectra split a scan at a whole stack, so each lane's stacks
@@ -105,27 +123,45 @@ class CorrelationMatrix:
         return clamp_lambdas(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.T)))
 
 
-def localized_zero_modes(chiral: ChiralSystem, spec: ChainSpec) -> ZeroModePair:
+def filled_sea(spec: ChainSpec, width: int) -> FilledSea:
+    """The filled sea of ``spec`` for windows of up to ``width`` cells: the
+    polar solve on a chain long enough for it, else (or if it does not
+    settle) the eigensolve."""
+    if not 1 <= width <= spec.n_cells:
+        raise ValueError("window length out of range")
+    block = hopping_bands(spec)
+    threshold = NEAR_ZERO_THRESHOLD * spec.hopping
+    delta = abs(spec.dimerization)
+    if delta > 0.0:
+        xi = 0.0 if delta == 1.0 else localization_length(delta)
+        cells = max(width, math.ceil(POLAR_CELLS_PER_XI * xi))
+        if spec.n_cells // cells >= POLAR_MIN_BLOCKS:
+            sea = polar_sea(block, width, threshold, cells)
+            if sea is not None:
+                return sea
+    return eigh_sea(block, width, threshold)
+
+
+def localized_zero_modes(sea: FilledSea, spec: ChainSpec) -> ZeroModePair:
     """The zero-mode pair of a two-defect chain, one mode on each defect.
 
-    The pair is the near-zero singular triple: ``u_0`` on the odd sites and
-    ``v_0`` on the even ones, each localized on one defect.  Assigning each
+    The pair is the zero columns of the filled sea: ``u_0`` on the odd sites
+    and ``v_0`` on the even ones, each localized on one defect.  Assigning each
     site to its nearest defect (ring metric on cells), psi1 is the one of the
     two with the larger weight on defect 1's region.
     """
     if len(spec.defects) != 2:
         raise ValueError("localized zero modes need exactly two defects")
-    zero = chiral.singular_values <= NEAR_ZERO_THRESHOLD * spec.hopping
-    found = 2 * int(np.count_nonzero(zero))
+    found = 2 * sea.splittings.size
     if found != 2:
         raise ValueError(
             f"expected 2 near-zero modes below {NEAR_ZERO_THRESHOLD:g}*t, found {found}"
         )
     n = spec.n_sites
     odd = np.zeros(n)
-    odd[0::2] = chiral.u[:, -1]
+    odd[0::2] = sea.u0[:, -1]
     even = np.zeros(n)
-    even[1::2] = chiral.v[:, -1]
+    even[1::2] = sea.v0[:, -1]
 
     anchors = [sites[len(sites) // 2] - 1 for _, sites in defect_sites(spec)]
     site = np.arange(n)
@@ -156,13 +192,10 @@ def _fix_sign(psi: np.ndarray) -> np.ndarray:
     return psi
 
 
-def filled_triples(chiral: ChiralSystem, spec: ChainSpec, policy: OccupationPolicy) -> int:
-    """Number of filled singular triples (excluding any explicit zero mode).
-
-    They are the leading columns of ``chiral.u`` and ``chiral.v``; the rest
-    are zero modes.  Checks that the policy is consistent with the spectrum.
-    """
-    filled = int(np.count_nonzero(chiral.singular_values > NEAR_ZERO_THRESHOLD * spec.hopping))
+def filled_triples(sea: FilledSea, spec: ChainSpec, policy: OccupationPolicy) -> int:
+    """Number of filled singular triples (excluding any explicit zero mode),
+    after checking that the policy is consistent with the spectrum."""
+    filled = sea.filled
     n_def = len(spec.defects)
     if n_def:
         expected = spec.n_cells - (n_def + 1) // 2
@@ -189,7 +222,7 @@ def filled_triples(chiral: ChiralSystem, spec: ChainSpec, policy: OccupationPoli
 
 
 def correlation_stacks(
-    chiral: ChiralSystem,
+    sea: FilledSea,
     spec: ChainSpec,
     policy: OccupationPolicy,
     starts: Sequence[int],
@@ -202,15 +235,16 @@ def correlation_stacks(
 
     With ``Z`` the zero columns, ``C_AA = (I - Z_A Z_A^T) / 2`` on the odd
     sites, ``C_BB`` likewise on the even ones, and ``C_AB`` is gathered from
-    ``_band``.  Cells are taken modulo ``L``: windows across the cell-1 seam
-    and the full ring (a purity diagnostic, which may hold two defects) take
-    the same path.  An occupied zero mode adds its projector, at weight
-    ``weights[i]`` in window ``i`` if given; its phase enters only through the
-    real interference term, the imaginary part being antisymmetric and as small.
+    the sea's band, so ``n_cells`` is at most its ``width``.  Cells are taken
+    modulo ``L``: windows across the cell-1 seam and the full ring (a purity
+    diagnostic, which may hold two defects) take the same path.  An occupied
+    zero mode adds its projector, at weight ``weights[i]`` in window ``i`` if
+    given; its phase enters only through the real interference term, the
+    imaginary part being antisymmetric and as small.
     When every window covers the same cells (a sweep of the weight), the part
     no weight enters is built once and copied into each stack.
     """
-    size, fill = _window_builder(chiral, spec, policy, starts, n_cells, weights)
+    size, fill = _window_builder(sea, spec, policy, starts, n_cells, weights)
     buf = _stack_buffer(size, n_cells)
     for lo in range(0, size, SPECTRA_CHUNK):
         out = buf[: min(SPECTRA_CHUNK, size - lo)]
@@ -223,7 +257,7 @@ def _stack_buffer(size: int, n_cells: int) -> np.ndarray:
 
 
 def _window_builder(
-    chiral: ChiralSystem,
+    sea: FilledSea,
     spec: ChainSpec,
     policy: OccupationPolicy,
     starts: Sequence[int],
@@ -240,7 +274,10 @@ def _window_builder(
         raise ValueError(
             f"window contains {counts[counts > 1][0]} defects; at most one is supported"
         )
-    filled = filled_triples(chiral, spec, policy)
+    if n_cells > sea.width:
+        raise ValueError(f"a window of {n_cells} cells is wider than the filled sea's band "
+                         f"({sea.width} cells)")
+    filled_triples(sea, spec, policy)
     zm = policy.zero_mode
     if zm is not None:
         p = np.full(starts.size, zm.p) if weights is None else np.asarray(weights, dtype=float)
@@ -248,15 +285,16 @@ def _window_builder(
             raise ValueError("hybridization weight must lie in [0, 1]")
     offsets = np.arange(n_cells)
     cells = (starts[:, None] - 1 + offsets) % spec.n_cells
-    band = _band(chiral, filled, n_cells, cells).ravel()
-    shift = offsets - offsets[:, None] + n_cells  # band column of Q[r, r + j - i], less r % ell
-    zeros = chiral.u[:, filled:], chiral.v[:, filled:]
+    width = sea.width
+    band = sea.band.ravel()
+    shift = offsets - offsets[:, None] + width  # band column of Q[r, r + j - i], less r % width
+    zeros = sea.u0, sea.v0
     eye = np.eye(n_cells)
 
     def weightless(out: np.ndarray, rows: np.ndarray) -> None:
         """The part of the windows over the cells ``rows`` that no zero-mode
         weight enters: C_AB and the two diagonal blocks."""
-        cab = band[(rows * (3 * n_cells) + rows % n_cells)[:, :, None] + shift]
+        cab = band[(rows * (3 * width) + rows % width)[:, :, None] + shift]
         out[:, 0::2, 1::2] = cab
         out[:, 1::2, 0::2] = cab.transpose(0, 2, 1)
         for z, block in zip(zeros, (out[:, 0::2, 0::2], out[:, 1::2, 1::2])):
@@ -290,24 +328,8 @@ def _window_builder(
     return starts.size, fill
 
 
-def _band(chiral: ChiralSystem, filled: int, ell: int, cells: np.ndarray) -> np.ndarray:
-    """The rows that ``cells`` touch of the band ``|i - j| < ell`` of ``-Q / 2``,
-    ``Q = U_f V_f^T``: row ``r`` holds the ``3 ell`` cells from
-    ``(r // ell - 1) * ell`` on, modulo ``L``.  Each block row of ``ell``
-    cells, anchored at cell 1, is one GEMM of its rows of ``u`` against
-    those rows of ``v``."""
-    n = chiral.u.shape[0]
-    u, v = chiral.u[:, :filled], chiral.v[:, :filled]
-    band = np.empty((-(-n // ell) * ell, 3 * ell))
-    for i0 in np.flatnonzero(np.bincount(cells.ravel() // ell)) * ell:
-        block = band[i0 : min(i0 + ell, n)]
-        np.matmul(u[i0 : i0 + ell], v[np.arange(i0 - ell, i0 + 2 * ell) % n].T, out=block)
-        block *= -0.5
-    return band
-
-
 def correlation_matrix(
-    chiral: ChiralSystem,
+    sea: FilledSea,
     spec: ChainSpec,
     policy: OccupationPolicy,
     window: tuple[int, int],
@@ -315,12 +337,12 @@ def correlation_matrix(
     """Correlation matrix of the interval ``[m, m + ell - 1]`` (cells): the
     one-window case of ``correlation_stacks``."""
     start_cell, n_cells = window
-    (stack,) = correlation_stacks(chiral, spec, policy, [start_cell], n_cells)
+    (stack,) = correlation_stacks(sea, spec, policy, [start_cell], n_cells)
     return CorrelationMatrix(start_cell=start_cell, n_cells=n_cells, matrix=stack[0])
 
 
 def correlation_spectra(
-    chiral: ChiralSystem,
+    sea: FilledSea,
     spec: ChainSpec,
     policy: OccupationPolicy,
     starts: Sequence[int],
@@ -340,7 +362,7 @@ def correlation_spectra(
     runs failing, the earlier one's is raised, as on one lane.
     """
     starts = np.asarray(starts, dtype=int)
-    size, fill = _window_builder(chiral, spec, policy, starts, n_cells, weights)
+    size, fill = _window_builder(sea, spec, policy, starts, n_cells, weights)
     spectra = np.empty((size, 2 * n_cells))
 
     def solve(lo: int, hi: int) -> None:

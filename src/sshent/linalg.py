@@ -1,4 +1,14 @@
-"""Singular triples of a chiral chain's hopping block from one ``eigh``."""
+"""The filled sea of a chiral chain's hopping block ``T``: the band of its
+polar factor and its zero columns.
+
+Two solves give the same ``FilledSea``.  ``eigh_sea`` takes the singular
+triples of ``T`` from one ``eigh`` of the Gram block ``T^T T``
+(``chiral_svd``) and multiplies the band out of them.  ``polar_sea`` never
+forms an L x L array: it runs the Newton-Schulz iteration for the polar
+factor on ``T`` kept block-tridiagonal, which is exact up to the decay of
+the filled sea's correlations over a block (N. J. Higham, *Functions of
+Matrices*, ch. 8; S. Goedecker, Rev. Mod. Phys. 71, 1085 (1999)).
+"""
 
 from __future__ import annotations
 
@@ -10,6 +20,19 @@ import numpy as np
 # block's eigenvalues; below it, sqrt of an eigenvalue is noise of about
 # sqrt(eps) * s_max, so those triples are resolved in their own subspace.
 ZERO_SPLIT = 1e-4
+
+# Newton-Schulz steps before the polar solve gives up.  Its gapped part takes
+# 9 steps at delta = 0.3 and 12 at delta = 0.05 (the start scales the largest
+# singular value to at most 1, the gap edge to delta / (1 + delta)).  A singular value
+# below 1e-4 of the scale needs 23 steps to be filled, so none is; a split pair
+# from about 1e-8 to 4e-3 of it is still moving at the cap.
+POLAR_MAX_STEPS = 20
+# the iteration ends on a step that moves no stored entry by more than this:
+# the next step would move them by about its square, at rounding
+POLAR_STOP = 1e-8
+# the squared Frobenius norm of the converged factor counts the filled
+# triples; a fractional part above this is a half-filled triple
+POLAR_TRACE_TOL = 1e-6
 
 
 class NumericalError(ValueError):
@@ -34,6 +57,30 @@ class ChiralSystem:
     singular_values: np.ndarray
     u: np.ndarray
     v: np.ndarray
+
+
+@dataclass(frozen=True)
+class FilledSea:
+    """What the correlation matrices of a chiral chain need of its filled
+    triples, the ``filled`` singular triples of ``T`` above a threshold.
+
+    ``band`` holds ``-Q / 2`` for ``Q = U_f V_f^T`` in block rows of
+    ``width`` cells: row ``r`` holds the ``3 * width`` cells from
+    ``(r // width - 1) * width`` on, modulo ``L``, and the entries with
+    ``|r - c| < width`` (ring distance) are the ones a window of up to
+    ``width`` cells reads.  ``u0`` and ``v0`` (``L x k``) are the zero columns,
+    paired so that ``T v0 = u0 diag(splittings)``, the splittings descending.
+    ``steps`` counts the Newton-Schulz steps of ``polar_sea``; 0 means the
+    sea came from ``chiral_svd``.
+    """
+
+    width: int
+    filled: int
+    band: np.ndarray
+    u0: np.ndarray
+    v0: np.ndarray
+    splittings: np.ndarray
+    steps: int = 0
 
 
 @dataclass(frozen=True)
@@ -107,12 +154,26 @@ def _triples(t: np.ndarray | BandedBlock) -> ChiralSystem:
         # and any orthonormal U0 will do.
         u0 = _complement(u[:, :filled], s.size - filled)
         if filled:
-            inner = _triples(u0.T @ u[:, filled:])
+            inner = _inner_triples(u0.T @ u[:, filled:])
             s[filled:] = inner.singular_values
             u0 = u0 @ inner.u
             v[:, filled:] = v[:, filled:] @ inner.v
         u[:, filled:] = u0
     return ChiralSystem(singular_values=s, u=u, v=v)
+
+
+def _inner_triples(block: np.ndarray) -> ChiralSystem:
+    """``_triples`` of the small block of the zero columns, with ``u``
+    orthonormalized.  Each ``u_i = T v_i / s_i`` carries an error of about
+    eps * s_max / s_i, which the splittings of two or more zero triples, far
+    apart in size, would leave in the zero-column projector; the QR factor of
+    ``u`` (signs kept) is orthonormal to rounding.  One column is left as it is."""
+    inner = _triples(block)
+    if block.shape[0] < 2:
+        return inner
+    q, r = np.linalg.qr(inner.u)
+    return ChiralSystem(singular_values=inner.singular_values, u=q * np.sign(np.diag(r)),
+                        v=inner.v)
 
 
 def _complement(q: np.ndarray, k: int) -> np.ndarray:
@@ -139,3 +200,194 @@ def _complement(q: np.ndarray, k: int) -> np.ndarray:
         basis[:, j] = col
         weight -= col * col
     return basis
+
+
+def eigh_sea(block: BandedBlock, width: int, threshold: float) -> FilledSea:
+    """The filled sea from the triples of ``chiral_svd``: those above
+    ``threshold`` are filled, and each block row of ``width`` cells of the
+    band is one GEMM of its rows of ``u`` against the rows of ``v`` it spans."""
+    chiral = chiral_svd(block)
+    s, u, v = chiral.singular_values, chiral.u, chiral.v
+    filled = int(np.count_nonzero(s > threshold))
+    n = s.size
+    uf, vf = u[:, :filled], v[:, :filled]
+    band = np.empty((-(-n // width) * width, 3 * width))
+    for i0 in range(0, n, width):
+        rows = band[i0 : min(i0 + width, n)]
+        np.matmul(uf[i0 : i0 + width], vf[np.arange(i0 - width, i0 + 2 * width) % n].T, out=rows)
+        rows *= -0.5
+    return FilledSea(width=width, filled=filled, band=band, u0=u[:, filled:].copy(),
+                     v0=v[:, filled:].copy(), splittings=s[filled:].copy())
+
+
+class _Blocks:
+    """A cyclic block-tridiagonal layout of ``n`` cells: ``count`` blocks of
+    ``n // count`` or one more cells, each padded to ``size`` slots.  The
+    padding slots are zero rows and columns, which every product here keeps
+    zero, so the padded matrices act on the cells exactly as unpadded ones.
+    A matrix is a ``(3, count, size, size)`` array: blocks ``(i, i - 1)``,
+    ``(i, i)`` and ``(i, i + 1)`` of each block row ``i``."""
+
+    def __init__(self, n: int, count: int):
+        sizes = np.full(count, n // count)
+        sizes[: n % count] += 1
+        self.count, self.size = count, int(sizes[0])
+        self.block = np.repeat(np.arange(count), sizes)
+        self.pos = np.arange(n) - (np.cumsum(sizes) - sizes)[self.block]
+
+    def place(self, rows: np.ndarray, cols: np.ndarray) -> tuple:
+        """Index of the entries ``(rows, cols)`` in a matrix, and whether each
+        lies in its three stored blocks."""
+        bi, bj = self.block[rows], self.block[cols]
+        slot = (bj - bi + 1) % self.count
+        inside = slot < 3
+        return (np.where(inside, slot, 0), bi, self.pos[rows], self.pos[cols]), inside
+
+    def vectors(self, x: np.ndarray) -> np.ndarray:
+        """Columns ``x`` (``n x k``) as ``(count, size, k)`` padded blocks."""
+        out = np.zeros((self.count, self.size, x.shape[1]))
+        out[self.block, self.pos] = x
+        return out
+
+
+def _t(a: np.ndarray) -> np.ndarray:
+    return a.transpose(0, 2, 1)
+
+
+def _prev(a: np.ndarray) -> np.ndarray:
+    """``a[i - 1]`` at ``i``, cyclically."""
+    return np.roll(a, 1, axis=0)
+
+
+def _next(a: np.ndarray) -> np.ndarray:
+    """``a[i + 1]`` at ``i``, cyclically."""
+    return np.roll(a, -1, axis=0)
+
+
+def _symmetric(diag: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """The block-tridiagonal matrix of diagonal blocks ``diag`` and upper
+    blocks ``up``, symmetric."""
+    return np.stack([_t(_prev(up)), diag, up])
+
+
+def _gram(x: np.ndarray) -> np.ndarray:
+    """``X^T X``, the blocks two apart dropped."""
+    lo, di, up = x
+    diag = _t(_prev(up)) @ _prev(up) + _t(di) @ di + _t(_next(lo)) @ _next(lo)
+    return _symmetric(diag, _t(di) @ up + _t(_next(lo)) @ _next(di))
+
+
+def _cogram(x: np.ndarray) -> np.ndarray:
+    """``X X^T``, the blocks two apart dropped."""
+    lo, di, up = x
+    diag = lo @ _t(lo) + di @ _t(di) + up @ _t(up)
+    return _symmetric(diag, di @ _t(_next(lo)) + up @ _t(_next(di)))
+
+
+def _times(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``X M``, the blocks two apart dropped."""
+    lo, di, up = x
+    out = np.empty_like(x)
+    out[0] = lo @ _prev(m[1]) + di @ m[0]
+    out[1] = lo @ _prev(m[2]) + di @ m[1] + up @ _next(m[0])
+    out[2] = di @ m[2] + up @ _next(m[1])
+    return out
+
+
+def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``M v`` for columns ``v`` as ``(count, size, k)`` blocks."""
+    return m[0] @ _prev(v) + m[1] @ v + m[2] @ _next(v)
+
+
+def _range_basis(g: np.ndarray, k: int, pad: np.ndarray) -> np.ndarray:
+    """``k`` orthonormal columns spanning the range of the projector
+    ``P = I - G``: ``_complement`` with ``G`` in place of ``q q^T``.  Slots
+    where ``pad`` is set are never picked."""
+    shape = pad.shape + (1,)
+
+    def project(col: np.ndarray) -> np.ndarray:
+        return col - _apply(g, col.reshape(shape)).ravel()
+
+    basis = np.zeros((pad.size, k))
+    weight = 1.0 - np.einsum("bii->bi", g[1]).ravel()
+    weight[pad.ravel()] = 0.0
+    for j in range(k):
+        col = np.zeros(pad.size)
+        col[int(np.argmax(weight))] = 1.0
+        col = project(col)
+        done = basis[:, :j]
+        for _ in range(2):
+            col = project(col)
+            col -= done @ (done.T @ col)
+        col /= np.linalg.norm(col)
+        basis[:, j] = col
+        weight -= col * col
+    return basis.reshape(pad.shape + (k,))
+
+
+def polar_sea(block: BandedBlock, width: int, threshold: float, cells: int) -> FilledSea | None:
+    """The filled sea from the polar factor of ``T``, or None where it does
+    not settle: no convergence in ``POLAR_MAX_STEPS`` steps, a fractional
+    filled count, or a zero column above ``threshold``.
+
+    ``X <- X (3 I - X^T X) / 2`` from ``X = T / s`` (``s`` the largest
+    diagonal plus the largest subdiagonal magnitude, at least ``||T||``)
+    drives every singular value of ``X`` above the rounding of the splittings
+    to 1 and leaves the near-zero ones near 0, so ``X`` tends to ``Q``.  ``X``
+    is kept block-tridiagonal over blocks of at least ``cells >= width``
+    cells, each product being a few batched GEMMs of those blocks.  The trace
+    of ``X^T X`` counts the filled triples; pivoted Gram-Schmidt on the banded
+    ``I - X^T X`` and ``I - X X^T`` gives the zero columns, which the small
+    block ``u0^T T v0`` pairs and measures as in ``chiral_svd``.  Their
+    remnant in ``X`` is projected out before the band is read.
+    """
+    n = block.diag.size
+    lay = _Blocks(n, n // cells)
+    cell = np.arange(n)
+    x = np.zeros((3, lay.count, lay.size, lay.size))
+    scale = float(np.max(np.abs(block.diag)) + np.max(np.abs(block.sub)))
+    for cols, values in ((cell, block.diag), ((cell - 1) % n, block.sub)):
+        x[lay.place(cell, cols)[0]] = values / scale
+    eye = np.eye(lay.size)
+    for steps in range(1, POLAR_MAX_STEPS + 1):
+        # the step X (3 I - X^T X) / 2 - X = X (I - X^T X) / 2
+        g = _gram(x)
+        g[1] -= eye
+        step = _times(x, g)
+        step *= -0.5
+        x += step
+        if max(step.max(), -step.min()) <= POLAR_STOP:
+            break
+    else:
+        return None
+    trace = float(np.vdot(x, x))
+    filled = round(trace)
+    if abs(trace - filled) > POLAR_TRACE_TOL:
+        return None
+    k = n - filled
+    pad = np.ones((lay.count, lay.size), dtype=bool)
+    pad[lay.block, lay.pos] = False
+    v0 = _range_basis(_gram(x), k, pad)[lay.block, lay.pos]
+    u0 = _range_basis(_cogram(x), k, pad)[lay.block, lay.pos]
+    try:
+        inner = _inner_triples(u0.T @ (block @ v0))
+    except np.linalg.LinAlgError:
+        return None
+    if k and inner.singular_values[0] > threshold:
+        return None
+    u0, v0 = u0 @ inner.u, v0 @ inner.v
+    if k:
+        # X -= (X v0) v0^T on the stored blocks
+        vb = lay.vectors(v0)
+        xv = _apply(x, vb)
+        x[0] -= xv @ _t(_prev(vb))
+        x[1] -= xv @ _t(vb)
+        x[2] -= xv @ _t(_next(vb))
+    rows = np.arange(-(-n // width) * width)
+    start = (rows // width - 1) * width
+    cols = (start[:, None] + np.arange(3 * width)) % n
+    rows = np.minimum(rows, n - 1)[:, None]
+    index, inside = lay.place(np.broadcast_to(rows, cols.shape), cols)
+    band = np.where(inside, -0.5 * x[index], 0.0)
+    return FilledSea(width=width, filled=filled, band=band, u0=u0, v0=v0,
+                     splittings=inner.singular_values, steps=steps)

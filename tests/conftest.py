@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from sshent import model
-from sshent.groundstate import OccupationPolicy, localized_zero_modes
-from sshent.linalg import chiral_svd
+from sshent.groundstate import OccupationPolicy, filled_sea, localized_zero_modes
 from sshent.specialfn import EllipticParams
 
 # the standard two-defect ring used throughout: N = 400, defects at L/4, 3L/4
@@ -34,9 +33,10 @@ def open_chain(defects=()):
     )
 
 
-def chiral_system(spec):
-    """Singular triples of the chain's hopping block, as the CLI computes them."""
-    return chiral_svd(model.hopping_bands(spec))
+def sea_of(spec, width=ELL):
+    """The chain's filled sea for windows of up to ``width`` cells, as the CLI
+    builds it for a scan of ``width``-cell windows."""
+    return filled_sea(spec, width)
 
 
 @pytest.fixture(scope="session")
@@ -45,8 +45,8 @@ def chain03():
 
 
 @pytest.fixture(scope="session")
-def chiral03(chain03):
-    return chiral_system(chain03)
+def sea03(chain03):
+    return sea_of(chain03)
 
 
 @pytest.fixture(scope="session")
@@ -55,8 +55,8 @@ def chain_dimerized():
 
 
 @pytest.fixture(scope="session")
-def chiral_dimerized(chain_dimerized):
-    return chiral_system(chain_dimerized)
+def sea_dimerized(chain_dimerized):
+    return sea_of(chain_dimerized)
 
 
 @pytest.fixture(scope="session")
@@ -65,18 +65,13 @@ def chain_mixed():
 
 
 @pytest.fixture(scope="session")
-def chiral_mixed(chain_mixed):
-    return chiral_system(chain_mixed)
-
-
-@pytest.fixture(scope="session")
 def params03():
     return EllipticParams.from_dimerization(0.3)
 
 
 @pytest.fixture(scope="session")
-def zero_pair03(chiral03, chain03):
-    return localized_zero_modes(chiral03, chain03)
+def zero_pair03(sea03, chain03):
+    return localized_zero_modes(sea03, chain03)
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,10 @@
 """Independent reference implementations used only to check the library."""
 
+import decimal
 import json
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.integrate import quad
@@ -16,7 +17,7 @@ from sshent import entanglement as ent
 from sshent import groundstate as gs
 from sshent import model
 from sshent import serialize
-from sshent.linalg import ChiralSystem, NumericalError
+from sshent.linalg import ChiralSystem, NumericalError, chiral_svd
 
 
 def brute_force_sector_data(lambdas, n):
@@ -215,16 +216,26 @@ def hamiltonian_loop(spec):
     return h
 
 
-def correlation_matrix_full_block(chiral, spec, policy, window):
-    """Window correlation matrix from the rows of the window's cells gathered
-    out of the full ``u`` and ``v``, with the zero-mode projector added.
+@lru_cache(maxsize=8)
+def chain_triples(spec):
+    """``chiral_svd`` of the chain's hopping block (the chains are frozen
+    dataclasses, so a few are kept)."""
+    return chiral_svd(model.hopping_bands(spec))
 
-    With ``A``/``B`` the window's odd/even sites and ``Z`` the zero columns,
+
+def correlation_matrix_full_block(spec, policy, window):
+    """Window correlation matrix from the rows of the window's cells gathered
+    out of the full ``u`` and ``v`` of ``chiral_svd``, with the zero-mode
+    projector added.
+
+    With ``A``/``B`` the window's odd/even sites and ``Z`` the zero columns
+    (the triples at or below ``NEAR_ZERO_THRESHOLD * t``),
     ``C_AA = (I - Z_A Z_A^T) / 2``, ``C_BB = (I - Z_B Z_B^T) / 2`` and
     ``C_AB = -U_A V_B^T / 2`` over the filled columns.
     """
     cells = np.asarray(model.window_cells(spec, *window)) - 1
-    filled = gs.filled_triples(chiral, spec, policy)
+    chiral = chain_triples(spec)
+    filled = int(np.count_nonzero(chiral.singular_values > gs.NEAR_ZERO_THRESHOLD * spec.hopping))
     u, v = chiral.u[cells], chiral.v[cells]
     eye = np.eye(cells.size)
     zu, zv = u[:, filled:], v[:, filled:]
@@ -405,6 +416,24 @@ def srpf_loop(lambdas, n):
             coeffs /= peak
             log_scale += math.log(peak)
     return coeffs * math.exp(log_scale)
+
+
+def log_srpf_decimal(lambdas, n, digits=50):
+    """log Z_n(q), q = 0 .. M, from the coefficients of
+    prod_i [(1 - lam_i)^n + lam_i^n x] in 50-digit decimal arithmetic, whose
+    exponent range no Renyi index here leaves."""
+    ctx = decimal.Context(prec=digits, Emin=-999999999, Emax=999999999)
+    power = decimal.Decimal(n)
+    coeffs = [decimal.Decimal(1)]
+    for lv in ent.clamp_lambdas(lambdas):
+        lv = decimal.Decimal(float(lv))
+        a, b = ctx.power(1 - lv, power), ctx.power(lv, power)
+        new = [decimal.Decimal(0)] * (len(coeffs) + 1)
+        for q, c in enumerate(coeffs):
+            new[q] = ctx.add(new[q], ctx.multiply(c, a))
+            new[q + 1] = ctx.multiply(c, b)
+        coeffs = new
+    return np.array([float(ctx.ln(c)) if c > 0 else -math.inf for c in coeffs])
 
 
 def _xlogx_scalar(x):

@@ -18,7 +18,7 @@ from sshent import groundstate as gs
 from sshent import statmech as sm
 from sshent import specialfn as sf
 
-from conftest import DEFECT_WINDOW, ELL, TOP_WINDOW, TRIV_WINDOW, chiral_system, two_defect_chain
+from conftest import DEFECT_WINDOW, ELL, TOP_WINDOW, TRIV_WINDOW, sea_of, two_defect_chain
 from oracles import brute_force_sector_data
 
 LOG2 = math.log(2.0)
@@ -33,12 +33,12 @@ def report(num, name, detail=""):
     print(f"[acceptance] criterion {num} ({name}): PASS {detail}")
 
 
-def lattice_lambdas(chiral, spec, window, policy=None):
+def lattice_lambdas(sea, spec, window, policy=None):
     policy = policy or gs.OccupationPolicy.below_half()
-    return gs.correlation_matrix(chiral, spec, policy, window).eigenvalues()
+    return gs.correlation_matrix(sea, spec, policy, window).eigenvalues()
 
 
-def test_criterion_1_dimerized_exactness(chiral_dimerized, chain_dimerized):
+def test_criterion_1_dimerized_exactness(sea_dimerized, chain_dimerized):
     tol = 1e-12
     totals = {"trivial": 0.0, "topological": 2 * LOG2, "defect": LOG2}
     srpf_rows = {
@@ -55,7 +55,7 @@ def test_criterion_1_dimerized_exactness(chiral_dimerized, chain_dimerized):
     }
     worst = 0.0
     for case, window in CASE_WINDOWS.items():
-        lam = lattice_lambdas(chiral_dimerized, chain_dimerized, window)
+        lam = lattice_lambdas(sea_dimerized, chain_dimerized, window)
         table1 = ent.charge_resolved_table(lam, 1.0)
         for n in (1.0, 2.0, 3.0):
             s_n = ent.total_vn(lam) if n == 1.0 else ent.total_renyi(lam, n)
@@ -74,7 +74,7 @@ def test_criterion_1_dimerized_exactness(chiral_dimerized, chain_dimerized):
 def test_criterion_2_correlation_spectra():
     tol = 1e-10
     spec = two_defect_chain(1.0, kinds=("one_site", "three_site"))
-    chiral = chiral_system(spec)
+    sea = sea_of(spec)
     want = {
         TRIV_WINDOW: np.sort([0.0] * ELL + [1.0] * ELL),
         TOP_WINDOW: np.sort([0.0] * (ELL - 1) + [0.5, 0.5] + [1.0] * (ELL - 1)),
@@ -82,20 +82,20 @@ def test_criterion_2_correlation_spectra():
     }
     worst = 0.0
     for window, target in want.items():
-        lam = np.sort(lattice_lambdas(chiral, spec, window))
+        lam = np.sort(lattice_lambdas(sea, spec, window))
         worst = max(worst, float(np.max(np.abs(lam - target))))
-    lam_1s = np.sort(lattice_lambdas(chiral, spec, (41, ELL)))
-    lam_3s = np.sort(lattice_lambdas(chiral, spec, (141, ELL)))
+    lam_1s = np.sort(lattice_lambdas(sea, spec, (41, ELL)))
+    lam_3s = np.sort(lattice_lambdas(sea, spec, (141, ELL)))
     worst = max(worst, float(np.max(np.abs(lam_1s - lam_3s))))
     assert worst <= tol
     report(2, "correlation spectra", f"max dev {worst:.2e} <= {tol:g}")
 
 
-def test_criterion_3_lattice_asymptotics_agreement(chiral03, chain03, params03):
+def test_criterion_3_lattice_asymptotics_agreement(sea03, chain03, params03):
     tol = 1e-3
     worst = 0.0
     for case, window in CASE_WINDOWS.items():
-        lam = lattice_lambdas(chiral03, chain03, window)
+        lam = lattice_lambdas(sea03, chain03, window)
         for n in (1.0, 2.0, 3.0):
             table = ent.charge_resolved_table(lam, n)
             zq = ent.srpf(lam, n)
@@ -114,9 +114,9 @@ def test_criterion_3_lattice_asymptotics_agreement(chiral03, chain03, params03):
     report(3, "lattice vs asymptotics", f"max dev {worst:.2e} <= {tol:g}")
 
 
-def test_criterion_4_equipartition_structure(chiral03, chain03):
+def test_criterion_4_equipartition_structure(sea03, chain03):
     tol = 1e-3
-    lam_def = lattice_lambdas(chiral03, chain03, DEFECT_WINDOW)
+    lam_def = lattice_lambdas(sea03, chain03, DEFECT_WINDOW)
     table = ent.charge_resolved_table(lam_def, 1.0)
     defect_vals = [
         s for s, p in zip(table.sre_vn, table.probabilities) if p > 1e-3
@@ -127,7 +127,7 @@ def test_criterion_4_equipartition_structure(chiral03, chain03):
 
     phases = {}
     for case in ("topological", "trivial"):
-        lam = lattice_lambdas(chiral03, chain03, CASE_WINDOWS[case])
+        lam = lattice_lambdas(sea03, chain03, CASE_WINDOWS[case])
         t = ent.charge_resolved_table(lam, 1.0)
         vals = {
             int(q) - ELL: s
@@ -155,12 +155,13 @@ def test_criterion_4_equipartition_structure(chiral03, chain03):
     )
 
 
-def test_criterion_5_zero_mode_physics(chiral03, chain03, params03, zero_pair03):
+def test_criterion_5_zero_mode_physics(sea03, chain03, params03, zero_pair03):
     # rank-one update on the 24-cell centered interval
     window = (39, 24)
+    wide = sea_of(chain03, window[1])
     base = np.sort(
         gs.correlation_matrix(
-            chiral03, chain03, gs.OccupationPolicy.below_half(), window
+            wide, chain03, gs.OccupationPolicy.below_half(), window
         ).eigenvalues()
     )
     base_rest = np.delete(base, int(np.argmin(np.abs(base))))
@@ -168,7 +169,7 @@ def test_criterion_5_zero_mode_physics(chiral03, chain03, params03, zero_pair03)
     for p in (0.0, 0.25, 0.75, 1.0):
         policy = gs.OccupationPolicy.half(zero_pair03.with_weight(p))
         lam = np.sort(
-            gs.correlation_matrix(chiral03, chain03, policy, window).eigenvalues()
+            gs.correlation_matrix(wide, chain03, policy, window).eigenvalues()
         )
         i = int(np.argmin(np.abs(lam - (1.0 - p))))
         worst_update = max(worst_update, abs(lam[i] - (1.0 - p)))
@@ -189,7 +190,7 @@ def test_criterion_5_zero_mode_physics(chiral03, chain03, params03, zero_pair03)
         for p in grid:
             policy = gs.OccupationPolicy.half(zero_pair03.with_weight(float(p)))
             lam = gs.correlation_matrix(
-                chiral03, chain03, policy, DEFECT_WINDOW
+                sea03, chain03, policy, DEFECT_WINDOW
             ).eigenvalues()
             values.append(ent.charge_resolved_table(lam, 1.0).sre_v(ELL + dq))
         best = grid[int(np.argmax(values))]
@@ -206,7 +207,7 @@ def test_criterion_5_zero_mode_physics(chiral03, chain03, params03, zero_pair03)
     for p in (0.001, 0.999):
         policy = gs.OccupationPolicy.half(zero_pair03.with_weight(p))
         lam = gs.correlation_matrix(
-            chiral03, chain03, policy, DEFECT_WINDOW
+            sea03, chain03, policy, DEFECT_WINDOW
         ).eigenvalues()
         t = ent.charge_resolved_table(lam, 1.0)
         extreme[p] = (t.total_vn, t.config_entropy, t.fluct_entropy)

@@ -12,7 +12,7 @@ from sshent import model
 from sshent.linalg import NumericalError
 from sshent.specialfn import EllipticParams
 
-from conftest import DEFECT_WINDOW, ELL, TOP_WINDOW, TRIV_WINDOW, chiral_system, two_defect_chain
+from conftest import DEFECT_WINDOW, ELL, TOP_WINDOW, TRIV_WINDOW, sea_of, two_defect_chain
 from oracles import zero_mode_table_loop
 
 CASES = ("topological", "trivial", "defect")
@@ -25,9 +25,9 @@ CASE_WINDOWS = {
 LOG2 = math.log(2.0)
 
 
-def lattice_lambdas(chiral, spec, window):
+def lattice_lambdas(sea, spec, window):
     policy = gs.OccupationPolicy.below_half()
-    return gs.correlation_matrix(chiral, spec, policy, window).eigenvalues()
+    return gs.correlation_matrix(sea, spec, policy, window).eigenvalues()
 
 
 # ------------------------------------------------------------- dimerized
@@ -124,9 +124,9 @@ def test_phase_moduli_match_boundary_products(params03):
 # ---------------------------------------------------- charged moments
 
 
-def test_charged_moment_vs_lattice(chiral03, chain03, params03):
+def test_charged_moment_vs_lattice(sea03, chain03, params03):
     for case, window in CASE_WINDOWS.items():
-        lam = lattice_lambdas(chiral03, chain03, window)
+        lam = lattice_lambdas(sea03, chain03, window)
         for n in (1.0, 2.0, 3.0):
             lat = ent.charged_moment(lam, n, 0.0)
             ana = asym.charged_moment_asymptotic(case, n, 0.0, ELL, params03)
@@ -166,9 +166,9 @@ def test_defect_moment_modulus_continuity(params03):
 # ---------------------------------------------------------- SRPF / SRE
 
 
-def test_srpf_vs_lattice_absolute(chiral03, chain03, params03):
+def test_srpf_vs_lattice_absolute(sea03, chain03, params03):
     for case, window in CASE_WINDOWS.items():
-        lam = lattice_lambdas(chiral03, chain03, window)
+        lam = lattice_lambdas(sea03, chain03, window)
         for n in (1.0, 2.0, 3.0):
             zq = ent.srpf(lam, n)
             for dq in range(-2, 3):
@@ -217,8 +217,8 @@ def test_parity_equipartition_structure(params03):
         assert asym.sre_asymptotic("trivial", n, 0, params03) == pytest.approx(t_odd, abs=1e-12)
 
 
-def test_sre_vn_matches_lattice_at_center(chiral03, chain03, params03):
-    lam = lattice_lambdas(chiral03, chain03, DEFECT_WINDOW)
+def test_sre_vn_matches_lattice_at_center(sea03, chain03, params03):
+    lam = lattice_lambdas(sea03, chain03, DEFECT_WINDOW)
     table = ent.charge_resolved_table(lam, 1.0)
     assert asym.sre_vn_asymptotic("defect", 0, params03) == pytest.approx(
         table.sre_v(ELL), abs=1e-4
@@ -250,10 +250,10 @@ def test_consistency_grid():
         params = EllipticParams.from_dimerization(delta)
         xi = model.localization_length(delta)
         spec = two_defect_chain(delta)
-        chiral = chiral_system(spec)
+        sea = sea_of(spec)
         z_bound = max(1e-4, 5.0 * math.exp(-ELL / xi))
         for case, window in CASE_WINDOWS.items():
-            lam = lattice_lambdas(chiral, spec, window)
+            lam = lattice_lambdas(sea, spec, window)
             s_bound = z_bound
             if case == "defect":
                 s_bound = max(z_bound, 25.0 * math.exp(-(ELL - 2) / xi))
@@ -292,8 +292,8 @@ def test_bulk_defect_spectrum_window(params03):
     np.testing.assert_allclose(b, params03.spacing * np.arange(-4, 5), atol=1e-14)
 
 
-def test_defect_spectrum_matches_lattice(chiral03, chain03, params03):
-    lam = np.sort(lattice_lambdas(chiral03, chain03, DEFECT_WINDOW))
+def test_defect_spectrum_matches_lattice(sea03, chain03, params03):
+    lam = np.sort(lattice_lambdas(sea03, chain03, DEFECT_WINDOW))
     with np.errstate(divide="ignore"):
         eps_lat = np.log((1.0 - lam) / np.clip(lam, 1e-300, None))
     middle = np.sort(eps_lat[np.argsort(np.abs(eps_lat))[:11]])
@@ -360,10 +360,10 @@ def test_zero_mode_srpf_shift_at_extremes(params03):
         assert asym.zero_mode_srpf(0.0, 2.0, dq, params03) == pytest.approx(shifted, abs=1e-15)
 
 
-def test_zero_mode_table_vs_lattice(chiral03, chain03, params03, zero_pair03):
+def test_zero_mode_table_vs_lattice(sea03, chain03, params03, zero_pair03):
     for p in (0.02, 0.1, 0.5, 0.98):
         policy = gs.OccupationPolicy.half(zero_pair03.with_weight(p))
-        lam = gs.correlation_matrix(chiral03, chain03, policy, DEFECT_WINDOW).eigenvalues()
+        lam = gs.correlation_matrix(sea03, chain03, policy, DEFECT_WINDOW).eigenvalues()
         lat = ent.charge_resolved_table(lam, 1.0)
         ana = asym.zero_mode_table(p, 1.0, params03, ELL)
         for dq in range(-2, 3):

@@ -678,15 +678,42 @@ def test_underflowing_renyi_index_is_a_numerical_error(tmp_path, capsys, command
     """At n = 1100 every (1 - lam)^n + lam^n near lam = 1/2, and the closed
     forms' moduli, underflow.  The scan used to end in a bare
     ZeroDivisionError, or (lattice only) write rows of S_n_q = inf with two
-    RuntimeWarnings and exit 0."""
-    make = _zero_mode_config if command == "zero-mode-scan" else base_config
-    path = write_config(tmp_path, make(tmp_path, mode=mode, n_list=[1, 1100]))
+    RuntimeWarnings and exit 0.  The scan-interval windows are topological,
+    with two levels near 1/2: sector values alone no longer leave double
+    range, and the trivial windows between the defects pass at n = 1100."""
+    if command == "zero-mode-scan":
+        cfg = _zero_mode_config(tmp_path, mode=mode, n_list=[1, 1100])
+    else:
+        cfg = base_config(tmp_path, mode=mode, n_list=[1, 1100], m_range=[80, 84])
+    path = write_config(tmp_path, cfg)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.main([command, "--config", path]) == cli.EXIT_VALIDATION
     std = _no_outputs(tmp_path, capsys)
     assert std.out == ""
     assert std.err.startswith(f"numerical error: {message}")
+
+
+def test_std400_lattice_scan_at_large_renyi_indices(tmp_path, capsys):
+    """At n = 30 and 40 the std400 lattice scan has hundreds of sectors whose
+    Z_n(q) underflows (it exited 2 on them): it now writes finite rows, the
+    n = 1 rows as at n_list [1], and exits 0 without warnings."""
+    chain = {"n_sites": 400, "t": 1.0, "delta": 0.3, "boundary": "periodic",
+             "defects": [{"cell": 50, "kind": "one_site"}, {"cell": 150, "kind": "one_site"}]}
+    cfg = base_config(tmp_path, chain=chain, window_length=20, m_range=[1, 200],
+                      n_list=[1, 30, 40], mode="lattice")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["scan-interval", "--config", write_config(tmp_path, cfg)]) == cli.EXIT_OK
+    rows = read_rows(tmp_path / "scan.csv")
+    assert {r["n"] for r in rows} == {"1.0", "30.0", "40.0"}
+    assert all(math.isfinite(float(r["S_n_q"])) for r in rows)
+    one = [r for r in rows if r["n"] == "1.0"]
+    cfg["n_list"] = [1]
+    cfg["outputs"] = {"csv_path": str(tmp_path / "one.csv")}
+    assert cli.main(["scan-interval", "--config", write_config(tmp_path, cfg)]) == cli.EXIT_OK
+    assert one == read_rows(tmp_path / "one.csv")
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("command", ["dimerized", "aklt"])

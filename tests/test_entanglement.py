@@ -393,10 +393,10 @@ def test_tables_match_the_per_window_loop(name):
                                            rtol=0.0, atol=ENTROPY_ATOL, err_msg=key)
 
 
-def test_tables_equal_single_window_tables(chiral03, chain03, below_half):
+def test_tables_equal_single_window_tables(sea03, chain03, below_half):
     """Every row of the batched columns is ``charge_resolved_table`` of that
     window, bit for bit."""
-    stack = gs.correlation_spectra(chiral03, chain03, below_half, [41, 45, 90, 141, 175], 20)
+    stack = gs.correlation_spectra(sea03, chain03, below_half, [41, 45, 90, 141, 175], 20)
     columns = ent.charge_resolved_tables(stack, [1, 2])
     for w, lam in enumerate(stack):
         for j, n in enumerate([1, 2]):
@@ -438,3 +438,41 @@ def test_underflowing_renyi_index_is_a_numerical_error_without_warnings():
         # the second spectrum is pure: its one sector has Z_n = 1 at every n
         table = ent.charge_resolved_table(lam[1], 1100.0)
     assert np.all(np.isfinite(table.sre_renyi)) and math.isfinite(table.total_renyi)
+
+
+@pytest.mark.parametrize("n", [30.0, 40.0])
+def test_sector_renyi_entropies_where_z_n_underflows(sea03, chain03, below_half, n):
+    """On the std400 ring at n = 30 and 40, hundreds of occupied sectors have
+    Z_n(q) below the normal range, most of them with a coefficient that
+    underflows to 0 beside the row's peak.  Their S_n(q) now comes from the
+    log recursion: finite, without warnings, within 1e-10 of 50-digit
+    decimal arithmetic; every other value is the product path's, bit for bit."""
+    lam = gs.correlation_spectra(sea03, chain03, below_half, range(1, chain03.n_cells + 1), 20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = ent._tabulate(lam, [n])
+        cols = ent.charge_resolved_tables(lam, [n])
+    zn = t["zn"][:, 0]
+    low = t["occupied"] & (zn < np.finfo(float).tiny)
+    assert low.sum() > 300
+    assert np.all(np.isfinite(cols["S_n"]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        product = (np.log(zn) - n * np.log(t["z1"])) / (1.0 - n)
+    normal = t["occupied"] & ~low
+    assert t["renyi"][:, 0][normal].tobytes() == product[normal].tobytes()
+    windows = np.flatnonzero(low.any(axis=1))
+    for w in windows[:: max(1, windows.size // 4)]:
+        log_zn = oracles.log_srpf_decimal(lam[w], n)
+        q = np.flatnonzero(low[w])
+        want = (log_zn[q] - n * np.log(t["z1"][w, q])) / (1.0 - n)
+        np.testing.assert_allclose(t["renyi"][w, 0, q], want, rtol=0.0, atol=1e-10)
+
+
+def test_log_recursion_matches_the_product_recursion():
+    """Where nothing underflows, exp of the log recursion is Z_n within 1e-13."""
+    rng = np.random.default_rng(7)
+    lam = ent.clamp_lambdas(np.sort(rng.uniform(0.0, 1.0, (6, 12)), axis=1))
+    modes = ent._modes(lam)
+    for n in (0.5, 2.0, 3.0):
+        np.testing.assert_allclose(np.exp(ent._log_srpf_rows(modes, n)),
+                                   ent._srpf_rows(modes, n), rtol=1e-13, atol=0.0)

@@ -11,8 +11,8 @@ from conftest import (
     DEFECT_WINDOW,
     TOP_WINDOW,
     TRIV_WINDOW,
-    chiral_system,
     open_chain,
+    sea_of,
     two_defect_chain,
 )
 from oracles import (
@@ -27,14 +27,14 @@ from oracles import (
 SEAM_WINDOW = (195, 10)  # cells 195..200 then 1..4: wraps the cell-1 seam
 
 
-def sorted_lambdas(chiral, spec, policy, window):
-    return np.sort(gs.correlation_matrix(chiral, spec, policy, window).eigenvalues())
+def sorted_lambdas(sea, spec, policy, window):
+    return np.sort(gs.correlation_matrix(sea, spec, policy, window).eigenvalues())
 
 
 # ---------------------------------------------------------------- windows
 
 
-def test_dimerized_window_spectra(chiral_dimerized, chain_dimerized, below_half):
+def test_dimerized_window_spectra(sea_dimerized, chain_dimerized, below_half):
     ell = 20
     want = {
         TRIV_WINDOW: [0.0] * ell + [1.0] * ell,
@@ -42,22 +42,22 @@ def test_dimerized_window_spectra(chiral_dimerized, chain_dimerized, below_half)
         DEFECT_WINDOW: [0.0] * ell + [0.5] + [1.0] * (ell - 1),
     }
     for window, lam_want in want.items():
-        lam = sorted_lambdas(chiral_dimerized, chain_dimerized, below_half, window)
+        lam = sorted_lambdas(sea_dimerized, chain_dimerized, below_half, window)
         np.testing.assert_allclose(lam, np.sort(lam_want), atol=1e-10)
 
 
-def test_dimerized_translation_invariance(chiral_dimerized, chain_dimerized, below_half):
-    ref = sorted_lambdas(chiral_dimerized, chain_dimerized, below_half, (5, 20))
+def test_dimerized_translation_invariance(sea_dimerized, chain_dimerized, below_half):
+    ref = sorted_lambdas(sea_dimerized, chain_dimerized, below_half, (5, 20))
     for m in (2, 11, 23):
-        lam = sorted_lambdas(chiral_dimerized, chain_dimerized, below_half, (m, 20))
+        lam = sorted_lambdas(sea_dimerized, chain_dimerized, below_half, (m, 20))
         np.testing.assert_allclose(lam, ref, atol=1e-10)
 
 
 def test_dimerized_3s_interior_block():
     """The trimer block of the correlation matrix has eigenvalues {1, 0, 0}."""
     spec = two_defect_chain(1.0, kinds=("three_site", "three_site"))
-    chiral = chiral_system(spec)
-    cm = gs.correlation_matrix(chiral, spec, gs.OccupationPolicy.below_half(), (41, 20))
+    sea = sea_of(spec)
+    cm = gs.correlation_matrix(sea, spec, gs.OccupationPolicy.below_half(), (41, 20))
     sites = list(window_sites(spec, 41, 20))
     trimer = [sites.index(s - 1) for s in model.defect_sites(spec)[0][1]]
     block = cm.matrix[np.ix_(trimer, trimer)]
@@ -68,40 +68,41 @@ def test_dimerized_3s_interior_block():
     assert off == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)), abs=1e-10)
 
 
-def test_purity_at_full_window(chiral03, chain03, zero_pair03):
+def test_purity_at_full_window(chain03, zero_pair03):
+    sea = sea_of(chain03, chain03.n_cells)
     for policy in (
         gs.OccupationPolicy.below_half(),
         gs.OccupationPolicy.half(zero_pair03.with_weight(0.3)),
     ):
-        cm = gs.correlation_matrix(chiral03, chain03, policy, (1, chain03.n_cells))
+        cm = gs.correlation_matrix(sea, chain03, policy, (1, chain03.n_cells))
         c = cm.matrix
         assert np.max(np.abs(c @ c - c)) < 1e-10
 
 
-def test_trace_equals_contained_weight(chiral03, chain03, below_half):
-    cm = gs.correlation_matrix(chiral03, chain03, below_half, DEFECT_WINDOW)
+def test_trace_equals_contained_weight(sea03, chain03, below_half):
+    cm = gs.correlation_matrix(sea03, chain03, below_half, DEFECT_WINDOW)
     sites = window_sites(chain03, *DEFECT_WINDOW)
     occ = dense_occupied_orbitals(dense_eigensystem(chain03), chain03, below_half)
     assert np.trace(cm.matrix) == pytest.approx(float(np.sum(occ[sites] ** 2)), abs=1e-10)
     assert np.trace(cm.matrix) == pytest.approx(19.5, abs=1e-3)
 
 
-def test_window_with_two_defects_rejected(chiral03, chain03, below_half):
+def test_window_with_two_defects_rejected(sea03, chain03, below_half):
     with pytest.raises(ValueError, match="defects"):
-        gs.correlation_matrix(chiral03, chain03, below_half, (45, 110))
+        gs.correlation_matrix(sea03, chain03, below_half, (45, 110))
 
 
-def test_half_filling_with_defects_needs_explicit_zero_mode(chiral03, chain03):
+def test_half_filling_with_defects_needs_explicit_zero_mode(sea03, chain03):
     with pytest.raises(ValueError, match="zero-mode"):
         gs.correlation_matrix(
-            chiral03, chain03, gs.OccupationPolicy.half(), DEFECT_WINDOW
+            sea03, chain03, gs.OccupationPolicy.half(), DEFECT_WINDOW
         )
 
 
 def test_half_filling_defect_free_chain():
     spec = model.ChainSpec(n_sites=80, dimerization=0.3)
-    chiral = chiral_system(spec)
-    cm = gs.correlation_matrix(chiral, spec, gs.OccupationPolicy.half(), (3, 10))
+    sea = sea_of(spec)
+    cm = gs.correlation_matrix(sea, spec, gs.OccupationPolicy.half(), (3, 10))
     assert np.trace(cm.matrix) == pytest.approx(10.0, abs=1e-9)
     lam = cm.eigenvalues()
     assert lam.min() >= -1e-12 and lam.max() <= 1.0 + 1e-12
@@ -113,15 +114,15 @@ GATHER_ATOL = 1e-14
 
 @pytest.mark.parametrize("window", [DEFECT_WINDOW, TOP_WINDOW, TRIV_WINDOW, SEAM_WINDOW])
 @pytest.mark.parametrize("p", [None, 0.0, 0.3, 1.0])
-def test_window_gather_matches_full_block(chiral03, chain03, zero_pair03, p, window):
+def test_window_gather_matches_full_block(sea03, chain03, zero_pair03, p, window):
     """The banded gather gives the full-block matrix within 1e-14; ``p=None``
     is below half filling, otherwise half with the zero mode at p."""
     if p is None:
         policy = gs.OccupationPolicy.below_half()
     else:
         policy = gs.OccupationPolicy.half(zero_pair03.with_weight(p))
-    cm = gs.correlation_matrix(chiral03, chain03, policy, window)
-    ref = correlation_matrix_full_block(chiral03, chain03, policy, window)
+    cm = gs.correlation_matrix(sea03, chain03, policy, window)
+    ref = correlation_matrix_full_block(chain03, policy, window)
     np.testing.assert_allclose(cm.matrix, ref, rtol=0.0, atol=GATHER_ATOL)
 
 
@@ -137,23 +138,23 @@ def test_zero_mode_correlations_equal_correlation_matrix(kinds, window):
     """A weight sweep over one window gives the eigenvalues of
     ``correlation_matrix`` at every weight bit for bit."""
     spec = two_defect_chain(0.3, kinds)
-    chiral = chiral_system(spec)
-    pair = gs.localized_zero_modes(chiral, spec)
+    sea = sea_of(spec)
+    pair = gs.localized_zero_modes(sea, spec)
     weights = [0.0, 0.002, 0.5, 1.0]
     sweep = gs.correlation_spectra(
-        chiral, spec, gs.OccupationPolicy.half(pair), [window[0]] * 4, window[1], weights
+        sea, spec, gs.OccupationPolicy.half(pair), [window[0]] * 4, window[1], weights
     )
     assert sweep.shape == (len(weights), 2 * window[1])
     for p, lam in zip(weights, sweep):
         policy = gs.OccupationPolicy.half(pair.with_weight(p))
-        want = gs.correlation_matrix(chiral, spec, policy, window).eigenvalues()
+        want = gs.correlation_matrix(sea, spec, policy, window).eigenvalues()
         assert lam.tobytes() == want.tobytes(), p
 
 
 
-def _stacks(chiral, spec, policy, starts, weights):
+def _stacks(sea, spec, policy, starts, weights):
     return np.concatenate(
-        [s.copy() for s in gs.correlation_stacks(chiral, spec, policy, starts, 20, weights)]
+        [s.copy() for s in gs.correlation_stacks(sea, spec, policy, starts, 20, weights)]
     )
 
 
@@ -170,40 +171,40 @@ def test_fixed_window_stacks_equal_per_window_gathers(monkeypatch, kinds, start,
     of its matrices, the partial last stack included, equals the one the
     per-window path gathers bit for bit; starts that differ take that path."""
     spec = two_defect_chain(0.3, kinds)
-    chiral = chiral_system(spec)
-    policy = gs.OccupationPolicy.half(gs.localized_zero_modes(chiral, spec).with_weight(1.0, phi))
+    sea = sea_of(spec)
+    policy = gs.OccupationPolicy.half(gs.localized_zero_modes(sea, spec).with_weight(1.0, phi))
     weights = np.linspace(0.0, 1.0, 2 * gs.SPECTRA_CHUNK + 5)
     outer, calls = gs._zero_mode_outer, []
     monkeypatch.setattr(gs, "_zero_mode_outer", lambda *a: calls.append(1) or outer(*a))
-    fixed = _stacks(chiral, spec, policy, [start] * weights.size, weights)
+    fixed = _stacks(sea, spec, policy, [start] * weights.size, weights)
     assert len(calls) == 1
     # interleaved with a neighbouring window (the last start is the first
     # again), the sweep takes the per-window path
     starts = np.append(np.repeat([[start, start + 1]], weights.size, axis=0).ravel(), start)
     calls.clear()
-    mixed = _stacks(chiral, spec, policy, starts, np.append(np.repeat(weights, 2), 0.0))
+    mixed = _stacks(sea, spec, policy, starts, np.append(np.repeat(weights, 2), 0.0))
     assert len(calls) == -(-starts.size // gs.SPECTRA_CHUNK)
     assert fixed.tobytes() == mixed[0:-1:2].tobytes()
     assert fixed[0].tobytes() == mixed[-1].tobytes()
     # and the neighbouring window is the same whether or not it is interleaved
     calls.clear()
-    alone = _stacks(chiral, spec, policy, [start + 1] * weights.size, weights)
+    alone = _stacks(sea, spec, policy, [start + 1] * weights.size, weights)
     assert len(calls) == 1
     assert alone.tobytes() == mixed[1::2].tobytes()
 
-def test_weight_sweep_rejects_bad_weights(chiral03, chain03, zero_pair03):
+def test_weight_sweep_rejects_bad_weights(sea03, chain03, zero_pair03):
     policy = gs.OccupationPolicy.half(zero_pair03)
     with pytest.raises(ValueError, match="weight"):
-        gs.correlation_spectra(chiral03, chain03, policy, [41, 41], 20, [0.5, 1.5])
+        gs.correlation_spectra(sea03, chain03, policy, [41, 41], 20, [0.5, 1.5])
 
 
 @pytest.mark.parametrize("window", [(3, 10), (36, 10)])
 def test_window_gather_matches_full_block_defect_free_half(window):
     spec = model.ChainSpec(n_sites=80, dimerization=0.3)
-    chiral = chiral_system(spec)
+    sea = sea_of(spec)
     policy = gs.OccupationPolicy.half()
-    cm = gs.correlation_matrix(chiral, spec, policy, window)
-    ref = correlation_matrix_full_block(chiral, spec, policy, window)
+    cm = gs.correlation_matrix(sea, spec, policy, window)
+    ref = correlation_matrix_full_block(spec, policy, window)
     np.testing.assert_allclose(cm.matrix, ref, rtol=0.0, atol=GATHER_ATOL)
 
 
@@ -242,21 +243,21 @@ def test_builder_matches_full_block(name):
     matrices, and a one-window call equals the scan's row bit for bit."""
     spec, policy, ell, starts = BUILDER_CASES[name]
     starts = list(starts)
-    chiral = chiral_system(spec)
+    sea = sea_of(spec, ell)
     if policy is None:
-        policy = gs.OccupationPolicy.half(gs.localized_zero_modes(chiral, spec).with_weight(0.3))
+        policy = gs.OccupationPolicy.half(gs.localized_zero_modes(sea, spec).with_weight(0.3))
     built = np.concatenate(
-        [stack.copy() for stack in gs.correlation_stacks(chiral, spec, policy, starts, ell)]
+        [stack.copy() for stack in gs.correlation_stacks(sea, spec, policy, starts, ell)]
     )
     assert built.shape == (len(starts), 2 * ell, 2 * ell)
     for m, c in zip(starts, built):
-        ref = correlation_matrix_full_block(chiral, spec, policy, (m, ell))
+        ref = correlation_matrix_full_block(spec, policy, (m, ell))
         np.testing.assert_allclose(c, ref, rtol=0.0, atol=GATHER_ATOL, err_msg=str(m))
         assert np.array_equal(c, c.T)
-    lam = gs.correlation_spectra(chiral, spec, policy, starts, ell)
+    lam = gs.correlation_spectra(sea, spec, policy, starts, ell)
     assert lam.tobytes() == ent.clamp_lambdas(np.linalg.eigvalsh(built)).tobytes()
     for i in (0, len(starts) // 2, len(starts) - 1):
-        single = gs.correlation_matrix(chiral, spec, policy, (starts[i], ell))
+        single = gs.correlation_matrix(sea, spec, policy, (starts[i], ell))
         assert single.matrix.tobytes() == built[i].tobytes()
         assert single.eigenvalues().tobytes() == lam[i].tobytes()
 
@@ -267,32 +268,32 @@ def test_correlation_spectra_equal_per_window_eigenvalues(kinds):
     over all windows of a scan and over a zero-mode weight sweep, and the
     builder's matrices are the full-block ones within 1e-14."""
     spec = two_defect_chain(0.3, kinds)
-    chiral = chiral_system(spec)
+    sea = sea_of(spec)
     policy = gs.OccupationPolicy.below_half()
     starts = range(1, spec.n_cells + 1)
-    stacked = gs.correlation_spectra(chiral, spec, policy, starts, 20)
+    stacked = gs.correlation_spectra(sea, spec, policy, starts, 20)
     for m, lam in zip(starts, stacked):
-        cm = gs.correlation_matrix(chiral, spec, policy, (m, 20))
-        ref = correlation_matrix_full_block(chiral, spec, policy, (m, 20))
+        cm = gs.correlation_matrix(sea, spec, policy, (m, 20))
+        ref = correlation_matrix_full_block(spec, policy, (m, 20))
         np.testing.assert_allclose(cm.matrix, ref, rtol=0.0, atol=GATHER_ATOL)
         assert lam.tobytes() == cm.eigenvalues().tobytes()
-    pair = gs.localized_zero_modes(chiral, spec)
+    pair = gs.localized_zero_modes(sea, spec)
     weights = [0.0, 0.3, 0.5, 1.0]
     half = gs.OccupationPolicy.half(pair)
-    sweep = gs.correlation_spectra(chiral, spec, half, [DEFECT_WINDOW[0]] * 4, 20, weights)
+    sweep = gs.correlation_spectra(sea, spec, half, [DEFECT_WINDOW[0]] * 4, 20, weights)
     for p, lam in zip(weights, sweep):
         policy = gs.OccupationPolicy.half(pair.with_weight(p))
-        ref = correlation_matrix_full_block(chiral, spec, policy, DEFECT_WINDOW)
+        ref = correlation_matrix_full_block(spec, policy, DEFECT_WINDOW)
         want = gs.CorrelationMatrix(*DEFECT_WINDOW, ref).eigenvalues()
         np.testing.assert_allclose(lam, want, rtol=0.0, atol=1e-14)
 
 
-def test_builder_checks_every_window(chiral03, chain03, below_half):
+def test_builder_checks_every_window(sea03, chain03, below_half):
     """The two-defect check covers every window of a scan, not only the first."""
     with pytest.raises(ValueError, match="2 defects"):
-        gs.correlation_spectra(chiral03, chain03, below_half, [1, 2, 45], 110)
+        gs.correlation_spectra(sea03, chain03, below_half, [1, 2, 45], 110)
     with pytest.raises(ValueError, match="start cell"):
-        gs.correlation_spectra(chiral03, chain03, below_half, [1, 201], 20)
+        gs.correlation_spectra(sea03, chain03, below_half, [1, 201], 20)
 
 
 # ---------------------------------------------------------------- zero modes
@@ -326,8 +327,8 @@ def test_localized_mode_envelope_decay(zero_pair03):
     assert slope == pytest.approx(-1.0 / xi, rel=0.1)
 
 
-def test_dimerized_zero_mode_is_single_site(chiral_dimerized, chain_dimerized):
-    pair = gs.localized_zero_modes(chiral_dimerized, chain_dimerized)
+def test_dimerized_zero_mode_is_single_site(sea_dimerized, chain_dimerized):
+    pair = gs.localized_zero_modes(sea_dimerized, chain_dimerized)
     assert np.max(pair.psi1**2) == pytest.approx(1.0, abs=1e-12)
     assert int(np.argmax(pair.psi1**2)) == 99  # site 100, cell 50
     assert int(np.argmax(pair.psi2**2)) == 298  # site 299, cell 150
@@ -335,22 +336,23 @@ def test_dimerized_zero_mode_is_single_site(chiral_dimerized, chain_dimerized):
 
 def test_zero_mode_count_mismatch_rejected(chain03):
     spec = model.ChainSpec(n_sites=80, dimerization=0.3)
-    chiral = chiral_system(spec)
+    sea = sea_of(spec)
     with pytest.raises(ValueError, match="two defects"):
-        gs.localized_zero_modes(chiral, spec)
+        gs.localized_zero_modes(sea, spec)
 
 
-def test_rank_one_update_and_p_invariance(chiral03, chain03, zero_pair03, below_half):
+def test_rank_one_update_and_p_invariance(chain03, zero_pair03, below_half):
     """One eigenvalue tracks 1-p, the rest do not move with p."""
     window = (39, 24)  # defect centered; edge tails below the tolerance
+    sea03 = sea_of(chain03, window[1])
     base = np.sort(
-        gs.correlation_matrix(chiral03, chain03, below_half, window).eigenvalues()
+        gs.correlation_matrix(sea03, chain03, below_half, window).eigenvalues()
     )
     base_rest = np.delete(base, int(np.argmin(np.abs(base))))
     for p in (0.0, 0.25, 0.75, 1.0):
         policy = gs.OccupationPolicy.half(zero_pair03.with_weight(p))
         lam = np.sort(
-            gs.correlation_matrix(chiral03, chain03, policy, window).eigenvalues()
+            gs.correlation_matrix(sea03, chain03, policy, window).eigenvalues()
         )
         i = int(np.argmin(np.abs(lam - (1.0 - p))))
         assert lam[i] == pytest.approx(1.0 - p, abs=1e-6)
@@ -360,32 +362,33 @@ def test_rank_one_update_and_p_invariance(chiral03, chain03, zero_pair03, below_
     # p = 1/2 puts the added level exactly on the intrinsic half-filled one;
     # the avoided-crossing pair still averages to 1/2
     policy = gs.OccupationPolicy.half(zero_pair03.with_weight(0.5))
-    lam = np.sort(gs.correlation_matrix(chiral03, chain03, policy, window).eigenvalues())
+    lam = np.sort(gs.correlation_matrix(sea03, chain03, policy, window).eigenvalues())
     nearest = lam[np.argsort(np.abs(lam - 0.5))[:2]]
     assert float(np.mean(nearest)) == pytest.approx(0.5, abs=1e-9)
 
 
-def test_phase_has_no_windowed_effect(chiral03, chain03, zero_pair03):
+def test_phase_has_no_windowed_effect(sea03, chain03, zero_pair03):
     tables = []
     for phi in (0.0, 0.7, math.pi / 2, math.pi):
         policy = gs.OccupationPolicy.half(zero_pair03.with_weight(0.3, phi=phi))
-        lam = gs.correlation_matrix(chiral03, chain03, policy, DEFECT_WINDOW).eigenvalues()
+        lam = gs.correlation_matrix(sea03, chain03, policy, DEFECT_WINDOW).eigenvalues()
         tables.append(ent.charge_resolved_table(lam, 2.0))
     for t in tables[1:]:
         assert t.total_vn == pytest.approx(tables[0].total_vn, abs=1e-6)
         np.testing.assert_allclose(t.probabilities, tables[0].probabilities, atol=1e-6)
 
 
-def test_fully_localized_zero_mode_shifts_charges(chiral03, chain03, zero_pair03, below_half):
+def test_fully_localized_zero_mode_shifts_charges(chain03, zero_pair03, below_half):
     """p=0 puts the occupied mode inside: the table shifts by one charge unit.
 
     Uses the centered 30-cell window so the mode's tail outside the interval
     stays below the 1e-6 tolerance even in the charge-suppressed sectors.
     """
     window = (36, 30)
-    lam_empty = gs.correlation_matrix(chiral03, chain03, below_half, window).eigenvalues()
+    sea03 = sea_of(chain03, window[1])
+    lam_empty = gs.correlation_matrix(sea03, chain03, below_half, window).eigenvalues()
     policy = gs.OccupationPolicy.half(zero_pair03.with_weight(0.0))
-    lam_full = gs.correlation_matrix(chiral03, chain03, policy, window).eigenvalues()
+    lam_full = gs.correlation_matrix(sea03, chain03, policy, window).eigenvalues()
     empty = ent.charge_resolved_table(lam_empty, 2.0)
     full = ent.charge_resolved_table(lam_full, 2.0)
     for q in range(28, 33):
@@ -397,44 +400,44 @@ def test_fully_localized_zero_mode_shifts_charges(chiral03, chain03, zero_pair03
     assert full.mean_charge == pytest.approx(empty.mean_charge + 1.0, abs=1e-6)
 
 
-def test_below_half_excludes_zero_modes(chiral03, chain03, below_half):
-    assert gs.filled_triples(chiral03, chain03, below_half) == chain03.n_cells - 1
+def test_below_half_excludes_zero_modes(sea03, chain03, below_half):
+    assert gs.filled_triples(sea03, chain03, below_half) == chain03.n_cells - 1
 
 
 def test_below_half_excludes_open_chain_edge_modes(below_half):
     spec = model.ChainSpec(n_sites=80, dimerization=0.5, boundary="open")
     assert int(np.sum(np.abs(dense_eigensystem(spec).eigenvalues) < 1e-4)) == 2  # edge pair
-    chiral = chiral_system(spec)
-    assert int(np.sum(chiral.singular_values < 1e-4)) == 1  # one triple holds the pair
-    assert gs.filled_triples(chiral, spec, below_half) == spec.n_cells - 1
+    sea = sea_of(spec)
+    assert sea.splittings.size == 1 and sea.splittings[0] < 1e-4  # one triple holds the pair
+    assert gs.filled_triples(sea, spec, below_half) == spec.n_cells - 1
 
 
 def test_negative_dimerization_trivial_ring(below_half):
     """delta = -1: intra-cell dimers; every whole-cell window is trivial."""
     spec = model.ChainSpec(n_sites=40, dimerization=-1.0)
-    chiral = chiral_system(spec)
+    sea = sea_of(spec)
     assert model.window_case(spec, 3, 6) == "trivial"
     policy = gs.OccupationPolicy.half()
-    lam = np.sort(gs.correlation_matrix(chiral, spec, policy, (3, 6)).eigenvalues())
+    lam = np.sort(gs.correlation_matrix(sea, spec, policy, (3, 6)).eigenvalues())
     np.testing.assert_allclose(lam, np.sort([0.0] * 6 + [1.0] * 6), atol=1e-12)
 
 
 def test_zero_mode_policy_needs_defects():
     spec = model.ChainSpec(n_sites=40, dimerization=0.5)
-    chiral = chiral_system(spec)
+    sea = sea_of(spec)
     fake = gs.ZeroModePair(psi1=np.zeros(40), psi2=np.zeros(40))
     with pytest.raises(ValueError, match="no defects"):
-        gs.correlation_matrix(chiral, spec, gs.OccupationPolicy.half(fake), (3, 6))
+        gs.correlation_matrix(sea, spec, gs.OccupationPolicy.half(fake), (3, 6))
 
 
 @pytest.mark.parametrize("delta", [0.2, 0.45, -0.6])
 def test_half_filled_window_particle_hole_symmetric(delta):
-    """Half-filled chiral chain: window eigenvalues come in (lam, 1-lam) pairs."""
+    """Half-filled sea chain: window eigenvalues come in (lam, 1-lam) pairs."""
     spec = model.ChainSpec(n_sites=120, dimerization=delta)
-    chiral = chiral_system(spec)
+    sea = sea_of(spec)
     lam = np.sort(
         gs.correlation_matrix(
-            chiral, spec, gs.OccupationPolicy.half(), (7, 15)
+            sea, spec, gs.OccupationPolicy.half(), (7, 15)
         ).eigenvalues()
     )
     np.testing.assert_allclose(lam, np.sort(1.0 - lam), atol=1e-10)
@@ -472,13 +475,13 @@ DENSE_ORACLE_CHAINS = {
 
 def _worst_window_deviation(spec, policies, ell=20):
     """Largest |lambda_chiral - lambda_dense| over every window of ``ell``
-    cells, for each ``(chiral policy, dense policy)`` pair."""
-    chiral, eig = chiral_system(spec), dense_eigensystem(spec)
+    cells, for each ``(sea policy, dense policy)`` pair."""
+    sea, eig = sea_of(spec), dense_eigensystem(spec)
     last = spec.n_cells if spec.boundary == "periodic" else spec.n_cells - ell + 1
     worst = (0.0, None)
     for policy, dense_policy in policies:
         occupied = dense_occupied_orbitals(eig, spec, dense_policy)
-        spectra = gs.correlation_spectra(chiral, spec, policy, range(1, last + 1), ell)
+        spectra = gs.correlation_spectra(sea, spec, policy, range(1, last + 1), ell)
         for m, lam in zip(range(1, last + 1), spectra):
             c = dense_correlation_matrix(occupied, spec, dense_policy, (m, ell))
             want = np.sort(gs.CorrelationMatrix(m, ell, c).eigenvalues())
@@ -501,7 +504,7 @@ def test_zero_mode_window_spectra_match_dense_eigensolver(kinds):
     """The same with an occupied zero mode at weights from 0 to 1, each path
     with its own localized pair."""
     spec = two_defect_chain(0.3, KINDS[kinds])
-    pair = gs.localized_zero_modes(chiral_system(spec), spec)
+    pair = gs.localized_zero_modes(sea_of(spec), spec)
     dense_pair = dense_localized_zero_modes(dense_eigensystem(spec), spec)
     policies = [
         (gs.OccupationPolicy.half(pair.with_weight(p)),
@@ -520,7 +523,7 @@ def test_zero_mode_signs_match_dense_eigensolver(kind, delta):
     mode's neighbours are exactly half its peak.  Both solvers still give the
     same psi1 and psi2, signs included."""
     spec = two_defect_chain(delta, (kind, kind))
-    pair = gs.localized_zero_modes(chiral_system(spec), spec)
+    pair = gs.localized_zero_modes(sea_of(spec), spec)
     dense = dense_localized_zero_modes(dense_eigensystem(spec), spec)
     np.testing.assert_allclose(pair.psi1, dense.psi1, atol=1e-12)
     np.testing.assert_allclose(pair.psi2, dense.psi2, atol=1e-12)

@@ -17,7 +17,7 @@ from sshent import groundstate as gs
 from sshent import lanes
 from sshent import model
 
-from conftest import chiral_system, two_defect_chain
+from conftest import sea_of, two_defect_chain
 
 
 @pytest.fixture
@@ -99,11 +99,11 @@ def _spectra_cases():
 
 @pytest.mark.parametrize("spec, start, values", _spectra_cases())
 def test_two_lanes_equal_one_lane_bit_for_bit(cpus, monkeypatch, spec, start, values):
-    chiral = chiral_system(spec)
+    sea = sea_of(spec)
     if start is None:
         policy, starts, weights = gs.OccupationPolicy.below_half(), values, None
     else:
-        policy = gs.OccupationPolicy.half(gs.localized_zero_modes(chiral, spec))
+        policy = gs.OccupationPolicy.half(gs.localized_zero_modes(sea, spec))
         starts, weights = [start] * len(values), values
     threads = set()
     eigvalsh = np.linalg.eigvalsh
@@ -117,7 +117,7 @@ def test_two_lanes_equal_one_lane_bit_for_bit(cpus, monkeypatch, spec, start, va
     for count in (1, 2):
         cpus(count)
         threads.clear()
-        spectra[count] = gs.correlation_spectra(chiral, spec, policy, starts, 20, weights)
+        spectra[count] = gs.correlation_spectra(sea, spec, policy, starts, 20, weights)
         stacks = -(-len(starts) // gs.SPECTRA_CHUNK)
         assert len(threads) == (2 if count == 2 and stacks > 1 else 1)
     assert spectra[1].shape == (len(starts), 40)
@@ -125,34 +125,34 @@ def test_two_lanes_equal_one_lane_bit_for_bit(cpus, monkeypatch, spec, start, va
     assert spectra[1].tobytes() == spectra[2].tobytes()
     # and both are the windows' own spectra, a stack at a time
     stacked = np.concatenate(
-        [np.linalg.eigvalsh(s) for s in gs.correlation_stacks(chiral, spec, policy, starts, 20,
+        [np.linalg.eigvalsh(s) for s in gs.correlation_stacks(sea, spec, policy, starts, 20,
                                                               weights)]
     )
     assert spectra[1].tobytes() == np.clip(stacked, 0.0, 1.0).tobytes()
 
 
-def test_lanes_under_frequent_thread_switches(cpus, chiral03, chain03, below_half):
+def test_lanes_under_frequent_thread_switches(cpus, sea03, chain03, below_half):
     """The two lanes write disjoint rows of one array: with the interpreter
     switching threads every microsecond, the spectra still equal one lane's,
     and no lane thread outlives the call."""
     starts = list(range(1, 201))
     cpus(1)
-    want = gs.correlation_spectra(chiral03, chain03, below_half, starts, 20)
+    want = gs.correlation_spectra(sea03, chain03, below_half, starts, 20)
     cpus(2)
     threads = threading.active_count()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            got = gs.correlation_spectra(chiral03, chain03, below_half, starts, 20)
+            got = gs.correlation_spectra(sea03, chain03, below_half, starts, 20)
             assert got.tobytes() == want.tobytes()
     finally:
         sys.setswitchinterval(interval)
     assert threading.active_count() == threads
 
 
-def test_no_windows_give_no_spectra(chiral03, chain03, below_half):
-    assert gs.correlation_spectra(chiral03, chain03, below_half, [], 20).shape == (0, 40)
+def test_no_windows_give_no_spectra(sea03, chain03, below_half):
+    assert gs.correlation_spectra(sea03, chain03, below_half, [], 20).shape == (0, 40)
 
 
 # ---------------------------------------------------------------- the CLI
@@ -207,8 +207,8 @@ def test_cli_outputs_and_lines_are_those_of_one_lane(tmp_path, capsys, cpus, com
 def _failing_window(monkeypatch, spec, policy, m, threads):
     """Make ``eigvalsh`` fail on the stack whose first window starts at ``m``,
     recording the thread it failed on."""
-    chiral = chiral_system(spec)
-    target = gs.correlation_matrix(chiral, spec, policy, (m, 20)).matrix
+    sea = sea_of(spec)
+    target = gs.correlation_matrix(sea, spec, policy, (m, 20)).matrix
     eigvalsh = np.linalg.eigvalsh
 
     def spy(a):

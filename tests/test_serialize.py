@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import chiral_system, two_defect_chain
+from conftest import sea_of, two_defect_chain
 from oracles import (
     aklt_rows,
     dimerized_rows,
@@ -323,8 +323,8 @@ def test_zero_mode_scan_on_the_second_defect_matches_per_weight_tables(tmp_path)
     those of one lattice window per weight and one per-sector oracle table
     per weight at the outside weight 1 - p; the exit code is the gate's."""
     spec = two_defect_chain(0.3)
-    chiral = chiral_system(spec)
-    pair = gs.localized_zero_modes(chiral, spec)
+    sea = sea_of(spec)
+    pair = gs.localized_zero_modes(sea, spec)
     params = EllipticParams.from_dimerization(0.3)
     ell, m, n_list = 20, 141, [0.5, 2.0]
     weights = [0.0, 1e-12, asym.crossing_weight(-1, params), 0.3, 0.5,
@@ -332,7 +332,7 @@ def test_zero_mode_scan_on_the_second_defect_matches_per_weight_tables(tmp_path)
     rows = []
     for p in weights:
         policy = gs.OccupationPolicy.half(pair.with_weight(p))
-        lam = gs.correlation_matrix(chiral, spec, policy, (m, ell)).eigenvalues()
+        lam = gs.correlation_matrix(sea, spec, policy, (m, ell)).eigenvalues()
         for n in n_list:
             at = {"m": m, "case": "defect", "n": n, "ell": ell, "p": p}
             rows += table_rows(ent.charge_resolved_table(lam, n), source="lattice", **at)
