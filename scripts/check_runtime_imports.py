@@ -4,13 +4,13 @@
 
 Runs one ``scan-interval`` (lattice and closed forms) and one
 ``zero-mode-scan`` on an N = 400 ring, whose filled sea comes from the
-eigensolve, and one ``scan-interval`` on an N = 2000 ring, whose filled sea
-comes from the banded polar solve, in this fresh interpreter, with their CSV
-and JSON files
-in a temporary directory, and lists every top-level module the runs
-imported that is not part of the standard library, numpy or sshent, and
-every standard-library module in ``HEAVY`` they loaded.  Exit code 0 if
-there is none and both runs pass; 1 otherwise.  numpy is the only runtime
+eigensolve, one ``scan-interval`` on an N = 2000 ring, whose filled sea
+comes from the banded polar solve, and one ``dimerized`` and one ``aklt``
+table run, in this fresh interpreter, with their CSV and JSON files in a
+temporary directory, and lists every top-level module the runs imported
+that is not part of the standard library, numpy or sshent, and every
+standard-library module in ``HEAVY`` they loaded.  Exit code 0 if there is
+none and every run passes; 1 otherwise.  numpy is the only runtime
 dependency; scipy and the other test tools must not creep onto the run's
 path.
 """
@@ -36,6 +36,9 @@ RUNS = [
                         "p_list": [0.0, 0.3, 1.0], "n_list": [1], "mode": "both"}),
     ("scan-interval", {"chain": BIG_CHAIN, "window_length": 20, "m_range": [201, 320],
                        "n_list": [1, 2], "mode": "both"}),
+    ("dimerized", {"window_length": 20, "n_list": [1, 2, 0.5], "p_list": [0.3, 1.0]}),
+    # aklt takes flags, not a config file
+    ("aklt", ["--n-list", "1,2,0.5", "--p-list", "0.1,0.5"]),
 ]
 
 
@@ -45,12 +48,13 @@ def main() -> int:
     from sshent import cli
 
     with tempfile.TemporaryDirectory() as tmp:
-        for i, (command, config) in enumerate(RUNS):
-            path = Path(tmp) / f"{i}.config.json"
-            outputs = {"csv_path": str(Path(tmp) / f"{i}.csv"),
-                       "json_path": str(Path(tmp) / f"{i}.json")}
-            path.write_text(json.dumps(dict(config, outputs=outputs)))
-            rc = cli.main([command, "--config", str(path)])
+        for i, (command, options) in enumerate(RUNS):
+            if isinstance(options, dict):
+                path = Path(tmp) / f"{i}.config.json"
+                path.write_text(json.dumps(options))
+                options = ["--config", str(path)]
+            outputs = ["--csv", str(Path(tmp) / f"{i}.csv"), "--json", str(Path(tmp) / f"{i}.json")]
+            rc = cli.main([command, *options, *outputs])
             if rc != cli.EXIT_OK:
                 print(f"{command} exited {rc}", file=sys.stderr)
                 return 1

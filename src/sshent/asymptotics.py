@@ -26,12 +26,8 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .entanglement import (
-    ChargeResolvedTable,
-    charge_resolved_table,
-    EMPTY_SECTOR_THRESHOLD,
-    _xlogx,
-)
+from . import entanglement as ent
+from .entanglement import EMPTY_SECTOR_THRESHOLD, ChargeResolvedTable
 from .linalg import NumericalError
 from .model import DEFECT, TOPOLOGICAL, TRIVIAL
 from .specialfn import EllipticParams, theta2, theta3
@@ -40,6 +36,7 @@ STRONG = "strong"
 WEAK = "weak"
 
 DQ_TRUNCATION = 12  # Gaussian tails beyond |dq| = 12 are < 1e-100 for delta >= 0.2
+_DQS = np.arange(-DQ_TRUNCATION, DQ_TRUNCATION + 1)
 # entries kept by each memoized closed form: a scan needs a few hundred
 _CLOSED_FORM_CACHE = 4096
 
@@ -401,41 +398,48 @@ def dimerized_table(
     case: str, ell: int, n: float, zero_mode_p: float | None = None
 ) -> ChargeResolvedTable:
     """Exact charge-resolved table of the fully dimerized limit."""
-    return charge_resolved_table(dimerized_lambdas(case, ell, zero_mode_p), n)
+    return ent.charge_resolved_table(dimerized_lambdas(case, ell, zero_mode_p), n)
 
 
-def _closed_form_table(
-    n: float, ell: int, params: EllipticParams, srpf, sre, sre_vn
-) -> ChargeResolvedTable:
-    """Table over ``|dq| <= DQ_TRUNCATION`` from three per-``dq`` closed forms.
+def case_grid(cases, n_list, params: EllipticParams, ell: int) -> dict[str, np.ndarray]:
+    """The closed-form sector grid of every case in ``cases`` (one row each)
+    and index in ``n_list``, over ``q = ell + dq`` for ``|dq| <=
+    DQ_TRUNCATION``, with the partition functions ``zn`` besides the grid
+    ``ent.sector_columns`` reads.
 
-    ``srpf(n, dq, params)``, ``sre(n, dq, params)`` and ``sre_vn(dq, params)``.
-    Empty sectors are dropped before any entropy is evaluated: the von Neumann
-    closed forms divide by ``Z_1(q)``.
+    Empty sectors are dropped before any entropy is evaluated: the von
+    Neumann closed forms divide by ``Z_1(q)``.  Each (case, n) evaluates its
+    closed forms in the order of a one-table call, so the first to leave
+    double range is the same.
     """
-    dqs = np.arange(-DQ_TRUNCATION, DQ_TRUNCATION + 1)
-    probs = np.array([srpf(1.0, int(d), params) for d in dqs])
-    keep = probs > EMPTY_SECTOR_THRESHOLD
-    dqs, probs = dqs[keep], probs[keep]
-    zn = np.array([srpf(n, int(d), params) for d in dqs])
-    vn = np.array([sre_vn(int(d), params) for d in dqs])
-    renyi = vn if n == 1.0 else np.array([sre(n, int(d), params) for d in dqs])
-    return ChargeResolvedTable.from_sectors(n, dqs + ell, zn, probs, renyi, vn)
+    shape = (len(cases), len(n_list), _DQS.size)
+    z1, vn = np.zeros(shape[::2]), np.zeros(shape[::2])
+    zn, renyi = np.zeros(shape), np.zeros(shape)
+    for c, case in enumerate(cases):
+        _check_case(case)
+        for j, n in enumerate(n_list):
+            with _double_range(n):
+                z1[c] = [srpf_asymptotic(case, 1.0, dq, params) for dq in _DQS.tolist()]
+                keep = z1[c] > EMPTY_SECTOR_THRESHOLD
+                dqs = _DQS[keep].tolist()
+                zn[c, j, keep] = [srpf_asymptotic(case, n, dq, params) for dq in dqs]
+                vn[c, keep] = [sre_vn_asymptotic(case, dq, params) for dq in dqs]
+                renyi[c, j, keep] = (
+                    vn[c, keep] if n == 1.0
+                    else [sre_asymptotic(case, n, dq, params) for dq in dqs]
+                )
+    return {
+        "q": _DQS + ell, "occupied": z1 > EMPTY_SECTOR_THRESHOLD,
+        "z1": z1, "vn": vn, "zn": zn, "renyi": renyi,
+    }
 
 
 def asymptotic_table(case: str, n: float, params: EllipticParams, ell: int) -> ChargeResolvedTable:
-    """Closed-form charge-resolved table for an ``ell``-cell interval."""
-    _check_case(case)
+    """Closed-form charge-resolved table for an ``ell``-cell interval: the
+    one-case, one-index ``case_grid``."""
+    grid = case_grid([case], [n], params, ell)
     with _double_range(n):
-        return _closed_form_table(
-            n, ell, params,
-            partial(srpf_asymptotic, case),
-            partial(sre_asymptotic, case),
-            partial(sre_vn_asymptotic, case),
-        )
-
-
-_DQS = np.arange(-DQ_TRUNCATION, DQ_TRUNCATION + 1)
+        return ent.sector_table(grid, n)
 
 
 def _math_map(fn, x: np.ndarray) -> np.ndarray:
@@ -444,16 +448,15 @@ def _math_map(fn, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x.tolist()), float, x.size)
 
 
-def _zero_mode_sectors(ps, n_list, params: EllipticParams) -> dict[str, np.ndarray]:
-    """Sector arrays of the zero-mode tables of every weight in ``ps`` and
-    index in ``n_list``, on the ``(P, [len(n_list),] 2 DQ_TRUNCATION + 1)``
-    grid of ``dq = -DQ_TRUNCATION .. DQ_TRUNCATION``.
+def _zero_mode_sectors(ps, n_list, params: EllipticParams, ell: int) -> dict[str, np.ndarray]:
+    """The sector grid of the zero-mode tables of every weight in ``ps`` (one
+    row each) and index in ``n_list``, over ``q = ell + dq`` for ``|dq| <=
+    DQ_TRUNCATION``.
 
     Every value is the one ``zero_mode_srpf`` (at ``n = 1``),
     ``zero_mode_sre`` or ``zero_mode_sre_vn`` gives for its weight and
     ``dq``, bit for bit: the same ``math`` calls per value, with numpy only
-    for the arithmetic.  ``S_c`` and ``S_f`` are masked row sums over the
-    occupied sectors.
+    for the arithmetic.
     """
     ps = np.asarray(ps, dtype=float).reshape(-1)
     if not np.all((ps >= 0.0) & (ps <= 1.0)):
@@ -506,32 +509,14 @@ def _zero_mode_sectors(ps, n_list, params: EllipticParams) -> dict[str, np.ndarr
             values = base(partial(sre_asymptotic, DEFECT, n, params=params))
         values.flat[cells] += (num - den) / (1.0 - n)
         renyi[:, j] = values
-    return {
-        "occupied": keep, "z1": z1, "vn": vn, "renyi": renyi,
-        "s_c": np.sum(z1 * vn, axis=1, where=keep),
-        "s_f": -np.sum(_xlogx(z1), axis=1, where=keep),
-    }
+    return {"q": _DQS + ell, "occupied": keep, "z1": z1, "vn": vn, "renyi": renyi}
 
 
 def zero_mode_tables(ps, n_list, params: EllipticParams, ell: int) -> dict[str, np.ndarray]:
     """Closed-form zero-mode tables of every weight in ``ps`` and index in
-    ``n_list``, as the columns of ``ent.charge_resolved_tables`` in
-    ``(point, n_index, q)`` order: ``window`` is the weight's position in
-    ``ps``.  Each table equals ``zero_mode_table`` bit for bit."""
-    t = _zero_mode_sectors(ps, n_list, params)
-    occupied = np.broadcast_to(t["occupied"][:, None, :], t["renyi"].shape)
-    point, n_index, j = np.nonzero(occupied)
-    s_c, s_f = t["s_c"][point], t["s_f"][point]
-    return {
-        "window": point,
-        "n_index": n_index,
-        "q": _DQS[j] + ell,
-        "Z1": t["z1"][point, j],
-        "S_n": t["renyi"][point, n_index, j],
-        "S": s_c + s_f,
-        "S_c": s_c,
-        "S_f": s_f,
-    }
+    ``n_list``, as the ``ent.sector_columns`` of their grid: ``window`` is
+    the weight's position in ``ps``."""
+    return ent.sector_columns(_zero_mode_sectors(ps, n_list, params, ell))
 
 
 def zero_mode_table(p: float, n: float, params: EllipticParams, ell: int) -> ChargeResolvedTable:
@@ -541,13 +526,12 @@ def zero_mode_table(p: float, n: float, params: EllipticParams, ell: int) -> Cha
     Its partition functions are ``zero_mode_srpf``, read off the defect
     columns, which do not depend on ``p``.
     """
-    t = _zero_mode_sectors([p], [n], params)
-    keep = t["occupied"][0]
+    grid = _zero_mode_sectors([p], [n], params, ell)
     with _double_range(n):
         col = _defect_srpf_column(n, params)
-    dqs = _DQS[keep]
-    zn = [_zero_mode_mix(p, n, col[dq + DQ_TRUNCATION + 1], col[dq + DQ_TRUNCATION])
-          for dq in dqs.tolist()]
-    return ChargeResolvedTable.from_sectors(
-        n, dqs + ell, zn, t["z1"][0, keep], t["renyi"][0, 0, keep], t["vn"][0, keep]
-    )
+    zn = np.zeros((1, 1, _DQS.size))
+    zn[0, 0, grid["occupied"][0]] = [
+        _zero_mode_mix(p, n, col[dq + DQ_TRUNCATION + 1], col[dq + DQ_TRUNCATION])
+        for dq in _DQS[grid["occupied"][0]].tolist()
+    ]
+    return ent.sector_table(dict(grid, zn=zn), n)

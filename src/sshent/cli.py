@@ -173,8 +173,8 @@ def _sector_rows(
     sectors: dict[str, np.ndarray], source: int, points: list, n_list: list[float], ell: int
 ) -> dict[str, np.ndarray]:
     """``SCAN_COLUMNS``, unsorted, plus ``point``, ``n_index`` and ``paired``,
-    of sector columns (as ``ent.charge_resolved_tables`` gives them:
-    ``window`` is the point) from ``SOURCES[source]``; ``points`` holds each
+    of sector columns (as ``ent.sector_columns`` gives them: ``window`` is
+    the point) from ``SOURCES[source]``; ``points`` holds each
     point's ``(m, p, case)``.  ``case`` and ``source`` are held as their
     indices ``case_index`` and ``source_index`` into ``CASES`` and
     ``SOURCES`` until ``_labelled``.  An absent ``m`` or ``p`` is NaN in a
@@ -202,43 +202,6 @@ def _sector_rows(
         "source_index": np.full(rows, source),
         "paired": np.zeros(rows, dtype=bool),
     }
-
-
-def _table_sectors(parts: list) -> dict[str, np.ndarray]:
-    """The sector columns of table objects, as ``_sector_rows`` takes them:
-    ``parts`` lists ``(point index, n index, table)``."""
-    sectors = ent.table_columns([t for *_, t in parts])
-    keys = np.array([part[:2] for part in parts], dtype=np.int64).reshape(-1, 2)[sectors["table"]]
-    sectors["window"], sectors["n_index"] = keys[:, 0], keys[:, 1]
-    return sectors
-
-
-def _case_sectors(
-    case_index: np.ndarray, n_list: list[float], params: sf.EllipticParams, ell: int
-) -> dict[str, np.ndarray]:
-    """Closed-form sector columns of windows of the cases ``CASES[case_index]``,
-    as ``ent.charge_resolved_tables`` gives them: ``window`` is the position
-    in ``case_index``.  A window's table does not depend on its position, so
-    each (case, n) in use is tabulated once, and every window's rows are one
-    ragged take from those tables in ``(window, n_index, q)`` order."""
-    # bincount, not np.unique: without return_inverse it takes numpy's hash
-    # path, which imports numpy.ma (about 1 MB and 15 ms) on its first call
-    in_use = np.bincount(case_index, minlength=len(CASES)) > 0
-    pool = ent.table_columns(
-        [asym.asymptotic_table(CASES[c], n, params, ell)
-         for c in np.flatnonzero(in_use).tolist() for n in n_list]
-    )
-    # the pool rows of each case in use, in (n_index, q) order
-    sizes = np.bincount(pool["table"] // len(n_list), minlength=int(in_use.sum()))
-    starts = np.cumsum(sizes) - sizes
-    slot = (np.cumsum(in_use) - 1)[case_index]
-    counts = sizes[slot]
-    window = np.repeat(np.arange(case_index.size), counts)
-    offset = np.cumsum(counts) - counts
-    take = np.arange(window.size) + np.repeat(starts[slot] - offset, counts)
-    sectors = {name: col[take] for name, col in pool.items() if name != "table"}
-    sectors["window"], sectors["n_index"] = window, pool["table"][take] % len(n_list)
-    return sectors
 
 
 def _fill_deviations(data: dict[str, np.ndarray]) -> None:
@@ -357,8 +320,8 @@ def _scan(points, n_list: list[float], ell: int, lattice, closed_form) -> dict[s
 
     ``lattice(points)`` gives the stacked correlation eigenvalues of the
     points' windows and ``closed_form(points)`` their closed-form sector
-    columns, as ``ent.charge_resolved_tables`` gives them; either may be
-    None.  The lattice rows of all points come from one batched
+    columns, as ``ent.sector_columns`` gives them; either may be None.  The
+    lattice rows of all points come from one batched
     ``charge_resolved_tables`` call.
     """
     points = list(points)
@@ -459,8 +422,14 @@ def run_scan_interval(args: argparse.Namespace) -> int:
     if params is not None:
 
         def closed_form(points: list) -> dict[str, np.ndarray]:
+            """Each case in use is tabulated once; every window reads its
+            case's row of that grid."""
             case_index = np.array([CASES.index(c) for *_, c in points], dtype=np.int64)
-            return _case_sectors(case_index, n_list, params, ell)
+            # bincount, not np.unique: without return_inverse it takes numpy's hash
+            # path, which imports numpy.ma (about 1 MB and 15 ms) on its first call
+            used = np.flatnonzero(np.bincount(case_index, minlength=len(CASES)))
+            grid = asym.case_grid([CASES[c] for c in used.tolist()], n_list, params, ell)
+            return ent.sector_columns(grid, np.searchsorted(used, case_index))
 
     cases = model.window_cases(spec, m_values, ell)
     points = ((m, None, case) for m, case in zip(m_values, cases))
@@ -541,12 +510,9 @@ def run_dimerized(args: argparse.Namespace) -> int:
         _distinct(p_list, "p_list")
     points = [(None, None, case) for case in (model.TOPOLOGICAL, model.TRIVIAL, model.DEFECT)]
     points += [(None, p, model.DEFECT) for p in p_list]
-    parts = [
-        (i, j, asym.dimerized_table(case, ell, n, zero_mode_p=p))
-        for i, (_, p, case) in enumerate(points)
-        for j, n in enumerate(n_list)
-    ]
-    data = _sort_rows(_sector_rows(_table_sectors(parts), DIMERIZED, points, n_list, ell))
+    lambdas = np.array([asym.dimerized_lambdas(case, ell, p) for _, p, case in points])
+    sectors = ent.charge_resolved_tables(lambdas, n_list)
+    data = _sort_rows(_sector_rows(sectors, DIMERIZED, points, n_list, ell))
     _emit(config, _labelled(data), SCAN_COLUMNS, SCAN_SCHEMA)
     return EXIT_OK
 
@@ -612,25 +578,21 @@ def run_aklt(args: argparse.Namespace) -> int:
     n_list = _renyi_indices(config)
     p_list = _distinct([float(p) for p in config["p_list"]], "p_list")
     specs = [
-        (case, aklt_mod.TRIPLET, n, None)
+        (case, aklt_mod.TRIPLET, None)
         for case in (aklt_mod.TRIVIAL_PRODUCT, aklt_mod.AKLT_BULK, aklt_mod.DEFECT_INTERFACE)
-        for n in n_list
     ]
-    specs += [(aklt_mod.DEFECT_INTERFACE, aklt_mod.HYBRID, n, p) for p in p_list for n in n_list]
-    tables, etas = [], []
-    for case, state, n, p in specs:
-        tables.append(aklt_mod.aklt_entropies(case, state, n, p))
-        etas.append(aklt_mod.eta_from_weight(p) if p is not None else None)
-    sectors = ent.table_columns(tables)
-    cases, states, ns, ps = zip(*specs) if specs else ((), (), (), ())
-    tab = sectors["table"]
+    specs += [(aklt_mod.DEFECT_INTERFACE, aklt_mod.HYBRID, p) for p in p_list]
+    sectors = ent.sector_columns(aklt_mod.aklt_grid(specs, n_list))
+    etas = [aklt_mod.eta_from_weight(p) if p is not None else None for *_, p in specs]
+    cases, states, ps = zip(*specs)
+    row = sectors["window"]
     data = {
-        "aklt_case": np.array(cases, dtype=object)[tab],
-        "ground_state": np.array(states, dtype=object)[tab],
-        "p": np.array(ps, dtype=float)[tab],
-        "eta": np.array(etas, dtype=float)[tab],
+        "aklt_case": np.array(cases, dtype=object)[row],
+        "ground_state": np.array(states, dtype=object)[row],
+        "p": np.array(ps, dtype=float)[row],
+        "eta": np.array(etas, dtype=float)[row],
         "jz": sectors["q"],
-        "n": np.array(ns, dtype=float)[tab],
+        "n": np.array(n_list, dtype=float)[sectors["n_index"]],
         "Z1_jz": sectors["Z1"],
         "S_n_jz": sectors["S_n"],
         "S": sectors["S"],
@@ -713,27 +675,23 @@ def run_selftest(args: argparse.Namespace) -> int:
     dev = max(dev, abs(sm.solve_mu(doubled, ell + 1) - params.spacing))
     check("chemical potential pinning", dev, 1e-10)
 
-    # the batched zero-mode columns are the per-weight tables, bit for bit
-    n_list, ps = [1.0, 2.0], [0.0, asym.crossing_weight(1, params), 1.0]
+    # the batched zero-mode columns are the scalar closed forms, bit for bit
+    n_list, ps = [1.0, 2.0, 0.5], [0.0, asym.crossing_weight(1, params), 1.0]
     batched = asym.zero_mode_tables(ps, n_list, params, 20)
-    same = True
-    for i, p in enumerate(ps):
-        for j, n in enumerate(n_list):
-            table = asym.zero_mode_table(p, n, params, 20)
-            rows = (batched["window"] == i) & (batched["n_index"] == j)
-            want = {
-                "q": table.charges, "Z1": table.probabilities, "S_n": table.sre_renyi,
-                "S": table.total_vn, "S_c": table.config_entropy, "S_f": table.fluct_entropy,
-            }
-            for key, value in want.items():
-                got = batched[key][rows]
-                same &= got.size == table.charges.size and bool(np.all(got == value))
-    checks.append(("batched zero-mode columns", same, "p = 0, a crossing weight, 1; n = 1, 2"))
+    cols = [batched[k].tolist() for k in ("window", "n_index", "q", "Z1", "S_n")]
+    same = bool(cols[0])
+    for i, j, q, z1, s_n in zip(*cols):
+        p, n, dq = ps[i], n_list[j], q - 20
+        if n == 1.0:
+            want = asym.zero_mode_sre_vn(p, dq, params)
+        else:
+            want = asym.zero_mode_sre(p, n, dq, params)
+        same &= z1 == asym.zero_mode_srpf(p, 1.0, dq, params) and s_n == want
+    checks.append(("batched zero-mode columns", same, "p = 0, a crossing weight, 1; n = 1, 2, 0.5"))
 
     # one rendering gives the same CSV written alone, beside the JSON, and to stdout
-    table = asym.dimerized_table("topological", 10, 2.0)
-    data = _sector_rows(_table_sectors([(0, 0, table)]), DIMERIZED, [(None, None, "topological")],
-                        [2.0], 10)
+    sectors = ent.charge_resolved_tables(asym.dimerized_lambdas("topological", 10)[None], [2.0])
+    data = _sector_rows(sectors, DIMERIZED, [(None, None, "topological")], [2.0], 10)
     rendering = serialize.render(SCAN_COLUMNS, _labelled(data))
     with tempfile.TemporaryDirectory() as tmp:
         alone, beside = os.path.join(tmp, "alone.csv"), os.path.join(tmp, "beside.csv")

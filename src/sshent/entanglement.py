@@ -7,6 +7,14 @@ the coefficient of ``x^q`` in ``prod_i [(1-lambda_i)^n + lambda_i^n x]``;
 that polynomial convolution is exact because the subsystem charge has integer
 spectrum.  Fourier quadrature over the flux angle is kept only as a test
 oracle.
+
+Every producer of charge-resolved tables (the lattice stacks here, the
+closed forms and zero-mode sweeps in ``asymptotics``, the spin tables in
+``aklt``) fills one per-sector grid: labels ``q``, ``occupied``, ``Z_1(q)``
+and ``S(q)`` per row, ``S_n(q)`` per row and index.  ``sector_columns``
+turns a grid into the scan columns, with ``S_c`` and ``S_f`` as masked row
+sums; ``sector_table`` views one row and index of a grid as a
+``ChargeResolvedTable``.
 """
 
 from __future__ import annotations
@@ -218,7 +226,8 @@ def srpf_with_vn_derivative(lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 @dataclass(frozen=True)
 class ChargeResolvedTable:
-    """Per-charge-sector partition functions, probabilities, and entropies.
+    """Per-charge-sector partition functions, probabilities, and entropies of
+    one row and index of a producer's grid, as ``sector_table`` builds it.
 
     Only sectors whose probability exceeds the empty-sector threshold appear;
     the entropy of an empty sector is undefined, not zero.  ``renyi_index = 1``
@@ -237,47 +246,6 @@ class ChargeResolvedTable:
     fluct_entropy: float
     mean_charge: float
 
-    @classmethod
-    def from_sectors(
-        cls, n: float, charges, partition, probabilities, sre_renyi, sre_vn
-    ) -> "ChargeResolvedTable":
-        """Table from per-sector values, with totals derived from the sectors.
-
-        Sectors at or below ``EMPTY_SECTOR_THRESHOLD`` are dropped; the total
-        entropy is ``S_c + S_f`` and, for ``n != 1``, the Renyi total is
-        ``log(sum Z_n(q)) / (1 - n)``.
-        """
-        probs = np.asarray(probabilities, dtype=float)
-        keep = probs > EMPTY_SECTOR_THRESHOLD
-        charges = np.asarray(charges, dtype=int)[keep]
-        zn = np.asarray(partition, dtype=float)[keep]
-        probs = probs[keep]
-        vn = np.asarray(sre_vn, dtype=float)[keep]
-        s_c, s_f = float(np.sum(probs * vn)), float(-np.sum(_xlogx(probs)))
-        if n == 1.0:
-            tot_renyi = s_c + s_f
-        else:
-            total = float(np.sum(zn))
-            if not total > 0.0:
-                raise NumericalError(
-                    f"Renyi entropies at n = {n:g} leave double range: the sector "
-                    f"partition functions sum to {total!r}"
-                )
-            tot_renyi = math.log(total) / (1.0 - n)
-        return cls(
-            renyi_index=n,
-            charges=charges,
-            partition=zn,
-            probabilities=probs,
-            sre_renyi=np.asarray(sre_renyi, dtype=float)[keep],
-            sre_vn=vn,
-            total_renyi=tot_renyi,
-            total_vn=s_c + s_f,
-            config_entropy=s_c,
-            fluct_entropy=s_f,
-            mean_charge=float(np.sum(charges * probs)),
-        )
-
     def sector(self, q: int) -> int:
         idx = np.nonzero(self.charges == q)[0]
         if idx.size == 0:
@@ -294,10 +262,88 @@ class ChargeResolvedTable:
         return float(self.sre_vn[self.sector(q)])
 
 
+def sector_columns(grid: dict[str, np.ndarray], rows: np.ndarray | None = None) -> dict:
+    """The scan columns of a per-sector grid: one entry per occupied sector of
+    every window and index, in ``(window, n_index, q)`` order.
+
+    ``grid`` holds the sector labels ``q`` ``(Q,)``, ``occupied``, ``z1``
+    and ``vn`` ``(W, Q)`` and ``renyi`` ``(W, N, Q)``; a producer with its own
+    row total passes it as ``S`` ``(W,)``, otherwise ``S = S_c + S_f``.
+    ``S_c = sum Z_1 S(q)`` and ``S_f = -sum Z_1 log Z_1`` are sums over the
+    occupied sectors.  Window ``i`` reads grid row ``rows[i]`` (row ``i``
+    without ``rows``).
+    """
+    occupied, z1, renyi = grid["occupied"], grid["z1"], grid["renyi"]
+    # the occupied sectors of a row are contiguous (a lattice Z_1 is
+    # log-concave in q; the closed-form and AKLT grids are checked against
+    # compacted sums), and a masked sum over one run adds exactly as over the
+    # run alone
+    s_c = np.sum(z1 * grid["vn"], axis=1, where=occupied)
+    s_f = -np.sum(_xlogx(z1), axis=1, where=occupied)
+    total = grid["S"] if "S" in grid else s_c + s_f
+    if rows is not None:
+        occupied = occupied[rows]
+    window, n_index, j = np.nonzero(
+        np.broadcast_to(occupied[:, None, :], occupied.shape[:1] + renyi.shape[1:])
+    )
+    row = window if rows is None else rows[window]
+    return {
+        "window": window,
+        "n_index": n_index,
+        "q": grid["q"][j],
+        "Z1": z1[row, j],
+        "S_n": renyi[row, n_index, j],
+        "S": total[row],
+        "S_c": s_c[row],
+        "S_f": s_f[row],
+    }
+
+
+def sector_table(grid: dict[str, np.ndarray], n: float) -> ChargeResolvedTable:
+    """The table of a one-row grid at its one index ``n``: its columns from
+    ``sector_columns``, ``partition`` from the grid's ``zn`` ``(1, 1, Q)``.
+
+    At ``n = 1`` the Renyi total is ``S``.  A producer with its own Renyi
+    total or mean charge passes ``total_renyi`` ``(1, 1)`` or ``mean``
+    ``(1,)``; otherwise they come from the occupied sectors,
+    ``log(sum Z_n(q)) / (1 - n)`` and ``sum q Z_1(q)``.
+    """
+    cols = sector_columns(grid)
+    keep = grid["occupied"][0]
+    charges, probs, total = cols["q"], cols["Z1"], float(cols["S"][0])
+    partition = grid["zn"][0, 0, keep]
+    if n == 1.0:
+        total_renyi = total
+    elif "total_renyi" in grid:
+        total_renyi = float(grid["total_renyi"][0, 0])
+    else:
+        z = float(np.sum(partition))
+        if not z > 0.0:
+            raise NumericalError(
+                f"Renyi entropies at n = {n:g} leave double range: the sector "
+                f"partition functions sum to {z!r}"
+            )
+        total_renyi = math.log(z) / (1.0 - n)
+    return ChargeResolvedTable(
+        renyi_index=n,
+        charges=charges,
+        partition=partition,
+        probabilities=probs,
+        sre_renyi=cols["S_n"],
+        sre_vn=grid["vn"][0, keep],
+        total_renyi=total_renyi,
+        total_vn=total,
+        config_entropy=float(cols["S_c"][0]),
+        fluct_entropy=float(cols["S_f"][0]),
+        mean_charge=float(grid["mean"][0]) if "mean" in grid else float(np.sum(charges * probs)),
+    )
+
+
 def _tabulate(lambdas: np.ndarray, n_list) -> dict[str, np.ndarray]:
-    """Per-sector ``(W, [len(n_list),] M + 1)`` and per-row arrays of a
-    ``(W, M)`` stack of spectra.  ``Z_1``, ``G`` and the von Neumann columns
-    are shared by every index; ``S_c`` and ``S_f`` are masked row sums."""
+    """The per-sector grid of a ``(W, M)`` stack of spectra over
+    ``q = 0 .. M``, with the lattice's own row totals ``S``, ``total_renyi``
+    and ``mean`` and the partition functions ``zn``.  ``Z_1``, ``G`` and the
+    von Neumann columns are shared by every index."""
     for n in n_list:
         if not n > 0:
             raise ValueError("Renyi index must be positive")
@@ -336,77 +382,21 @@ def _tabulate(lambdas: np.ndarray, n_list) -> dict[str, np.ndarray]:
                 f"functions of spectrum {int(np.argmin(finite))} underflow to 0"
             )
     return {
-        "occupied": occupied, "z1": z1, "vn": vn, "zn": zn, "renyi": renyi,
-        "total_renyi": total_renyi, "total_vn": total_vn,
-        # the occupied sectors of a row are contiguous (Z_1 is log-concave in
-        # q), and a masked sum over one run adds exactly as over the run alone
-        "s_c": np.sum(z1 * vn, axis=1, where=occupied),
-        "s_f": -np.sum(_xlogx(z1), axis=1, where=occupied),
+        "q": np.arange(shape[2]), "occupied": occupied, "z1": z1, "vn": vn,
+        "zn": zn, "renyi": renyi, "S": total_vn, "total_renyi": total_renyi,
         "mean": np.sum(lam, axis=1),
     }
 
 
 def charge_resolved_tables(lambdas: np.ndarray, n_list) -> dict[str, np.ndarray]:
     """Charge-resolved tables of a ``(W, M)`` stack of interval spectra, as
-    columns with one entry per occupied sector of every row and index, in
-    ``(window, n_index, q)`` order: ``window`` is the row of ``lambdas``,
-    ``n_index`` the position in ``n_list``.  ``Z1``, ``S_n`` (von Neumann at
-    ``n = 1``), ``S``, ``S_c`` and ``S_f`` are those of ``charge_resolved_table``.
-    """
-    t = _tabulate(lambdas, n_list)
-    occupied = np.broadcast_to(t["occupied"][:, None, :], t["renyi"].shape)
-    window, n_index, q = np.nonzero(occupied)
-    return {
-        "window": window,
-        "n_index": n_index,
-        "q": q,
-        "Z1": t["z1"][window, q],
-        "S_n": t["renyi"][window, n_index, q],
-        "S": t["total_vn"][window],
-        "S_c": t["s_c"][window],
-        "S_f": t["s_f"][window],
-    }
+    the ``sector_columns`` of their grid: ``window`` is the row of
+    ``lambdas``, ``n_index`` the position in ``n_list``, ``S_n`` the von
+    Neumann value at ``n = 1`` and ``S`` the total from the spectrum."""
+    return sector_columns(_tabulate(lambdas, n_list))
 
 
 def charge_resolved_table(lambdas: np.ndarray, n: float) -> ChargeResolvedTable:
     """The charge-resolved table of one interval spectrum: the one-row case
     of ``charge_resolved_tables``, equal to its row bit for bit."""
-    t = _tabulate(lambdas, [n])
-    charges = np.flatnonzero(t["occupied"][0])
-    return ChargeResolvedTable(
-        renyi_index=n,
-        charges=charges,
-        partition=t["zn"][0, 0, charges],
-        probabilities=t["z1"][0, charges],
-        sre_renyi=t["renyi"][0, 0, charges],
-        sre_vn=t["vn"][0, charges],
-        total_renyi=float(t["total_renyi"][0, 0]),
-        total_vn=float(t["total_vn"][0]),
-        config_entropy=float(t["s_c"][0]),
-        fluct_entropy=float(t["s_f"][0]),
-        mean_charge=float(t["mean"][0]),
-    )
-
-
-def table_columns(tables: list[ChargeResolvedTable]) -> dict[str, np.ndarray]:
-    """The columns of ``charge_resolved_tables`` for table objects (closed
-    forms): each table's sectors in turn, ``table`` its position in
-    ``tables``, and its totals repeated over its sectors."""
-    sizes = [t.charges.size for t in tables]
-
-    def cat(field: str, dtype=float) -> np.ndarray:
-        arrays = [getattr(t, field).astype(dtype) for t in tables]
-        return np.concatenate(arrays or [np.empty(0, dtype)])
-
-    def each(field: str) -> np.ndarray:
-        return np.repeat(np.array([getattr(t, field) for t in tables], dtype=float), sizes)
-
-    return {
-        "table": np.repeat(np.arange(len(tables)), sizes),
-        "q": cat("charges", np.int64),
-        "Z1": cat("probabilities"),
-        "S_n": cat("sre_renyi"),
-        "S": each("total_vn"),
-        "S_c": each("config_entropy"),
-        "S_f": each("fluct_entropy"),
-    }
+    return sector_table(_tabulate(lambdas, [n]), n)

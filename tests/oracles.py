@@ -12,7 +12,6 @@ from scipy.integrate import quad
 import sshent
 from sshent import aklt
 from sshent import asymptotics as asym
-from sshent import cli
 from sshent import entanglement as ent
 from sshent import groundstate as gs
 from sshent import model
@@ -554,6 +553,59 @@ def charge_resolved_table_loop(lambdas, n):
 
 
 
+def table_from_sectors(n, charges, partition, probabilities, sre_renyi, sre_vn):
+    """A table from per-sector values by compaction: sectors at or below the
+    empty-sector threshold are dropped, ``S_c`` and ``S_f`` are plain sums
+    over the kept sectors, ``S = S_c + S_f``, and the Renyi total is
+    ``log(sum Z_n(q)) / (1 - n)`` (``S`` at ``n = 1``)."""
+    probs = np.asarray(probabilities, dtype=float)
+    keep = probs > ent.EMPTY_SECTOR_THRESHOLD
+    charges = np.asarray(charges, dtype=int)[keep]
+    zn = np.asarray(partition, dtype=float)[keep]
+    probs = probs[keep]
+    vn = np.asarray(sre_vn, dtype=float)[keep]
+    s_c, s_f = float(np.sum(probs * vn)), float(-np.sum(_xlogx(probs)))
+    total_renyi = s_c + s_f if n == 1.0 else math.log(float(np.sum(zn))) / (1.0 - n)
+    return ent.ChargeResolvedTable(
+        renyi_index=n,
+        charges=charges,
+        partition=zn,
+        probabilities=probs,
+        sre_renyi=np.asarray(sre_renyi, dtype=float)[keep],
+        sre_vn=vn,
+        total_renyi=total_renyi,
+        total_vn=s_c + s_f,
+        config_entropy=s_c,
+        fluct_entropy=s_f,
+        mean_charge=float(np.sum(charges * probs)),
+    )
+
+
+def closed_form_table_loop(n, ell, params, srpf, sre, sre_vn):
+    """A closed-form table over ``|dq| <= DQ_TRUNCATION`` one sector at a
+    time from three per-``dq`` closed forms, ``srpf(n, dq, params)``,
+    ``sre(n, dq, params)`` and ``sre_vn(dq, params)``, evaluated on the
+    occupied sectors only."""
+    dqs = np.arange(-asym.DQ_TRUNCATION, asym.DQ_TRUNCATION + 1)
+    probs = np.array([srpf(1.0, int(d), params) for d in dqs])
+    keep = probs > ent.EMPTY_SECTOR_THRESHOLD
+    dqs, probs = dqs[keep], probs[keep]
+    zn = np.array([srpf(n, int(d), params) for d in dqs])
+    vn = np.array([sre_vn(int(d), params) for d in dqs])
+    renyi = vn if n == 1.0 else np.array([sre(n, int(d), params) for d in dqs])
+    return table_from_sectors(n, dqs + ell, zn, probs, renyi, vn)
+
+
+def asymptotic_table_loop(case, n, params, ell):
+    """``asymptotics.asymptotic_table`` one sector at a time."""
+    return closed_form_table_loop(
+        n, ell, params,
+        partial(asym.srpf_asymptotic, case),
+        partial(asym.sre_asymptotic, case),
+        partial(asym.sre_vn_asymptotic, case),
+    )
+
+
 def zero_mode_table_loop(p, n, params, ell):
     """A zero-mode table one sector at a time, from the per-``dq`` closed
     forms ``zero_mode_sre`` and ``zero_mode_sre_vn``."""
@@ -566,24 +618,83 @@ def zero_mode_table_loop(p, n, params, ell):
         t = asym.DQ_TRUNCATION
         return asym._zero_mode_mix(p, m, col[dq + t + 1], col[dq + t])
 
-    return asym._closed_form_table(
+    return closed_form_table_loop(
         n, ell, params,
         srpf,
         partial(asym.zero_mode_sre, p),
         partial(asym.zero_mode_sre_vn, p),
     )
 
+
+def aklt_table_loop(case, state, n, p=None):
+    """``aklt.aklt_entropies`` from literal sector values, or for the hybrid
+    state from the spin-z blocks of ``hybrid_interface_rdm``; its Renyi
+    total is that of the sectors' partition functions."""
+    if case == aklt.TRIVIAL_PRODUCT:
+        return table_from_sectors(n, [0], [1.0], [1.0], [0.0], [0.0])
+    if case == aklt.AKLT_BULK:
+        sre = [0.0, math.log(2.0), 0.0]
+        zn = [4.0**-n, 2.0 * 4.0**-n, 4.0**-n]
+        return table_from_sectors(n, [-1, 0, 1], zn, [0.25, 0.5, 0.25], sre, sre)
+    if state == aklt.TRIPLET:
+        return table_from_sectors(n, [0, 1], [2.0**-n] * 2, [0.5, 0.5], [0.0] * 2, [0.0] * 2)
+    rho = aklt.hybrid_interface_rdm(p)
+    probs, zn, vn, renyi = [], [], [], []
+    for block in (rho[3:, 3:], rho[1:3, 1:3], rho[:1, :1]):
+        lam = np.linalg.eigvalsh(block)
+        zq = float(np.sum(lam))
+        probs.append(zq)
+        zn.append(float(np.sum(lam**n)))
+        if zq <= ent.EMPTY_SECTOR_THRESHOLD:
+            vn.append(0.0)
+            renyi.append(0.0)
+            continue
+        norm = lam / zq
+        vn.append(float(-np.sum(norm * np.log(np.maximum(norm, 1e-300)))))
+        renyi.append(vn[-1] if n == 1.0 else math.log(float(np.sum(norm**n))) / (1.0 - n))
+    return table_from_sectors(n, [-1, 0, 1], zn, probs, renyi, vn)
+
+
+def columns_of_tables(tables):
+    """The scan columns of ``{(window, n_index): table}``, one table's
+    sectors after another in ``(window, n_index)`` order, each table's totals
+    repeated over its sectors."""
+    cols = {key: [] for key in ("window", "n_index", "q", "Z1", "S_n", "S", "S_c", "S_f")}
+    for (i, j), t in sorted(tables.items()):
+        size = t.charges.size
+        cols["window"] += [i] * size
+        cols["n_index"] += [j] * size
+        cols["q"] += t.charges.tolist()
+        cols["Z1"] += t.probabilities.tolist()
+        cols["S_n"] += t.sre_renyi.tolist()
+        for key, total in (("S", t.total_vn), ("S_c", t.config_entropy), ("S_f", t.fluct_entropy)):
+            cols[key] += [total] * size
+    ints = ("window", "n_index", "q")
+    return {key: np.array(v, dtype=np.int64 if key in ints else float) for key, v in cols.items()}
+
+
 def closed_form_sectors_by_reference(points, n_list, params, ell):
     """``scan-interval``'s closed-form sector columns by the per-window
-    reference path: one table reference per (window, n), each (case, n)
-    tabulated once, concatenated by ``cli._table_sectors``."""
-    tables, parts = {}, []
-    for i, (_, _, case) in enumerate(points):
-        for j, n in enumerate(n_list):
-            if (case, n) not in tables:
-                tables[case, n] = asym.asymptotic_table(case, n, params, ell)
-            parts.append((i, j, tables[case, n]))
-    return cli._table_sectors(parts)
+    reference path: one ``asymptotic_table_loop`` per (window, n), each
+    (case, n) tabulated once."""
+    made = {}
+    for _, _, case in points:
+        for n in n_list:
+            if (case, n) not in made:
+                made[case, n] = asymptotic_table_loop(case, n, params, ell)
+    return columns_of_tables({
+        (i, j): made[case, n]
+        for i, (_, _, case) in enumerate(points) for j, n in enumerate(n_list)
+    })
+
+
+def aklt_sectors_by_reference(specs, n_list):
+    """``sshent aklt``'s sector columns of ``(case, state, p)`` specs by
+    ``aklt_table_loop``."""
+    return columns_of_tables({
+        (i, j): aklt_table_loop(case, state, n, p)
+        for i, (case, state, p) in enumerate(specs) for j, n in enumerate(n_list)
+    })
 
 
 # --- the row-dict output path: one dict per CSV row, written value by value ---
@@ -727,7 +838,7 @@ def aklt_rows(n_list, p_list):
     rows = []
 
     def add(case, state, n, p):
-        table = aklt.aklt_entropies(case, state, n, p)
+        table = aklt_table_loop(case, state, n, p)
         eta = aklt.eta_from_weight(p) if p is not None else None
         for i, jz in enumerate(table.charges):
             rows.append(

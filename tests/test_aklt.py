@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from sshent import aklt
 from sshent import asymptotics as asym
 from sshent.entanglement import EMPTY_SECTOR_THRESHOLD
+from sshent.linalg import NumericalError
 
 LOG2 = math.log(2.0)
 
@@ -114,3 +116,38 @@ def test_hybrid_drops_sectors_at_the_empty_threshold():
         assert list(t.charges) == [-1, 0]
         assert np.all(t.probabilities > EMPTY_SECTOR_THRESHOLD)
         assert t.total_vn == t.config_entropy + t.fluct_entropy
+
+
+def _log_power_sum_decimal(weights, n, digits=50):
+    """``log sum w^n`` in ``digits``-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        total = sum(decimal.Decimal(w) ** decimal.Decimal(n) for w in weights)
+        return float(total.ln())
+
+
+@pytest.mark.parametrize("n, p", [(1074.0, 1e-6), (1074.0, 1e-4), (1200.0, 0.001)])
+def test_hybrid_sector_where_the_direct_sum_underflows(n, p):
+    """Where hi^n + lo^n leaves the normal range, the spin-0 sector takes its
+    log with hi^n factored out: it used to lose digits in subnormals or raise
+    a "math domain error" ValueError at 0."""
+    eta = aklt.eta_from_weight(p)
+    hi, lo = (1.0 + eta) / 2.0, (1.0 - eta) / 2.0
+    assert hi**n + lo**n < np.finfo(float).tiny
+    want = _log_power_sum_decimal([hi, lo], n) / (1.0 - n)
+    assert aklt.hybrid_sector_entropy(eta, n) == pytest.approx(want, rel=1e-13)
+    if n < 1075.0:
+        t = aklt.aklt_entropies(aklt.DEFECT_INTERFACE, aklt.HYBRID, n, p=p)
+        assert t.sre(0) == pytest.approx(want, rel=1e-13)
+
+
+def test_renyi_total_beyond_double_range_is_a_numerical_error():
+    """From n = 1075 a free edge spin's (1/2)^n + (1/2)^n underflows, as a
+    lattice mode at 1/2 does; at n = 1200 and p = 0.001 the table used to
+    raise a "math domain error" ValueError."""
+    with pytest.raises(NumericalError, match="n = 1200 leave double range"):
+        aklt.aklt_entropies(aklt.DEFECT_INTERFACE, aklt.HYBRID, 1200.0, p=0.001)
+    with pytest.raises(NumericalError, match="n = 1075 leave double range"):
+        aklt.aklt_entropies(aklt.AKLT_BULK, aklt.TRIPLET, 1075.0)
+    t = aklt.aklt_entropies(aklt.AKLT_BULK, aklt.TRIPLET, 1074.0)
+    assert t.total_renyi == pytest.approx(2 * LOG2, abs=1e-13)

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -431,26 +432,22 @@ CLOSED_FORM_SCANS = {
 @pytest.mark.parametrize("name", CLOSED_FORM_SCANS)
 def test_scan_interval_closed_forms_equal_the_per_window_references(tmp_path, monkeypatch, name):
     """``scan-interval`` tabulates each (case, n) it needs once and takes every
-    window's closed-form rows from those columns, bit for bit the per-window
-    reference columns, with no per-window table references."""
+    window's closed-form rows from that grid, bit for bit the columns of the
+    per-window compacted references."""
     seen, built = {}, []
-    scan, table = cli._scan, asym.asymptotic_table
+    scan, grid = cli._scan, asym.case_grid
 
     def spy_scan(points, n_list, ell, lattice, closed_form):
         points = list(points)
         seen.update(points=points, n_list=n_list, ell=ell, closed_form=closed_form)
         return scan(points, n_list, ell, lattice, closed_form)
 
-    def spy_table(case, n, params, ell):
-        built.append((case, n))
-        return table(case, n, params, ell)
-
-    def no_references(parts):
-        raise AssertionError("scan-interval built per-window table references")
+    def spy_grid(cases, n_list, params, ell):
+        built.extend((case, n) for case in cases for n in n_list)
+        return grid(cases, n_list, params, ell)
 
     monkeypatch.setattr(cli, "_scan", spy_scan)
-    monkeypatch.setattr(asym, "asymptotic_table", spy_table)
-    monkeypatch.setattr(cli, "_table_sectors", no_references)
+    monkeypatch.setattr(asym, "case_grid", spy_grid)
     cfg = base_config(tmp_path, mode="asymptotic", m_range=[1, 100])
     CLOSED_FORM_SCANS[name](cfg)
     assert cli.main(["scan-interval", "--config", write_config(tmp_path, cfg)]) == cli.EXIT_OK
@@ -464,7 +461,7 @@ def test_scan_interval_closed_forms_equal_the_per_window_references(tmp_path, mo
     got = seen["closed_form"](points)
     params = sf.EllipticParams.from_dimerization(0.3)
     want = oracles.closed_form_sectors_by_reference(points, n_list, params, seen["ell"])
-    assert set(got) == set(want) - {"table"}
+    assert set(got) == set(want)
     for key, col in got.items():
         assert col.dtype == want[key].dtype, key
         assert col.tobytes() == want[key].tobytes(), key
@@ -724,6 +721,21 @@ def test_table_commands_report_underflow_as_numerical(capsys, command):
     std = capsys.readouterr()
     assert std.out == ""
     assert std.err.startswith("numerical error: Renyi entropies at n = 1100 leave double range")
+
+
+def test_aklt_at_n_600_writes_its_exact_rows(capsys):
+    """At n = 600 the bulk sectors' Z_n(q) = 4^-600 underflow, which exited 2
+    although no column reads them: the rows are exact and the command exits 0."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["aklt", "--n-list", "600", "--p-list", "0.1"]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    rows = list(csv.DictReader(lines[1:]))
+    bulk = [r for r in rows if r["aklt_case"] == "aklt_bulk"]
+    assert [(r["jz"], r["Z1_jz"], r["S_n_jz"]) for r in bulk] == [
+        ("-1", "0.25", "0.0"), ("0", "0.5", repr(math.log(2.0))), ("1", "0.25", "0.0"),
+    ]
+    assert all(math.isfinite(float(r["S_n_jz"])) for r in rows)
 
 
 def test_a_scan_does_not_load_openssl():

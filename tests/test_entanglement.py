@@ -1,14 +1,18 @@
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sshent import aklt
+from sshent import asymptotics as asym
 from sshent import entanglement as ent
 from sshent import groundstate as gs
 from sshent.asymptotics import dimerized_lambdas
 from sshent.linalg import NumericalError
+from sshent.specialfn import EllipticParams
 
 import oracles
 from oracles import brute_force_sector_data, sre_vn_from_partitions, srpf_by_flux_quadrature
@@ -199,12 +203,18 @@ def test_empty_sectors_are_absent():
         table.sre(0)
 
 
-def test_from_sectors_conventions():
+def _hand_grid(renyi, zn):
+    """A one-row grid over q = 0, 1, 2 whose last sector sits at the
+    empty-sector threshold."""
+    probs = np.array([[0.3, 0.7, ent.EMPTY_SECTOR_THRESHOLD]])
+    return {"q": np.arange(3), "occupied": probs > ent.EMPTY_SECTOR_THRESHOLD, "z1": probs,
+            "vn": np.array([[0.2, 0.5, 9.0]]), "renyi": np.array([[renyi]]),
+            "zn": np.array([[zn]])}
+
+
+def test_sector_table_conventions():
     """Drop at the empty-sector threshold, S = S_c + S_f, and the two Renyi totals."""
-    charges = [0, 1, 2]
-    probs = [0.3, 0.7, ent.EMPTY_SECTOR_THRESHOLD]
-    sre_vn = [0.2, 0.5, 9.0]
-    vn = ent.ChargeResolvedTable.from_sectors(1.0, charges, probs, probs, sre_vn, sre_vn)
+    vn = ent.sector_table(_hand_grid([0.2, 0.5, 9.0], [0.3, 0.7, 1e-14]), 1.0)
     assert list(vn.charges) == [0, 1]
     assert vn.total_vn == vn.config_entropy + vn.fluct_entropy
     assert vn.config_entropy == pytest.approx(0.3 * 0.2 + 0.7 * 0.5, abs=1e-15)
@@ -213,12 +223,62 @@ def test_from_sectors_conventions():
     )
     assert vn.total_renyi == vn.total_vn
     assert vn.mean_charge == pytest.approx(0.7, abs=1e-15)
-    zn = [0.1, 0.4, 5.0]
-    two = ent.ChargeResolvedTable.from_sectors(2.0, charges, zn, probs, [1.0, 2.0, 3.0], sre_vn)
+    two = ent.sector_table(_hand_grid([1.0, 2.0, 3.0], [0.1, 0.4, 5.0]), 2.0)
     np.testing.assert_array_equal(two.partition, [0.1, 0.4])
     np.testing.assert_array_equal(two.sre_renyi, [1.0, 2.0])
     assert two.total_renyi == pytest.approx(-math.log(0.5), abs=1e-15)
     assert two.total_vn == vn.total_vn
+    with pytest.raises(NumericalError, match="n = 2 leave double range"):
+        ent.sector_table(_hand_grid([1.0, 2.0, 3.0], [0.0, 0.0, 5.0]), 2.0)
+
+
+def test_sector_columns_read_rows_and_a_producer_total():
+    """Window i reads grid row rows[i]; a producer's S replaces S_c + S_f."""
+    grid = _hand_grid([1.0, 2.0, 3.0], [0.1, 0.4, 5.0])
+    two_rows = {key: np.concatenate([v, v[..., ::-1]]) if key != "q" else v
+                for key, v in grid.items()}
+    cols = ent.sector_columns(two_rows, np.array([1, 0, 1]))
+    assert cols["window"].tolist() == [0, 0, 1, 1, 2, 2]
+    assert cols["q"].tolist() == [1, 2, 0, 1, 1, 2]
+    assert cols["S_n"].tolist() == [2.0, 1.0, 1.0, 2.0, 2.0, 1.0]
+    np.testing.assert_array_equal(cols["S"], cols["S_c"] + cols["S_f"])
+    own = ent.sector_columns(dict(grid, S=np.array([7.0])))
+    assert own["S"].tolist() == [7.0, 7.0]
+    assert own["S_c"].tolist() == ent.sector_columns(grid)["S_c"].tolist()
+
+
+CASES = ["topological", "trivial", "defect"]
+ENGINE_N_LIST = [0.5, 1.0, 2.0, 3.0]
+AKLT_SPECS = [(case, aklt.TRIPLET, None)
+              for case in (aklt.TRIVIAL_PRODUCT, aklt.AKLT_BULK, aklt.DEFECT_INTERFACE)]
+AKLT_SPECS += [(aklt.DEFECT_INTERFACE, aklt.HYBRID, p) for p in (0.0, 0.1, 0.5, 0.5000001, 1.0)]
+
+
+def _closed_form_grids(delta):
+    params = EllipticParams.from_dimerization(delta)
+    points = [(None, None, case) for case in CASES]
+    return (asym.case_grid(CASES, ENGINE_N_LIST, params, 20),
+            oracles.closed_form_sectors_by_reference(points, ENGINE_N_LIST, params, 20))
+
+
+@pytest.mark.parametrize(
+    "grids",
+    [pytest.param(partial(_closed_form_grids, d), id=f"delta={d:g}")
+     for d in np.round(np.arange(0.05, 0.96, 0.05), 2).tolist()]
+    + [pytest.param(lambda: (aklt.aklt_grid(AKLT_SPECS, ENGINE_N_LIST),
+                             oracles.aklt_sectors_by_reference(AKLT_SPECS, ENGINE_N_LIST)),
+                    id="aklt")],
+)
+def test_sector_columns_equal_the_compacted_reference(grids):
+    """The masked row sums of ``sector_columns`` equal the plain sums over the
+    compacted occupied sectors bit for bit, and so does every other column:
+    the three closed-form cases across delta, and the AKLT specs."""
+    grid, want = grids()
+    got = ent.sector_columns(grid)
+    assert set(got) == set(want)
+    for key, col in got.items():
+        assert col.dtype == want[key].dtype, key
+        assert col.tobytes() == want[key].tobytes(), key
 
 
 def test_table_renyi_index_one_uses_vn():
