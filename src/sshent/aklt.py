@@ -123,9 +123,9 @@ def aklt_grid(specs, n_list) -> dict[str, np.ndarray]:
     interval contains an interface, and is rejected elsewhere; its sectors
     are cross-checked against direct diagonalization of the explicit 4x4
     reduced density matrix.  A Renyi total is that of the interval's two edge
-    spins, as a lattice total is that of its modes, and like it must stay in
-    double range: a free spin's ``(1/2)^n + (1/2)^n`` underflows from
-    ``n = 1075``.
+    spins, as a lattice total is that of its modes, and like a lattice table
+    the grid refuses an index at which a spin's factor computes to 0: a free
+    spin's ``(1/2)^n + (1/2)^n`` does from ``n = 1075``.
     """
     shape = (len(specs), len(n_list), len(JZ))
     z1, vn = np.zeros(shape[::2]), np.zeros(shape[::2])
@@ -147,9 +147,10 @@ def aklt_grid(specs, n_list) -> dict[str, np.ndarray]:
             z1[i], zn[i, j], vn[i], renyi[i, j], spins = _sectors(case, ground_state, n, p)
             if n == 1.0:
                 continue
-            with np.errstate(divide="ignore"):
-                total_renyi[i, j] = ent.total_renyi(np.array(spins), n)
-            if not math.isfinite(total_renyi[i, j]):
+            with np.errstate(invalid="ignore"):
+                total, zero = ent._total_renyi_rows(np.array(spins), n)
+            total_renyi[i, j] = total
+            if zero or not math.isfinite(total):
                 raise NumericalError(
                     f"Renyi entropies at n = {n:g} leave double range: the edge-spin "
                     f"factors of {case} ({ground_state}) underflow to 0"

@@ -709,6 +709,19 @@ def run_selftest(args: argparse.Namespace) -> int:
     same = texts[0] == texts[1] == texts[2] and len(texts[0].splitlines()) == 2 + rendering.n_rows
     checks.append(("deterministic rendering", same, "alone, beside the JSON and stdout"))
 
+    # every float is spelled as float.__repr__ spells it: random bit patterns,
+    # powers of two and ten, integers near 2^53, the fixed/exponent switches
+    bits = np.random.default_rng(18).integers(0, 2**64, 20_000, dtype=np.uint64, endpoint=False)
+    edges = [2.0**e for e in range(-1074, 1024)] + [float(f"1e{i}") for i in range(-323, 309)]
+    edges += [float(2**53 + i) for i in range(-50, 50)]
+    edges += [1e-5, 9.999e-5, 1e-4, 1e15, 9999999999999998.0, 1e16]
+    x = bits.view(np.float64)
+    x = np.concatenate([x[np.isfinite(x) & (x != 0.0)], edges, np.negative(edges)])
+    text = io.StringIO()
+    serialize.stream_csv(text, "x", serialize.render(["x"], {"x": x}))
+    same = text.getvalue().split("\n")[2:-1] == list(map(float.__repr__, x.tolist()))
+    checks.append(("shortest float spelling", same, f"{x.size} values against float.__repr__"))
+
     failed = 0
     for name, ok, detail in checks:
         print(f"[selftest] {name}: {'PASS' if ok else 'FAIL'} ({detail})")

@@ -66,8 +66,21 @@ def _total_vn_rows(lam: np.ndarray) -> np.ndarray:
     return -np.sum(_xlogx(lam) + _xlogx(1.0 - lam), axis=-1)
 
 
-def _total_renyi_rows(lam: np.ndarray, n: float) -> np.ndarray:
-    return np.sum(np.log(lam**n + (1.0 - lam) ** n), axis=-1) / (1.0 - n)
+def _total_renyi_rows(lam: np.ndarray, n: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(1/(1-n)) sum log(lam^n + (1-lam)^n)`` over the last axis, and
+    whether each row has a mode factor ``lam^n + (1-lam)^n`` that computes to
+    0.  A factor below the normal range takes its log as
+    ``n log hi + log1p((lo/hi)^n)``, hi and lo the larger and the smaller of
+    lam and 1 - lam; the other modes keep the direct sum and its bits."""
+    factor = lam**n + (1.0 - lam) ** n
+    low = factor < _TINY
+    logs = np.log(np.maximum(factor, _TINY))
+    zero = np.zeros(lam.shape[:-1], bool)
+    if low.any():
+        hi, lo = np.maximum(lam[low], 1.0 - lam[low]), np.minimum(lam[low], 1.0 - lam[low])
+        logs[low] = n * np.log(hi) + np.log1p((lo / hi) ** n)
+        zero = np.any(factor == 0.0, axis=-1)
+    return np.sum(logs, axis=-1) / (1.0 - n), zero
 
 
 def total_vn(lambdas: np.ndarray) -> float:
@@ -81,7 +94,11 @@ def total_renyi(lambdas: np.ndarray, n: float) -> float:
         raise ValueError("Renyi index must be positive")
     if n == 1.0:
         raise ValueError("Renyi index 1 is the von Neumann limit; use total_vn")
-    return float(_total_renyi_rows(clamp_lambdas(lambdas), n))
+    with np.errstate(invalid="ignore"):
+        total = float(_total_renyi_rows(clamp_lambdas(lambdas), n)[0])
+    if not math.isfinite(total):
+        raise NumericalError(f"Renyi entropies at n = {n:g} leave double range: total {total}")
+    return total
 
 
 def charged_moment(lambdas: np.ndarray, n: float, alpha: float) -> complex:
@@ -374,7 +391,10 @@ def _tabulate(lambdas: np.ndarray, n_list) -> dict[str, np.ndarray]:
                 logs = _log_srpf_rows(np.ascontiguousarray(modes[:, rows]), n)
                 log_zn[rows] = np.where(low[rows], logs, log_zn[rows])
             renyi[:, j] = (log_zn - n * log_z1) / (1.0 - n)
-            total_renyi[:, j] = _total_renyi_rows(lam, n)
+            # a spectrum with a mode factor that computes to 0 has Z_n = 0
+            # in double precision: the table refuses it
+            total_renyi[:, j], zero = _total_renyi_rows(lam, n)
+            total_renyi[zero, j] = np.inf
         finite = np.isfinite(total_renyi[:, j]) & np.all(np.isfinite(renyi[:, j]), axis=1)
         if not finite.all():
             raise NumericalError(

@@ -139,6 +139,10 @@ def test_hybrid_sector_where_the_direct_sum_underflows(n, p):
     if n < 1075.0:
         t = aklt.aklt_entropies(aklt.DEFECT_INTERFACE, aklt.HYBRID, n, p=p)
         assert t.sre(0) == pytest.approx(want, rel=1e-13)
+        # the Renyi total of the two edge spins, one free, one at (hi, lo):
+        # both factors are subnormal at n = 1074
+        total = _log_power_sum_decimal([0.5, 0.5], n) + _log_power_sum_decimal([hi, lo], n)
+        assert t.total_renyi == pytest.approx(total / (1.0 - n), abs=1e-12)
 
 
 def test_renyi_total_beyond_double_range_is_a_numerical_error():

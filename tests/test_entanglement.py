@@ -38,6 +38,25 @@ def test_total_entropies_dimerized_values():
     assert ent.total_renyi(frozen, 2.0) == 0.0
 
 
+def test_total_renyi_where_a_mode_factor_underflows():
+    """lam^n + (1 - lam)^n below the normal range takes its log as
+    n log max + log1p((min/max)^n): at n = 1100 a mode at 1/2 gives log 2
+    instead of +inf and a divide-by-zero warning; the other modes keep the
+    direct sum bit for bit."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ent.total_renyi(np.array([0.5]), 1100.0) == pytest.approx(math.log(2), rel=1e-15)
+        lam = np.array([0.5, 0.1, 0.0, 1.0])
+        want = (1100.0 * math.log(0.5) + math.log(2.0) + math.log(0.9**1100.0)) / (1.0 - 1100.0)
+        assert ent.total_renyi(lam, 1100.0) == pytest.approx(want, rel=1e-14)
+    lam = np.random.default_rng(3).random(40)
+    for n in (0.5, 2.0, 3.0, 60.0):
+        direct = float(np.sum(np.log(lam**n + (1.0 - lam) ** n)) / (1.0 - n))
+        assert ent.total_renyi(lam, n) == direct
+    with pytest.raises(NumericalError, match="n = inf leave double range"):
+        ent.total_renyi(np.array([0.5, 0.2]), math.inf)
+
+
 def test_total_renyi_rejects_n_one():
     with pytest.raises(ValueError):
         ent.total_renyi(np.array([0.5]), 1.0)

@@ -3,6 +3,9 @@
 import copy
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,6 +245,90 @@ def test_float_values_give_nan_one_code():
     for column in (col[~np.isnan(col)], np.array([nan, nan]), np.array([], float)):
         values, codes = serialize._values(column)
         assert values[codes].tobytes() == column.tobytes() or np.isnan(column).all()
+
+
+def csv_lines(column):
+    """The data lines of the CSV of one column."""
+    buf = io.StringIO()
+    serialize.stream_csv(buf, "x", serialize.render(["x"], {"x": column}))
+    return buf.getvalue().split("\n")[2:-1]
+
+
+def assert_spelled_by_repr(values):
+    got = csv_lines(values)
+    want = [float.__repr__(v) for v in np.asarray(values, np.float64).tolist()]
+    bad = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
+    assert bad is None, f"{want[bad]!r} spelled {got[bad]!r}"
+    assert len(got) == len(want)
+
+
+def test_random_bit_patterns_are_spelled_by_repr():
+    """200k finite nonzero doubles of both signs, from their bit patterns."""
+    bits = np.random.default_rng(18).integers(0, 2**64, 220_000, dtype=np.uint64, endpoint=False)
+    x = bits.view(np.float64)
+    assert_spelled_by_repr(x[np.isfinite(x) & (x != 0.0)][:200_000])
+
+
+def test_short_decimals_are_spelled_by_repr():
+    """Doubles read from decimals of up to 15 digits: the shortest spelling
+    is that decimal, and s or s + 1 is chosen by the interval's edges."""
+    rng = np.random.default_rng(19)
+    digits = rng.integers(1, 10**15, 20_000)
+    exponents = rng.integers(-330, 300, 20_000)
+    assert_spelled_by_repr([float(f"{d}e{e}") for d, e in zip(digits.tolist(), exponents.tolist())])
+
+
+def test_powers_of_ten_and_two_and_integers_are_spelled_by_repr():
+    """Every power of two (from 2^-1074; at 2^-1022 the next double down is as
+    near as the next one up, above it nearer), 1e-323 to 1e308, integers
+    around 2^53, and the switches between fixed and exponent form."""
+    twos = [2.0**e for e in range(-1074, 1024)]
+    assert len(twos) == 2098
+    tens = [float(f"1e{i}") for i in range(-323, 309)]
+    integers = [float(2**53 + i) for i in range(-300, 300)] + [float(i) for i in range(1, 300)]
+    switches = [1e-5, 9.999e-5, 1e-4, 1e15, 9999999999999998.0, 1e16]
+    edges = twos + tens + integers + switches
+    assert_spelled_by_repr(edges + [-v for v in edges])
+    assert csv_lines(np.array(switches)) == [
+        "1e-05", "9.999e-05", "0.0001", "1000000000000000.0", "9999999999999998.0", "1e+16"]
+
+
+def test_float_columns_share_kernel_chunks(tmp_path):
+    """The finite nonzero values of all float columns go through the kernel
+    together, so chunks span columns; each column's fixed values keep their
+    rows, and both files match the row-dict oracle."""
+    rng = np.random.default_rng(21)
+    n = serialize.FLOAT_CHUNK + 300
+    a = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+    b = np.round(rng.random(n), 3)
+    a[::97], b[::89], b[5] = nan, -0.0, inf
+    c = np.array([nan, -inf] * (n // 2))
+    data = {"a": a, "b": b, "c": c}
+    rows = [dict(zip(data, r)) for r in zip(*(col.tolist() for col in data.values()))]
+    for text, want in zip(write_both(tmp_path, list(data), data), expected_both(list(data), rows)):
+        assert_same_text(text, want)
+
+
+def test_float32_columns_are_spelled_as_their_float64_values():
+    x = np.random.default_rng(20).standard_normal(5000).astype(np.float32) * np.float32(1e-30)
+    assert_spelled_by_repr(np.concatenate([x, np.float32([3.4e38, 1e-45, 0.1])]))
+
+
+def test_float_tables_are_built_on_first_use():
+    """Importing builds neither the power-of-ten limbs nor the token layouts,
+    and spelling floats loads no numpy.ma (about half a megabyte)."""
+    code = (
+        "import sys, numpy as np; from sshent import cli, serialize as s; "
+        "assert not s._G_READY.any() and s._layouts.cache_info().currsize == 0; "
+        "s.render(['x'], {'x': np.array([0.1, 2.0, 1e300])}); "
+        "print(int(s._G_READY.sum()), 'numpy.ma' in sys.modules)"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={"PYTHONPATH": src, "PATH": ""})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "3 False\n"
+
 
 # --- whole CLI runs: the files and stdout against the row-dict path ---
 
