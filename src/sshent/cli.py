@@ -35,7 +35,7 @@ from . import model
 from . import serialize
 from . import specialfn as sf
 from . import statmech as sm
-from .linalg import NumericalError
+from .linalg import NumericalError, eigh_sea
 
 SCAN_COLUMNS = [
     "m", "case", "p", "q", "dq", "n",
@@ -650,6 +650,24 @@ def run_selftest(args: argparse.Namespace) -> int:
         for dq in (-1, 0, 1):
             dev = max(dev, abs(lat.sre(20 + dq) - at.sre(20 + dq)))
     check("lattice vs asymptotics", dev, 1e-3)
+
+    # the banded polar solve against the eigensolve, on a ring of 8 blocks
+    spec = model.ChainSpec(
+        n_sites=1000, dimerization=0.3,
+        defects=(model.DefectSpec(125), model.DefectSpec(375)),
+    )
+    sea = gs.filled_sea(spec, 20)
+    want = eigh_sea(model.hopping_bands(spec), 20, gs.NEAR_ZERO_THRESHOLD * spec.hopping)
+    n, w = spec.n_cells, sea.width
+    rows = np.arange(sea.band.shape[0])[:, None]
+    dist = np.abs(rows - ((rows // w - 1) * w + np.arange(3 * w)) % n)
+    read = (np.minimum(dist, n - dist) < w) & (rows < n)  # what windows read
+    dev = float(np.max(np.abs(sea.band - want.band)[read]))
+    for got, ref in ((sea.u0, want.u0), (sea.v0, want.v0)):
+        dev = max(dev, float(np.max(np.abs(got @ got.T - ref @ ref.T))))
+    ok = sea.steps > 0 and sea.filled == want.filled and dev <= 1e-13
+    checks.append(("polar sea vs eigensolve", ok,
+                   f"dev={dev:.3e} tol=1e-13, {sea.steps} Newton-Schulz steps"))
 
     # exact enumeration oracle at 4 modes
     lam = np.array([0.23, 0.71, 0.05, 0.5])

@@ -174,7 +174,9 @@ def _log_srpf_rows(modes: np.ndarray, n: float) -> np.ndarray:
     does; ``_srpf_rows`` factors out only each step's peak, so at large ``n``
     the sectors far below it underflow to 0."""
     m, w = modes.shape
-    with np.errstate(divide="ignore"):
+    # at n near the largest double, n log(lam) overflows to -inf: the
+    # caller's range check classifies the rows it spoils
+    with np.errstate(divide="ignore", over="ignore"):
         f0, f1 = n * np.log1p(-modes), n * np.log(modes)
     logs = np.full((m + 1, w), -np.inf)
     logs[0] = 0.0
@@ -379,9 +381,10 @@ def _tabulate(lambdas: np.ndarray, n_list) -> dict[str, np.ndarray]:
             zn[:, j], renyi[:, j], total_renyi[:, j] = z1, vn, total_vn
             continue
         zn[:, j] = _srpf_rows(modes, n)
-        # at large n, (1 - lam)^n + lam^n can underflow to 0: its log is
-        # checked below instead of warned about
-        with np.errstate(divide="ignore"):
+        # at large n, (1 - lam)^n + lam^n can underflow to 0, and near the
+        # largest double n log Z_1 overflows: the range check below
+        # classifies what they spoil instead of warning about it
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             log_zn = np.log(np.where(occupied, zn[:, j], 1.0))
             # an occupied sector whose Z_n(q) left the normal range takes its
             # log from the log recursion, run on the rows that hold one

@@ -45,12 +45,12 @@ NEAR_ZERO_THRESHOLD = 1e-4  # in units of the hopping t
 # of 30 xi leave the zero columns 5e-14 off an LAPACK SVD, of 34 xi 1e-15.
 POLAR_CELLS_PER_XI = 36
 # The fewest blocks for which the polar solve runs.  polar_sea against
-# eigh_sea, each with its band (OpenBLAS, one thread, medians of 5): at 7
-# blocks it takes 0.55 of the time with blocks of 59 cells (delta = 0.3) and
-# 0.95 with blocks of 180 (delta = 0.1), at 6 blocks 0.77 and 1.19, at 5
-# blocks 1.33 and 1.65.  The N = 400 chains of the standard scans make 3
+# eigh_sea, each with its band (OpenBLAS, one thread, two lanes, medians of 9):
+# at 6 blocks it takes 0.50 of the time with blocks of 59 cells (delta = 0.3)
+# and 0.37 with blocks of 180 (delta = 0.1), at 7 blocks 0.42 and 0.30, at 5
+# blocks 0.85 and 0.56.  The N = 400 chains of the standard scans make 3
 # blocks, so they keep the eigensolve.
-POLAR_MIN_BLOCKS = 7
+POLAR_MIN_BLOCKS = 6
 # windows per stacked eigvalsh call: amortizes the call overhead while the
 # stack (16 windows of 40 x 40 at ell = 20) stays in cache.  The two lanes of
 # correlation_spectra split a scan at a whole stack, so each lane's stacks
@@ -136,7 +136,8 @@ def filled_sea(spec: ChainSpec, width: int) -> FilledSea:
         xi = 0.0 if delta == 1.0 else localization_length(delta)
         cells = max(width, math.ceil(POLAR_CELLS_PER_XI * xi))
         if spec.n_cells // cells >= POLAR_MIN_BLOCKS:
-            sea = polar_sea(block, width, threshold, cells)
+            # the bulk band edge |t1 - t2| bounds the band's singular values below
+            sea = polar_sea(block, width, threshold, cells, 2.0 * delta * spec.hopping)
             if sea is not None:
                 return sea
     return eigh_sea(block, width, threshold)

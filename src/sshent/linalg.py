@@ -7,14 +7,20 @@ triples of ``T`` from one ``eigh`` of the Gram block ``T^T T``
 forms an L x L array: it runs the Newton-Schulz iteration for the polar
 factor on ``T`` kept block-tridiagonal, which is exact up to the decay of
 the filled sea's correlations over a block (N. J. Higham, *Functions of
-Matrices*, ch. 8; S. Goedecker, Rev. Mod. Phys. 71, 1085 (1999)).
+Matrices*, ch. 8; S. Goedecker, Rev. Mod. Phys. 71, 1085 (1999)), with the
+scaled first steps of J. Chen and E. Chow, "A Newton-Schulz variant for
+improving the initial convergence in matrix sign computation" (2014).
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import lanes
 
 # Singular values above this fraction of the largest come from the Gram
 # block's eigenvalues; below it, sqrt of an eigenvalue is noise of about
@@ -22,10 +28,14 @@ import numpy as np
 ZERO_SPLIT = 1e-4
 
 # Newton-Schulz steps before the polar solve gives up.  Its gapped part takes
-# 9 steps at delta = 0.3 and 12 at delta = 0.05 (the start scales the largest
-# singular value to at most 1, the gap edge to delta / (1 + delta)).  A singular value
-# below 1e-4 of the scale needs 23 steps to be filled, so none is; a split pair
-# from about 1e-8 to 4e-3 of it is still moving at the cap.
+# 6 steps at delta = 0.3, 7 at delta = 0.1, 8 at delta = 0.05 and one at
+# |delta| = 1 (the start scales the largest singular value to at most 1, and
+# the scaled steps carry the gap edge up from delta).  A singular value below
+# 1e-4 t, 5e-5 of the scale, grows by at most 1.5 alpha a step and needs 27
+# steps to be filled at delta = 0.1 (28 at 0.3, 30 at 1, 24 at 0.01), so none
+# is at the cap for delta >= 0.002, where blocks of 36 xi = 9000 cells put
+# 15 GB in X alone; a split pair from about 1e-8 t to 2.4e-3 t (1.3e-3 t at
+# delta = 0.1) is still moving at the cap.
 POLAR_MAX_STEPS = 20
 # the iteration ends on a step that moves no stored entry by more than this:
 # the next step would move them by about its square, at rounding
@@ -225,8 +235,12 @@ class _Blocks:
     ``n // count`` or one more cells, each padded to ``size`` slots.  The
     padding slots are zero rows and columns, which every product here keeps
     zero, so the padded matrices act on the cells exactly as unpadded ones.
-    A matrix is a ``(3, count, size, size)`` array: blocks ``(i, i - 1)``,
-    ``(i, i)`` and ``(i, i + 1)`` of each block row ``i``."""
+    A matrix is a ``(3, count + 2, size, size)`` array: blocks ``(i, i - 1)``,
+    ``(i, i)`` and ``(i, i + 1)`` of block row ``i`` at row ``i + 1``, with
+    rows 0 and ``count + 1`` mirroring the last and the first (``_wrap``), so
+    a block row's neighbours across the wrap are slices too.  A symmetric
+    matrix keeps only its diagonal and upper blocks, ``(2, count + 2, size,
+    size)``."""
 
     def __init__(self, n: int, count: int):
         sizes = np.full(count, n // count)
@@ -235,13 +249,18 @@ class _Blocks:
         self.block = np.repeat(np.arange(count), sizes)
         self.pos = np.arange(n) - (np.cumsum(sizes) - sizes)[self.block]
 
+    def matrix(self, slots: int = 3) -> np.ndarray:
+        """A zero matrix, general (3 slots) or symmetric (2)."""
+        return np.zeros((slots, self.count + 2, self.size, self.size))
+
     def place(self, rows: np.ndarray, cols: np.ndarray) -> tuple:
-        """Index of the entries ``(rows, cols)`` in a matrix, and whether each
-        lies in its three stored blocks."""
+        """Flat index of the entries ``(rows, cols)`` in a matrix, and whether
+        each lies in its three stored blocks."""
         bi, bj = self.block[rows], self.block[cols]
         slot = (bj - bi + 1) % self.count
         inside = slot < 3
-        return (np.where(inside, slot, 0), bi, self.pos[rows], self.pos[cols]), inside
+        row = (slot * (self.count + 2) + bi + 1) * self.size + self.pos[rows]
+        return np.where(inside, row * self.size + self.pos[cols], 0), inside
 
     def vectors(self, x: np.ndarray) -> np.ndarray:
         """Columns ``x`` (``n x k``) as ``(count, size, k)`` padded blocks."""
@@ -249,67 +268,84 @@ class _Blocks:
         out[self.block, self.pos] = x
         return out
 
+    def halves(self, work: Callable[[int, int], None]) -> None:
+        """``work(a, b)`` on the block rows ``a .. b - 1`` of each half of
+        the matrix rows, the two halves on two lanes.  Each block row's GEMMs
+        are the same calls whichever half holds it, so the bits are one
+        lane's."""
+        mid = 1 + self.count // 2
+        lanes.beside(lambda: work(1, mid), lambda: work(mid, self.count + 1))
+
 
 def _t(a: np.ndarray) -> np.ndarray:
     return a.transpose(0, 2, 1)
 
 
-def _prev(a: np.ndarray) -> np.ndarray:
-    """``a[i - 1]`` at ``i``, cyclically."""
-    return np.roll(a, 1, axis=0)
+def _wrap(a: np.ndarray) -> None:
+    """Refresh the mirror rows of a padded matrix from the rows they mirror."""
+    a[:, 0] = a[:, -2]
+    a[:, -1] = a[:, 1]
 
 
-def _next(a: np.ndarray) -> np.ndarray:
-    """``a[i + 1]`` at ``i``, cyclically."""
-    return np.roll(a, -1, axis=0)
-
-
-def _symmetric(diag: np.ndarray, up: np.ndarray) -> np.ndarray:
-    """The block-tridiagonal matrix of diagonal blocks ``diag`` and upper
-    blocks ``up``, symmetric."""
-    return np.stack([_t(_prev(up)), diag, up])
-
-
-def _gram(x: np.ndarray) -> np.ndarray:
-    """``X^T X``, the blocks two apart dropped."""
+def _gram(x: np.ndarray, g: np.ndarray, a: int, b: int) -> None:
+    """Rows ``a .. b - 1`` of ``X^T X`` into the symmetric ``g``, the blocks
+    two apart dropped.  Each diagonal term is ``c^T c`` of one view, which
+    numpy computes as a symmetric rank-k update."""
     lo, di, up = x
-    diag = _t(_prev(up)) @ _prev(up) + _t(di) @ di + _t(_next(lo)) @ _next(lo)
-    return _symmetric(diag, _t(di) @ up + _t(_next(lo)) @ _next(di))
+    diag, upper = g[0, a:b], g[1, a:b]
+    np.matmul(_t(up[a - 1 : b - 1]), up[a - 1 : b - 1], out=diag)
+    diag += _t(di[a:b]) @ di[a:b]
+    diag += _t(lo[a + 1 : b + 1]) @ lo[a + 1 : b + 1]
+    np.matmul(_t(di[a:b]), up[a:b], out=upper)
+    upper += _t(lo[a + 1 : b + 1]) @ di[a + 1 : b + 1]
 
 
-def _cogram(x: np.ndarray) -> np.ndarray:
-    """``X X^T``, the blocks two apart dropped."""
-    lo, di, up = x
-    diag = lo @ _t(lo) + di @ _t(di) + up @ _t(up)
-    return _symmetric(diag, di @ _t(_next(lo)) + up @ _t(_next(di)))
+def _times(x: np.ndarray, m: np.ndarray, out: np.ndarray, a: int, b: int) -> None:
+    """Rows ``a .. b - 1`` of ``X M`` into ``out``, for ``M`` symmetric, the
+    blocks two apart dropped.  Only these rows of ``X`` are read."""
+    lo, di, up = x[0, a:b], x[1, a:b], x[2, a:b]
+    diag, upper = m
+    np.matmul(lo, diag[a - 1 : b - 1], out=out[0, a:b])
+    out[0, a:b] += di @ _t(upper[a - 1 : b - 1])
+    np.matmul(lo, upper[a - 1 : b - 1], out=out[1, a:b])
+    out[1, a:b] += di @ diag[a:b]
+    out[1, a:b] += up @ _t(upper[a:b])
+    np.matmul(di, upper[a:b], out=out[2, a:b])
+    out[2, a:b] += up @ diag[a + 1 : b + 1]
 
 
-def _times(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """``X M``, the blocks two apart dropped."""
-    lo, di, up = x
-    out = np.empty_like(x)
-    out[0] = lo @ _prev(m[1]) + di @ m[0]
-    out[1] = lo @ _prev(m[2]) + di @ m[1] + up @ _next(m[0])
-    out[2] = di @ m[2] + up @ _next(m[1])
-    return out
+def _ring(v: np.ndarray) -> np.ndarray:
+    """Blocks ``v`` with the last before the first and the first after the
+    last: ``_ring(v)[i + slot]`` is block ``i + slot - 1``, cyclically."""
+    return np.concatenate([v[-1:], v, v[:1]])
 
 
-def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``M v`` for columns ``v`` as ``(count, size, k)`` blocks."""
-    return m[0] @ _prev(v) + m[1] @ v + m[2] @ _next(v)
+def _apply(x: np.ndarray, v: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """``X v``, or ``X^T v``, for columns ``v`` as ``(count, size, k)`` blocks."""
+    ring = _ring(v)
+    if transpose:
+        return _t(x[2, :-2]) @ ring[:-2] + _t(x[1, 1:-1]) @ v + _t(x[0, 2:]) @ ring[2:]
+    return x[0, 1:-1] @ ring[:-2] + x[1, 1:-1] @ v + x[2, 1:-1] @ ring[2:]
 
 
-def _range_basis(g: np.ndarray, k: int, pad: np.ndarray) -> np.ndarray:
+def _range_basis(x: np.ndarray, k: int, pad: np.ndarray, left: bool) -> np.ndarray:
     """``k`` orthonormal columns spanning the range of the projector
-    ``P = I - G``: ``_complement`` with ``G`` in place of ``q q^T``.  Slots
-    where ``pad`` is set are never picked."""
+    ``P = I - X X^T`` (``left``) or ``I - X^T X``: ``_complement`` with that
+    product of ``X`` in place of ``q q^T``, applied to a column as two
+    block-tridiagonal products.  Slots where ``pad`` is set are never picked."""
     shape = pad.shape + (1,)
+    if left:
+        weight = 1.0 - np.einsum("abij,abij->bi", x[:, 1:-1], x[:, 1:-1])
+    else:
+        cols = (x[2, :-2], x[1, 1:-1], x[0, 2:])  # the blocks of each block column
+        weight = 1.0 - sum(np.einsum("bij,bij->bj", c, c) for c in cols)
 
     def project(col: np.ndarray) -> np.ndarray:
-        return col - _apply(g, col.reshape(shape)).ravel()
+        v = col.reshape(shape)
+        return col - _apply(x, _apply(x, v, left), not left).ravel()
 
     basis = np.zeros((pad.size, k))
-    weight = 1.0 - np.einsum("bii->bi", g[1]).ravel()
+    weight = weight.ravel()
     weight[pad.ravel()] = 0.0
     for j in range(k):
         col = np.zeros(pad.size)
@@ -325,50 +361,79 @@ def _range_basis(g: np.ndarray, k: int, pad: np.ndarray) -> np.ndarray:
     return basis.reshape(pad.shape + (k,))
 
 
-def polar_sea(block: BandedBlock, width: int, threshold: float, cells: int) -> FilledSea | None:
+def _gershgorin_norm(block: BandedBlock) -> float:
+    """``sqrt`` of the largest absolute row sum of ``T^T T``, at least
+    ``||T||`` and equal to it (``2 t``) on SSH bands."""
+    d, up = np.abs(block.diag), np.abs(np.roll(block.sub, -1))
+    off = up * np.roll(d, -1)  # |(T^T T)[i, i + 1]|
+    return math.sqrt(float(np.max(d * d + up * up + off + np.roll(off, 1))))
+
+
+def polar_sea(block: BandedBlock, width: int, threshold: float, cells: int,
+              edge: float) -> FilledSea | None:
     """The filled sea from the polar factor of ``T``, or None where it does
     not settle: no convergence in ``POLAR_MAX_STEPS`` steps, a fractional
     filled count, or a zero column above ``threshold``.
 
-    ``X <- X (3 I - X^T X) / 2`` from ``X = T / s`` (``s`` the largest
-    diagonal plus the largest subdiagonal magnitude, at least ``||T||``)
-    drives every singular value of ``X`` above the rounding of the splittings
-    to 1 and leaves the near-zero ones near 0, so ``X`` tends to ``Q``.  ``X``
-    is kept block-tridiagonal over blocks of at least ``cells >= width``
-    cells, each product being a few batched GEMMs of those blocks.  The trace
-    of ``X^T X`` counts the filled triples; pivoted Gram-Schmidt on the banded
-    ``I - X^T X`` and ``I - X X^T`` gives the zero columns, which the small
-    block ``u0^T T v0`` pairs and measures as in ``chiral_svd``.  Their
-    remnant in ``X`` is projected out before the band is read.
+    From ``X = T / s``, ``s`` the Gershgorin bound of ``||T||``, the scaled
+    Newton-Schulz step ``X <- (alpha / 2) X (3 I - alpha^2 X^T X)`` carries a
+    lower bound ``l`` of the band's singular values, ``edge / s`` at the start
+    for the bulk band edge ``edge``: ``alpha = sqrt(3 / (1 + l + l^2))`` maps
+    ``[l, 1]`` into ``[l', 1]``, ``l' = (alpha / 2) l (3 - alpha^2 l^2)``, and
+    from ``l > 1 - 1e-3`` on ``alpha = 1`` gives the plain step.  No singular
+    value leaves ``[0, 1]``; those below ``l`` (in-gap and split zero-mode
+    triples) grow by about ``1.5 alpha`` a step, so the filled ones reach 1
+    and the near-zero ones stay near 0, and ``X`` tends to ``Q``.  ``X`` is
+    kept block-tridiagonal over blocks of at least ``cells >= width`` cells,
+    each product being a few batched GEMMs of those blocks on two lanes.  The
+    trace of ``X^T X`` counts the filled triples; pivoted Gram-Schmidt on
+    ``I - X^T X`` and ``I - X X^T``, each applied to a column as two products
+    with ``X``, gives the zero columns, which the small block ``u0^T T v0``
+    pairs and measures as in ``chiral_svd``.  Their remnant in ``X`` is
+    projected out before the band is read.
     """
     n = block.diag.size
     lay = _Blocks(n, n // cells)
     cell = np.arange(n)
-    x = np.zeros((3, lay.count, lay.size, lay.size))
-    scale = float(np.max(np.abs(block.diag)) + np.max(np.abs(block.sub)))
+    x, g, step = lay.matrix(), lay.matrix(2), lay.matrix()
+    scale = _gershgorin_norm(block)
     for cols, values in ((cell, block.diag), ((cell - 1) % n, block.sub)):
-        x[lay.place(cell, cols)[0]] = values / scale
+        np.put(x, lay.place(cell, cols)[0], values / scale)
+    _wrap(x)
     eye = np.eye(lay.size)
+    low, moved = min(edge / scale, 1.0), {}
+
+    def gram(a: int, b: int) -> None:
+        # the step moves X by X M, M = (3 alpha / 2 - 1) I - (alpha^3 / 2) X^T X
+        _gram(x, g, a, b)
+        g[:, a:b] *= -0.5 * alpha**3
+        g[0, a:b] += (1.5 * alpha - 1.0) * eye
+
+    def update(a: int, b: int) -> None:
+        _times(x, g, step, a, b)
+        x[:, a:b] += step[:, a:b]
+        moved[a] = max(step[:, a:b].max(), -step[:, a:b].min())
+
     for steps in range(1, POLAR_MAX_STEPS + 1):
-        # the step X (3 I - X^T X) / 2 - X = X (I - X^T X) / 2
-        g = _gram(x)
-        g[1] -= eye
-        step = _times(x, g)
-        step *= -0.5
-        x += step
-        if max(step.max(), -step.min()) <= POLAR_STOP:
+        alpha = math.sqrt(3.0 / (1.0 + low + low * low)) if low <= 1.0 - 1e-3 else 1.0
+        low *= 0.5 * alpha * (3.0 - (alpha * low) ** 2)
+        lay.halves(gram)
+        _wrap(g)
+        lay.halves(update)
+        _wrap(x)
+        if max(moved.values()) <= POLAR_STOP:
             break
     else:
         return None
-    trace = float(np.vdot(x, x))
+    # summed per slot: x[slot, 1:-1] is contiguous, so np.vdot copies nothing
+    trace = sum(float(np.vdot(x[slot, 1:-1], x[slot, 1:-1])) for slot in range(3))
     filled = round(trace)
     if abs(trace - filled) > POLAR_TRACE_TOL:
         return None
     k = n - filled
     pad = np.ones((lay.count, lay.size), dtype=bool)
     pad[lay.block, lay.pos] = False
-    v0 = _range_basis(_gram(x), k, pad)[lay.block, lay.pos]
-    u0 = _range_basis(_cogram(x), k, pad)[lay.block, lay.pos]
+    u0, v0 = (_range_basis(x, k, pad, left)[lay.block, lay.pos] for left in (True, False))
     try:
         inner = _inner_triples(u0.T @ (block @ v0))
     except np.linalg.LinAlgError:
@@ -380,14 +445,14 @@ def polar_sea(block: BandedBlock, width: int, threshold: float, cells: int) -> F
         # X -= (X v0) v0^T on the stored blocks
         vb = lay.vectors(v0)
         xv = _apply(x, vb)
-        x[0] -= xv @ _t(_prev(vb))
-        x[1] -= xv @ _t(vb)
-        x[2] -= xv @ _t(_next(vb))
+        ring = _ring(vb)
+        for slot in range(3):
+            x[slot, 1:-1] -= xv @ _t(ring[slot : slot + lay.count])
     rows = np.arange(-(-n // width) * width)
     start = (rows // width - 1) * width
     cols = (start[:, None] + np.arange(3 * width)) % n
     rows = np.minimum(rows, n - 1)[:, None]
-    index, inside = lay.place(np.broadcast_to(rows, cols.shape), cols)
-    band = np.where(inside, -0.5 * x[index], 0.0)
+    index, inside = lay.place(rows, cols)
+    band = np.where(inside, -0.5 * x.take(index), 0.0)
     return FilledSea(width=width, filled=filled, band=band, u0=u0, v0=v0,
                      splittings=inner.singular_values, steps=steps)

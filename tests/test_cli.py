@@ -691,6 +691,28 @@ def test_underflowing_renyi_index_is_a_numerical_error(tmp_path, capsys, command
     assert std.err.startswith(f"numerical error: {message}")
 
 
+@pytest.mark.parametrize("command", ["scan-interval", "zero-mode-scan"])
+def test_largest_double_renyi_index_prints_only_the_error(tmp_path, command):
+    """At n = 1e308, n log(lam) overflows in the log recursion and in the
+    sector entropies.  The range check classifies those rows, so a fresh
+    process prints the one error line and no RuntimeWarning (it printed
+    three)."""
+    make = _zero_mode_config if command == "zero-mode-scan" else base_config
+    cfg = make(tmp_path, mode="lattice", n_list=[1, 1e308])
+    if command == "scan-interval":
+        cfg["m_range"] = [80, 84]
+    path = write_config(tmp_path, cfg)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    argv = [command, "--config", path]
+    code = f"import sys; from sshent import cli; sys.exit(cli.main({argv!r}))"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={"PYTHONPATH": src, "PATH": ""})
+    assert run.returncode == cli.EXIT_VALIDATION
+    assert run.stderr == ("numerical error: Renyi entropies at n = 1e+308 leave double range: "
+                          "the partition functions of spectrum 0 underflow to 0\n")
+    assert not list(tmp_path.glob("scan.*"))
+
+
 def test_std400_lattice_scan_at_large_renyi_indices(tmp_path, capsys):
     """At n = 30 and 40 the std400 lattice scan has hundreds of sectors whose
     Z_n(q) underflows (it exited 2 on them): it now writes finite rows, the

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from sshent import cli, linalg, model
+from sshent import cli, lanes, linalg, model
 from sshent import groundstate as gs
 
 from conftest import ELL, sea_of
@@ -57,7 +57,7 @@ def polar_and_eigh(spec, width=ELL):
     xi = 0.0 if delta == 1.0 else model.localization_length(delta)
     cells = max(width, math.ceil(gs.POLAR_CELLS_PER_XI * xi))
     assert spec.n_cells // cells >= gs.POLAR_MIN_BLOCKS
-    return (linalg.polar_sea(block, width, threshold, cells),
+    return (linalg.polar_sea(block, width, threshold, cells, 2.0 * delta * spec.hopping),
             linalg.eigh_sea(block, width, threshold))
 
 
@@ -94,6 +94,36 @@ def test_the_standard_rings_keep_the_eigensolve(polar_calls):
     """The N = 400 rings of std400 and zeromode make too few blocks."""
     sea = sea_of(big_ring(cells=(50, 150), n_sites=400))
     assert sea.steps == 0 and polar_calls == []
+
+
+@pytest.mark.parametrize("spec, most", [
+    (big_ring(delta=1.0), 1),
+    (big_ring(), 6),
+    (big_ring(("one_site", "three_site"), (500, 1500), 4000, 0.1), 7),
+], ids=["delta1", "big2000", "delta0.1-n4000"])
+def test_scaled_steps_settle(spec, most, polar_calls):
+    """From the Gershgorin start with the band edge as its lower bound, a
+    |delta| = 1 ring (singular values 0 and exactly 1) settles in one step,
+    the big ring in at most 6 (9 from the old start) and a delta = 0.1 ring in
+    at most 7 (11)."""
+    sea = sea_of(spec)
+    assert polar_calls == [sea]
+    assert 0 < sea.steps <= most
+    assert sea.filled == spec.n_cells - 1 and sea.splittings.size == 1
+
+
+def test_two_lanes_give_the_bits_of_one(monkeypatch):
+    """Blocks of 90 cells make 11 block rows, split 5 + 6 between the lanes:
+    the sea is the one-lane sea byte for byte."""
+    block = model.hopping_bands(big_ring())
+    seas = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(lanes, "usable_cpus", lambda cpus=cpus: cpus)
+        seas.append(linalg.polar_sea(block, ELL, 1e-4, 90, 0.6))
+    one, two = seas
+    assert block.diag.size // 90 == 11 and one.steps == two.steps > 0
+    for field in ("band", "u0", "v0", "splittings"):
+        assert getattr(one, field).tobytes() == getattr(two, field).tobytes(), field
 
 
 def _chain(data):
@@ -203,6 +233,19 @@ def test_close_pair_falls_back_and_is_refused(tmp_path, capsys, polar_calls):
     assert f"config error: found {spec.n_cells} strictly negative modes, expected " \
            f"{spec.n_cells - 1}" in err
     assert not (tmp_path / "scan.csv").exists()
+
+
+def test_pair_split_below_the_threshold_falls_back(polar_calls):
+    """Two one_site defects 16 cells apart split their pair to 3.6e-5 t, just
+    below the zero-mode threshold.  The scaled steps lift it faster than the
+    plain ones, but not to 1 by the cap (that takes about 30 steps), so the
+    polar solve falls back rather than fill it, and the eigensolve keeps it a
+    zero-mode pair."""
+    spec = big_ring(cells=(250, 266))
+    sea = sea_of(spec)
+    assert polar_calls == [None] and sea.steps == 0
+    assert sea.filled == spec.n_cells - 1
+    assert 3e-5 < sea.splittings[0] < gs.NEAR_ZERO_THRESHOLD * spec.hopping
 
 
 @pytest.mark.parametrize("width", [0, 201, 10**9])
