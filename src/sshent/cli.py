@@ -24,6 +24,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -222,15 +223,16 @@ def _fill_deviations(data: dict[str, np.ndarray]) -> None:
         data["paired"][rows] = True
 
 
+def _sort_key(col: np.ndarray) -> np.ndarray:
+    """``col`` as a sort key: an absent (NaN) m or p sorts first, as -1."""
+    return np.where(np.isnan(col), -1.0, col) if col.dtype.kind == "f" else col
+
+
 def _sort_rows(data: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Rows in ``(m, p, q, n, source)`` order, an absent m or p first as -1;
     rows with equal keys keep their order."""
-
-    def key(col: np.ndarray) -> np.ndarray:
-        return np.where(np.isnan(col), -1.0, col) if col.dtype.kind == "f" else col
-
     order = np.lexsort(
-        (data["source_index"], data["n"], data["q"], key(data["p"]), key(data["m"]))
+        (data["source_index"], data["n"], data["q"], _sort_key(data["p"]), _sort_key(data["m"]))
     )
     return {name: col[order] for name, col in data.items()}
 
@@ -315,26 +317,116 @@ def _scan_params(config: dict, spec: model.ChainSpec, command: str) -> sf.Ellipt
     return sf.EllipticParams.from_dimerization(spec.dimerization)
 
 
-def _scan(points, n_list: list[float], ell: int, lattice, closed_form) -> dict[str, np.ndarray]:
-    """Sorted lattice and closed-form columns over ``(m, p, case)`` points.
+@dataclass(frozen=True)
+class _Scan:
+    """The rows of a scan, factored by class.  ``table`` holds the rows of
+    every class (``_sector_rows`` columns; ``point`` is the class) in
+    ``(class, q, n, source)`` order, and ``classes`` the class of every
+    point.  Output row ``i`` is table row ``row[i]`` with the ``m`` of point
+    ``point[i]``; the output rows are in ``(m, p, q, n, source)`` order."""
+
+    table: dict[str, np.ndarray]
+    m: np.ndarray
+    classes: np.ndarray
+    point: np.ndarray
+    row: np.ndarray
+
+    def gate(self, bulk: np.ndarray | None, tol: float, label: str) -> int:
+        """``_gate`` over the output rows of the points where ``bulk`` is set
+        (of every point without it).  The worst deviation comes from the
+        table rows of the classes that hold such a point; the output rows
+        are built only to name the first NaN."""
+        used = np.zeros(self.classes.max() + 1, dtype=bool)
+        used[self.classes if bulk is None else self.classes[bulk]] = True
+        keep = used[self.table["point"]]
+        data = {name: self.table[name][keep] for name in ("Z1_q", "dev", "paired")}
+        if _nan_rows(data).any():
+            rows = slice(None) if bulk is None else bulk[self.point]
+            data = {name: self.table[name][self.row[rows]]
+                    for name in ("Z1_q", "dev", "paired", "p", "q", "n")}
+            data["m"] = self.m[self.point[rows]]
+        return _gate(data, tol, label)
+
+    def columns(self) -> dict:
+        """``SCAN_COLUMNS`` ready to render, each as ``serialize.Labels``:
+        ``m`` by point, the others by table row.  The table is emptied, so
+        its arrays are freed once the rendering is made."""
+        table, row = self.table, self.row
+        cols = {
+            "m": serialize.Labels(self.m, self.point),
+            "case": serialize.Labels(CASES, table["case_index"][row]),
+            "source": serialize.Labels(SOURCES, table["source_index"][row]),
+        }
+        for name in SCAN_COLUMNS:
+            if name not in cols:
+                cols[name] = serialize.Labels(table.pop(name), row)
+        table.clear()
+        return cols
+
+
+def _classes(case_index: np.ndarray, p: np.ndarray, spectra: np.ndarray | None) -> tuple:
+    """The first point of every class, and the class of every point: points
+    of one case and p, and with ``spectra`` one row of bytes.  Classes are
+    numbered in the order of their first points."""
+    key = [case_index.view(np.uint64)[:, None], p.view(np.uint64)[:, None]]
+    if spectra is not None:
+        key.append(spectra.view(np.uint64))
+    key = np.concatenate(key, axis=1)
+    _, first, inverse = np.unique(
+        key.view(np.dtype((np.void, key.shape[1] * key.itemsize))).reshape(-1),
+        return_index=True, return_inverse=True,
+    )
+    return np.sort(first), np.argsort(np.argsort(first))[inverse.reshape(-1)]
+
+
+def _scan(points, n_list: list[float], ell: int, lattice, closed_form) -> _Scan:
+    """Lattice and closed-form rows over ``(m, p, case)`` points, no two of
+    which share both ``m`` and ``p``.
 
     ``lattice(points)`` gives the stacked correlation eigenvalues of the
     points' windows and ``closed_form(points)`` their closed-form sector
-    columns, as ``ent.sector_columns`` gives them; either may be None.  The
-    lattice rows of all points come from one batched
-    ``charge_resolved_tables`` call.
+    columns, as ``ent.sector_columns`` gives them; either may be None.  A
+    class is the points of one case and p whose clamped spectra (with the
+    lattice) have the same bytes, so equal tables, bit for bit.  The tables,
+    the closed forms, the join on (class, n, q) and the row order are worked
+    out once per class, on its first point; every point then takes its
+    class's rows with its own ``m``.
     """
     points = list(points)
+    ms, ps, cases = zip(*points)
+    m = np.array(ms, dtype=float if None in ms else np.int64)
+    p = np.array(ps, dtype=float)
+    case_index = np.array([CASES.index(c) for c in cases], dtype=np.int64)
+    spectra = ent.clamp_lambdas(lattice(points)) if lattice else None
+    reps, classes = _classes(case_index, p, spectra)
+    rep_points = [points[i] for i in reps.tolist()]
     parts = []
     if lattice:
-        sectors = ent.charge_resolved_tables(lattice(points), n_list)
-        parts.append(_sector_rows(sectors, LATTICE, points, n_list, ell))
+        sectors = ent.charge_resolved_tables(spectra, n_list, rows=reps)
+        del spectra
+        parts.append(_sector_rows(sectors, LATTICE, rep_points, n_list, ell))
     if closed_form:
-        parts.append(_sector_rows(closed_form(points), ASYMPTOTIC, points, n_list, ell))
-    # popped column by column, so the halves are freed as the rows are joined
-    data = {name: np.concatenate([part.pop(name) for part in parts]) for name in list(parts[0])}
-    _fill_deviations(data)
-    return _sort_rows(data)
+        parts.append(_sector_rows(closed_form(rep_points), ASYMPTOTIC, rep_points, n_list, ell))
+    # popped and replaced column by column, so each is freed as it is joined
+    # and as it is sorted
+    table = {name: np.concatenate([part.pop(name) for part in parts]) for name in list(parts[0])}
+    _fill_deviations(table)
+    order = np.lexsort((table["source_index"], table["n"], table["q"], table["point"]))
+    for name, col in table.items():
+        table[name] = col[order]
+    # each point, in (m, p) order, takes the run of its class's table rows
+    counts = np.bincount(table["point"], minlength=reps.size)
+    by_point = np.lexsort((_sort_key(p), _sort_key(m)))
+    of_point = classes[by_point]
+    runs = counts[of_point]
+    shift = np.repeat((np.cumsum(counts) - counts)[of_point] - (np.cumsum(runs) - runs), runs)
+    return _Scan(table=table, m=m, classes=classes, point=np.repeat(by_point, runs),
+                 row=np.arange(shift.size) + shift)
+
+
+def _nan_rows(data: dict[str, np.ndarray]) -> np.ndarray:
+    """Rows with a NaN probability, or paired with a NaN deviation."""
+    return np.isnan(data["Z1_q"]) | (data["paired"] & np.isnan(data["dev"]))
 
 
 def _gate(data: dict[str, np.ndarray], tol: float, label: str) -> int:
@@ -345,7 +437,7 @@ def _gate(data: dict[str, np.ndarray], tol: float, label: str) -> int:
     paired row, or a NaN probability of any row, fails the gate by itself.
     """
     z1, dev, paired = data["Z1_q"], data["dev"], data["paired"]
-    nan_rows = np.flatnonzero(np.isnan(z1) | (paired & np.isnan(dev)))
+    nan_rows = np.flatnonzero(_nan_rows(data))
     counted = paired & (z1 >= GATE_PROB_FLOOR) & ~np.isnan(dev)
     worst = float(dev[counted].max()) if counted.any() else 0.0
     print(f"{label} = {worst:.3e} (tol {tol:g})")
@@ -433,17 +525,12 @@ def run_scan_interval(args: argparse.Namespace) -> int:
 
     cases = model.window_cases(spec, m_values, ell)
     points = ((m, None, case) for m, case in zip(m_values, cases))
-    data = _scan(points, n_list, ell, lattice, closed_form)
+    scan = _scan(points, n_list, ell, lattice, closed_form)
     status = EXIT_OK
     if config["mode"] == "both":
         bulk = model.edge_distances(spec, m_values, ell) >= margin
-        in_bulk = bulk[data["point"]]
-        status = _gate(
-            {name: col[in_bulk] for name, col in data.items()},
-            tol,
-            "bulk-window max |lattice - asymptotic|",
-        )
-    _emit(config, _labelled(data), SCAN_COLUMNS, SCAN_SCHEMA)
+        status = scan.gate(bulk, tol, "bulk-window max |lattice - asymptotic|")
+    _emit(config, scan.columns(), SCAN_COLUMNS, SCAN_SCHEMA)
     return status
 
 
@@ -493,11 +580,11 @@ def run_zero_mode_scan(args: argparse.Namespace) -> int:
             p_out = 1.0 - ps if window_holds_second else ps
             return asym.zero_mode_tables(p_out, n_list, params, ell)
 
-    data = _scan([(m, p, model.DEFECT) for p in p_list], n_list, ell, lattice, closed_form)
+    scan = _scan([(m, p, model.DEFECT) for p in p_list], n_list, ell, lattice, closed_form)
     status = EXIT_OK
     if config["mode"] == "both":
-        status = _gate(data, tol, "max |lattice - asymptotic|")
-    _emit(config, _labelled(data), SCAN_COLUMNS, SCAN_SCHEMA)
+        status = scan.gate(None, tol, "max |lattice - asymptotic|")
+    _emit(config, scan.columns(), SCAN_COLUMNS, SCAN_SCHEMA)
     return status
 
 

@@ -358,11 +358,12 @@ def sector_table(grid: dict[str, np.ndarray], n: float) -> ChargeResolvedTable:
     )
 
 
-def _tabulate(lambdas: np.ndarray, n_list) -> dict[str, np.ndarray]:
+def _tabulate(lambdas: np.ndarray, n_list, names: np.ndarray | None = None) -> dict:
     """The per-sector grid of a ``(W, M)`` stack of spectra over
     ``q = 0 .. M``, with the lattice's own row totals ``S``, ``total_renyi``
     and ``mean`` and the partition functions ``zn``.  ``Z_1``, ``G`` and the
-    von Neumann columns are shared by every index."""
+    von Neumann columns are shared by every index.  An error names spectrum
+    ``i`` as ``names[i]`` (as ``i`` without ``names``)."""
     for n in n_list:
         if not n > 0:
             raise ValueError("Renyi index must be positive")
@@ -400,9 +401,11 @@ def _tabulate(lambdas: np.ndarray, n_list) -> dict[str, np.ndarray]:
             total_renyi[zero, j] = np.inf
         finite = np.isfinite(total_renyi[:, j]) & np.all(np.isfinite(renyi[:, j]), axis=1)
         if not finite.all():
+            bad = int(np.argmin(finite))
             raise NumericalError(
                 f"Renyi entropies at n = {n:g} leave double range: the partition "
-                f"functions of spectrum {int(np.argmin(finite))} underflow to 0"
+                f"functions of spectrum {bad if names is None else int(names[bad])} "
+                f"underflow to 0"
             )
     return {
         "q": np.arange(shape[2]), "occupied": occupied, "z1": z1, "vn": vn,
@@ -411,12 +414,19 @@ def _tabulate(lambdas: np.ndarray, n_list) -> dict[str, np.ndarray]:
     }
 
 
-def charge_resolved_tables(lambdas: np.ndarray, n_list) -> dict[str, np.ndarray]:
+def charge_resolved_tables(
+    lambdas: np.ndarray, n_list, rows: np.ndarray | None = None
+) -> dict[str, np.ndarray]:
     """Charge-resolved tables of a ``(W, M)`` stack of interval spectra, as
     the ``sector_columns`` of their grid: ``window`` is the row of
     ``lambdas``, ``n_index`` the position in ``n_list``, ``S_n`` the von
-    Neumann value at ``n = 1`` and ``S`` the total from the spectrum."""
-    return sector_columns(_tabulate(lambdas, n_list))
+    Neumann value at ``n = 1`` and ``S`` the total from the spectrum.  With
+    ``rows``, only the spectra ``lambdas[rows]`` are tabulated: ``window``
+    is then the position in ``rows``, and an error names a spectrum by its
+    row of ``lambdas``."""
+    if rows is None:
+        return sector_columns(_tabulate(lambdas, n_list))
+    return sector_columns(_tabulate(np.asarray(lambdas)[rows], n_list, rows))
 
 
 def charge_resolved_table(lambdas: np.ndarray, n: float) -> ChargeResolvedTable:

@@ -262,6 +262,24 @@ class _Blocks:
         row = (slot * (self.count + 2) + bi + 1) * self.size + self.pos[rows]
         return np.where(inside, row * self.size + self.pos[cols], 0), inside
 
+    def band(self, x: np.ndarray, width: int) -> np.ndarray:
+        """``FilledSea.band`` of the matrix ``x``: ``-x / 2`` on the entries
+        in its stored blocks, 0 off them, rows past the last cell repeating
+        it.  A band row's cells depend only on its block row of ``width``,
+        so the rows of one block row that lie in one block share one column
+        index each: the index is a row part plus its run's column part."""
+        n = self.block.size
+        rows = np.minimum(np.arange(-(-n // width) * width), n - 1)
+        bi, brow = self.block[rows], np.arange(rows.size) // width
+        start = np.flatnonzero(np.r_[True, (brow[1:] != brow[:-1]) | (bi[1:] != bi[:-1])])
+        cols = ((brow[start] - 1)[:, None] * width + np.arange(3 * width)) % n
+        slot = (self.block[cols] - bi[start, None] + 1) % self.count
+        inside = slot < 3
+        col_part = np.where(inside, slot * ((self.count + 2) * self.size**2) + self.pos[cols], 0)
+        run = np.repeat(np.arange(start.size), np.diff(np.append(start, rows.size)))
+        row_part = ((bi + 1) * self.size + self.pos[rows]) * self.size
+        return np.where(inside[run], -0.5 * x.take(row_part[:, None] + col_part[run]), 0.0)
+
     def vectors(self, x: np.ndarray) -> np.ndarray:
         """Columns ``x`` (``n x k``) as ``(count, size, k)`` padded blocks."""
         out = np.zeros((self.count, self.size, x.shape[1]))
@@ -448,11 +466,5 @@ def polar_sea(block: BandedBlock, width: int, threshold: float, cells: int,
         ring = _ring(vb)
         for slot in range(3):
             x[slot, 1:-1] -= xv @ _t(ring[slot : slot + lay.count])
-    rows = np.arange(-(-n // width) * width)
-    start = (rows // width - 1) * width
-    cols = (start[:, None] + np.arange(3 * width)) % n
-    rows = np.minimum(rows, n - 1)[:, None]
-    index, inside = lay.place(rows, cols)
-    band = np.where(inside, -0.5 * x.take(index), 0.0)
-    return FilledSea(width=width, filled=filled, band=band, u0=u0, v0=v0,
+    return FilledSea(width=width, filled=filled, band=lay.band(x, width), u0=u0, v0=v0,
                      splittings=inner.singular_values, steps=steps)

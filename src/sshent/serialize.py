@@ -12,8 +12,11 @@ column's dtype says how its values are written:
 - integer: decimal.
 - bool: ``true``/``false``.
 - anything else: strings, written as they are in the CSV and escaped as
-  JSON strings in the JSON.  A string column whose rows already index a
-  few labels can be given as ``Labels``: its labels and those indices.
+  JSON strings in the JSON.
+
+A column whose rows already index a few values can be given as ``Labels``:
+those values (a list of strings, or an array written as above) and each
+row's index into them, so only the values are sorted and spelled.
 
 The CSV begins with a ``#schema=`` comment line followed by a header row, so
 identical inputs give byte-identical files.  The JSON mirror carries the rows
@@ -79,10 +82,28 @@ class _Column:
 
 @dataclass(frozen=True)
 class Labels:
-    """A string column as its labels (strings) and each row's index into them."""
+    """A column as a few values and each row's index into them.  ``labels``
+    is a list of strings, each written as it is, or an array, whose distinct
+    values are written as its dtype says."""
 
-    labels: Sequence[str]
+    labels: Sequence[str] | np.ndarray
     codes: np.ndarray
+
+
+def _kind(col: Any) -> str:
+    """The dtype kind a column is written as; "U" for string labels."""
+    if isinstance(col, Labels):
+        return col.labels.dtype.kind if isinstance(col.labels, np.ndarray) else "U"
+    return col.dtype.kind
+
+
+def _factored(values_of, col: Any) -> tuple[Any, np.ndarray]:
+    """``values_of`` of an array column; of a ``Labels`` column's values,
+    with each row's index composed through its code."""
+    if not isinstance(col, Labels):
+        return values_of(col)
+    values, codes = values_of(col.labels)
+    return values, _index(codes.reshape(-1), len(values))[np.asarray(col.codes)]
 
 
 @dataclass(frozen=True)
@@ -297,7 +318,7 @@ def _render_floats(cols: list[np.ndarray]) -> list[_Column]:
     FLOAT_CHUNK rows at a time."""
     regular, factored = [], []
     for col in cols:
-        values, codes = _float_values(col)
+        values, codes = _factored(_float_values, col)
         k = int(np.count_nonzero(np.isfinite(values) & (values != 0.0)))
         regular.append(values[:k])
         factored.append((k, values[k:].tolist(), _index(codes, len(values))))
@@ -335,11 +356,11 @@ def _index(a: np.ndarray, size: int) -> np.ndarray:
 def _render_column(col: Any) -> _Column:
     """A column's vocabulary: the CSV spelling of every value, then the JSON
     spellings that differ from it."""
-    if isinstance(col, Labels):
-        kind, values, codes = "U", list(col.labels), np.asarray(col.codes)
+    kind = _kind(col)
+    if kind == "U" and isinstance(col, Labels):
+        values, codes = list(col.labels), np.asarray(col.codes)
     else:
-        kind = col.dtype.kind
-        values, codes = _values(col)
+        values, codes = _factored(_values, col)
     json_tokens = [] if kind in "iub" else list(map(json.dumps, values))
     if kind in "iu":
         values = list(map(str, values.tolist()))
@@ -354,7 +375,7 @@ def render(columns: Sequence[str], data: Mapping[str, Any]) -> Rendering:
     """Spell the named columns of ``data`` for ``write_csv``, ``write_json``
     and ``stream_csv``."""
     cols = [data[c] if isinstance(data[c], Labels) else np.asarray(data[c]) for c in columns]
-    is_float = [not isinstance(col, Labels) and col.dtype.kind == "f" for col in cols]
+    is_float = [_kind(col) == "f" for col in cols]
     floats = iter(_render_floats([col for col, f in zip(cols, is_float) if f]))
     parts = [next(floats) if f else _render_column(col) for col, f in zip(cols, is_float)]
     lengths = {len(p.codes) for p in parts}

@@ -117,9 +117,12 @@ def level_spacing(k: float) -> float:
 def modulus_from_spacing(spacing: float) -> tuple[float, float]:
     """Invert ``spacing = pi K(k')/K(k)`` for ``k`` by bisection.
 
-    The map is a bijection (0, inf) -> (0, 1), so the root is unique; 200
-    halvings of [0, 1] pin it to machine precision.  Memoized: parameter
-    scans hit the same few spacings over and over.
+    The map is a bijection (0, inf) -> (0, 1), so the root is unique; halving
+    [0, 1] pins it to machine precision.  A halving is a function of
+    ``(lo, hi)`` alone, so the first one that leaves them as they were would
+    leave them so for good: the loop stops there, after about 55 halvings
+    (200 at most).  Memoized: parameter scans hit the same few spacings over
+    and over.
     """
     if not spacing > 0.0:
         raise ValueError("level spacing must be positive")
@@ -129,7 +132,11 @@ def modulus_from_spacing(spacing: float) -> tuple[float, float]:
         if mid <= 0.0 or mid >= 1.0:
             break
         if level_spacing(mid) > spacing:
+            if mid == lo:
+                break
             lo = mid
+        elif mid == hi:
+            break
         else:
             hi = mid
     k = 0.5 * (lo + hi)

@@ -10,12 +10,13 @@ import numpy as np
 from scipy.integrate import quad
 
 import sshent
-from sshent import aklt
+from sshent import aklt, cli
 from sshent import asymptotics as asym
 from sshent import entanglement as ent
 from sshent import groundstate as gs
 from sshent import model
 from sshent import serialize
+from sshent import specialfn as sf
 from sshent.linalg import ChiralSystem, NumericalError, chiral_svd
 
 
@@ -70,6 +71,32 @@ def elliptic_integral_quadrature(k):
     )
     assert err < 1e-10
     return val
+
+
+def modulus_from_spacing_200(spacing):
+    """``specialfn.modulus_from_spacing`` as 200 halvings of [0, 1], every one
+    of them taken."""
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid <= 0.0 or mid >= 1.0:
+            break
+        if sf.level_spacing(mid) > spacing:
+            lo = mid
+        else:
+            hi = mid
+    k = 0.5 * (lo + hi)
+    return k, math.sqrt((1.0 - k) * (1.0 + k))
+
+
+def band_by_place(lay, x, width):
+    """``linalg._Blocks.band`` entry by entry: every band entry's flat index
+    and block test from ``lay.place``."""
+    n = lay.block.size
+    rows = np.arange(-(-n // width) * width)
+    cols = ((rows // width - 1) * width)[:, None] + np.arange(3 * width)
+    index, inside = lay.place(np.minimum(rows, n - 1)[:, None], cols % n)
+    return np.where(inside, -0.5 * x.take(index), 0.0)
 
 
 def srpf_by_flux_quadrature(lambdas, n, n_points=4096):
@@ -798,6 +825,35 @@ def scan_rows(points, n_list, ell, lattice, closed_form):
                 rows.extend(sector_rows(sectors, i, j, source="asymptotic", **at))
     fill_deviations(rows)
     return sort_rows(rows)
+
+
+class RowScan:
+    """``cli._scan`` by the row path: ``cli._sector_rows`` of every point
+    (the lattice tables of all windows), then ``cli._fill_deviations`` on
+    (point, n, q) and ``cli._sort_rows``; the gate reads every row of the
+    bulk points.  It stands in for ``cli._scan`` with the same arguments."""
+
+    def __init__(self, points, n_list, ell, lattice, closed_form):
+        points = list(points)
+        parts = []
+        if lattice:
+            sectors = ent.charge_resolved_tables(lattice(points), n_list)
+            parts.append(cli._sector_rows(sectors, cli.LATTICE, points, n_list, ell))
+        if closed_form:
+            parts.append(cli._sector_rows(closed_form(points), cli.ASYMPTOTIC, points, n_list, ell))
+        data = {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+        cli._fill_deviations(data)
+        self.data = cli._sort_rows(data)
+
+    def gate(self, bulk, tol, label):
+        data = self.data
+        if bulk is not None:
+            in_bulk = bulk[data["point"]]
+            data = {name: col[in_bulk] for name, col in data.items()}
+        return cli._gate(data, tol, label)
+
+    def columns(self):
+        return cli._labelled(dict(self.data))
 
 
 def dimerized_rows(ell, n_list, p_list):

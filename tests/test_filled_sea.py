@@ -19,7 +19,7 @@ from sshent import groundstate as gs
 
 from conftest import ELL, sea_of
 from oracles import dense_correlation_matrix, dense_eigensystem, dense_localized_zero_modes
-from oracles import dense_occupied_orbitals
+from oracles import band_by_place, dense_occupied_orbitals
 
 SEA_TOL = 1e-13
 
@@ -183,6 +183,19 @@ def test_polar_sea_matches_the_eigensolve(spec):
 
 
 # ---------------------------------------------------------------- fallbacks
+
+
+@pytest.mark.parametrize("n, count, width", [(997, 7, 13), (1000, 16, 20), (61, 3, 9),
+                                               (50, 2, 5), (30, 1, 7)])
+def test_band_readout_equals_the_entrywise_gather(n, count, width):
+    """The band read by block row has the bits of the gather through
+    ``place``, on odd block counts, uneven blocks and n not a multiple of
+    the width, down to rings of one and two blocks."""
+    lay = linalg._Blocks(n, count)
+    x = np.random.default_rng(n).standard_normal((3, count + 2, lay.size, lay.size))
+    x[1, 1, 0] = 0.0  # stored zeros read as -0.0, entries off the blocks as 0.0
+    got = lay.band(x, width)
+    assert got.tobytes() == band_by_place(lay, x, width).tobytes()
 
 
 def test_too_few_blocks_fall_back(polar_calls):

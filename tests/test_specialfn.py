@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from sshent import specialfn as sf
 
-from oracles import elliptic_integral_quadrature
+from oracles import elliptic_integral_quadrature, modulus_from_spacing_200
 
 
 def test_elliptic_k_at_zero():
@@ -127,3 +127,15 @@ def test_params_validation():
         sf.EllipticParams.from_dimerization(1.0)
     with pytest.raises(ValueError):
         sf.modulus_from_spacing(0.0)
+
+
+def test_modulus_inversion_stops_where_the_halvings_do():
+    """The inversion stops at the first halving that leaves (lo, hi) as they
+    were; every later one would too, so it returns the bits of 200 halvings,
+    on a spacing grid from 1e-3 to 200 and the spacings scans invert."""
+    spacings = np.geomspace(1e-3, 200.0, 5000).tolist()
+    for delta in (0.05, 0.1, 0.3, 0.6, 0.9):
+        base = sf.EllipticParams.from_dimerization(delta).spacing
+        spacings += [n * base for n in (0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 7.5, 10.0)]
+    invert = sf.modulus_from_spacing.__wrapped__  # not the memo
+    assert [invert(s) for s in spacings] == [modulus_from_spacing_200(s) for s in spacings]
