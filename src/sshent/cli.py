@@ -21,6 +21,7 @@ import contextlib
 import io
 import json
 import math
+import numbers
 import os
 import sys
 import tempfile
@@ -55,12 +56,8 @@ class ConfigError(Exception):
     pass
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _parse_list(text: str, parse=float) -> list:
+    return [parse(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _load_config(args: argparse.Namespace, defaults: dict) -> dict:
@@ -90,9 +87,9 @@ def _load_config(args: argparse.Namespace, defaults: dict) -> dict:
         else:
             config[key] = val
     if getattr(args, "n_list", None):
-        config["n_list"] = _parse_float_list(args.n_list)
+        config["n_list"] = _parse_list(args.n_list)
     if getattr(args, "p_list", None):
-        config["p_list"] = _parse_float_list(args.p_list)
+        config["p_list"] = _parse_list(args.p_list)
     if getattr(args, "m_start", None) is not None or getattr(args, "m_stop", None) is not None:
         if args.m_start is None or args.m_stop is None:
             raise ConfigError("--m-start and --m-stop must be given together")
@@ -125,26 +122,28 @@ LATTICE, ASYMPTOTIC, DIMERIZED = range(3)
 CASES = (model.TOPOLOGICAL, model.TRIVIAL, model.DEFECT)
 
 
-def _distinct(values: list, name: str) -> list:
-    """``values``, which must be non-empty and hold no value twice: each one
-    keys its rows."""
-    if not values:
-        raise ConfigError(f"{name} is empty")
-    if len(set(values)) != len(values):
-        raise ConfigError(f"{name} repeats a value: {values}")
-    return values
+def _config_list(config: dict, key: str, what: str, integers=False, size=None) -> list:
+    """``config[key]``, a list of ``what``: floats, or with ``integers`` ints
+    (``model.integer``).  It holds ``size`` values or, without ``size``, at
+    least one and none twice, as each keys its rows.  A list of another
+    shape is a ConfigError that names ``key``."""
+    values = config[key]
+    if not isinstance(values, list) or size not in (None, len(values)):
+        raise ConfigError(f"{key} must be a list of {what}, got {values!r}")
+    if not all(isinstance(value, numbers.Real) for value in values):
+        raise ConfigError(f"{key} must hold numbers, got {values!r}")
+    parsed = [model.integer(value, key) if integers else float(value) for value in values]
+    if size is None and not parsed:
+        raise ConfigError(f"{key} is empty")
+    if size is None and len(set(parsed)) != len(parsed):
+        raise ConfigError(f"{key} repeats a value: {parsed}")
+    return parsed
 
 
 def _renyi_indices(config: dict) -> list[float]:
     """``config["n_list"]``: a list of distinct Renyi indices, each finite and
     positive."""
-    values = config["n_list"]
-    if not isinstance(values, list):
-        raise ConfigError(f"n_list must be a list of Renyi indices, got {values!r}")
-    try:
-        n_list = _distinct([float(n) for n in values], "n_list")
-    except TypeError as err:
-        raise ConfigError(f"n_list must hold numbers, got {values!r}") from err
+    n_list = _config_list(config, "n_list", "Renyi indices")
     for n in n_list:
         if not n > 0:
             raise ConfigError("Renyi index must be positive")
@@ -173,20 +172,18 @@ def _gate_settings(config: dict) -> tuple[float, int | None]:
 def _sector_rows(
     sectors: dict[str, np.ndarray], source: int, points: list, n_list: list[float], ell: int
 ) -> dict[str, np.ndarray]:
-    """``SCAN_COLUMNS``, unsorted, plus ``point``, ``n_index`` and ``paired``,
-    of sector columns (as ``ent.sector_columns`` gives them: ``window`` is
-    the point) from ``SOURCES[source]``; ``points`` holds each
-    point's ``(m, p, case)``.  ``case`` and ``source`` are held as their
-    indices ``case_index`` and ``source_index`` into ``CASES`` and
-    ``SOURCES`` until ``_labelled``.  An absent ``m`` or ``p`` is NaN in a
-    float column, which the writers write as they wrote None."""
+    """``SCAN_COLUMNS`` but ``m``, ``case`` and ``source``, unsorted, of sector
+    columns from ``SOURCES[source]`` (as ``ent.sector_columns`` gives them:
+    ``window`` is the point; ``points`` holds each point's ``(m, p, case)``),
+    plus ``point``, ``n_index``, ``paired`` and, one byte a row as
+    ``_Scan.columns`` gathers them per output row, ``case_index`` and
+    ``source_index`` into ``CASES`` and ``SOURCES``.  An absent ``p`` is NaN,
+    which the writers write as they wrote None."""
     point, n_index = sectors["window"], sectors["n_index"]
-    ms, ps, cases = zip(*points) if points else ((), (), ())
-    m = np.array(ms, dtype=float if None in ms else np.int64)
+    _, ps, cases = zip(*points)
     rows = point.size
-    case_index = np.array([CASES.index(c) for c in cases], dtype=np.int64)
+    case_index = np.array([CASES.index(c) for c in cases], dtype=np.int8)
     return {
-        "m": m[point],
         "case_index": case_index[point],
         "p": np.array(ps, dtype=float)[point],
         "q": sectors["q"],
@@ -200,7 +197,7 @@ def _sector_rows(
         "dev": np.full(rows, np.nan),
         "point": point,
         "n_index": n_index,
-        "source_index": np.full(rows, source),
+        "source_index": np.full(rows, source, dtype=np.int8),
         "paired": np.zeros(rows, dtype=bool),
     }
 
@@ -226,15 +223,6 @@ def _fill_deviations(data: dict[str, np.ndarray]) -> None:
 def _sort_key(col: np.ndarray) -> np.ndarray:
     """``col`` as a sort key: an absent (NaN) m or p sorts first, as -1."""
     return np.where(np.isnan(col), -1.0, col) if col.dtype.kind == "f" else col
-
-
-def _sort_rows(data: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Rows in ``(m, p, q, n, source)`` order, an absent m or p first as -1;
-    rows with equal keys keep their order."""
-    order = np.lexsort(
-        (data["source_index"], data["n"], data["q"], _sort_key(data["p"]), _sort_key(data["m"]))
-    )
-    return {name: col[order] for name, col in data.items()}
 
 
 def _claim_outputs(paths: list[str]) -> None:
@@ -297,14 +285,6 @@ def _emit(config: dict, data: dict[str, np.ndarray], columns: list[str], schema:
         print(f"wrote {json_path}")
 
 
-def _labelled(data: dict[str, np.ndarray]) -> dict:
-    """``_sector_rows`` ready to render: ``case`` and ``source`` are their
-    label indices with the labels, so no string column is factorized."""
-    data["case"] = serialize.Labels(CASES, data.pop("case_index"))
-    data["source"] = serialize.Labels(SOURCES, data["source_index"])
-    return data
-
-
 def _scan_params(config: dict, spec: model.ChainSpec, command: str) -> sf.EllipticParams | None:
     """Validate the scan mode; elliptic parameters when closed forms are needed."""
     mode = config["mode"]
@@ -323,7 +303,9 @@ class _Scan:
     every class (``_sector_rows`` columns; ``point`` is the class) in
     ``(class, q, n, source)`` order, and ``classes`` the class of every
     point.  Output row ``i`` is table row ``row[i]`` with the ``m`` of point
-    ``point[i]``; the output rows are in ``(m, p, q, n, source)`` order."""
+    ``point[i]``; the output rows are in ``(m, p, q, n, source)`` order, an
+    absent m or p first, and rows of equal keys in the order of their
+    points."""
 
     table: dict[str, np.ndarray]
     m: np.ndarray
@@ -379,18 +361,18 @@ def _classes(case_index: np.ndarray, p: np.ndarray, spectra: np.ndarray | None) 
     return np.sort(first), np.argsort(np.argsort(first))[inverse.reshape(-1)]
 
 
-def _scan(points, n_list: list[float], ell: int, lattice, closed_form) -> _Scan:
-    """Lattice and closed-form rows over ``(m, p, case)`` points, no two of
-    which share both ``m`` and ``p``.
+def _scan(points, n_list: list[float], ell: int, lattice, closed_form, source: int) -> _Scan:
+    """The rows of ``(m, p, case)`` points from their spectra and closed forms.
 
     ``lattice(points)`` gives the stacked correlation eigenvalues of the
-    points' windows and ``closed_form(points)`` their closed-form sector
-    columns, as ``ent.sector_columns`` gives them; either may be None.  A
-    class is the points of one case and p whose clamped spectra (with the
-    lattice) have the same bytes, so equal tables, bit for bit.  The tables,
-    the closed forms, the join on (class, n, q) and the row order are worked
-    out once per class, on its first point; every point then takes its
-    class's rows with its own ``m``.
+    points' windows, whose rows are labelled ``SOURCES[source]``, and
+    ``closed_form(points)`` their closed-form sector columns, as
+    ``ent.sector_columns`` gives them; either may be None.  A class is the
+    points of one case and p whose clamped spectra (with the lattice) have
+    the same bytes, so equal tables, bit for bit.  The tables, the closed
+    forms, the join on (class, n, q) and the row order are worked out once
+    per class, on its first point; every point then takes its class's rows
+    with its own ``m``, and points that share m and p interleave theirs.
     """
     points = list(points)
     ms, ps, cases = zip(*points)
@@ -404,7 +386,7 @@ def _scan(points, n_list: list[float], ell: int, lattice, closed_form) -> _Scan:
     if lattice:
         sectors = ent.charge_resolved_tables(spectra, n_list, rows=reps)
         del spectra
-        parts.append(_sector_rows(sectors, LATTICE, rep_points, n_list, ell))
+        parts.append(_sector_rows(sectors, source, rep_points, n_list, ell))
     if closed_form:
         parts.append(_sector_rows(closed_form(rep_points), ASYMPTOTIC, rep_points, n_list, ell))
     # popped and replaced column by column, so each is freed as it is joined
@@ -416,12 +398,25 @@ def _scan(points, n_list: list[float], ell: int, lattice, closed_form) -> _Scan:
         table[name] = col[order]
     # each point, in (m, p) order, takes the run of its class's table rows
     counts = np.bincount(table["point"], minlength=reps.size)
-    by_point = np.lexsort((_sort_key(p), _sort_key(m)))
+    mp = np.stack([_sort_key(m), _sort_key(p)])
+    by_point = np.lexsort(mp[::-1])
     of_point = classes[by_point]
     runs = counts[of_point]
     shift = np.repeat((np.cumsum(counts) - counts)[of_point] - (np.cumsum(runs) - runs), runs)
-    return _Scan(table=table, m=m, classes=classes, point=np.repeat(by_point, runs),
-                 row=np.arange(shift.size) + shift)
+    point, row = np.repeat(by_point, runs), np.arange(shift.size) + shift
+    # the runs of points that share m and p (the dimerized cases) merge: one
+    # stable sort on (rank of (m, p), rank of (q, n, source)).  Where none
+    # do, the runs are in order, and a scan's rows get no per-row key.
+    new = (np.diff(mp[:, by_point], prepend=np.nan) != 0).any(axis=0)
+    if not new.all():
+        rank = np.empty_like(by_point)
+        rank[by_point] = np.cumsum(new)
+        n_rank = np.argsort(np.argsort(n_list))[table["n_index"]]
+        q = table["q"] - table["q"].min()
+        rank_qns = (q * len(n_list) + n_rank) * len(SOURCES) + table["source_index"]
+        order = np.argsort(rank[point] * (rank_qns.max() + 1) + rank_qns[row], kind="stable")
+        point, row = point[order], row[order]
+    return _Scan(table=table, m=m, classes=classes, point=point, row=row)
 
 
 def _nan_rows(data: dict[str, np.ndarray]) -> np.ndarray:
@@ -481,9 +476,10 @@ def run_scan_interval(args: argparse.Namespace) -> int:
     n_list = _renyi_indices(config)
     tol, margin = _gate_settings(config)
     if "m_list" in config:
-        m_values = _distinct([model.integer(m, "m_list") for m in config["m_list"]], "m_list")
+        m_values = _config_list(config, "m_list", "window starts", integers=True)
     else:
-        lo, hi = (model.integer(m, "m_range") for m in config.get("m_range", [1, spec.n_cells]))
+        lo, hi = (_config_list(config, "m_range", "2 window starts", integers=True, size=2)
+                  if "m_range" in config else (1, spec.n_cells))
         m_values = list(range(lo, hi + 1))
     if spec.boundary == model.OPEN:
         # keep both interval boundaries in the interior so case labels exist
@@ -525,7 +521,7 @@ def run_scan_interval(args: argparse.Namespace) -> int:
 
     cases = model.window_cases(spec, m_values, ell)
     points = ((m, None, case) for m, case in zip(m_values, cases))
-    scan = _scan(points, n_list, ell, lattice, closed_form)
+    scan = _scan(points, n_list, ell, lattice, closed_form, LATTICE)
     status = EXIT_OK
     if config["mode"] == "both":
         bulk = model.edge_distances(spec, m_values, ell) >= margin
@@ -550,7 +546,7 @@ def run_zero_mode_scan(args: argparse.Namespace) -> int:
         raise ConfigError("zero-mode-scan needs a chain with exactly two defects")
     ell = model.integer(config["window_length"], "window_length")
     n_list = _renyi_indices(config)
-    p_list = _distinct([float(p) for p in config["p_list"]], "p_list")
+    p_list = _config_list(config, "p_list", "zero-mode weights")
     params = _scan_params(config, spec, "zero-mode-scan")
     tol, _ = _gate_settings(config)
     default_start = spec.defects[0].cell - ell // 2 + 1
@@ -580,7 +576,8 @@ def run_zero_mode_scan(args: argparse.Namespace) -> int:
             p_out = 1.0 - ps if window_holds_second else ps
             return asym.zero_mode_tables(p_out, n_list, params, ell)
 
-    scan = _scan([(m, p, model.DEFECT) for p in p_list], n_list, ell, lattice, closed_form)
+    scan = _scan([(m, p, model.DEFECT) for p in p_list], n_list, ell, lattice, closed_form,
+                 LATTICE)
     status = EXIT_OK
     if config["mode"] == "both":
         status = scan.gate(None, tol, "max |lattice - asymptotic|")
@@ -592,15 +589,16 @@ def run_dimerized(args: argparse.Namespace) -> int:
     config = _load_config(args, defaults={"window_length": 20, "n_list": [1.0, 2.0]})
     ell = model.integer(config["window_length"], "window_length")
     n_list = _renyi_indices(config)
-    p_list = [float(p) for p in config.get("p_list", [])]
-    if p_list:
-        _distinct(p_list, "p_list")
-    points = [(None, None, case) for case in (model.TOPOLOGICAL, model.TRIVIAL, model.DEFECT)]
-    points += [(None, p, model.DEFECT) for p in p_list]
-    lambdas = np.array([asym.dimerized_lambdas(case, ell, p) for _, p, case in points])
-    sectors = ent.charge_resolved_tables(lambdas, n_list)
-    data = _sort_rows(_sector_rows(sectors, DIMERIZED, points, n_list, ell))
-    _emit(config, _labelled(data), SCAN_COLUMNS, SCAN_SCHEMA)
+    p_list = []  # an empty p_list adds no defect points
+    if config.get("p_list", []) != []:
+        p_list = _config_list(config, "p_list", "zero-mode weights")
+    points = [(None, None, case) for case in CASES] + [(None, p, model.DEFECT) for p in p_list]
+
+    def lattice(points: list) -> np.ndarray:
+        return np.array([asym.dimerized_lambdas(case, ell, p) for _, p, case in points])
+
+    scan = _scan(points, n_list, ell, lattice, None, DIMERIZED)
+    _emit(config, scan.columns(), SCAN_COLUMNS, SCAN_SCHEMA)
     return EXIT_OK
 
 
@@ -625,7 +623,7 @@ def run_statmech(args: argparse.Namespace) -> int:
     n_levels = spectrum.size
     center = n_levels // 2 if args.cut != "defect" else ell
     if args.q_list:
-        q_values = _parse_int_list(args.q_list)
+        q_values = _parse_list(args.q_list, int)
     else:
         q_values = list(range(center - 2, center + 3))
     q_values = [q for q in q_values if 0 < q < n_levels]
@@ -663,7 +661,7 @@ AKLT_COLUMNS = [
 def run_aklt(args: argparse.Namespace) -> int:
     config = _load_config(args, defaults={"n_list": [1.0, 2.0], "p_list": [0.1, 0.25, 0.5]})
     n_list = _renyi_indices(config)
-    p_list = _distinct([float(p) for p in config["p_list"]], "p_list")
+    p_list = _config_list(config, "p_list", "hybridization weights")
     specs = [
         (case, aklt_mod.TRIPLET, None)
         for case in (aklt_mod.TRIVIAL_PRODUCT, aklt_mod.AKLT_BULK, aklt_mod.DEFECT_INTERFACE)
@@ -795,9 +793,9 @@ def run_selftest(args: argparse.Namespace) -> int:
     checks.append(("batched zero-mode columns", same, "p = 0, a crossing weight, 1; n = 1, 2, 0.5"))
 
     # one rendering gives the same CSV written alone, beside the JSON, and to stdout
-    sectors = ent.charge_resolved_tables(asym.dimerized_lambdas("topological", 10)[None], [2.0])
-    data = _sector_rows(sectors, DIMERIZED, [(None, None, "topological")], [2.0], 10)
-    rendering = serialize.render(SCAN_COLUMNS, _labelled(data))
+    scan = _scan([(None, None, "topological")], [2.0], 10,
+                 lambda points: asym.dimerized_lambdas("topological", 10)[None], None, DIMERIZED)
+    rendering = serialize.render(SCAN_COLUMNS, scan.columns())
     with tempfile.TemporaryDirectory() as tmp:
         alone, beside = os.path.join(tmp, "alone.csv"), os.path.join(tmp, "beside.csv")
         serialize.write_csv(alone, SCAN_SCHEMA, rendering)

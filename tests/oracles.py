@@ -827,23 +827,42 @@ def scan_rows(points, n_list, ell, lattice, closed_form):
     return sort_rows(rows)
 
 
+def _sort_rows(data):
+    """Rows in ``(m, p, q, n, source)`` order, an absent m or p first as -1;
+    rows with equal keys keep their order."""
+    order = np.lexsort((data["source_index"], data["n"], data["q"],
+                        cli._sort_key(data["p"]), cli._sort_key(data["m"])))
+    return {name: col[order] for name, col in data.items()}
+
+
+def _labelled(data):
+    """Sorted rows ready to render: ``case`` and ``source`` are their label
+    indices with the labels, so no string column is factorized."""
+    data["case"] = serialize.Labels(cli.CASES, data.pop("case_index"))
+    data["source"] = serialize.Labels(cli.SOURCES, data["source_index"])
+    return data
+
+
 class RowScan:
     """``cli._scan`` by the row path: ``cli._sector_rows`` of every point
-    (the lattice tables of all windows), then ``cli._fill_deviations`` on
-    (point, n, q) and ``cli._sort_rows``; the gate reads every row of the
-    bulk points.  It stands in for ``cli._scan`` with the same arguments."""
+    (the tables of all spectra) with each point's ``m``, then
+    ``cli._fill_deviations`` on (point, n, q) and one ``_sort_rows`` of all
+    rows; the gate reads every row of the bulk points.  It stands in for
+    ``cli._scan`` with the same arguments."""
 
-    def __init__(self, points, n_list, ell, lattice, closed_form):
+    def __init__(self, points, n_list, ell, lattice, closed_form, source):
         points = list(points)
         parts = []
         if lattice:
             sectors = ent.charge_resolved_tables(lattice(points), n_list)
-            parts.append(cli._sector_rows(sectors, cli.LATTICE, points, n_list, ell))
+            parts.append(cli._sector_rows(sectors, source, points, n_list, ell))
         if closed_form:
             parts.append(cli._sector_rows(closed_form(points), cli.ASYMPTOTIC, points, n_list, ell))
         data = {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+        ms = [m for m, _, _ in points]
+        data["m"] = np.array(ms, dtype=float if None in ms else np.int64)[data["point"]]
         cli._fill_deviations(data)
-        self.data = cli._sort_rows(data)
+        self.data = _sort_rows(data)
 
     def gate(self, bulk, tol, label):
         data = self.data
@@ -853,7 +872,7 @@ class RowScan:
         return cli._gate(data, tol, label)
 
     def columns(self):
-        return cli._labelled(dict(self.data))
+        return _labelled(dict(self.data))
 
 
 def dimerized_rows(ell, n_list, p_list):

@@ -437,10 +437,10 @@ def test_scan_interval_closed_forms_equal_the_per_window_references(tmp_path, mo
     seen, built = {}, []
     scan, grid = cli._scan, asym.case_grid
 
-    def spy_scan(points, n_list, ell, lattice, closed_form):
+    def spy_scan(points, n_list, ell, lattice, closed_form, source):
         points = list(points)
         seen.update(points=points, n_list=n_list, ell=ell, closed_form=closed_form)
-        return scan(points, n_list, ell, lattice, closed_form)
+        return scan(points, n_list, ell, lattice, closed_form, source)
 
     def spy_grid(cases, n_list, params, ell):
         built.extend((case, n) for case in cases for n in n_list)
@@ -612,11 +612,21 @@ def _zero_mode_config(tmp_path, **extra):
         ("zero-mode-scan", {}, ["--tolerance", "nan"], "tolerance must be finite and above 0"),
         ("zero-mode-scan", {"tolerance": -1e-3}, [], "tolerance must be finite and above 0"),
         ("zero-mode-scan", {"bulk_margin": -1}, [], "bulk_margin must be at least 0"),
+        # config lists of the wrong shape used to end in a TypeError traceback,
+        # or (m_range [1]) in an unpacking error that named no key
+        ("dimerized", {"p_list": 0.3}, [], "p_list must be a list of zero-mode weights, got 0.3"),
+        ("dimerized", {"p_list": [None]}, [], "p_list must hold numbers, got [None]"),
+        ("zero-mode-scan", {"p_list": 0.3}, [], "p_list must be a list of zero-mode weights"),
+        ("zero-mode-scan", {"p_list": [None]}, [], "p_list must hold numbers, got [None]"),
+        ("scan-interval", {"m_list": 5}, [], "m_list must be a list of window starts, got 5"),
+        ("scan-interval", {"m_range": 5}, [], "m_range must be a list of 2 window starts, got 5"),
+        ("scan-interval", {"m_range": [1]}, [], "m_range must be a list of 2 window starts"),
     ],
 )
 def test_bad_gate_settings_are_config_errors(tmp_path, capsys, command, extra, flags, message):
     """A NaN tolerance used to pass every gate; a negative tolerance or
-    margin failed the scan as a numerical validation failure."""
+    margin failed the scan as a numerical validation failure.  Config lists
+    are read through one helper that names the key."""
     make = _zero_mode_config if command == "zero-mode-scan" else base_config
     path = write_config(tmp_path, make(tmp_path, **extra))
     assert cli.main([command, "--config", path] + flags) == cli.EXIT_CONFIG

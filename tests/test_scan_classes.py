@@ -5,7 +5,8 @@
 point's rows as codes into its class's rows.  ``oracles.RowScan`` is the
 row path it replaced: the tables of every window, one row table of all
 points, joined and sorted row by row.  Both run through the same CLI, so
-their files, stdout, stderr and exit codes must be equal byte for byte.
+their files, stdout, stderr and exit codes must be equal byte for byte,
+also for ``dimerized``, whose points share m and p.
 """
 
 import json
@@ -93,6 +94,13 @@ SCANS = {
         "scan-interval", RING1000, lambda mp: mp.setattr(lanes, "usable_cpus", lambda: 2),
     ),
     "nan-gate": ("scan-interval", RING1000, _nan_in_trivial_case),
+    # three points at (m, p) = (None, None): their rows interleave by the
+    # value of n, not its index, then by point order
+    "dimerized": ("dimerized", {}, None),
+    "dimerized-tied-points": (
+        "dimerized", {"window_length": 12, "n_list": [3, 0.5, 1, 2], "p_list": [0.5, 0.1, 0, 1]},
+        None,
+    ),
 }
 
 
@@ -146,7 +154,7 @@ def test_tables_are_built_once_per_class(tmp_path, capsys, monkeypatch):
         tabulated.append(lambdas.shape[0])
         return tabulate(lambdas, n_list, names)
 
-    def spy_scan(points, n_list, ell, lattice, closed_form):
+    def spy_scan(points, n_list, ell, lattice, closed_form, source):
         points = list(points)
         spectra = ent.clamp_lambdas(lattice(points))
         distinct = {(case, row.tobytes()) for (*_, case), row in zip(points, spectra)}
@@ -156,7 +164,7 @@ def test_tables_are_built_once_per_class(tmp_path, capsys, monkeypatch):
             closed.append(len(reps))
             return closed_form(reps)
 
-        return scan(points, n_list, ell, lattice, counted)
+        return scan(points, n_list, ell, lattice, counted, source)
 
     monkeypatch.setattr(ent, "_tabulate", spy_tabulate)
     monkeypatch.setattr(cli, "_scan", spy_scan)

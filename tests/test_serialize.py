@@ -376,10 +376,10 @@ def record(monkeypatch):
     seen = {}
     scan, emit, report = cli._scan, cli._emit, sm.equipartition_report
 
-    def spy_scan(points, n_list, ell, lattice, closed_form):
+    def spy_scan(points, n_list, ell, lattice, closed_form, source):
         points = list(points)
         seen["rows"] = scan_rows(points, n_list, ell, lattice, closed_form)
-        return scan(points, n_list, ell, lattice, closed_form)
+        return scan(points, n_list, ell, lattice, closed_form, source)
 
     def spy_emit(config, data, columns, schema):
         seen["emit"] = (copy.deepcopy(config), columns, schema)
