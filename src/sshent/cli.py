@@ -132,7 +132,10 @@ def _config_list(config: dict, key: str, what: str, integers=False, size=None) -
         raise ConfigError(f"{key} must be a list of {what}, got {values!r}")
     if not all(isinstance(value, numbers.Real) for value in values):
         raise ConfigError(f"{key} must hold numbers, got {values!r}")
-    parsed = [model.integer(value, key) if integers else float(value) for value in values]
+    try:
+        parsed = [model.integer(value, key) if integers else float(value) for value in values]
+    except OverflowError:
+        raise ConfigError(f"{key} holds a number beyond float range") from None
     if size is None and not parsed:
         raise ConfigError(f"{key} is empty")
     if size is None and len(set(parsed)) != len(parsed):

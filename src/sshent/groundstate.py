@@ -56,6 +56,17 @@ POLAR_MIN_BLOCKS = 6
 # correlation_spectra split a scan at a whole stack, so each lane's stacks
 # hold the windows, and each window's matrix the bits, of the one-lane stacks
 SPECTRA_CHUNK = 16
+# windows per batched SVD of C_AB blocks: batches of 16 scaled badly across
+# two lanes, of 128 or more well, and each gather of one batch (its C_AB
+# blocks and their band indices) stays small beside the stack buffer
+SVD_CHUNK = 8 * SPECTRA_CHUNK
+# Without its zero-column terms a window's correlation matrix is
+# [[I / 2, C_AB], [C_AB^T, I / 2]], whose spectrum is 1/2 -+ the singular values
+# of C_AB.  Those terms, -Z_A Z_A^T / 2 and -Z_B Z_B^T / 2 on the diagonal
+# blocks, have norm at most |Z_W|_F^2 / 2, and by Weyl's inequality no
+# eigenvalue moves by more: a window with |Z_W|_F^2 / 2 at most the unit
+# roundoff takes its spectrum from C_AB alone.
+CHIRAL_BOUND = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -245,11 +256,11 @@ def correlation_stacks(
     When every window covers the same cells (a sweep of the weight), the part
     no weight enters is built once and copied into each stack.
     """
-    size, fill = _window_builder(sea, spec, policy, starts, n_cells, weights)
-    buf = _stack_buffer(size, n_cells)
-    for lo in range(0, size, SPECTRA_CHUNK):
-        out = buf[: min(SPECTRA_CHUNK, size - lo)]
-        fill(out, lo)
+    chiral, fill, _ = _window_builder(sea, spec, policy, starts, n_cells, weights)
+    buf = _stack_buffer(chiral.size, n_cells)
+    for lo in range(0, chiral.size, SPECTRA_CHUNK):
+        out = buf[: min(SPECTRA_CHUNK, chiral.size - lo)]
+        fill(out, np.arange(lo, lo + len(out)))
         yield out
 
 
@@ -264,11 +275,16 @@ def _window_builder(
     starts: Sequence[int],
     n_cells: int,
     weights: Sequence[float] | None,
-) -> tuple[int, Callable[[np.ndarray, int], None]]:
-    """The window count of ``correlation_stacks`` and ``fill(out, lo)``, which
-    writes the windows ``lo .. lo + len(out) - 1`` into ``out``.  Everything
-    ``fill`` reads is built here and only read after, so fills of disjoint
-    windows into their own buffers may run at once."""
+) -> tuple[np.ndarray, Callable[[np.ndarray, np.ndarray], None], Callable[..., np.ndarray]]:
+    """``chiral``, ``fill(out, windows)`` and ``block(windows)`` of the
+    windows of ``correlation_stacks``, for ``windows`` an index array of
+    them: ``chiral[i]`` says window ``i`` takes its spectrum from
+    its C_AB block (``CHIRAL_BOUND``; never under an occupied zero mode),
+    ``fill`` writes the windows' correlation matrices into ``out`` and
+    ``block`` returns their C_AB blocks (gathered into ``out`` through the
+    band indices ``index`` where given).  Everything ``fill`` and ``block``
+    read is built here and only read after, so calls on disjoint windows
+    into their own buffers may run at once."""
     starts = np.asarray(starts, dtype=int)
     counts = window_defect_counts(spec, starts, n_cells)
     if n_cells < spec.n_cells and np.any(counts > 1):
@@ -292,18 +308,31 @@ def _window_builder(
     zeros = sea.u0, sea.v0
     eye = np.eye(n_cells)
 
-    def weightless(out: np.ndarray, rows: np.ndarray) -> None:
-        """The part of the windows over the cells ``rows`` that no zero-mode
-        weight enters: C_AB and the two diagonal blocks."""
-        cab = band[(rows * (3 * width) + rows % width)[:, :, None] + shift]
+    def block(windows: np.ndarray, out=None, index=None) -> np.ndarray:
+        rows = cells[windows]
+        at = np.add((rows * (3 * width) + rows % width)[:, :, None], shift, out=index)
+        return np.take(band, at, out=out)
+
+    if zm is None:
+        zero = np.sum(sea.u0**2, axis=1) + np.sum(sea.v0**2, axis=1)
+        chiral = 0.5 * zero[cells].sum(axis=1) <= CHIRAL_BOUND
+    else:
+        chiral = np.zeros(starts.size, dtype=bool)
+
+    def weightless(out: np.ndarray, windows: np.ndarray) -> None:
+        """The part of the windows that no zero-mode weight enters: C_AB and
+        the two diagonal blocks."""
+        cab = block(windows)
         out[:, 0::2, 1::2] = cab
         out[:, 1::2, 0::2] = cab.transpose(0, 2, 1)
-        for z, block in zip(zeros, (out[:, 0::2, 0::2], out[:, 1::2, 1::2])):
+        rows = cells[windows]
+        for z, diagonal in zip(zeros, (out[:, 0::2, 0::2], out[:, 1::2, 1::2])):
             zr = z[rows]
-            np.subtract(eye, zr @ zr.transpose(0, 2, 1), out=block)
-            block *= 0.5
+            np.subtract(eye, zr @ zr.transpose(0, 2, 1), out=diagonal)
+            diagonal *= 0.5
 
-    def outer(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def outer(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        rows = cells[windows]
         sites = (2 * rows[:, :, None] + np.arange(2)).reshape(len(rows), -1)
         return _zero_mode_outer(zm, sites)
 
@@ -311,22 +340,21 @@ def _window_builder(
         # one window under many weights: its weight-independent part and the
         # zero-mode products are built once, and each stack copies them
         fixed = np.empty((1, 2 * n_cells, 2 * n_cells))
-        weightless(fixed, cells[:1])
-        products = outer(cells[:1])
+        weightless(fixed, np.arange(1))
+        products = outer(np.arange(1))
 
-        def fill(out: np.ndarray, lo: int) -> None:
+        def fill(out: np.ndarray, windows: np.ndarray) -> None:
             out[:] = fixed
-            _add_zero_mode(out, products, p[lo : lo + len(out)], zm.phi)
+            _add_zero_mode(out, products, p[windows], zm.phi)
 
-        return starts.size, fill
+        return chiral, fill, block
 
-    def fill(out: np.ndarray, lo: int) -> None:
-        rows = cells[lo : lo + len(out)]
-        weightless(out, rows)
+    def fill(out: np.ndarray, windows: np.ndarray) -> None:
+        weightless(out, windows)
         if zm is not None:
-            _add_zero_mode(out, outer(rows), p[lo : lo + len(out)], zm.phi)
+            _add_zero_mode(out, outer(windows), p[windows], zm.phi)
 
-    return starts.size, fill
+    return chiral, fill, block
 
 
 def correlation_matrix(
@@ -350,42 +378,79 @@ def correlation_spectra(
     n_cells: int,
     weights: Sequence[float] | None = None,
 ) -> np.ndarray:
-    """Eigenvalues of the windows of ``correlation_stacks``, one row each:
-    one ``eigvalsh`` per stack and one ``clamp_lambdas`` per scan.
+    """Eigenvalues of the windows of ``correlation_stacks``, one row each,
+    by one of two routes, and one ``clamp_lambdas`` per scan.
 
-    The stacks are split into two contiguous runs, solved on two lanes
-    (``lanes.beside``), each filling its own stack buffer from the shared
-    read-only band and writing its own rows of the result.  Every stack
-    holds the same windows and bits as on one lane and each matrix's
-    ``eigvalsh`` depends on that matrix alone, so the spectra are the
-    one-lane spectra bit for bit.  A window solve that does not converge is
-    a ``NumericalError`` naming the first window of its stack; with both
-    runs failing, the earlier one's is raised, as on one lane.
+    A window whose zero columns are below ``CHIRAL_BOUND`` takes ``1/2 - s``
+    ascending and then ``1/2 + s`` ascending, ``s`` the singular values of
+    its C_AB block, in batches of up to ``SVD_CHUNK`` such windows.  Every
+    other window, and every window under an occupied zero mode, takes its
+    matrix's ``eigvalsh``, one per stack of the windows of a run of
+    ``SPECTRA_CHUNK`` that take this route.
+
+    The runs are split into two contiguous parts, solved on two lanes
+    (``lanes.beside``), each filling its own buffers from the shared
+    read-only band and writing its own rows of the result.  Every batch and
+    stack holds the same windows and bits as on one lane and each window's
+    solve depends on its own matrix alone, so the spectra are the one-lane
+    spectra bit for bit.  A solve that does not converge is a
+    ``NumericalError`` naming the first window of its stack or batch; with
+    both parts failing, the earlier one's is raised, as on one lane.
     """
     starts = np.asarray(starts, dtype=int)
-    size, fill = _window_builder(sea, spec, policy, starts, n_cells, weights)
+    chiral, fill, block = _window_builder(sea, spec, policy, starts, n_cells, weights)
+    size = chiral.size
     spectra = np.empty((size, 2 * n_cells))
 
-    def solve(lo: int, hi: int) -> None:
-        buf = _stack_buffer(hi - lo, n_cells)
+    def first_of(windows: np.ndarray) -> str:
+        return f"the first at cell {int(starts[windows[0]])}"
+
+    def buffers(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A part's stack buffer and SVD gather buffers.  They are made on
+        this thread: memory the other lane's thread allocates stays in its
+        own malloc arena once freed, where the stages after the spectra
+        cannot reuse it (made on that lane, they cost big2000 0.75 MB of
+        peak RSS)."""
+        batch = (min(SVD_CHUNK, int(np.count_nonzero(chiral[lo:hi]))), n_cells, n_cells)
+        return _stack_buffer(hi - lo, n_cells), np.empty(batch), np.empty(batch, dtype=np.intp)
+
+    def solve(lo: int, hi: int, buf: np.ndarray, cab: np.ndarray, index: np.ndarray) -> None:
         for first in range(lo, hi, SPECTRA_CHUNK):
-            stack = buf[: min(SPECTRA_CHUNK, hi - first)]
-            fill(stack, first)
+            windows = first + np.flatnonzero(~chiral[first : min(first + SPECTRA_CHUNK, hi)])
+            if not windows.size:
+                continue
+            stack = buf[: windows.size]
+            fill(stack, windows)
             try:
-                spectra[first : first + len(stack)] = np.linalg.eigvalsh(stack)
+                spectra[windows] = np.linalg.eigvalsh(stack)
             except np.linalg.LinAlgError as err:
                 raise NumericalError(
                     f"eigensolver did not converge (eigvalsh of the {2 * n_cells}x{2 * n_cells} "
-                    f"correlation matrices of windows {first}..{first + len(stack) - 1}, the "
-                    f"first at cell {int(starts[first])}): {err}"
+                    f"correlation matrices of windows {windows[0]}..{windows[-1]}, "
+                    f"{first_of(windows)}): {err}"
                 ) from err
+        chirals = lo + np.flatnonzero(chiral[lo:hi])
+        for first in range(0, chirals.size, SVD_CHUNK):
+            windows = chirals[first : first + SVD_CHUNK]
+            k = windows.size
+            try:
+                s = np.linalg.svd(block(windows, cab[:k], index[:k]), compute_uv=False)
+            except np.linalg.LinAlgError as err:
+                raise NumericalError(
+                    f"singular values did not converge (svd of the {n_cells}x{n_cells} C_AB "
+                    f"blocks of {k} windows from window {windows[0]}, "
+                    f"{first_of(windows)}): {err}"
+                ) from err
+            spectra[windows, :n_cells] = 0.5 - s
+            spectra[windows, n_cells:] = 0.5 + s[:, ::-1]
 
     stacks = -(-size // SPECTRA_CHUNK)
     if stacks < 2:
-        solve(0, size)
+        solve(0, size, *buffers(0, size))
     else:
-        split = -(-stacks // 2) * SPECTRA_CHUNK  # this thread's run is the longer
-        lanes.beside(lambda: solve(0, split), lambda: solve(split, size))
+        split = -(-stacks // 2) * SPECTRA_CHUNK  # this thread's part is the longer
+        main, other = buffers(0, split), buffers(split, size)
+        lanes.beside(lambda: solve(0, split, *main), lambda: solve(split, size, *other))
     return clamp_lambdas(spectra)
 
 

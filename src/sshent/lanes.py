@@ -1,12 +1,12 @@
 """Two lanes of work on two CPUs: the caller's thread and one more.
 
 A scan's heaviest array layers (the polar solve's batched GEMMs, the
-windows' ``eigvalsh``, file writes) release the GIL, so a second thread runs
-them beside the first: each Newton-Schulz step's Gram rows and then its
-``X M`` rows in two halves of the block rows, the window stacks in two runs,
-the JSON beside the CSV.  Each lane writes only its own outputs, so what the
-lanes compute does not depend on whether they ran together or one after the
-other.
+windows' ``eigvalsh`` and ``svd``, file writes) release the GIL, so a second
+thread runs them beside the first: each Newton-Schulz step's Gram rows and
+then its ``X M`` rows in two halves of the block rows, the windows' stacks
+and batches in two parts, the JSON beside the CSV.  Each lane writes only
+its own outputs, so what the lanes compute does not depend on whether they
+ran together or one after the other.
 """
 
 from __future__ import annotations

@@ -163,9 +163,12 @@ class ChainSpec:
 
 def integer(value, key: str) -> int:
     """``value`` as an int: an integer, or a float with an integral value such
-    as ``20.0``.  A boolean, a fractional value or anything else is a
-    ``ValueError`` that names ``key``."""
-    integral = isinstance(value, numbers.Real) and float(value).is_integer()
+    as ``20.0``.  A boolean, a fractional value, a value beyond float range
+    or anything else is a ``ValueError`` that names ``key``."""
+    try:
+        integral = isinstance(value, numbers.Real) and float(value).is_integer()
+    except OverflowError:
+        raise ValueError(f"{key} is beyond float range") from None
     if isinstance(value, bool) or not integral:
         raise ValueError(f"{key} must be an integer, got {value!r}")
     return int(value)

@@ -285,6 +285,47 @@ def _add_zero_mode_terms(c, policy, sites):
     return c
 
 
+def singular_route_atol(n_cells):
+    """How far a window on the singular-value route may be from its matrix's
+    ``eigvalsh``: ``n_cells`` eps.  Both solves are backward stable, so they
+    differ by a small multiple of the size times eps; seen: at most 11.5 eps
+    at 20 cells, 38.5 eps at 120 and 13.7 eps at 200."""
+    return n_cells * np.finfo(float).eps
+
+
+def eigvalsh_spectra(sea, spec, policy, starts, n_cells, weights=None):
+    """The windows' spectra as one ``eigvalsh`` of each correlation matrix of
+    ``correlation_stacks``, clamped: the one route every window took before
+    the singular-value route, bit for bit."""
+    stacks = gs.correlation_stacks(sea, spec, policy, starts, n_cells, weights)
+    return ent.clamp_lambdas(np.concatenate([np.linalg.eigvalsh(s) for s in stacks]))
+
+
+def assert_routes_match(lam, ref, chiral, n_cells):
+    """Spectra ``lam`` against ``eigvalsh_spectra`` ``ref``: the windows of
+    the ``eigvalsh`` route bit for bit, those of the singular-value route
+    (``chiral``) within ``singular_route_atol``."""
+    assert lam.shape == ref.shape
+    assert lam[~chiral].tobytes() == ref[~chiral].tobytes()
+    np.testing.assert_allclose(lam[chiral], ref[chiral], rtol=0.0,
+                               atol=singular_route_atol(n_cells))
+
+
+def chiral_windows(sea, spec, policy, starts, n_cells):
+    """Which windows may take their spectra from the singular values of
+    C_AB: no occupied zero mode, and half the squared Frobenius norm of the
+    zero columns on the window's cells at most the unit roundoff."""
+    starts = np.asarray(starts, dtype=int)
+    if policy.zero_mode is not None:
+        return np.zeros(starts.size, dtype=bool)
+    weights = []
+    for m in starts:
+        cells = np.asarray(model.window_cells(spec, int(m), n_cells)) - 1
+        z = np.concatenate([sea.u0[cells], sea.v0[cells]])
+        weights.append(0.5 * float(np.linalg.norm(z)) ** 2)
+    return np.array(weights) <= 2.0**-53
+
+
 # ------------------------------------------- dense N x N eigensolver reference
 
 SYMMETRY_RTOL = 1e-12

@@ -621,6 +621,9 @@ def _zero_mode_config(tmp_path, **extra):
         ("scan-interval", {"m_list": 5}, [], "m_list must be a list of window starts, got 5"),
         ("scan-interval", {"m_range": 5}, [], "m_range must be a list of 2 window starts, got 5"),
         ("scan-interval", {"m_range": [1]}, [], "m_range must be a list of 2 window starts"),
+        # a JSON integer beyond float range used to end in an OverflowError traceback
+        ("dimerized", {"n_list": [1, 10**400]}, [], "n_list holds a number beyond float range"),
+        ("dimerized", {"window_length": 10**400}, [], "window_length is beyond float range"),
     ],
 )
 def test_bad_gate_settings_are_config_errors(tmp_path, capsys, command, extra, flags, message):

@@ -16,6 +16,8 @@ from conftest import (
     two_defect_chain,
 )
 from oracles import (
+    assert_routes_match,
+    chiral_windows,
     correlation_matrix_full_block,
     dense_correlation_matrix,
     dense_eigensystem,
@@ -240,7 +242,9 @@ BUILDER_CASES = {
 def test_builder_matches_full_block(name):
     """Every window of the banded builder within 1e-14 of the rows gathered
     from the full ``u`` and ``v``; the spectra are one ``eigvalsh`` of those
-    matrices, and a one-window call equals the scan's row bit for bit."""
+    matrices (bit for bit on that route, within ``singular_route_atol`` on
+    the singular-value route), and a one-window call's eigenvalues are its
+    matrix's ``eigvalsh`` bit for bit on either route."""
     spec, policy, ell, starts = BUILDER_CASES[name]
     starts = list(starts)
     sea = sea_of(spec, ell)
@@ -255,16 +259,18 @@ def test_builder_matches_full_block(name):
         np.testing.assert_allclose(c, ref, rtol=0.0, atol=GATHER_ATOL, err_msg=str(m))
         assert np.array_equal(c, c.T)
     lam = gs.correlation_spectra(sea, spec, policy, starts, ell)
-    assert lam.tobytes() == ent.clamp_lambdas(np.linalg.eigvalsh(built)).tobytes()
+    ref = ent.clamp_lambdas(np.linalg.eigvalsh(built))
+    assert_routes_match(lam, ref, chiral_windows(sea, spec, policy, starts, ell), ell)
     for i in (0, len(starts) // 2, len(starts) - 1):
         single = gs.correlation_matrix(sea, spec, policy, (starts[i], ell))
         assert single.matrix.tobytes() == built[i].tobytes()
-        assert single.eigenvalues().tobytes() == lam[i].tobytes()
+        assert single.eigenvalues().tobytes() == ref[i].tobytes()
 
 
 @pytest.mark.parametrize("kinds", [("one_site", "one_site"), ("one_site", "three_site")])
 def test_correlation_spectra_equal_per_window_eigenvalues(kinds):
-    """The stacked eigensolve gives every window's eigenvalues bit for bit,
+    """The stacked spectra give every window's eigenvalues (bit for bit on
+    the ``eigvalsh`` route, within ``singular_route_atol`` on the other),
     over all windows of a scan and over a zero-mode weight sweep, and the
     builder's matrices are the full-block ones within 1e-14."""
     spec = two_defect_chain(0.3, kinds)
@@ -272,11 +278,12 @@ def test_correlation_spectra_equal_per_window_eigenvalues(kinds):
     policy = gs.OccupationPolicy.below_half()
     starts = range(1, spec.n_cells + 1)
     stacked = gs.correlation_spectra(sea, spec, policy, starts, 20)
-    for m, lam in zip(starts, stacked):
+    chiral = chiral_windows(sea, spec, policy, starts, 20)
+    for m, lam, on_svd in zip(starts, stacked, chiral):
         cm = gs.correlation_matrix(sea, spec, policy, (m, 20))
         ref = correlation_matrix_full_block(spec, policy, (m, 20))
         np.testing.assert_allclose(cm.matrix, ref, rtol=0.0, atol=GATHER_ATOL)
-        assert lam.tobytes() == cm.eigenvalues().tobytes()
+        assert_routes_match(lam[None], cm.eigenvalues()[None], np.array([on_svd]), 20)
     pair = gs.localized_zero_modes(sea, spec)
     weights = [0.0, 0.3, 0.5, 1.0]
     half = gs.OccupationPolicy.half(pair)

@@ -18,6 +18,7 @@ from sshent import lanes
 from sshent import model
 
 from conftest import sea_of, two_defect_chain
+from oracles import assert_routes_match, chiral_windows, eigvalsh_spectra
 
 
 @pytest.fixture
@@ -123,12 +124,38 @@ def test_two_lanes_equal_one_lane_bit_for_bit(cpus, monkeypatch, spec, start, va
     assert spectra[1].shape == (len(starts), 40)
     assert spectra[1].flags.c_contiguous and spectra[2].flags.c_contiguous
     assert spectra[1].tobytes() == spectra[2].tobytes()
-    # and both are the windows' own spectra, a stack at a time
-    stacked = np.concatenate(
-        [np.linalg.eigvalsh(s) for s in gs.correlation_stacks(sea, spec, policy, starts, 20,
-                                                              weights)]
-    )
-    assert spectra[1].tobytes() == np.clip(stacked, 0.0, 1.0).tobytes()
+    # and both are the windows' own spectra: the eigvalsh route's a stack at
+    # a time, bit for bit, and the singular-value route's within its bound
+    assert_routes_match(spectra[1], eigvalsh_spectra(sea, spec, policy, starts, 20, weights),
+                        chiral_windows(sea, spec, policy, starts, 20), 20)
+
+
+def test_both_routes_run_on_both_lanes(cpus, monkeypatch):
+    """On big2000 each half of the windows holds windows of both routes, so
+    with two CPUs the eigvalsh stacks and the SVD batches each run on two
+    threads, the batches of up to ``SVD_CHUNK`` windows."""
+    spec = _ring(2000)
+    sea = sea_of(spec)
+    threads = {"eigvalsh": set(), "svd": set()}
+    batches = []
+
+    def spy(name):
+        solve = getattr(np.linalg, name)
+
+        def run(a, *args, **kwargs):
+            threads[name].add(threading.get_ident())
+            if name == "svd":
+                batches.append(len(a))
+            return solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, run)
+
+    spy("eigvalsh")
+    spy("svd")
+    cpus(2)
+    gs.correlation_spectra(sea, spec, gs.OccupationPolicy.below_half(), range(1, 1001), 20)
+    assert [len(t) for t in threads.values()] == [2, 2]
+    assert sum(batches) == 848 and max(batches) == gs.SVD_CHUNK
 
 
 def test_lanes_under_frequent_thread_switches(cpus, sea03, chain03, below_half):
@@ -204,20 +231,53 @@ def test_cli_outputs_and_lines_are_those_of_one_lane(tmp_path, capsys, cpus, com
     ]
 
 
-def _failing_window(monkeypatch, spec, policy, m, threads):
-    """Make ``eigvalsh`` fail on the stack whose first window starts at ``m``,
-    recording the thread it failed on."""
-    sea = sea_of(spec)
-    target = gs.correlation_matrix(sea, spec, policy, (m, 20)).matrix
-    eigvalsh = np.linalg.eigvalsh
+FAILURES = {"eigvalsh": "Eigenvalues did not converge", "svd": "SVD did not converge"}
 
-    def spy(a):
+
+def _failing_solve(monkeypatch, name, m, threads):
+    """Make ``np.linalg.<name>`` (``eigvalsh`` or ``svd``) fail with
+    numpy's message on the stack or batch whose first matrix is that of the
+    window at ``m`` on the standard ring (its C_AB block for ``svd``),
+    recording the thread it failed on."""
+    spec = two_defect_chain(0.3)
+    matrix = gs.correlation_matrix(sea_of(spec), spec, gs.OccupationPolicy.below_half(),
+                                   (m, 20)).matrix
+    target = matrix[0::2, 1::2] if name == "svd" else matrix
+    solve = getattr(np.linalg, name)
+
+    def spy(a, *args, **kwargs):
         if np.array_equal(a[0], target):
             threads.append(threading.current_thread() is threading.main_thread())
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return eigvalsh(a)
+            raise np.linalg.LinAlgError(FAILURES[name])
+        return solve(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    monkeypatch.setattr(np.linalg, name, spy)
+
+
+@pytest.mark.parametrize("first_window, batch", [(1, 26), (179, 22)])
+def test_singular_value_failure_is_a_numerical_error_on_either_lane(
+    tmp_path, capsys, cpus, monkeypatch, first_window, batch
+):
+    """The 200 windows split 112 + 88: the main lane's singular-value
+    windows (cells 1, 2 and 79..102) are one batch, the other lane's (cells
+    179..200) another.  Either way the run exits 2 with the one-lane message, naming
+    the first window of the failing batch, and writes no file."""
+    threads = []
+    _failing_solve(monkeypatch, "svd", first_window, threads)
+    runs = {}
+    for count in (1, 2):
+        cpus(count)
+        runs[count] = _run(tmp_path, capsys, "scan-interval", SCANS["scan-interval"],
+                           f"cpus{count}")
+    assert runs[1] == runs[2]
+    rc, out, err, files = runs[2]
+    assert rc == cli.EXIT_VALIDATION and out == "" and files == {}
+    assert err == (
+        "numerical error: singular values did not converge (svd of the 20x20 C_AB blocks of "
+        f"{batch} windows from window {first_window - 1}, the first at cell {first_window}): "
+        "SVD did not converge\n"
+    )
+    assert threads == [True, first_window < 113]
 
 
 @pytest.mark.parametrize("first_window", [1 + 10 * gs.SPECTRA_CHUNK, 1 + 2 * gs.SPECTRA_CHUNK])
@@ -227,9 +287,8 @@ def test_window_solve_failure_is_a_numerical_error_on_either_lane(
     """The 200 windows are 13 stacks, split 7 + 6: stack 10 is the other
     lane's, stack 2 the main lane's.  Either way the run exits 2 with the one-lane message, naming
     the first window of the failing stack, and writes no file."""
-    spec = two_defect_chain(0.3)
     threads = []
-    _failing_window(monkeypatch, spec, gs.OccupationPolicy.below_half(), first_window, threads)
+    _failing_solve(monkeypatch, "eigvalsh", first_window, threads)
     runs = {}
     for count in (1, 2):
         cpus(count)
