@@ -11,7 +11,9 @@ selftest        quick end-to-end invariant suite
 
 Exit codes: 0 success, 1 configuration error, 2 numerical-validation failure
 (a failed gate, or a ``NumericalError``: an eigensolver that did not
-converge, or entropies outside double range).
+converge, or entropies outside double range), 141 when the reader of stdout
+closes it first (``| head``; the status a shell reports for a process ended
+by SIGPIPE), which prints nothing more.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ GATE_PROB_FLOOR = 1e-6
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_VALIDATION = 2
+EXIT_CLOSED_STDOUT = 141
 
 
 class ConfigError(Exception):
@@ -905,7 +908,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        # flushed here, so that a reader who closed stdout is met below and
+        # not in the interpreter's flush at exit
+        sys.stdout.flush()
+        return status
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
@@ -915,6 +922,13 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    except BrokenPipeError:
+        # stdout still holds what the reader did not take: point it at the
+        # null device, so the interpreter's flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_STDOUT
 
 
 if __name__ == "__main__":

@@ -57,8 +57,8 @@ POLAR_MIN_BLOCKS = 6
 # hold the windows, and each window's matrix the bits, of the one-lane stacks
 SPECTRA_CHUNK = 16
 # windows per batched SVD of C_AB blocks: batches of 16 scaled badly across
-# two lanes, of 128 or more well, and each gather of one batch (its C_AB
-# blocks and their band indices) stays small beside the stack buffer
+# two lanes, of 128 or more well, and each gather of one batch stays small
+# beside the stack buffer
 SVD_CHUNK = 8 * SPECTRA_CHUNK
 # Without its zero-column terms a window's correlation matrix is
 # [[I / 2, C_AB], [C_AB^T, I / 2]], whose spectrum is 1/2 -+ the singular values
@@ -67,6 +67,10 @@ SVD_CHUNK = 8 * SPECTRA_CHUNK
 # eigenvalue moves by more: a window with |Z_W|_F^2 / 2 at most the unit
 # roundoff takes its spectrum from C_AB alone.
 CHIRAL_BOUND = 2.0**-53
+# The grid of the keys that propose windows to share one SVD: C_AB rounded to
+# multiples of 2^-40 (about 1e-12), far coarser than the rounding that sets
+# bulk neighbours apart.  A key only proposes; CHIRAL_BOUND decides.
+SHARE_KEY_GRID = 2.0**40
 
 
 @dataclass(frozen=True)
@@ -281,10 +285,9 @@ def _window_builder(
     them: ``chiral[i]`` says window ``i`` takes its spectrum from
     its C_AB block (``CHIRAL_BOUND``; never under an occupied zero mode),
     ``fill`` writes the windows' correlation matrices into ``out`` and
-    ``block`` returns their C_AB blocks (gathered into ``out`` through the
-    band indices ``index`` where given).  Everything ``fill`` and ``block``
-    read is built here and only read after, so calls on disjoint windows
-    into their own buffers may run at once."""
+    ``block`` returns their C_AB blocks in a new array.  Everything
+    ``fill`` and ``block`` read is built here and only read after, so calls
+    on disjoint windows into their own buffers may run at once."""
     starts = np.asarray(starts, dtype=int)
     counts = window_defect_counts(spec, starts, n_cells)
     if n_cells < spec.n_cells and np.any(counts > 1):
@@ -303,15 +306,16 @@ def _window_builder(
     offsets = np.arange(n_cells)
     cells = (starts[:, None] - 1 + offsets) % spec.n_cells
     width = sea.width
-    band = sea.band.ravel()
-    shift = offsets - offsets[:, None] + width  # band column of Q[r, r + j - i], less r % width
+    # row i of a window's C_AB is the n_cells entries of band row r = cells[i]
+    # from the column of Q[r, r - i], r % width + width - i
+    band_rows = np.lib.stride_tricks.sliding_window_view(sea.band.ravel(), n_cells)
+    first = width - offsets
     zeros = sea.u0, sea.v0
     eye = np.eye(n_cells)
 
-    def block(windows: np.ndarray, out=None, index=None) -> np.ndarray:
+    def block(windows: np.ndarray) -> np.ndarray:
         rows = cells[windows]
-        at = np.add((rows * (3 * width) + rows % width)[:, :, None], shift, out=index)
-        return np.take(band, at, out=out)
+        return band_rows[rows * (3 * width) + rows % width + first]
 
     if zm is None:
         zero = np.sum(sea.u0**2, axis=1) + np.sum(sea.v0**2, axis=1)
@@ -383,38 +387,39 @@ def correlation_spectra(
 
     A window whose zero columns are below ``CHIRAL_BOUND`` takes ``1/2 - s``
     ascending and then ``1/2 + s`` ascending, ``s`` the singular values of
-    its C_AB block, in batches of up to ``SVD_CHUNK`` such windows.  Every
-    other window, and every window under an occupied zero mode, takes its
-    matrix's ``eigvalsh``, one per stack of the windows of a run of
-    ``SPECTRA_CHUNK`` that take this route.
+    its C_AB block.  Such windows whose blocks agree to rounding share one
+    SVD (``_svd_sources``: each takes the bytes of its group's
+    representative, the window of the group with the lowest start cell);
+    the representatives and the windows that share with none take theirs
+    in batches of up to ``SVD_CHUNK``.  Every other window, and every
+    window under an occupied zero mode, takes its matrix's ``eigvalsh``, one
+    per stack of the windows of a run of ``SPECTRA_CHUNK`` that take this
+    route.
 
-    The runs are split into two contiguous parts, solved on two lanes
-    (``lanes.beside``), each filling its own buffers from the shared
-    read-only band and writing its own rows of the result.  Every batch and
-    stack holds the same windows and bits as on one lane and each window's
-    solve depends on its own matrix alone, so the spectra are the one-lane
-    spectra bit for bit.  A solve that does not converge is a
-    ``NumericalError`` naming the first window of its stack or batch; with
-    both parts failing, the earlier one's is raised, as on one lane.
+    The groups are formed first, over all windows.  Then the runs are split
+    into two contiguous parts, solved on two lanes (``lanes.beside``), each
+    filling its own buffers from the shared read-only band and writing its
+    own rows of the result, and the windows of a group copy their
+    representative's row.  The groups depend on the set of windows alone
+    and each solve on its own matrix alone, so the spectra are the same
+    bits on one lane or two and in any order of the windows.  A solve that
+    does not converge is a ``NumericalError`` naming the first window of its
+    stack or batch; with both parts failing, the earlier one's is raised, as
+    on one lane.
     """
     starts = np.asarray(starts, dtype=int)
     chiral, fill, block = _window_builder(sea, spec, policy, starts, n_cells, weights)
     size = chiral.size
     spectra = np.empty((size, 2 * n_cells))
+    source = np.arange(size)
+    source[chiral] = _svd_sources(np.flatnonzero(chiral), starts, block, n_cells)
+    shared = source != np.arange(size)
+    own = chiral & ~shared
 
     def first_of(windows: np.ndarray) -> str:
         return f"the first at cell {int(starts[windows[0]])}"
 
-    def buffers(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """A part's stack buffer and SVD gather buffers.  They are made on
-        this thread: memory the other lane's thread allocates stays in its
-        own malloc arena once freed, where the stages after the spectra
-        cannot reuse it (made on that lane, they cost big2000 0.75 MB of
-        peak RSS)."""
-        batch = (min(SVD_CHUNK, int(np.count_nonzero(chiral[lo:hi]))), n_cells, n_cells)
-        return _stack_buffer(hi - lo, n_cells), np.empty(batch), np.empty(batch, dtype=np.intp)
-
-    def solve(lo: int, hi: int, buf: np.ndarray, cab: np.ndarray, index: np.ndarray) -> None:
+    def solve(lo: int, hi: int, buf: np.ndarray) -> None:
         for first in range(lo, hi, SPECTRA_CHUNK):
             windows = first + np.flatnonzero(~chiral[first : min(first + SPECTRA_CHUNK, hi)])
             if not windows.size:
@@ -429,12 +434,12 @@ def correlation_spectra(
                     f"correlation matrices of windows {windows[0]}..{windows[-1]}, "
                     f"{first_of(windows)}): {err}"
                 ) from err
-        chirals = lo + np.flatnonzero(chiral[lo:hi])
-        for first in range(0, chirals.size, SVD_CHUNK):
-            windows = chirals[first : first + SVD_CHUNK]
+        solved = lo + np.flatnonzero(own[lo:hi])
+        for first in range(0, solved.size, SVD_CHUNK):
+            windows = solved[first : first + SVD_CHUNK]
             k = windows.size
             try:
-                s = np.linalg.svd(block(windows, cab[:k], index[:k]), compute_uv=False)
+                s = np.linalg.svd(block(windows), compute_uv=False)
             except np.linalg.LinAlgError as err:
                 raise NumericalError(
                     f"singular values did not converge (svd of the {n_cells}x{n_cells} C_AB "
@@ -446,12 +451,62 @@ def correlation_spectra(
 
     stacks = -(-size // SPECTRA_CHUNK)
     if stacks < 2:
-        solve(0, size, *buffers(0, size))
+        solve(0, size, _stack_buffer(size, n_cells))
     else:
         split = -(-stacks // 2) * SPECTRA_CHUNK  # this thread's part is the longer
-        main, other = buffers(0, split), buffers(split, size)
-        lanes.beside(lambda: solve(0, split, *main), lambda: solve(split, size, *other))
+        # both stack buffers are made on this thread: memory the other lane's
+        # thread allocates stays in its own malloc arena once freed, where the
+        # stages after the spectra cannot reuse it (made on that lane, the
+        # parts' buffers cost big2000 0.75 MB of peak RSS)
+        main, other = _stack_buffer(split, n_cells), _stack_buffer(size - split, n_cells)
+        lanes.beside(lambda: solve(0, split, main), lambda: solve(split, size, other))
+    spectra[shared] = spectra[source[shared]]
     return clamp_lambdas(spectra)
+
+
+def _svd_sources(
+    windows: np.ndarray, starts: np.ndarray, block: Callable[..., np.ndarray], n_cells: int
+) -> np.ndarray:
+    """For each of the singular-value-route windows ``windows``, the window
+    whose singular values it takes: its group's representative, or itself.
+
+    Windows whose C_AB blocks, rounded to multiples of ``1 /
+    SHARE_KEY_GRID``, hash to the same key (a wrapping integer sum) are the
+    candidates of one group, and its window with the lowest start cell (the
+    first given, if two share it) is the representative, so the choice
+    depends on neither the order of the windows nor the lane count.  A
+    candidate joins its representative only if ``|C_AB - C_AB(rep)|_F <=
+    CHIRAL_BOUND |C_AB(rep)|_F``: the two blocks then differ by no more
+    than rounding every entry of the representative once, and by Weyl's
+    inequality for singular values no singular value moves by more.  Every
+    other window keeps its own SVD."""
+    source = windows.copy()
+    count = windows.size
+    if count < 2:
+        return source
+    keys = np.empty(count, dtype=np.uint64)
+    # odd multipliers of the golden ratio times 2^64, one per entry
+    weights = np.arange(1, 2 * n_cells**2, 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    for lo in range(0, count, SVD_CHUNK):
+        grid = block(windows[lo : lo + SVD_CHUNK])
+        grid *= SHARE_KEY_GRID
+        grid = np.rint(grid, out=grid).astype(np.int64).reshape(len(grid), -1)
+        keys[lo : lo + SVD_CHUNK] = grid.view(np.uint64) @ weights
+    order = np.lexsort((starts[windows], keys))
+    first = np.flatnonzero(np.r_[True, keys[order[1:]] != keys[order[:-1]]])
+    rep = np.empty(count, dtype=np.intp)
+    rep[order] = np.repeat(order[first], np.diff(np.r_[first, count]))
+    candidates = np.flatnonzero(rep != np.arange(count))
+    heads, head_of = np.unique(rep[candidates], return_inverse=True)
+    head_cab = block(windows[heads])
+    bound = CHIRAL_BOUND * np.sqrt(np.einsum("ijk,ijk->i", head_cab, head_cab))
+    for lo in range(0, candidates.size, SVD_CHUNK):
+        joins, head = candidates[lo : lo + SVD_CHUNK], head_of[lo : lo + SVD_CHUNK]
+        diff = block(windows[joins])
+        diff -= head_cab[head]
+        near = np.sqrt(np.einsum("ijk,ijk->i", diff, diff)) <= bound[head]
+        source[joins[near]] = windows[heads[head[near]]]
+    return source
 
 
 def _zero_mode_outer(

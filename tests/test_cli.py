@@ -786,3 +786,31 @@ def test_a_scan_does_not_load_openssl():
                          env={"PYTHONPATH": src, "PATH": ""})
     assert run.returncode == 0, run.stderr
     assert run.stdout == "False\n"
+
+
+@pytest.mark.parametrize("files", [False, True])
+def test_a_closed_stdout_exits_quietly(tmp_path, files):
+    """A reader that closes stdout early (``sshent dimerized | head -1``)
+    ends the run with ``EXIT_CLOSED_STDOUT`` and nothing on stderr: no
+    traceback, and no "Exception ignored" line from the flush at exit.  The
+    CSV stream (about 0.5 MB, more than a pipe holds) meets the closed pipe
+    after one line; a run with its CSV in a file meets it at its ``wrote``
+    line, the file written in full."""
+    n_list = ",".join(str(1 + i / 10) for i in range(1000))
+    argv = ["dimerized", "--n-list", n_list]
+    if files:
+        argv += ["--csv", str(tmp_path / "dimerized.csv")]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = f"import sys; from sshent import cli; sys.exit(cli.main({argv!r}))"
+    child = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, env={"PYTHONPATH": src, "PATH": ""})
+    if not files:
+        assert child.stdout.readline() == b"#schema=1\n"
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait() == cli.EXIT_CLOSED_STDOUT and err == b""
+    if files:
+        lines = (tmp_path / "dimerized.csv").read_text().splitlines()
+        # 3 cases x 2 sectors x 1000 indices, the last row that of the last index
+        assert len(lines) == 2 + 6000 and ",100.9," in lines[-1]

@@ -123,6 +123,8 @@ def test_two_lanes_equal_one_lane_bit_for_bit(cpus, monkeypatch, spec, start, va
         assert len(threads) == (2 if count == 2 and stacks > 1 else 1)
     assert spectra[1].shape == (len(starts), 40)
     assert spectra[1].flags.c_contiguous and spectra[2].flags.c_contiguous
+    # the groups of windows that share an SVD are formed before the lane
+    # split, so they and their representatives do not depend on the lane count
     assert spectra[1].tobytes() == spectra[2].tobytes()
     # and both are the windows' own spectra: the eigvalsh route's a stack at
     # a time, bit for bit, and the singular-value route's within its bound
@@ -130,12 +132,9 @@ def test_two_lanes_equal_one_lane_bit_for_bit(cpus, monkeypatch, spec, start, va
                         chiral_windows(sea, spec, policy, starts, 20), 20)
 
 
-def test_both_routes_run_on_both_lanes(cpus, monkeypatch):
-    """On big2000 each half of the windows holds windows of both routes, so
-    with two CPUs the eigvalsh stacks and the SVD batches each run on two
-    threads, the batches of up to ``SVD_CHUNK`` windows."""
-    spec = _ring(2000)
-    sea = sea_of(spec)
+def _spy_threads(monkeypatch):
+    """Patch ``np.linalg.eigvalsh`` and ``np.linalg.svd`` to record the
+    threads they run on, and the size of each SVD batch."""
     threads = {"eigvalsh": set(), "svd": set()}
     batches = []
 
@@ -152,10 +151,34 @@ def test_both_routes_run_on_both_lanes(cpus, monkeypatch):
 
     spy("eigvalsh")
     spy("svd")
+    return threads, batches
+
+
+def test_both_routes_run_on_both_lanes(cpus, monkeypatch):
+    """On big2000 each half of the windows holds windows of both routes, so
+    with two CPUs the eigvalsh stacks run on two threads.  Its 848
+    singular-value windows share the SVDs of two representatives, the
+    windows at cells 1 and 279 (the lowest start cell of each region between
+    the defects), both in the main lane's half.  On a defect-free N = 600
+    ring (the eigensolve's sea, whose bulk blocks are more than rounding
+    apart) each of the 300 windows is its own representative, and the SVD
+    batches of up to ``SVD_CHUNK`` windows run on two threads."""
+    spec = _ring(2000)
+    sea = sea_of(spec)
+    threads, batches = _spy_threads(monkeypatch)
     cpus(2)
-    gs.correlation_spectra(sea, spec, gs.OccupationPolicy.below_half(), range(1, 1001), 20)
-    assert [len(t) for t in threads.values()] == [2, 2]
-    assert sum(batches) == 848 and max(batches) == gs.SVD_CHUNK
+    lam = gs.correlation_spectra(sea, spec, gs.OccupationPolicy.below_half(), range(1, 1001), 20)
+    assert [len(t) for t in threads.values()] == [2, 1] and batches == [2]
+    chiral = chiral_windows(sea, spec, gs.OccupationPolicy.below_half(), range(1, 1001), 20)
+    assert chiral.sum() == 848
+    assert {row.tobytes() for row in lam[chiral]} == {lam[0].tobytes(), lam[278].tobytes()}
+
+    spec = model.ChainSpec(n_sites=600, dimerization=0.3)
+    threads, batches = _spy_threads(monkeypatch)
+    gs.correlation_spectra(sea_of(spec), spec, gs.OccupationPolicy.below_half(),
+                           range(1, 301), 20)
+    assert [len(t) for t in threads.values()] == [0, 2]
+    assert sorted(batches) == [12, 32, gs.SVD_CHUNK, gs.SVD_CHUNK]
 
 
 def test_lanes_under_frequent_thread_switches(cpus, sea03, chain03, below_half):
