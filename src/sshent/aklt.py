@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from . import entanglement as ent
-from .entanglement import _TINY, EMPTY_SECTOR_THRESHOLD, ChargeResolvedTable
+from .entanglement import _TINY, EMPTY_SECTOR_THRESHOLD
 from .linalg import NumericalError
 
 TRIVIAL_PRODUCT = "trivial_product"
@@ -160,15 +160,3 @@ def aklt_grid(specs, n_list) -> dict[str, np.ndarray]:
         "zn": zn, "renyi": renyi, "total_renyi": total_renyi,
     }
 
-
-def aklt_entropies(
-    case: str, ground_state: str = TRIPLET, n: float = 1.0, p: float | None = None
-) -> ChargeResolvedTable:
-    """Spin-z-resolved table of an interval of the AKLT/product ring: the
-    one-row ``aklt_grid``.
-
-    Charges are interval spin-z values relative to the all-zero product
-    reference; for the triplet states the defect-interval labels {0, 1} carry
-    the interface spin of the ``+1`` triplet.
-    """
-    return ent.sector_table(aklt_grid([(case, ground_state, p)], [n]), n)

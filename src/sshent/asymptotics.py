@@ -286,15 +286,6 @@ def crossing_weight(dq: int, params: EllipticParams) -> float:
     return 1.0 / (1.0 + math.exp(-params.spacing * dq))
 
 
-def zero_mode_excess_renyi(p: float, n: float) -> float:
-    """Renyi entropy excess of one shared eigenvalue pair {p, 1-p}."""
-    if n == 1.0:
-        raise ValueError("use zero_mode_excess_vn for the von Neumann value")
-    if p in (0.0, 1.0):
-        return 0.0
-    return math.log(p**n + (1.0 - p) ** n) / (1.0 - n)
-
-
 def zero_mode_excess_vn(p: float) -> float:
     """Binary entropy ``-p log p - (1-p) log(1-p)``."""
     if p in (0.0, 1.0):
@@ -392,13 +383,6 @@ def dimerized_lambdas(case: str, ell: int, zero_mode_p: float | None = None) -> 
             raise ValueError("weight must lie in [0, 1]")
         lam = [0.5, 1.0 - zero_mode_p] + [1.0] * (ell - 1) + [0.0] * (ell - 1)
     return np.asarray(lam)
-
-
-def dimerized_table(
-    case: str, ell: int, n: float, zero_mode_p: float | None = None
-) -> ChargeResolvedTable:
-    """Exact charge-resolved table of the fully dimerized limit."""
-    return ent.charge_resolved_table(dimerized_lambdas(case, ell, zero_mode_p), n)
 
 
 def case_grid(cases, n_list, params: EllipticParams, ell: int) -> dict[str, np.ndarray]:
@@ -518,20 +502,3 @@ def zero_mode_tables(ps, n_list, params: EllipticParams, ell: int) -> dict[str, 
     the weight's position in ``ps``."""
     return ent.sector_columns(_zero_mode_sectors(ps, n_list, params, ell))
 
-
-def zero_mode_table(p: float, n: float, params: EllipticParams, ell: int) -> ChargeResolvedTable:
-    """Closed-form table for a defect interval with an occupied zero mode:
-    the one-weight case of ``zero_mode_tables``.
-
-    Its partition functions are ``zero_mode_srpf``, read off the defect
-    columns, which do not depend on ``p``.
-    """
-    grid = _zero_mode_sectors([p], [n], params, ell)
-    with _double_range(n):
-        col = _defect_srpf_column(n, params)
-    zn = np.zeros((1, 1, _DQS.size))
-    zn[0, 0, grid["occupied"][0]] = [
-        _zero_mode_mix(p, n, col[dq + DQ_TRUNCATION + 1], col[dq + DQ_TRUNCATION])
-        for dq in _DQS[grid["occupied"][0]].tolist()
-    ]
-    return ent.sector_table(dict(grid, zn=zn), n)

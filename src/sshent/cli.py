@@ -34,7 +34,6 @@ import numpy as np
 from . import __version__, aklt as aklt_mod, asymptotics as asym
 from . import entanglement as ent
 from . import groundstate as gs
-from . import lanes
 from . import model
 from . import serialize
 from . import specialfn as sf
@@ -59,8 +58,16 @@ class ConfigError(Exception):
     pass
 
 
-def _parse_list(text: str, parse=float) -> list:
-    return [parse(tok) for tok in text.split(",") if tok.strip()]
+def _parse_list(text: str, flag: str, parse=float) -> list:
+    """The comma-separated values of ``flag``; a token ``parse`` refuses is a
+    ConfigError that names ``flag``."""
+    try:
+        return [parse(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        kind = "integers" if parse is int else "numbers"
+        raise ConfigError(
+            f"{flag} must be a comma-separated list of {kind}, got {text!r}"
+        ) from None
 
 
 def _load_config(args: argparse.Namespace, defaults: dict) -> dict:
@@ -90,9 +97,9 @@ def _load_config(args: argparse.Namespace, defaults: dict) -> dict:
         else:
             config[key] = val
     if getattr(args, "n_list", None):
-        config["n_list"] = _parse_list(args.n_list)
+        config["n_list"] = _parse_list(args.n_list, "--n-list")
     if getattr(args, "p_list", None):
-        config["p_list"] = _parse_list(args.p_list)
+        config["p_list"] = _parse_list(args.p_list, "--p-list")
     if getattr(args, "m_start", None) is not None or getattr(args, "m_stop", None) is not None:
         if args.m_start is None or args.m_stop is None:
             raise ConfigError("--m-start and --m-stop must be given together")
@@ -263,10 +270,9 @@ def _emit(config: dict, data: dict[str, np.ndarray], columns: list[str], schema:
     _claim_outputs([p for p in (csv_path, json_path) if p])
     rendering = serialize.render(columns, {c: data.pop(c) for c in columns})
 
-    def write_csv() -> None:
+    if csv_path:
         serialize.write_csv(csv_path, schema, rendering)
-
-    def write_json() -> None:
+    if json_path:
         payload = {
             "schema": schema,
             "columns": columns,
@@ -275,15 +281,7 @@ def _emit(config: dict, data: dict[str, np.ndarray], columns: list[str], schema:
             "versions": {"sshent": __version__, "numpy": np.__version__},
         }
         serialize.write_json(json_path, payload, rendering)
-
-    # both files read the one rendering, so the JSON is written beside the CSV
-    if csv_path and json_path:
-        lanes.beside(write_csv, write_json)
-    elif csv_path:
-        write_csv()
-    elif json_path:
-        write_json()
-    else:
+    if not (csv_path or json_path):
         serialize.stream_csv(sys.stdout, schema, rendering)
     if csv_path:
         print(f"wrote {csv_path} ({rendering.n_rows} rows)")
@@ -629,7 +627,7 @@ def run_statmech(args: argparse.Namespace) -> int:
     n_levels = spectrum.size
     center = n_levels // 2 if args.cut != "defect" else ell
     if args.q_list:
-        q_values = _parse_list(args.q_list, int)
+        q_values = _parse_list(args.q_list, "--q-list", int)
     else:
         q_values = list(range(center - 2, center + 3))
     q_values = [q for q in q_values if 0 < q < n_levels]

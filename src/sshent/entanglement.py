@@ -188,8 +188,15 @@ def _log_srpf_rows(modes: np.ndarray, n: float) -> np.ndarray:
 
 
 def _srpf_vn_rows(modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``srpf_with_vn_derivative`` of every window of a clamped mode-major
-    ``(M, W)`` stack, as ``(W, M + 1)`` rows."""
+    """Probabilities ``Z_1(q)`` and ``G(q) = -d/dn Z_n(q)|_{n=1}`` of every
+    window of a clamped mode-major ``(M, W)`` stack, as ``(W, M + 1)`` rows.
+
+    One pass of the product rule: alongside the running polynomial ``P`` it
+    carries ``D = dP/dn`` at ``n = 1``, using
+    ``d/dn[(1-lam)^n + lam^n x] = (1-lam)log(1-lam) + lam log(lam) x``.
+    Both coefficient sets are nonnegative term by term (after the overall
+    sign of ``G``), so no cancellation occurs.
+    """
     m, w = modes.shape
     f0, f1 = 1.0 - modes, modes
     fp0, fp1 = _xlogx(f0), _xlogx(f1)
@@ -226,21 +233,6 @@ def srpf(lambdas: np.ndarray, n: float) -> np.ndarray:
         raise ValueError("Renyi index must be positive")
     lam = clamp_lambdas(lambdas)
     return _srpf_rows(_modes(_rows(lam)), n).reshape(lam.shape[:-1] + (-1,))
-
-
-def srpf_with_vn_derivative(lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Probabilities ``Z_1(q)`` and ``G(q) = -d/dn Z_n(q)|_{n=1}``.
-
-    One pass of the product rule over the last axis: alongside the running
-    polynomial ``P`` we carry ``D = dP/dn`` at ``n = 1``, using
-    ``d/dn[(1-lam)^n + lam^n x] = (1-lam)log(1-lam) + lam log(lam) x``.
-    Both coefficient sets are nonnegative term-by-term (after the overall
-    sign of ``G``), so no cancellation occurs.
-    """
-    lam = clamp_lambdas(lambdas)
-    z1, g = _srpf_vn_rows(_modes(_rows(lam)))
-    shape = lam.shape[:-1] + (-1,)
-    return z1.reshape(shape), g.reshape(shape)
 
 
 @dataclass(frozen=True)

@@ -186,30 +186,38 @@ def _inner_triples(block: np.ndarray) -> ChiralSystem:
                         v=inner.v)
 
 
-def _complement(q: np.ndarray, k: int) -> np.ndarray:
-    """``k`` orthonormal columns orthogonal to the orthonormal columns of
-    ``q``, which with them span the whole space.
+def _pivoted_basis(project: Callable[[np.ndarray], np.ndarray], weight: np.ndarray,
+                   k: int) -> np.ndarray:
+    """``k`` orthonormal columns, as ``(n, k)``, spanning the range of a
+    projector ``P``: pivoted Gram-Schmidt on its columns.
 
-    Pivoted Gram-Schmidt on the columns of ``I - q q^T``: only the diagonal
-    and the column picked are formed, so the cost is O(k n f) for ``q`` of
-    shape ``(n, f)``.  Each pick is orthogonalized twice against ``q`` and
-    the columns picked before it.
+    ``project`` applies ``P`` to a column, and ``weight`` holds the squared
+    norms of its columns, the diagonal of ``P`` (updated in place).  Each
+    pick is the column of largest remaining weight, ``P e``, projected twice
+    more and orthogonalized twice against the columns picked before it; only
+    that column of ``P`` is formed.
     """
-    n = q.shape[0]
-    basis = np.empty((n, k))
-    weight = 1.0 - np.einsum("ij,ij->i", q, q)  # squared norms of the columns
+    basis = np.zeros((weight.size, k))
     for j in range(k):
-        pivot = int(np.argmax(weight))
-        col = -(q @ q[pivot])
-        col[pivot] += 1.0
+        col = np.zeros(weight.size)
+        col[int(np.argmax(weight))] = 1.0
+        col = project(col)
         done = basis[:, :j]
         for _ in range(2):
-            col -= q @ (q.T @ col)
+            col = project(col)
             col -= done @ (done.T @ col)
         col /= np.linalg.norm(col)
         basis[:, j] = col
         weight -= col * col
     return basis
+
+
+def _complement(q: np.ndarray, k: int) -> np.ndarray:
+    """``k`` orthonormal columns orthogonal to the orthonormal columns of
+    ``q``, which with them span the whole space: ``_pivoted_basis`` of
+    ``I - q q^T``, at a cost of O(k n f) for ``q`` of shape ``(n, f)``."""
+    weight = 1.0 - np.einsum("ij,ij->i", q, q)
+    return _pivoted_basis(lambda col: col - q @ (q.T @ col), weight, k)
 
 
 def eigh_sea(block: BandedBlock, width: int, threshold: float) -> FilledSea:
@@ -348,35 +356,22 @@ def _apply(x: np.ndarray, v: np.ndarray, transpose: bool = False) -> np.ndarray:
 
 def _range_basis(x: np.ndarray, k: int, pad: np.ndarray, left: bool) -> np.ndarray:
     """``k`` orthonormal columns spanning the range of the projector
-    ``P = I - X X^T`` (``left``) or ``I - X^T X``: ``_complement`` with that
-    product of ``X`` in place of ``q q^T``, applied to a column as two
-    block-tridiagonal products.  Slots where ``pad`` is set are never picked."""
+    ``P = I - X X^T`` (``left``) or ``I - X^T X``: ``_pivoted_basis`` of
+    ``P``, applied to a column as two block-tridiagonal products.  Slots
+    where ``pad`` is set are never picked."""
     shape = pad.shape + (1,)
     if left:
         weight = 1.0 - np.einsum("abij,abij->bi", x[:, 1:-1], x[:, 1:-1])
     else:
         cols = (x[2, :-2], x[1, 1:-1], x[0, 2:])  # the blocks of each block column
         weight = 1.0 - sum(np.einsum("bij,bij->bj", c, c) for c in cols)
-
-    def project(col: np.ndarray) -> np.ndarray:
-        v = col.reshape(shape)
-        return col - _apply(x, _apply(x, v, left), not left).ravel()
-
-    basis = np.zeros((pad.size, k))
     weight = weight.ravel()
     weight[pad.ravel()] = 0.0
-    for j in range(k):
-        col = np.zeros(pad.size)
-        col[int(np.argmax(weight))] = 1.0
-        col = project(col)
-        done = basis[:, :j]
-        for _ in range(2):
-            col = project(col)
-            col -= done @ (done.T @ col)
-        col /= np.linalg.norm(col)
-        basis[:, j] = col
-        weight -= col * col
-    return basis.reshape(pad.shape + (k,))
+
+    def project(col: np.ndarray) -> np.ndarray:
+        return col - _apply(x, _apply(x, col.reshape(shape), left), not left).ravel()
+
+    return _pivoted_basis(project, weight, k).reshape(pad.shape + (k,))
 
 
 def _gershgorin_norm(block: BandedBlock) -> float:

@@ -274,12 +274,6 @@ def _window_ends(spec: ChainSpec, starts: np.ndarray, n_cells: int) -> np.ndarra
     return (starts + n_cells - 2) % spec.n_cells + 1
 
 
-def window_cells(spec: ChainSpec, start_cell: int, n_cells: int) -> list[int]:
-    """Cells of the interval ``[m, m + ell - 1]``, wrapped under PBC."""
-    _window_ends(spec, [start_cell], n_cells)
-    return [(start_cell - 1 + i) % spec.n_cells + 1 for i in range(n_cells)]
-
-
 def defects_in_window(spec: ChainSpec, start_cell: int, n_cells: int) -> list[DefectSpec]:
     """Defects whose footprint intersects the window (partial overlaps count)."""
     _window_ends(spec, [start_cell], n_cells)
@@ -307,7 +301,7 @@ def edge_distances(spec: ChainSpec, starts: np.ndarray, n_cells: int) -> np.ndar
     chain, chain end; ``inf`` if there is none.
 
     The window cell nearest to a cell outside the window is an edge cell, so
-    ``edge_distance >= margin`` says that every defect lies at least
+    a distance ``>= margin`` says that every defect lies at least
     ``margin`` cells inside the interval or at least that far outside it.
     """
     starts = np.asarray(starts, dtype=int)
@@ -321,11 +315,6 @@ def edge_distances(spec: ChainSpec, starts: np.ndarray, n_cells: int) -> np.ndar
     if spec.boundary == PERIODIC:
         gaps = np.minimum(gaps, spec.n_cells - gaps)
     return gaps.min(axis=(0, 2)).astype(float)
-
-
-def edge_distance(spec: ChainSpec, start_cell: int, n_cells: int) -> float:
-    """``edge_distances`` of one interval."""
-    return float(edge_distances(spec, [start_cell], n_cells)[0])
 
 
 def window_cases(spec: ChainSpec, starts: np.ndarray, n_cells: int) -> np.ndarray:

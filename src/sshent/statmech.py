@@ -37,12 +37,6 @@ def _prepare_levels(spectrum: np.ndarray) -> tuple[np.ndarray, int]:
     return finite, frozen_occupied
 
 
-def mean_occupation(spectrum: np.ndarray, mu: float) -> float:
-    """Total mean charge ``sum 1/(exp(eps - mu) + 1)`` over finite levels."""
-    finite, frozen = _prepare_levels(spectrum)
-    return float(np.sum(occupations_from_levels(finite, mu))) + frozen
-
-
 def solve_mu(spectrum: np.ndarray, q_target: float) -> float:
     """Chemical potential pinning the mean charge to ``q_target``.
 

@@ -147,10 +147,15 @@ def window_case_from_loop(spec, m, ell):
     return model.DEFECT
 
 
+def window_cells(spec, start_cell, n_cells):
+    """Cells of the interval ``[m, m + ell - 1]``, wrapped under PBC."""
+    return [(start_cell - 1 + i) % spec.n_cells + 1 for i in range(n_cells)]
+
+
 def edge_distance_from_features(spec, m, ell):
     """Smallest gap from the window's two edge cells to a footprint cell or,
     on an open chain, a chain end, one pair at a time; ``inf`` if none."""
-    ends = (m, model.window_cells(spec, m, ell)[-1])
+    ends = (m, window_cells(spec, m, ell)[-1])
     features = [c for cs in spec._cell_footprints() for c in cs]
     if spec.boundary == model.OPEN:
         features += [1, spec.n_cells]
@@ -162,7 +167,7 @@ def edge_distance_from_features(spec, m, ell):
 
 def defects_in_window_from_cells(spec, m, ell):
     """Defects whose footprint shares a cell with the window, by set intersection."""
-    cells = set(model.window_cells(spec, m, ell))
+    cells = set(window_cells(spec, m, ell))
     return [d for d, cs in zip(spec.defects, spec._cell_footprints()) if cells & set(cs)]
 
 
@@ -176,7 +181,7 @@ def is_bulk_window_from_anchors(spec, m, ell, margin):
         d = abs(a - b)
         return min(d, spec.n_cells - d) if spec.boundary == model.PERIODIC else d
 
-    cells = model.window_cells(spec, m, ell)
+    cells = window_cells(spec, m, ell)
     inside = model.defects_in_window(spec, m, ell)
     for d in spec.defects:
         if d in inside:
@@ -202,7 +207,7 @@ def hopping_block(spec):
 def window_sites(spec, start_cell, n_cells):
     """0-based site indices of an interval of whole cells, in window order."""
     sites = []
-    for c in model.window_cells(spec, start_cell, n_cells):
+    for c in window_cells(spec, start_cell, n_cells):
         sites.extend((2 * c - 2, 2 * c - 1))
     return np.asarray(sites, dtype=int)
 
@@ -259,7 +264,7 @@ def correlation_matrix_full_block(spec, policy, window):
     ``C_AA = (I - Z_A Z_A^T) / 2``, ``C_BB = (I - Z_B Z_B^T) / 2`` and
     ``C_AB = -U_A V_B^T / 2`` over the filled columns.
     """
-    cells = np.asarray(model.window_cells(spec, *window)) - 1
+    cells = np.asarray(window_cells(spec, *window)) - 1
     chiral = chain_triples(spec)
     filled = int(np.count_nonzero(chiral.singular_values > gs.NEAR_ZERO_THRESHOLD * spec.hopping))
     u, v = chiral.u[cells], chiral.v[cells]
@@ -320,7 +325,7 @@ def chiral_windows(sea, spec, policy, starts, n_cells):
         return np.zeros(starts.size, dtype=bool)
     weights = []
     for m in starts:
-        cells = np.asarray(model.window_cells(spec, int(m), n_cells)) - 1
+        cells = np.asarray(window_cells(spec, int(m), n_cells)) - 1
         z = np.concatenate([sea.u0[cells], sea.v0[cells]])
         weights.append(0.5 * float(np.linalg.norm(z)) ** 2)
     return np.array(weights) <= 2.0**-53
@@ -549,8 +554,8 @@ def srpf_rows_row_major(lam, n):
 
 
 def srpf_vn_rows_row_major(lam):
-    """``srpf_with_vn_derivative`` of every row of a clamped ``(W, M)``
-    stack, row-major."""
+    """``Z_1(q)`` and ``G(q)`` of every row of a clamped ``(W, M)`` stack,
+    row-major."""
     w, m = lam.shape
     f0, f1 = 1.0 - lam, lam
     fp0, fp1 = ent._xlogx(f0), ent._xlogx(f1)
@@ -695,7 +700,7 @@ def zero_mode_table_loop(p, n, params, ell):
 
 
 def aklt_table_loop(case, state, n, p=None):
-    """``aklt.aklt_entropies`` from literal sector values, or for the hybrid
+    """An ``aklt.aklt_grid`` table from literal sector values, or for the hybrid
     state from the spin-z blocks of ``hybrid_interface_rdm``; its Renyi
     total is that of the sectors' partition functions."""
     if case == aklt.TRIVIAL_PRODUCT:
@@ -921,11 +926,13 @@ def dimerized_rows(ell, n_list, p_list):
     rows = []
     for case in (model.TOPOLOGICAL, model.TRIVIAL, model.DEFECT):
         for n in n_list:
-            rows.extend(table_rows(asym.dimerized_table(case, ell, n),
+            lam = asym.dimerized_lambdas(case, ell)
+            rows.extend(table_rows(ent.charge_resolved_table(lam, n),
                                    m=None, case=case, n=n, ell=ell, source="dimerized"))
     for p in p_list:
         for n in n_list:
-            rows.extend(table_rows(asym.dimerized_table(model.DEFECT, ell, n, zero_mode_p=p),
+            lam = asym.dimerized_lambdas(model.DEFECT, ell, zero_mode_p=p)
+            rows.extend(table_rows(ent.charge_resolved_table(lam, n),
                                    m=None, case=model.DEFECT, n=n, ell=ell,
                                    source="dimerized", p=p))
     return sort_rows(rows)

@@ -352,7 +352,7 @@ def test_criterion_9_aklt():
             worst,
             abs(
                 aklt.hybrid_sector_entropy(eta, 2.0)
-                - asym.zero_mode_excess_renyi(pair, 2.0)
+                - ent.total_renyi(np.array([pair]), 2.0)
             ),
         )
     assert worst <= tol

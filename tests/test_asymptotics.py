@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 
 import numpy as np
@@ -33,53 +32,58 @@ def lattice_lambdas(sea, spec, window):
 # ------------------------------------------------------------- dimerized
 
 
+def dimerized_table(case, n, zero_mode_p=None):
+    """The table of the exact |delta| = 1 spectrum of a 20-cell interval."""
+    return ent.charge_resolved_table(asym.dimerized_lambdas(case, 20, zero_mode_p), n)
+
+
 def test_dimerized_totals():
     for n in (1.0, 2.0, 3.0):
-        assert asym.dimerized_table("trivial", 20, n).total_renyi == pytest.approx(0.0, abs=1e-14)
-        assert asym.dimerized_table("topological", 20, n).total_renyi == pytest.approx(2 * LOG2, abs=1e-13)
-        assert asym.dimerized_table("defect", 20, n).total_renyi == pytest.approx(LOG2, abs=1e-13)
+        assert dimerized_table("trivial", n).total_renyi == pytest.approx(0.0, abs=1e-14)
+        assert dimerized_table("topological", n).total_renyi == pytest.approx(2 * LOG2, abs=1e-13)
+        assert dimerized_table("defect", n).total_renyi == pytest.approx(LOG2, abs=1e-13)
 
 
 def test_dimerized_sector_values():
-    t = asym.dimerized_table("topological", 20, 2.0)
+    t = dimerized_table("topological", 2.0)
     assert t.sre(20) == pytest.approx(LOG2, abs=1e-13)
     assert t.sre(19) == pytest.approx(0.0, abs=1e-13)
     assert t.sre(21) == pytest.approx(0.0, abs=1e-13)
     np.testing.assert_allclose(
         [t.probability(q) for q in (19, 20, 21)], [0.25, 0.5, 0.25], atol=1e-14
     )
-    d = asym.dimerized_table("defect", 20, 3.0)
+    d = dimerized_table("defect", 3.0)
     assert list(d.charges) == [19, 20]
     np.testing.assert_allclose(d.sre_renyi, 0.0, atol=1e-13)
     np.testing.assert_allclose(d.partition, [0.125, 0.125], atol=1e-14)
     assert d.config_entropy == pytest.approx(0.0, abs=1e-13)
     assert d.fluct_entropy == pytest.approx(LOG2, abs=1e-13)
-    top = asym.dimerized_table("topological", 20, 1.0)
+    top = dimerized_table("topological", 1.0)
     assert top.config_entropy == pytest.approx(0.5 * LOG2, abs=1e-13)
     assert top.fluct_entropy == pytest.approx(1.5 * LOG2, abs=1e-13)
 
 
 def test_dimerized_zero_mode_variants():
     for n in (1.0, 2.0):
-        t = asym.dimerized_table("defect", 20, n, zero_mode_p=0.5)
+        t = dimerized_table("defect", n, zero_mode_p=0.5)
         assert t.total_vn == pytest.approx(2 * LOG2, abs=1e-13)
         for p in (0.0, 1.0):
-            t = asym.dimerized_table("defect", 20, n, zero_mode_p=p)
+            t = dimerized_table("defect", n, zero_mode_p=p)
             assert t.total_vn == pytest.approx(LOG2, abs=1e-13)
-    t = asym.dimerized_table("defect", 20, 2.0, zero_mode_p=0.3)
+    t = dimerized_table("defect", 2.0, zero_mode_p=0.3)
     np.testing.assert_allclose(
         [t.probability(q) for q in (19, 20, 21)],
         [0.3 / 2, 1.0 / 2, 0.7 / 2],
         atol=1e-14,
     )
-    assert t.sre(20) == pytest.approx(asym.zero_mode_excess_renyi(0.3, 2.0), abs=1e-13)
+    # the sector's two states carry the pair {0.3, 0.7}
+    assert t.sre(20) == pytest.approx(-math.log(0.3**2 + 0.7**2), abs=1e-13)
 
 
 def test_zero_mode_excess_closed_forms():
     assert asym.zero_mode_excess_vn(0.5) == pytest.approx(LOG2, abs=1e-15)
-    assert asym.zero_mode_excess_renyi(0.5, 3.0) == pytest.approx(LOG2, abs=1e-14)
     assert asym.zero_mode_excess_vn(0.0) == 0.0
-    assert asym.zero_mode_excess_renyi(1.0, 2.0) == 0.0
+    assert asym.zero_mode_excess_vn(1.0) == 0.0
 
 
 # ------------------------------------------------------- boundary moments
@@ -360,39 +364,51 @@ def test_zero_mode_srpf_shift_at_extremes(params03):
         assert asym.zero_mode_srpf(0.0, 2.0, dq, params03) == pytest.approx(shifted, abs=1e-15)
 
 
+def zero_mode_sector(cols, window, q, n_index=0):
+    """The ``zero_mode_tables`` row of weight ``window``, index ``n_index``
+    and charge ``q``, as a dict of its values."""
+    (row,) = np.flatnonzero(
+        (cols["window"] == window) & (cols["n_index"] == n_index) & (cols["q"] == q)
+    )
+    return {key: col[row] for key, col in cols.items()}
+
+
 def test_zero_mode_table_vs_lattice(sea03, chain03, params03, zero_pair03):
-    for p in (0.02, 0.1, 0.5, 0.98):
+    weights = (0.02, 0.1, 0.5, 0.98)
+    ana = asym.zero_mode_tables(weights, [1.0], params03, ELL)
+    for i, p in enumerate(weights):
         policy = gs.OccupationPolicy.half(zero_pair03.with_weight(p))
         lam = gs.correlation_matrix(sea03, chain03, policy, DEFECT_WINDOW).eigenvalues()
         lat = ent.charge_resolved_table(lam, 1.0)
-        ana = asym.zero_mode_table(p, 1.0, params03, ELL)
         for dq in range(-2, 3):
-            assert lat.sre_v(ELL + dq) == pytest.approx(ana.sre_v(ELL + dq), abs=1e-3)
-            assert lat.probability(ELL + dq) == pytest.approx(
-                ana.probability(ELL + dq), abs=1e-4
-            )
-        assert lat.total_vn == pytest.approx(ana.total_vn, abs=1e-3)
+            row = zero_mode_sector(ana, i, ELL + dq)
+            assert lat.sre_v(ELL + dq) == pytest.approx(row["S_n"], abs=1e-3)
+            assert lat.probability(ELL + dq) == pytest.approx(row["Z1"], abs=1e-4)
+        assert lat.total_vn == pytest.approx(zero_mode_sector(ana, i, ELL)["S"], abs=1e-3)
 
 
 def test_zero_mode_table_reduces_to_dimerized():
     params = EllipticParams.from_dimerization(0.9999)
-    for n in (1.0, 2.0):
-        for p in (0.3, 0.5):
-            t = asym.zero_mode_table(p, n, params, 20)
-            d = asym.dimerized_table("defect", 20, n, zero_mode_p=p)
+    weights = (0.3, 0.5)
+    cols = asym.zero_mode_tables(weights, [1.0, 2.0], params, 20)
+    for j, n in enumerate((1.0, 2.0)):
+        for i, p in enumerate(weights):
+            d = dimerized_table("defect", n, zero_mode_p=p)
             for q in (19, 20, 21):
-                assert t.probability(q) == pytest.approx(d.probability(q), abs=1e-6)
-            assert t.total_vn == pytest.approx(d.total_vn, abs=1e-6)
+                row = zero_mode_sector(cols, i, q, j)
+                assert row["Z1"] == pytest.approx(d.probability(q), abs=1e-6)
+            assert zero_mode_sector(cols, i, 20, j)["S"] == pytest.approx(d.total_vn, abs=1e-6)
 
 
 def test_zero_mode_table_at_full_weight_is_the_defect_table(params03):
-    """p = 1 leaves the zero mode outside: the same sectors, bit for bit."""
-    for n in (1.0, 2.0):
-        zm = asym.zero_mode_table(1.0, n, params03, ELL)
-        at = asym.asymptotic_table("defect", n, params03, ELL)
-        for field in dataclasses.fields(zm):
-            got, want = getattr(zm, field.name), getattr(at, field.name)
-            assert np.array_equal(got, want), field.name
+    """p = 1 leaves the zero mode outside: the sector columns of the defect
+    case's closed forms, bit for bit."""
+    n_list = [1.0, 2.0]
+    zm = asym.zero_mode_tables([1.0], n_list, params03, ELL)
+    at = ent.sector_columns(asym.case_grid(["defect"], n_list, params03, ELL))
+    assert zm.keys() == at.keys()
+    for key, want in at.items():
+        assert np.array_equal(zm[key], want), key
 
 
 CLOSED_FORM_CACHES = (
@@ -410,7 +426,7 @@ def _cache_misses():
 
 
 def _zero_mode_tables(params):
-    return [asym.zero_mode_table(p, n, params, ELL) for p in (0.0, 0.3, 0.71) for n in (1.0, 2.0)]
+    return asym.zero_mode_tables([0.0, 0.3, 0.71], [1.0, 2.0], params, ELL)
 
 
 def test_zero_mode_table_same_with_cold_and_warm_cache(params03):
@@ -418,21 +434,9 @@ def test_zero_mode_table_same_with_cold_and_warm_cache(params03):
     cold = _zero_mode_tables(params03)
     warm = _zero_mode_tables(params03)
     assert all(h > 0 for h in (fn.cache_info().hits for fn in CLOSED_FORM_CACHES))
-    for a, b in zip(cold, warm):
-        for field in dataclasses.fields(a):
-            assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
-
-
-@pytest.mark.parametrize("n", [0.5, 1.0, 2.0])
-def test_zero_mode_table_partitions_are_zero_mode_srpf(params03, n):
-    """The table reads the weight-independent defect columns once; its
-    partition functions equal ``zero_mode_srpf`` bit for bit."""
-    for p in (0.0, 0.002, 0.3, 0.5, 1.0):
-        table = asym.zero_mode_table(p, n, params03, ELL)
-        want = [asym.zero_mode_srpf(p, n, int(q) - ELL, params03) for q in table.charges]
-        probs = [asym.zero_mode_srpf(p, 1.0, int(q) - ELL, params03) for q in table.charges]
-        assert table.partition.tolist() == want
-        assert table.probabilities.tolist() == probs
+    assert cold.keys() == warm.keys()
+    for key, col in cold.items():
+        assert np.array_equal(col, warm[key]), key
 
 
 def test_closed_form_caches_keep_dimerizations_apart(params03):
@@ -446,9 +450,8 @@ def test_closed_form_caches_keep_dimerizations_apart(params03):
     after_other = _zero_mode_tables(other)
     # the second dimerization finds none of the first one's entries
     assert [b - a for a, b in zip(before, _cache_misses())] == misses_alone
-    for a, b in zip(alone, after_other):
-        assert np.array_equal(a.sre_vn, b.sre_vn)
-    assert not np.array_equal(first[1].sre_vn, after_other[1].sre_vn)
+    assert np.array_equal(alone["S_n"], after_other["S_n"])
+    assert not np.array_equal(first["S_n"], after_other["S_n"])
 
 
 def _sweep_weights(params):
@@ -466,9 +469,9 @@ def _same_bits(got, want):
 @pytest.mark.parametrize("delta", [0.3, 0.9])
 def test_zero_mode_tables_match_the_per_weight_oracle(n_list, delta):
     """Every (p, n) of the batched columns is the per-weight, per-sector
-    table of ``oracles.zero_mode_table_loop``, bit for bit, and so is
-    ``zero_mode_table``: weights at both ends, within 1e-12 of them and on
-    the crossings, with n = 1 anywhere in ``n_list``."""
+    table of ``oracles.zero_mode_table_loop``, bit for bit: weights at both
+    ends, within 1e-12 of them and on the crossings, with n = 1 anywhere in
+    ``n_list``."""
     params = EllipticParams.from_dimerization(delta)
     weights = _sweep_weights(params)
     cols = asym.zero_mode_tables(weights, n_list, params, ELL)
@@ -485,22 +488,15 @@ def test_zero_mode_tables_match_the_per_weight_oracle(n_list, delta):
             for key, total in [("S", want.total_vn), ("S_c", want.config_entropy),
                                ("S_f", want.fluct_entropy)]:
                 assert _same_bits(cols[key][rows], np.full(want.charges.size, total)), (p, n, key)
-            one = asym.zero_mode_table(p, n, params, ELL)
-            for field in dataclasses.fields(one):
-                assert _same_bits(getattr(one, field.name), getattr(want, field.name)), field.name
 
 
 def test_zero_mode_tables_reject_what_the_table_rejects(params03):
     for bad in ([0.5, 1.5], [-0.1], [math.nan]):
         with pytest.raises(ValueError, match="weight must lie in"):
             asym.zero_mode_tables(bad, [1.0], params03, ELL)
-    with pytest.raises(ValueError, match="weight must lie in"):
-        asym.zero_mode_table(1.5, 1.0, params03, ELL)
     for n in (0.0, -1.0):
         with pytest.raises(ValueError, match="replica index must be positive"):
             asym.zero_mode_tables([0.5], [1.0, n], params03, ELL)
-        with pytest.raises(ValueError, match="replica index must be positive"):
-            asym.zero_mode_table(0.5, n, params03, ELL)
     empty = asym.zero_mode_tables([], [1.0], params03, ELL)
     assert all(col.size == 0 for col in empty.values())
 
@@ -512,7 +508,6 @@ def test_zero_mode_tables_reject_what_the_table_rejects(params03):
           for case in ("topological", "trivial", "defect")],
         pytest.param(lambda n, p: asym.zero_mode_tables([0.0, 0.4, 1.0], [1.0, n], p, ELL),
                      id="zero-mode-tables"),
-        pytest.param(lambda n, p: asym.zero_mode_table(0.4, n, p, ELL), id="zero-mode-table"),
     ],
 )
 def test_closed_forms_beyond_double_range_are_numerical_errors(build):

@@ -624,15 +624,28 @@ def _zero_mode_config(tmp_path, **extra):
         # a JSON integer beyond float range used to end in an OverflowError traceback
         ("dimerized", {"n_list": [1, 10**400]}, [], "n_list holds a number beyond float range"),
         ("dimerized", {"window_length": 10**400}, [], "window_length is beyond float range"),
+        # a bad token in a list flag used to give numpy's or int()'s message,
+        # which named no flag
+        ("dimerized", {}, ["--n-list", "x"],
+         "--n-list must be a comma-separated list of numbers, got 'x'"),
+        ("dimerized", {}, ["--p-list", "0.1,y"],
+         "--p-list must be a comma-separated list of numbers, got '0.1,y'"),
+        ("statmech", {}, ["--delta", "0.3", "--q-list", "1.5"],
+         "--q-list must be a comma-separated list of integers, got '1.5'"),
+        ("aklt", {}, ["--p-list", "0.1,,z"],
+         "--p-list must be a comma-separated list of numbers, got '0.1,,z'"),
     ],
 )
 def test_bad_gate_settings_are_config_errors(tmp_path, capsys, command, extra, flags, message):
     """A NaN tolerance used to pass every gate; a negative tolerance or
     margin failed the scan as a numerical validation failure.  Config lists
-    are read through one helper that names the key."""
+    are read through one helper that names the key, and list flags name the
+    flag."""
     make = _zero_mode_config if command == "zero-mode-scan" else base_config
     path = write_config(tmp_path, make(tmp_path, **extra))
-    assert cli.main([command, "--config", path] + flags) == cli.EXIT_CONFIG
+    # statmech and aklt take flags only
+    config = [] if command in ("statmech", "aklt") else ["--config", path]
+    assert cli.main([command] + config + flags) == cli.EXIT_CONFIG
     std = _no_outputs(tmp_path, capsys)
     assert std.out == ""
     assert std.err.startswith("config error: ") and message in std.err

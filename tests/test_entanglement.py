@@ -1,6 +1,8 @@
 import math
+import re
 import warnings
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from sshent.linalg import NumericalError
 from sshent.specialfn import EllipticParams
 
 import oracles
-from oracles import brute_force_sector_data, sre_vn_from_partitions, srpf_by_flux_quadrature
+from oracles import brute_force_sector_data, srpf_by_flux_quadrature
 
 lambda_arrays = st.lists(
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
@@ -119,10 +121,9 @@ def test_srpf_frozen_two_mode_example():
     """Z_2(q) for lambdas {1/4, 3/4}, enumerated by hand over the 4 patterns."""
     zq = ent.srpf(np.array([0.25, 0.75]), 2.0)
     np.testing.assert_allclose(zq, [0.03515625, 0.3203125, 0.03515625], atol=1e-15)
-    z1, g = ent.srpf_with_vn_derivative(np.array([0.25, 0.75]))
-    np.testing.assert_allclose(z1, [0.1875, 0.625, 0.1875], atol=1e-15)
-    s1 = sre_vn_from_partitions(z1[1], g[1])
-    assert s1 == pytest.approx(0.3250829733914483, abs=1e-14)
+    table = ent.charge_resolved_table(np.array([0.25, 0.75]), 1.0)
+    np.testing.assert_allclose(table.probabilities, [0.1875, 0.625, 0.1875], atol=1e-15)
+    assert table.sre_v(1) == pytest.approx(0.3250829733914483, abs=1e-14)
 
 
 def test_srpf_dimerized_tables():
@@ -152,12 +153,10 @@ def test_srpf_matches_enumeration(lam, n):
 @settings(max_examples=100, deadline=None)
 def test_sector_vn_matches_enumeration(lam):
     _, z_1, s_brute = brute_force_sector_data(lam, 1.0)
-    z1, g = ent.srpf_with_vn_derivative(lam)
-    np.testing.assert_allclose(z1, z_1, atol=1e-12)
-    for q in range(lam.size + 1):
-        if z_1[q] > 1e-9:
-            got = sre_vn_from_partitions(z1[q], g[q])
-            assert got == pytest.approx(s_brute[q], abs=1e-9)
+    table = ent.charge_resolved_table(lam, 1.0)
+    np.testing.assert_allclose(table.probabilities, z_1[table.charges], atol=1e-12)
+    for q in np.flatnonzero(z_1 > 1e-9):
+        assert table.sre_v(q) == pytest.approx(s_brute[q], abs=1e-9)
 
 
 @given(lambda_arrays, renyi_indices)
@@ -192,18 +191,17 @@ def test_flux_sum_rule(lam, n):
 @settings(max_examples=60, deadline=None)
 def test_sector_vn_vs_replica_derivative(lam):
     """Analytic data against a central difference of Z_n/Z_1^n at n = 1."""
-    z1, g = ent.srpf_with_vn_derivative(lam)
+    table = ent.charge_resolved_table(lam, 1.0)
     h = 1e-4
     zp = ent.srpf(lam, 1.0 + h)
     zm = ent.srpf(lam, 1.0 - h)
-    for q in range(lam.size + 1):
-        if z1[q] < 1e-6:
+    for q, z1 in zip(table.charges, table.probabilities):
+        if z1 < 1e-6:
             continue
-        ratio_p = zp[q] / z1[q] ** (1.0 + h)
-        ratio_m = zm[q] / z1[q] ** (1.0 - h)
+        ratio_p = zp[q] / z1 ** (1.0 + h)
+        ratio_m = zm[q] / z1 ** (1.0 - h)
         numeric = -(ratio_p - ratio_m) / (2.0 * h)
-        got = sre_vn_from_partitions(z1[q], g[q])
-        assert got == pytest.approx(numeric, abs=1e-6)
+        assert table.sre_v(q) == pytest.approx(numeric, abs=1e-6)
 
 
 def test_srpf_vs_flux_quadrature(rng):
@@ -363,12 +361,18 @@ def assert_partitions_close(got, want):
     np.testing.assert_allclose(got, want, rtol=PARTITION_RTOL, atol=0.0)
 
 
+def vn_rows(stack):
+    """``Z_1(q)`` and ``G(q)`` of a ``(W, M)`` stack of spectra, from the
+    recursion the tables run."""
+    return ent._srpf_vn_rows(ent._modes(ent.clamp_lambdas(stack)))
+
+
 @pytest.mark.parametrize("name", STACKS)
 @pytest.mark.parametrize("n", [0.5, 1.0, 2.0, 3.0])
 def test_batched_kernels_match_convolve_loops(name, n):
     stack = STACKS[name]
     zn = ent.srpf(stack, n)
-    z1, g = ent.srpf_with_vn_derivative(stack)
+    z1, g = vn_rows(stack)
     assert zn.shape == z1.shape == g.shape == (stack.shape[0], stack.shape[1] + 1)
     for w, lam in enumerate(stack):
         assert_partitions_close(zn[w], oracles.srpf_loop(lam, n))
@@ -487,11 +491,26 @@ def test_tables_equal_single_window_tables(sea03, chain03, below_half):
                 assert np.array_equal(got[key], np.broadcast_to(value, got[key].shape)), (n, key)
 
 
+def test_readme_minimal_session(capsys, sea03, chain03, below_half):
+    """The README's minimal session runs as written, on the public names, and
+    prints the values the scan engine gives its window (41, 20) at n = 2."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    (code,) = re.findall(r"A minimal session:\n\n```python\n(.*?)```", readme, re.S)
+    exec(compile(code, "README.md", "exec"), {})
+    total_vn, probability, sre = map(float, capsys.readouterr().out.split())
+    stack = gs.correlation_spectra(sea03, chain03, below_half, [41], 20)
+    cols = ent.charge_resolved_tables(stack, [2.0])
+    (row,) = np.flatnonzero(cols["q"] == 20)
+    assert total_vn == pytest.approx(cols["S"][row], abs=1e-12)
+    assert probability == pytest.approx(cols["Z1"][row], abs=1e-12)
+    assert sre == pytest.approx(cols["S_n"][row], abs=1e-12)
+
+
 @given(lambda_arrays, renyi_indices)
 @settings(max_examples=100, deadline=None)
 def test_kernels_match_convolve_loops_within_bounds(lam, n):
     assert_partitions_close(ent.srpf(lam, n), oracles.srpf_loop(lam, n))
-    z1, g = ent.srpf_with_vn_derivative(lam)
+    (z1,), (g,) = vn_rows(lam[None])
     want_z1, want_g = oracles.srpf_with_vn_derivative_loop(lam)
     assert_partitions_close(z1, want_z1)
     assert_partitions_close(g, want_g)

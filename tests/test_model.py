@@ -191,9 +191,10 @@ def test_bulk_rule_matches_anchor_rule_on_one_site_rings(cells, ell):
     spec = model.ChainSpec(
         n_sites=400, dimerization=0.3, defects=tuple(model.DefectSpec(c) for c in cells)
     )
+    distances = model.edge_distances(spec, np.arange(1, spec.n_cells + 1), ell)
     for margin in (1, 8, 15):
-        for m in range(1, spec.n_cells + 1):
-            bulk = model.edge_distance(spec, m, ell) >= margin
+        for m, distance in enumerate(distances.tolist(), start=1):
+            bulk = distance >= margin
             assert bulk == is_bulk_window_from_anchors(spec, m, ell, margin), (m, margin)
 
 
@@ -208,18 +209,20 @@ def test_bulk_flags_invariant_under_chain_reflection(kind, a):
     image = (2 * a - 3 - np.arange(n_sites)) % n_sites
     h = build_hamiltonian(spec)
     assert np.array_equal(h[np.ix_(image, image)], h)
-    for m in range(1, n_cells + 1):
-        mirror = (a - m - ell) % n_cells + 1  # start of [a - m - ell + 1, a - m]
-        assert model.edge_distance(spec, m, ell) == model.edge_distance(spec, mirror, ell), m
+    starts = np.arange(1, n_cells + 1)
+    mirrors = (a - starts - ell) % n_cells + 1  # starts of [a - m - ell + 1, a - m]
+    assert np.array_equal(model.edge_distances(spec, starts, ell),
+                          model.edge_distances(spec, mirrors, ell))
 
 
 def test_open_chain_ends_count_toward_edge_distance():
     spec = model.ChainSpec(n_sites=400, dimerization=0.3, boundary="open")
     ell = 20
-    for m in range(1, spec.n_cells - ell + 2):
-        assert model.edge_distance(spec, m, ell) == min(m - 1, spec.n_cells - (m + ell - 1))
+    starts = np.arange(1, spec.n_cells - ell + 2)
+    want = np.minimum(starts - 1, spec.n_cells - (starts + ell - 1))
+    assert model.edge_distances(spec, starts, ell).tolist() == want.tolist()
     ring = model.ChainSpec(n_sites=400, dimerization=0.3)
-    assert model.edge_distance(ring, 1, ell) == float("inf")
+    assert model.edge_distances(ring, [1], ell).tolist() == [float("inf")]
 
 
 def _random_chain(rng, boundary):
@@ -244,9 +247,9 @@ def _random_chain(rng, boundary):
 @pytest.mark.parametrize("boundary", [model.PERIODIC, model.OPEN])
 @pytest.mark.parametrize("seed", range(12))
 def test_window_arrays_match_one_window_calls(boundary, seed):
-    """``window_cases`` and ``edge_distances`` over all starts equal their
-    one-window calls and the loop oracles: windows across the seam, ell = 1,
-    and (on rings) the full ring."""
+    """``window_cases`` and ``edge_distances`` over all starts equal the
+    loop oracles, and ``window_cases`` its one-window calls: windows across
+    the seam, ell = 1, and (on rings) the full ring."""
     rng = np.random.default_rng(seed)
     spec = _random_chain(rng, boundary)
     n = spec.n_cells
@@ -256,7 +259,6 @@ def test_window_arrays_match_one_window_calls(boundary, seed):
         else:
             starts = np.arange(1, n - ell + 2)
         distances = model.edge_distances(spec, starts, ell)
-        assert distances.tolist() == [model.edge_distance(spec, m, ell) for m in starts]
         assert distances.tolist() == [edge_distance_from_features(spec, m, ell) for m in starts]
         if boundary == model.OPEN:  # labels need both cut bonds interior
             starts = starts[(starts >= 2) & (starts + ell - 1 <= n - 1)]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sshent import asymptotics as asym
+from sshent import entanglement as ent
 from sshent import statmech as sm
 from sshent.specialfn import EllipticParams
 
@@ -29,7 +30,7 @@ def test_mu_respects_constraint(params03):
     spectrum = asym.bulk_defect_spectrum(params03, 10)
     for q in (8, 9, 10, 11):
         mu = sm.solve_mu(spectrum, q)
-        assert sm.mean_occupation(spectrum, mu) == pytest.approx(q, abs=1e-10)
+        assert np.sum(ent.occupations_from_levels(spectrum, mu)) == pytest.approx(q, abs=1e-10)
 
 
 def test_mu_out_of_range_rejected():
@@ -43,7 +44,8 @@ def test_sentinel_levels_carry_integer_charge():
     spectrum = np.array([-np.inf, -np.inf, -1.0, 1.0, np.inf])
     mu = sm.solve_mu(spectrum, 3.0)
     assert mu == pytest.approx(0.0, abs=1e-10)
-    assert sm.mean_occupation(spectrum, mu) == pytest.approx(3.0, abs=1e-10)
+    # a -inf level is occupied and a +inf level empty at every mu
+    assert np.sum(ent.occupations_from_levels(spectrum, mu)) == pytest.approx(3.0, abs=1e-10)
 
 
 def test_level_at_mu_contributes_log2():
