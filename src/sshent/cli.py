@@ -740,6 +740,18 @@ def run_selftest(args: argparse.Namespace) -> int:
             dev = max(dev, abs(lat.sre(20 + dq) - at.sre(20 + dq)))
     check("lattice vs asymptotics", dev, 1e-3)
 
+    # a weight sweep's reduced window against each weight's own eigvalsh, within
+    # the route's bound and as much again for the two solves' backward errors
+    pair = gs.localized_zero_modes(sea, spec).with_weight(1.0, 0.7)
+    ps = [0.0, 0.3, 1.0]
+    sweep = gs.correlation_spectra(sea, spec, gs.OccupationPolicy.half(pair), [41] * 3, 20, ps)
+    dev = 0.0
+    for p, lam in zip(ps, sweep):
+        policy = gs.OccupationPolicy.half(pair.with_weight(p, 0.7))
+        want = gs.correlation_matrix(sea, spec, policy, (41, 20)).eigenvalues()
+        dev = max(dev, float(np.max(np.abs(lam - want))))
+    check("zero-mode sweep vs per-weight eigvalsh", dev, 2 * 40 * gs.SWEEP_BOUND)
+
     # the banded polar solve against the eigensolve, on a ring of 8 blocks
     spec = model.ChainSpec(
         n_sites=1000, dimerization=0.3,

@@ -60,6 +60,10 @@ SPECTRA_CHUNK = 16
 # two lanes, of 128 or more well, and each gather of one batch stays small
 # beside the stack buffer
 SVD_CHUNK = 8 * SPECTRA_CHUNK
+# weights per eigvalsh call of a sweep's reduced matrices (18 x 18 on the
+# benchmark's window at ell = 20): stacks of 16 solved slower on two lanes than
+# on one, of 32 to 250 about 1.4 times faster
+SWEEP_CHUNK = 8 * SPECTRA_CHUNK
 # Without its zero-column terms a window's correlation matrix is
 # [[I / 2, C_AB], [C_AB^T, I / 2]], whose spectrum is 1/2 -+ the singular values
 # of C_AB.  Those terms, -Z_A Z_A^T / 2 and -Z_B Z_B^T / 2 on the diagonal
@@ -71,6 +75,13 @@ CHIRAL_BOUND = 2.0**-53
 # multiples of 2^-40 (about 1e-12), far coarser than the rounding that sets
 # bulk neighbours apart.  A key only proposes; CHIRAL_BOUND decides.
 SHARE_KEY_GRID = 2.0**40
+# A weight sweep's tolerance, per row of the window's n x n matrix and in
+# units of the norm of its weightless part F.  eigvalsh is backward stable:
+# its eigenvalues are those of a matrix within a small multiple of n eps |C|_2
+# of the one it is given.  The sweep route reduces F to a Krylov space and
+# drops what couples it to the complement only where that moves no eigenvalue
+# by more than n eps |F|_2 (Weyl), so its spectra stay in that class.
+SWEEP_BOUND = 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -256,11 +267,10 @@ def correlation_stacks(
     diagnostic, which may hold two defects) take the same path.  An occupied
     zero mode adds its projector, at weight ``weights[i]`` in window ``i`` if
     given; its phase enters only through the real interference term, the
-    imaginary part being antisymmetric and as small.
-    When every window covers the same cells (a sweep of the weight), the part
-    no weight enters is built once and copied into each stack.
+    imaginary part being antisymmetric and as small.  ``weights`` need an
+    occupied zero mode and one weight per window (``ValueError`` otherwise).
     """
-    chiral, fill, _ = _window_builder(sea, spec, policy, starts, n_cells, weights)
+    chiral, fill, _, _ = _window_builder(sea, spec, policy, starts, n_cells, weights)
     buf = _stack_buffer(chiral.size, n_cells)
     for lo in range(0, chiral.size, SPECTRA_CHUNK):
         out = buf[: min(SPECTRA_CHUNK, chiral.size - lo)]
@@ -279,16 +289,33 @@ def _window_builder(
     starts: Sequence[int],
     n_cells: int,
     weights: Sequence[float] | None,
-) -> tuple[np.ndarray, Callable[[np.ndarray, np.ndarray], None], Callable[..., np.ndarray]]:
-    """``chiral``, ``fill(out, windows)`` and ``block(windows)`` of the
-    windows of ``correlation_stacks``, for ``windows`` an index array of
-    them: ``chiral[i]`` says window ``i`` takes its spectrum from
-    its C_AB block (``CHIRAL_BOUND``; never under an occupied zero mode),
+) -> tuple[
+    np.ndarray,
+    Callable[[np.ndarray, np.ndarray], None],
+    Callable[..., np.ndarray],
+    Callable[[], tuple[np.ndarray, np.ndarray]] | None,
+]:
+    """``chiral``, ``fill(out, windows)``, ``block(windows)`` and ``sweep``
+    of the windows of ``correlation_stacks``, for ``windows`` an index array
+    of them: ``chiral[i]`` says window ``i`` takes its spectrum from its
+    C_AB block (``CHIRAL_BOUND``; never under an occupied zero mode),
     ``fill`` writes the windows' correlation matrices into ``out`` and
     ``block`` returns their C_AB blocks in a new array.  Everything
     ``fill`` and ``block`` read is built here and only read after, so calls
-    on disjoint windows into their own buffers may run at once."""
+    on disjoint windows into their own buffers may run at once.  Where every
+    window covers the same cells under an occupied zero mode (a sweep of its
+    weight), ``sweep()`` returns the windows' reduced matrices and the
+    eigenvalues no weight enters (``_sweep_reduction``); elsewhere it is
+    ``None``."""
     starts = np.asarray(starts, dtype=int)
+    zm = policy.zero_mode
+    if weights is not None:
+        if zm is None:
+            raise ValueError("weights were given, but no zero mode is occupied")
+        if len(weights) != starts.size:
+            raise ValueError(
+                f"{len(weights)} weights for {starts.size} windows: give one weight per window"
+            )
     counts = window_defect_counts(spec, starts, n_cells)
     if n_cells < spec.n_cells and np.any(counts > 1):
         raise ValueError(
@@ -298,7 +325,6 @@ def _window_builder(
         raise ValueError(f"a window of {n_cells} cells is wider than the filled sea's band "
                          f"({sea.width} cells)")
     filled_triples(sea, spec, policy)
-    zm = policy.zero_mode
     if zm is not None:
         p = np.full(starts.size, zm.p) if weights is None else np.asarray(weights, dtype=float)
         if not np.all((p >= 0.0) & (p <= 1.0)):
@@ -335,30 +361,40 @@ def _window_builder(
             np.subtract(eye, zr @ zr.transpose(0, 2, 1), out=diagonal)
             diagonal *= 0.5
 
-    def outer(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def envelopes(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The two zero modes on the windows' sites, one row per window."""
         rows = cells[windows]
         sites = (2 * rows[:, :, None] + np.arange(2)).reshape(len(rows), -1)
-        return _zero_mode_outer(zm, sites)
-
-    if zm is not None and starts.size and np.all(cells == cells[0]):
-        # one window under many weights: its weight-independent part and the
-        # zero-mode products are built once, and each stack copies them
-        fixed = np.empty((1, 2 * n_cells, 2 * n_cells))
-        weightless(fixed, np.arange(1))
-        products = outer(np.arange(1))
-
-        def fill(out: np.ndarray, windows: np.ndarray) -> None:
-            out[:] = fixed
-            _add_zero_mode(out, products, p[windows], zm.phi)
-
-        return chiral, fill, block
+        return zm.psi1[sites], zm.psi2[sites]
 
     def fill(out: np.ndarray, windows: np.ndarray) -> None:
         weightless(out, windows)
         if zm is not None:
-            _add_zero_mode(out, outer(windows), p[windows], zm.phi)
+            _add_zero_mode(out, _zero_mode_outer(*envelopes(windows)), p[windows], zm.phi)
 
-    return chiral, fill, block
+    sweep = None
+    if zm is not None and starts.size and np.all(cells == cells[0]):
+
+        def sweep() -> tuple[np.ndarray, np.ndarray]:
+            """One window under many weights: its weightless part and the
+            zero modes reduced once, then every weight's reduced matrix."""
+            f = np.empty((1, 2 * n_cells, 2 * n_cells))
+            weightless(f, np.arange(1))
+            w1, w2 = envelopes(np.arange(1))
+            t, y, rest = _sweep_reduction(f[0], np.stack([w1[0], w2[0]], axis=1))
+            products = _zero_mode_outer(y[None, :, 0], y[None, :, 1])
+            reduced = np.empty((starts.size, *t.shape))
+            # SPECTRA_CHUNK weights at a time, so the temporaries stay small
+            # and are reused: built SWEEP_CHUNK at a time, zeromode's peak RSS
+            # rose by 0.08 MB over one full eigvalsh per weight, where this
+            # lowers it by 0.37 MB
+            for lo in range(0, starts.size, SPECTRA_CHUNK):
+                out = reduced[lo : lo + SPECTRA_CHUNK]
+                out[:] = t
+                _add_zero_mode(out, products, p[lo : lo + SPECTRA_CHUNK], zm.phi)
+            return reduced, rest
+
+    return chiral, fill, block, sweep
 
 
 def correlation_matrix(
@@ -383,7 +419,7 @@ def correlation_spectra(
     weights: Sequence[float] | None = None,
 ) -> np.ndarray:
     """Eigenvalues of the windows of ``correlation_stacks``, one row each,
-    by one of two routes, and one ``clamp_lambdas`` per scan.
+    by one of three routes, and one ``clamp_lambdas`` per scan.
 
     A window whose zero columns are below ``CHIRAL_BOUND`` takes ``1/2 - s``
     ascending and then ``1/2 + s`` ascending, ``s`` the singular values of
@@ -391,46 +427,64 @@ def correlation_spectra(
     SVD (``_svd_sources``: each takes the bytes of its group's
     representative, the window of the group with the lowest start cell);
     the representatives and the windows that share with none take theirs
-    in batches of up to ``SVD_CHUNK``.  Every other window, and every
-    window under an occupied zero mode, takes its matrix's ``eigvalsh``, one
-    per stack of the windows of a run of ``SPECTRA_CHUNK`` that take this
-    route.
+    in batches of up to ``SVD_CHUNK``.  Where every window covers the same
+    cells under an occupied zero mode (a sweep of its weight), the window
+    is reduced once (``_sweep_reduction``): each weight takes the
+    ``eigvalsh`` of its k x k reduced matrix, one call per ``SWEEP_CHUNK``
+    weights, merged with the eigenvalues no weight enters and sorted,
+    within ``2 n_cells SWEEP_BOUND |F|_2`` of its full matrix's spectrum.
+    Every other window takes its matrix's ``eigvalsh``, one per stack of
+    the windows of a run of ``SPECTRA_CHUNK`` that take this route.
 
-    The groups are formed first, over all windows.  Then the runs are split
-    into two contiguous parts, solved on two lanes (``lanes.beside``), each
-    filling its own buffers from the shared read-only band and writing its
-    own rows of the result, and the windows of a group copy their
-    representative's row.  The groups depend on the set of windows alone
-    and each solve on its own matrix alone, so the spectra are the same
-    bits on one lane or two and in any order of the windows.  A solve that
-    does not converge is a ``NumericalError`` naming the first window of its
-    stack or batch; with both parts failing, the earlier one's is raised, as
-    on one lane.
+    The groups and a sweep's reduced matrices are formed first, over all
+    windows.  Then the runs are split into two contiguous parts, solved on
+    two lanes (``lanes.beside``), each filling its own buffers from the
+    shared read-only band and writing its own rows of the result, and the
+    windows of a group copy their representative's row.  The groups depend
+    on the set of windows alone and each solve on its own matrix alone, so
+    the spectra are the same bits on one lane or two and in any order of
+    the windows (or weights).  A solve that does not converge is a
+    ``NumericalError`` naming the first window of its stack or batch; with
+    both parts failing, the earlier one's is raised, as on one lane.
     """
     starts = np.asarray(starts, dtype=int)
-    chiral, fill, block = _window_builder(sea, spec, policy, starts, n_cells, weights)
+    chiral, fill, block, sweep = _window_builder(sea, spec, policy, starts, n_cells, weights)
     size = chiral.size
     spectra = np.empty((size, 2 * n_cells))
     source = np.arange(size)
     source[chiral] = _svd_sources(np.flatnonzero(chiral), starts, block, n_cells)
     shared = source != np.arange(size)
     own = chiral & ~shared
+    reduced = None
+    if sweep is not None:
+        # built here, not on the other lane: see the stack buffers below
+        reduced, rest = sweep()
+        spectra[:, reduced.shape[1] :] = rest
 
     def first_of(windows: np.ndarray) -> str:
         return f"the first at cell {int(starts[windows[0]])}"
 
-    def solve(lo: int, hi: int, buf: np.ndarray) -> None:
-        for first in range(lo, hi, SPECTRA_CHUNK):
-            windows = first + np.flatnonzero(~chiral[first : min(first + SPECTRA_CHUNK, hi)])
+    def stack(windows: np.ndarray, buf: np.ndarray | None) -> np.ndarray:
+        if reduced is not None:
+            return reduced[windows[0] : windows[-1] + 1]  # a sweep's windows are consecutive
+        out = buf[: windows.size]
+        fill(out, windows)
+        return out
+
+    chunk = SPECTRA_CHUNK if reduced is None else SWEEP_CHUNK
+
+    def solve(lo: int, hi: int, buf: np.ndarray | None) -> None:
+        for first in range(lo, hi, chunk):
+            windows = first + np.flatnonzero(~chiral[first : min(first + chunk, hi)])
             if not windows.size:
                 continue
-            stack = buf[: windows.size]
-            fill(stack, windows)
+            matrices = stack(windows, buf)
+            rows = matrices.shape[1]
             try:
-                spectra[windows] = np.linalg.eigvalsh(stack)
+                spectra[windows, :rows] = np.linalg.eigvalsh(matrices)
             except np.linalg.LinAlgError as err:
                 raise NumericalError(
-                    f"eigensolver did not converge (eigvalsh of the {2 * n_cells}x{2 * n_cells} "
+                    f"eigensolver did not converge (eigvalsh of the {rows}x{rows} "
                     f"correlation matrices of windows {windows[0]}..{windows[-1]}, "
                     f"{first_of(windows)}): {err}"
                 ) from err
@@ -449,17 +503,22 @@ def correlation_spectra(
             spectra[windows, :n_cells] = 0.5 - s
             spectra[windows, n_cells:] = 0.5 + s[:, ::-1]
 
-    stacks = -(-size // SPECTRA_CHUNK)
+    def buffer(count: int) -> np.ndarray | None:
+        return None if reduced is not None else _stack_buffer(count, n_cells)
+
+    stacks = -(-size // chunk)
     if stacks < 2:
-        solve(0, size, _stack_buffer(size, n_cells))
+        solve(0, size, buffer(size))
     else:
-        split = -(-stacks // 2) * SPECTRA_CHUNK  # this thread's part is the longer
+        split = -(-stacks // 2) * chunk  # this thread's part is the longer
         # both stack buffers are made on this thread: memory the other lane's
         # thread allocates stays in its own malloc arena once freed, where the
         # stages after the spectra cannot reuse it (made on that lane, the
         # parts' buffers cost big2000 0.75 MB of peak RSS)
-        main, other = _stack_buffer(split, n_cells), _stack_buffer(size - split, n_cells)
+        main, other = buffer(split), buffer(size - split)
         lanes.beside(lambda: solve(0, split, main), lambda: solve(split, size, other))
+    if reduced is not None:
+        spectra.sort(axis=1)
     spectra[shared] = spectra[source[shared]]
     return clamp_lambdas(spectra)
 
@@ -509,12 +568,60 @@ def _svd_sources(
     return source
 
 
+def _sweep_reduction(f: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A swept window's weightless matrix ``f`` (n x n) and zero modes ``w``
+    (n x 2), reduced to the block Krylov space of ``f`` from ``span(w)``:
+    ``(t, y, rest)``, with ``t`` the k x k matrix of ``f`` in an orthonormal
+    basis of that space, ``y`` the k x 2 coordinates of ``w`` in it and
+    ``rest`` the ascending eigenvalues of ``f`` on its complement.
+
+    Every weight's matrix ``f + w M(p) w^T`` then has the spectrum of
+    ``t + y M(p) y^T`` together with ``rest``, to within ``bound = n
+    SWEEP_BOUND |f|_2``: a direction of ``w`` is left out only where that
+    moves the matrix by at most ``bound`` (by ``s_d (2 |w_kept| + s_d)``, with
+    ``s_d`` the largest singular value of ``w`` left out), the block Lanczos
+    steps (full reorthogonalization) stop at the first block whose singular
+    values are all at most ``bound``, and the reduction stands only if that
+    part of ``w`` and the coupling ``|Q_perp^T f Q|_2`` left out together
+    stay within ``bound``, so by Weyl's inequality no eigenvalue moves by
+    more.  Otherwise, or where the space fills all n dimensions, the result
+    is ``(f, w, [])`` itself: every weight's matrix is then the full one,
+    bit for bit."""
+    n = f.shape[0]
+    bound = n * SWEEP_BOUND * np.linalg.norm(f, 2)
+    u, s, _ = np.linalg.svd(w, full_matrices=False)
+    # leaving out the directions from r on moves the matrix by s[r] (2 |w_kept| + s[r])
+    cost = s * (2.0 * np.where(np.arange(s.size) > 0, s[0], 0.0) + s)
+    kept = next((r for r in range(s.size) if cost[r] <= bound), s.size)
+    left_out = cost[kept] if kept < s.size else 0.0
+    q = block = u[:, :kept]
+    while block.shape[1] and q.shape[1] < n:
+        step = f @ block
+        for _ in range(2):
+            step -= q @ (q.T @ step)
+        directions, sizes, _ = np.linalg.svd(step, full_matrices=False)
+        block = directions[:, sizes > bound]
+        if block.shape[1]:
+            # a direction of a small step carries the rounding of q's: orthogonal again
+            block = np.linalg.svd(block - q @ (q.T @ block), full_matrices=False)[0]
+            q = np.hstack([q, block])
+    k = q.shape[1]
+    if k < n:
+        basis = np.linalg.qr(q, mode="complete")[0]
+        a = basis.T @ f @ basis
+        a = 0.5 * (a + a.T)
+        coupling = np.linalg.norm(a[k:, :k], 2) if k else 0.0
+        if coupling + left_out <= bound:
+            return a[:k, :k], basis[:, :k].T @ w, np.linalg.eigvalsh(a[k:, k:])
+    return f, w, np.empty(0)
+
+
 def _zero_mode_outer(
-    zm: ZeroModePair, sites: np.ndarray
+    w1: np.ndarray, w2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Outer products of the two zero modes on each row of window sites
-    ``sites``: 11, 22 and 12 + 21."""
-    w1, w2 = zm.psi1[sites][:, :, None], zm.psi2[sites][:, :, None]
+    """Outer products of the two zero modes ``w1`` and ``w2``, one row each
+    per window: 11, 22 and 12 + 21."""
+    w1, w2 = w1[:, :, None], w2[:, :, None]
     t1, t2 = w1.transpose(0, 2, 1), w2.transpose(0, 2, 1)
     return w1 * t1, w2 * t2, w1 * t2 + w2 * t1
 

@@ -298,19 +298,39 @@ def singular_route_atol(n_cells):
     return n_cells * np.finfo(float).eps
 
 
+def sweep_route_atol(n_cells):
+    """How far a weight of a sweep may be from its full matrix's
+    ``eigvalsh``: the route's own bound, ``2 n_cells SWEEP_BOUND`` (the
+    weightless part's norm is at most 1), plus the same again for the
+    backward errors of the two ``eigvalsh`` solves compared."""
+    return 2 * (2 * n_cells) * gs.SWEEP_BOUND
+
+
 def eigvalsh_spectra(sea, spec, policy, starts, n_cells, weights=None):
     """The windows' spectra as one ``eigvalsh`` of each correlation matrix of
     ``correlation_stacks``, clamped: the one route every window took before
-    the singular-value route, bit for bit."""
+    the singular-value and sweep routes, bit for bit."""
     stacks = gs.correlation_stacks(sea, spec, policy, starts, n_cells, weights)
     return ent.clamp_lambdas(np.concatenate([np.linalg.eigvalsh(s) for s in stacks]))
 
 
-def assert_routes_match(lam, ref, chiral, n_cells):
+def is_sweep(spec, policy, starts):
+    """Whether ``correlation_spectra`` takes the sweep route: an occupied
+    zero mode and every window on the same cells."""
+    starts = np.asarray(starts, dtype=int)
+    return (policy.zero_mode is not None and starts.size > 0
+            and np.unique((starts - 1) % spec.n_cells).size == 1)
+
+
+def assert_routes_match(lam, ref, chiral, n_cells, sweep=False):
     """Spectra ``lam`` against ``eigvalsh_spectra`` ``ref``: the windows of
     the ``eigvalsh`` route bit for bit, those of the singular-value route
-    (``chiral``) within ``singular_route_atol``."""
+    (``chiral``) within ``singular_route_atol`` and those of a sweep
+    (``sweep``) within ``sweep_route_atol``."""
     assert lam.shape == ref.shape
+    if sweep:
+        np.testing.assert_allclose(lam, ref, rtol=0.0, atol=sweep_route_atol(n_cells))
+        return
     assert lam[~chiral].tobytes() == ref[~chiral].tobytes()
     np.testing.assert_allclose(lam[chiral], ref[chiral], rtol=0.0,
                                atol=singular_route_atol(n_cells))

@@ -18,7 +18,7 @@ from sshent import lanes
 from sshent import model
 
 from conftest import sea_of, two_defect_chain
-from oracles import assert_routes_match, chiral_windows, eigvalsh_spectra
+from oracles import assert_routes_match, chiral_windows, eigvalsh_spectra, is_sweep
 
 
 @pytest.fixture
@@ -93,9 +93,15 @@ def _spectra_cases():
     yield pytest.param(_ring(400), None, [41], id="one-window")
     yield pytest.param(_ring(400), None, list(range(30, 30 + chunk - 3)), id="under-one-stack")
     yield pytest.param(_ring(400), None, list(range(1, 1 + 5 * chunk - 2)), id="odd-stacks")
-    # one window under 37 weights: the fixed-window path, last stack partial
+    # one window under 37 weights: the sweep route, in one stack
     yield pytest.param(_ring(400), 41, np.linspace(0.0, 1.0, 37), id="zero-mode-37")
     yield pytest.param(_ring(400), 141, np.linspace(0.0, 1.0, 37), id="second-defect")
+    # in three stacks of the sweep route, the last partial, so on two lanes
+    yield pytest.param(_ring(400), 41, np.linspace(0.0, 1.0, 2 * gs.SWEEP_CHUNK + 5),
+                       id="zero-mode-three-stacks")
+    # far from both defects: no dimension of the window is solved per weight
+    yield pytest.param(_ring(400), 90, np.linspace(0.0, 1.0, 2 * gs.SWEEP_CHUNK + 5),
+                       id="zero-mode-far")
 
 
 @pytest.mark.parametrize("spec, start, values", _spectra_cases())
@@ -115,11 +121,12 @@ def test_two_lanes_equal_one_lane_bit_for_bit(cpus, monkeypatch, spec, start, va
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
     spectra = {}
+    sweep = is_sweep(spec, policy, starts)
     for count in (1, 2):
         cpus(count)
         threads.clear()
         spectra[count] = gs.correlation_spectra(sea, spec, policy, starts, 20, weights)
-        stacks = -(-len(starts) // gs.SPECTRA_CHUNK)
+        stacks = -(-len(starts) // (gs.SWEEP_CHUNK if sweep else gs.SPECTRA_CHUNK))
         assert len(threads) == (2 if count == 2 and stacks > 1 else 1)
     assert spectra[1].shape == (len(starts), 40)
     assert spectra[1].flags.c_contiguous and spectra[2].flags.c_contiguous
@@ -127,9 +134,10 @@ def test_two_lanes_equal_one_lane_bit_for_bit(cpus, monkeypatch, spec, start, va
     # split, so they and their representatives do not depend on the lane count
     assert spectra[1].tobytes() == spectra[2].tobytes()
     # and both are the windows' own spectra: the eigvalsh route's a stack at
-    # a time, bit for bit, and the singular-value route's within its bound
+    # a time, bit for bit, and the singular-value and sweep routes' within
+    # their bounds
     assert_routes_match(spectra[1], eigvalsh_spectra(sea, spec, policy, starts, 20, weights),
-                        chiral_windows(sea, spec, policy, starts, 20), 20)
+                        chiral_windows(sea, spec, policy, starts, 20), 20, sweep=sweep)
 
 
 def _spy_threads(monkeypatch):

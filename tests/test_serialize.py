@@ -22,6 +22,7 @@ from oracles import (
     scan_rows,
     sort_rows,
     statmech_rows,
+    sweep_route_atol,
     table_rows,
     zero_mode_table_loop,
 )
@@ -407,8 +408,10 @@ def _assert_files_match(tmp_path, seen, rows=None):
 
 def test_zero_mode_scan_on_the_second_defect_matches_per_weight_tables(tmp_path):
     """With the window on the second defect, at n = 0.5 and 2, the files are
-    those of one lattice window per weight and one per-sector oracle table
-    per weight at the outside weight 1 - p; the exit code is the gate's."""
+    those of one lattice table per weight, from the sweep's spectra (each
+    within ``sweep_route_atol`` of its weight's ``correlation_matrix``), and
+    one per-sector oracle table per weight at the outside weight 1 - p; the
+    exit code is the gate's."""
     spec = two_defect_chain(0.3)
     sea = sea_of(spec)
     pair = gs.localized_zero_modes(sea, spec)
@@ -416,10 +419,14 @@ def test_zero_mode_scan_on_the_second_defect_matches_per_weight_tables(tmp_path)
     ell, m, n_list = 20, 141, [0.5, 2.0]
     weights = [0.0, 1e-12, asym.crossing_weight(-1, params), 0.3, 0.5,
                asym.crossing_weight(2, params), 1.0]
+    sweep = gs.correlation_spectra(sea, spec, gs.OccupationPolicy.half(pair),
+                                   [m] * len(weights), ell, weights)
     rows = []
-    for p in weights:
+    for p, lam in zip(weights, sweep):
         policy = gs.OccupationPolicy.half(pair.with_weight(p))
-        lam = gs.correlation_matrix(sea, spec, policy, (m, ell)).eigenvalues()
+        np.testing.assert_allclose(
+            lam, gs.correlation_matrix(sea, spec, policy, (m, ell)).eigenvalues(),
+            rtol=0.0, atol=sweep_route_atol(ell))
         for n in n_list:
             at = {"m": m, "case": "defect", "n": n, "ell": ell, "p": p}
             rows += table_rows(ent.charge_resolved_table(lam, n), source="lattice", **at)

@@ -1,11 +1,13 @@
-"""The two routes of the window spectra: the singular values of C_AB where
-the zero columns are below rounding, one ``eigvalsh`` per matrix elsewhere.
-On the singular-value route, windows whose C_AB blocks agree to rounding
-share one SVD.
+"""The three routes of the window spectra: the singular values of C_AB where
+the zero columns are below rounding, one reduction of the window for a
+sweep of the zero-mode weight, one ``eigvalsh`` per matrix elsewhere.  On
+the singular-value route, windows whose C_AB blocks agree to rounding share
+one SVD.
 
 Each case is held to ``oracles.eigvalsh_spectra``, every window's
-``eigvalsh``: bit for bit on the ``eigvalsh`` route and within
-``oracles.singular_route_atol`` on the other, shared windows included.
+``eigvalsh``: bit for bit on the ``eigvalsh`` route, within
+``oracles.singular_route_atol`` on the singular-value route, shared windows
+included, and within ``oracles.sweep_route_atol`` on a sweep.
 """
 
 from dataclasses import replace
@@ -17,7 +19,7 @@ from sshent import groundstate as gs
 from sshent import model
 
 from conftest import open_chain, sea_of, two_defect_chain
-from oracles import assert_routes_match, chiral_windows, eigvalsh_spectra
+from oracles import assert_routes_match, chiral_windows, eigvalsh_spectra, is_sweep
 
 
 def _polar_ring():
@@ -46,18 +48,25 @@ CASES = {
     "mixed-ring": (two_defect_chain(0.3, ("one_site", "three_site")), BELOW_HALF,
                    range(1, 201), None, 47, 47),
     # the zero-mode sweep, on the defect and far from it: an occupied zero
-    # mode keeps every window on the eigvalsh route
+    # mode keeps every window off the singular-value route, on the sweep route
     "zero-mode-sweep": (two_defect_chain(0.3), _zero_mode, [41] * 37, SWEEP, 0, 0),
     "zero-mode-far": (two_defect_chain(0.3), _zero_mode, [90] * 37, SWEEP, 0, 0),
 }
 
 
 def _count_svds(monkeypatch):
-    """Patch ``np.linalg.svd`` to record each call's matrices; returns the list."""
+    """Patch ``np.linalg.svd`` to record the matrices of each batched call,
+    those of the singular-value route (a sweep's reduction takes SVDs of
+    single matrices); returns the list."""
     calls = []
     svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd",
-                        lambda a, **kw: calls.append(np.array(a)) or svd(a, **kw))
+
+    def spy(a, **kw):
+        if np.ndim(a) == 3:
+            calls.append(np.array(a))
+        return svd(a, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
     return calls
 
 
@@ -65,7 +74,8 @@ def _count_svds(monkeypatch):
 def test_routes_match_every_windows_eigvalsh(monkeypatch, name):
     """Every window of the singular-value route takes the spectrum of one
     SVD'd block, its own or its representative's, byte for byte, and all
-    stay within ``singular_route_atol`` of their own ``eigvalsh``."""
+    stay within ``singular_route_atol`` of their own ``eigvalsh``; a sweep's
+    weights stay within ``sweep_route_atol`` of theirs."""
     spec, policy, starts, weights, on_route, svds = CASES[name]
     starts = list(starts)
     sea = sea_of(spec)
@@ -77,7 +87,8 @@ def test_routes_match_every_windows_eigvalsh(monkeypatch, name):
     assert chiral.sum() == on_route and sum(map(len, calls)) == svds
     solved = {row.tobytes() for row in lam[chiral]}
     assert len(solved) <= svds
-    assert_routes_match(lam, eigvalsh_spectra(sea, spec, policy, starts, 20, weights), chiral, 20)
+    assert_routes_match(lam, eigvalsh_spectra(sea, spec, policy, starts, 20, weights), chiral, 20,
+                        sweep=is_sweep(spec, policy, starts))
 
 
 def test_reversed_windows_give_the_same_bytes():
