@@ -4,8 +4,9 @@
 
 Runs one ``scan-interval`` (lattice and closed forms) and one
 ``zero-mode-scan`` on an N = 400 ring, whose filled sea comes from the
-eigensolve, one ``scan-interval`` on an N = 2000 ring, whose filled sea
-comes from the banded polar solve, and one ``dimerized`` and one ``aklt``
+eigensolve of the whole ring (its regions are too short to cut), one
+``scan-interval`` on an N = 2000 ring, whose filled sea comes from the
+eigensolve of its compressed ring, and one ``dimerized`` and one ``aklt``
 table run, in this fresh interpreter, with their CSV and JSON files in a
 temporary directory, and lists every top-level module the runs imported
 that is not part of the standard library, numpy or sshent, and every

@@ -13,14 +13,15 @@ is a chosen superposition of the two localized modes.
 
 A window's correlations need only the band of ``Q = U_f V_f^T`` over the
 filled triples and the zero columns: a ``linalg.FilledSea``, which
-``filled_sea`` builds.  On a chain of at least ``POLAR_MIN_BLOCKS`` blocks
-of ``POLAR_CELLS_PER_XI`` localization lengths it is the banded polar factor
-of ``T`` (``linalg.polar_sea``, no L x L array); on a shorter chain, or where
-that iteration does not settle, it comes from one ``eigh`` of the Gram block
-``T^T T`` (``linalg.eigh_sea``).  Both resolve the near-zero triples in
-their own subspace, so the zero-mode splitting compared with the threshold
-is accurate to rounding, not the ``1e-8`` noise of ``sqrt`` of an
-eigenvalue.
+``filled_sea`` builds from one ``eigh`` of a Gram block ``T^T T``
+(``linalg.eigh_sea``), which resolves the near-zero triples in their own
+subspace, so the zero-mode splitting compared with the threshold is accurate
+to rounding, not the ``1e-8`` noise of ``sqrt`` of an eigenvalue.  The
+defects are localized: away from them every cell of a region has the same
+two bonds, and its row of ``Q`` is the region's translation-invariant one.
+So where a region is long, the solve is of the compressed ring that keeps
+only the cells near its ends, and every row deep inside it is a column shift
+of one row of that ring.
 """
 
 from __future__ import annotations
@@ -33,24 +34,19 @@ import numpy as np
 
 from . import lanes
 from .entanglement import clamp_lambdas
-from .linalg import FilledSea, NumericalError, eigh_sea, polar_sea
+from .linalg import BandedBlock, FilledSea, NumericalError, eigh_sea
 from .model import ChainSpec, defect_sites, hopping_bands, localization_length, window_defect_counts
 
 BELOW_HALF = "below_half"
 HALF = "half"
 
 NEAR_ZERO_THRESHOLD = 1e-4  # in units of the hopping t
-# Blocks of the polar solve, in localization lengths xi: the filled sea's
-# correlations fall off as exp(-d / xi), and at delta = 0.3 (xi = 1.62) blocks
-# of 30 xi leave the zero columns 5e-14 off an LAPACK SVD, of 34 xi 1e-15.
-POLAR_CELLS_PER_XI = 36
-# The fewest blocks for which the polar solve runs.  polar_sea against
-# eigh_sea, each with its band (OpenBLAS, one thread, two lanes, medians of 9):
-# at 6 blocks it takes 0.50 of the time with blocks of 59 cells (delta = 0.3)
-# and 0.37 with blocks of 180 (delta = 0.1), at 7 blocks 0.42 and 0.30, at 5
-# blocks 0.85 and 0.56.  The N = 400 chains of the standard scans make 3
-# blocks, so they keep the eigensolve.
-POLAR_MIN_BLOCKS = 6
+# e-foldings that take an entry to the unit roundoff 2^-53.  filled_sea keeps
+# this many xi plus a window width of a run's cells at either end, as a zero
+# mode falls off as exp(-d / xi) from its defect, and gives a row the run's
+# bulk row from half as many xi plus a width on, as the filled sea departs
+# from the translation-invariant rows as exp(-2 d / xi).
+ROUNDING_E_FOLDS = 53 * math.log(2)
 # windows per stacked eigvalsh call: amortizes the call overhead while the
 # stack (16 windows of 40 x 40 at ell = 20) stays in cache.  The two lanes of
 # correlation_spectra split a scan at a whole stack, so each lane's stacks
@@ -71,10 +67,6 @@ SWEEP_CHUNK = 8 * SPECTRA_CHUNK
 # eigenvalue moves by more: a window with |Z_W|_F^2 / 2 at most the unit
 # roundoff takes its spectrum from C_AB alone.
 CHIRAL_BOUND = 2.0**-53
-# The grid of the keys that propose windows to share one SVD: C_AB rounded to
-# multiples of 2^-40 (about 1e-12), far coarser than the rounding that sets
-# bulk neighbours apart.  A key only proposes; CHIRAL_BOUND decides.
-SHARE_KEY_GRID = 2.0**40
 # A weight sweep's tolerance, per row of the window's n x n matrix and in
 # units of the norm of its weightless part F.  eigvalsh is backward stable:
 # its eigenvalues are those of a matrix within a small multiple of n eps |C|_2
@@ -150,23 +142,65 @@ class CorrelationMatrix:
 
 
 def filled_sea(spec: ChainSpec, width: int) -> FilledSea:
-    """The filled sea of ``spec`` for windows of up to ``width`` cells: the
-    polar solve on a chain long enough for it, else (or if it does not
-    settle) the eigensolve."""
+    """The filled sea of ``spec`` for windows of up to ``width`` cells, from
+    one ``eigh_sea``.
+
+    At ``0 < |delta|`` every run of identical cells (cells with the same two
+    bonds: a region between defects or chain ends, with a ring's seam inside
+    its region) longer than ``2 R`` is cut to its first and last ``R``
+    cells, ``R = ceil(ROUNDING_E_FOLDS xi) + width`` (``xi = 0`` at
+    ``|delta| = 1``), and ``eigh_sea`` solves that compressed ring.  A row
+    of a cut run within ``ceil(ROUNDING_E_FOLDS xi / 2) + width`` cells of
+    either end is its own row of the ring; every other row is the run's
+    middle row, ``R`` cells in, shifted along the band to the row's column
+    offset, so all of them read the same bytes at each distance.  The zero
+    columns are 0 on the cut cells, and ``filled`` is ``L`` less the ring's
+    zero columns.  Where no run is that long, the chain itself is solved.
+    """
     if not 1 <= width <= spec.n_cells:
         raise ValueError("window length out of range")
     block = hopping_bands(spec)
     threshold = NEAR_ZERO_THRESHOLD * spec.hopping
     delta = abs(spec.dimerization)
-    if delta > 0.0:
-        xi = 0.0 if delta == 1.0 else localization_length(delta)
-        cells = max(width, math.ceil(POLAR_CELLS_PER_XI * xi))
-        if spec.n_cells // cells >= POLAR_MIN_BLOCKS:
-            # the bulk band edge |t1 - t2| bounds the band's singular values below
-            sea = polar_sea(block, width, threshold, cells, 2.0 * delta * spec.hopping)
-            if sea is not None:
-                return sea
-    return eigh_sea(block, width, threshold)
+    if delta == 0.0:
+        return eigh_sea(block, width, threshold)
+    xi = 0.0 if delta == 1.0 else localization_length(delta)
+    reach = math.ceil(ROUNDING_E_FOLDS * xi) + width
+    near = math.ceil(0.5 * ROUNDING_E_FOLDS * xi) + width
+    n = block.diag.size
+    # the runs, in ring order from the first cell unlike the one before it
+    starts = np.flatnonzero((block.diag != np.roll(block.diag, 1))
+                            | (block.sub != np.roll(block.sub, 1)))
+    if not starts.size:
+        starts = np.zeros(1, dtype=np.intp)
+    lengths = np.diff(np.append(starts, starts[0] + n))
+    cut = lengths > 2 * reach
+    if not cut.any():
+        return eigh_sea(block, width, threshold)
+    # per cell in ring order: its position in its run, and its distance from
+    # the run's end (1 on the last cell)
+    x = np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    tail = np.repeat(lengths, lengths) - x
+    whole = ~np.repeat(cut, lengths)
+    cells = (starts[0] + np.arange(n)) % n
+    kept = cells[whole | (x < reach) | (tail <= reach)]
+    sea = eigh_sea(BandedBlock(diag=block.diag[kept], sub=block.sub[kept]), width, threshold)
+    size = np.where(cut, 2 * reach, lengths)
+    row = np.empty(-(-n // width) * width, dtype=np.intp)
+    row[cells] = np.repeat(np.cumsum(size) - size, lengths) + np.where(
+        whole | (x < near), x, np.where(tail <= near, 2 * reach - tail, reach))
+    row[n:] = row[n - 1]
+    # band row r is the 3 width entries of its ring row that start at its
+    # own column offset: ring row i holds offset c - i at column
+    # c - i + width + i % width, row r needs it at c - r + width + r % width
+    padded = np.concatenate([np.zeros(width), sea.band.ravel(), np.zeros(width)])
+    flat = width + 3 * width * row + row % width - np.arange(row.size) % width
+    band = np.lib.stride_tricks.sliding_window_view(padded, 3 * width)[flat]
+    k = sea.splittings.size
+    u0, v0 = np.zeros((n, k)), np.zeros((n, k))
+    u0[kept], v0[kept] = sea.u0, sea.v0
+    return FilledSea(width=width, filled=n - k, band=band, u0=u0, v0=v0,
+                     splittings=sea.splittings)
 
 
 def localized_zero_modes(sea: FilledSea, spec: ChainSpec) -> ZeroModePair:
@@ -423,7 +457,7 @@ def correlation_spectra(
 
     A window whose zero columns are below ``CHIRAL_BOUND`` takes ``1/2 - s``
     ascending and then ``1/2 + s`` ascending, ``s`` the singular values of
-    its C_AB block.  Such windows whose blocks agree to rounding share one
+    its C_AB block.  Such windows whose blocks have the same bytes share one
     SVD (``_svd_sources``: each takes the bytes of its group's
     representative, the window of the group with the lowest start cell);
     the representatives and the windows that share with none take theirs
@@ -527,18 +561,15 @@ def _svd_sources(
     windows: np.ndarray, starts: np.ndarray, block: Callable[..., np.ndarray], n_cells: int
 ) -> np.ndarray:
     """For each of the singular-value-route windows ``windows``, the window
-    whose singular values it takes: its group's representative, or itself.
-
-    Windows whose C_AB blocks, rounded to multiples of ``1 /
-    SHARE_KEY_GRID``, hash to the same key (a wrapping integer sum) are the
-    candidates of one group, and its window with the lowest start cell (the
-    first given, if two share it) is the representative, so the choice
-    depends on neither the order of the windows nor the lane count.  A
-    candidate joins its representative only if ``|C_AB - C_AB(rep)|_F <=
-    CHIRAL_BOUND |C_AB(rep)|_F``: the two blocks then differ by no more
-    than rounding every entry of the representative once, and by Weyl's
-    inequality for singular values no singular value moves by more.  Every
-    other window keeps its own SVD."""
+    whose singular values it takes: among the windows whose C_AB blocks have
+    the same bytes, the one with the lowest start cell (the first given, if
+    two share it), so the choice depends on neither the order of the
+    windows nor the lane count.  A hash of each block's bits (a wrapping
+    integer sum, taken ``SVD_CHUNK`` blocks at a time) proposes the groups,
+    and a window joins its group's representative only if its block has the
+    representative's bytes; a collision of the hash costs an SVD, never a
+    spectrum.  The windows of a run's bulk, which ``filled_sea`` reads from
+    one row, have the same bytes."""
     source = windows.copy()
     count = windows.size
     if count < 2:
@@ -547,24 +578,19 @@ def _svd_sources(
     # odd multipliers of the golden ratio times 2^64, one per entry
     weights = np.arange(1, 2 * n_cells**2, 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
     for lo in range(0, count, SVD_CHUNK):
-        grid = block(windows[lo : lo + SVD_CHUNK])
-        grid *= SHARE_KEY_GRID
-        grid = np.rint(grid, out=grid).astype(np.int64).reshape(len(grid), -1)
-        keys[lo : lo + SVD_CHUNK] = grid.view(np.uint64) @ weights
+        bits = block(windows[lo : lo + SVD_CHUNK]).view(np.uint64)
+        keys[lo : lo + SVD_CHUNK] = bits.reshape(len(bits), -1) @ weights
     order = np.lexsort((starts[windows], keys))
     first = np.flatnonzero(np.r_[True, keys[order[1:]] != keys[order[:-1]]])
     rep = np.empty(count, dtype=np.intp)
     rep[order] = np.repeat(order[first], np.diff(np.r_[first, count]))
     candidates = np.flatnonzero(rep != np.arange(count))
     heads, head_of = np.unique(rep[candidates], return_inverse=True)
-    head_cab = block(windows[heads])
-    bound = CHIRAL_BOUND * np.sqrt(np.einsum("ijk,ijk->i", head_cab, head_cab))
+    head_bits = block(windows[heads]).view(np.uint64)
     for lo in range(0, candidates.size, SVD_CHUNK):
         joins, head = candidates[lo : lo + SVD_CHUNK], head_of[lo : lo + SVD_CHUNK]
-        diff = block(windows[joins])
-        diff -= head_cab[head]
-        near = np.sqrt(np.einsum("ijk,ijk->i", diff, diff)) <= bound[head]
-        source[joins[near]] = windows[heads[head[near]]]
+        same = np.all(block(windows[joins]).view(np.uint64) == head_bits[head], axis=(1, 2))
+        source[joins[same]] = windows[heads[head[same]]]
     return source
 
 

@@ -1,12 +1,10 @@
 """Two lanes of work on two CPUs: the caller's thread and one more.
 
-A scan's heaviest array layers (the polar solve's batched GEMMs, the
-windows' ``eigvalsh`` and ``svd``) release the GIL, so a second thread runs
-them beside the first: each Newton-Schulz step's Gram rows and then its
-``X M`` rows in two halves of the block rows, and the windows' stacks and
-batches in two parts.  Each lane writes only its own outputs, so what the
-lanes compute does not depend on whether they ran together or one after the
-other.
+The window spectra, a scan's heaviest layer after the solve, are stacked
+``eigvalsh`` and batched ``svd`` calls that release the GIL, so a second
+thread solves part of the windows beside the first.  Each lane writes only
+its own outputs, so what the lanes compute does not depend on whether they
+ran together or one after the other.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from sshent import groundstate as gs
 from sshent import model
 from sshent import serialize
 from sshent import specialfn as sf
-from sshent.linalg import ChiralSystem, NumericalError, chiral_svd
+from sshent.linalg import NumericalError, _triples
 
 
 def brute_force_sector_data(lambdas, n):
@@ -87,16 +87,6 @@ def modulus_from_spacing_200(spacing):
             hi = mid
     k = 0.5 * (lo + hi)
     return k, math.sqrt((1.0 - k) * (1.0 + k))
-
-
-def band_by_place(lay, x, width):
-    """``linalg._Blocks.band`` entry by entry: every band entry's flat index
-    and block test from ``lay.place``."""
-    n = lay.block.size
-    rows = np.arange(-(-n // width) * width)
-    cols = ((rows // width - 1) * width)[:, None] + np.arange(3 * width)
-    index, inside = lay.place(np.minimum(rows, n - 1)[:, None], cols % n)
-    return np.where(inside, -0.5 * x.take(index), 0.0)
 
 
 def srpf_by_flux_quadrature(lambdas, n, n_points=4096):
@@ -249,14 +239,15 @@ def hamiltonian_loop(spec):
 
 @lru_cache(maxsize=8)
 def chain_triples(spec):
-    """``chiral_svd`` of the chain's hopping block (the chains are frozen
-    dataclasses, so a few are kept)."""
-    return chiral_svd(model.hopping_bands(spec))
+    """The singular triples ``(s, u, v)`` of the chain's hopping block from
+    ``linalg._triples``, the eigensolve of ``eigh_sea`` (the chains are
+    frozen dataclasses, so a few are kept)."""
+    return _triples(model.hopping_bands(spec))
 
 
 def correlation_matrix_full_block(spec, policy, window):
     """Window correlation matrix from the rows of the window's cells gathered
-    out of the full ``u`` and ``v`` of ``chiral_svd``, with the zero-mode
+    out of the full ``u`` and ``v`` of ``chain_triples``, with the zero-mode
     projector added.
 
     With ``A``/``B`` the window's odd/even sites and ``Z`` the zero columns
@@ -265,9 +256,9 @@ def correlation_matrix_full_block(spec, policy, window):
     ``C_AB = -U_A V_B^T / 2`` over the filled columns.
     """
     cells = np.asarray(window_cells(spec, *window)) - 1
-    chiral = chain_triples(spec)
-    filled = int(np.count_nonzero(chiral.singular_values > gs.NEAR_ZERO_THRESHOLD * spec.hopping))
-    u, v = chiral.u[cells], chiral.v[cells]
+    s, u, v = chain_triples(spec)
+    filled = int(np.count_nonzero(s > gs.NEAR_ZERO_THRESHOLD * spec.hopping))
+    u, v = u[cells], v[cells]
     eye = np.eye(cells.size)
     zu, zv = u[:, filled:], v[:, filled:]
     cab = -0.5 * (u[:, :filled] @ v[:, :filled].T)
@@ -479,9 +470,9 @@ class EntanglementSpectrum:
 
 
 def svd_chiral(block):
-    """Singular triples of a square hopping block from LAPACK's SVD (gesdd):
-    the ``linalg.chiral_svd`` contract, with ``s`` descending and ``v`` in C
-    order."""
+    """Singular triples ``(s, u, v)`` of a square hopping block from LAPACK's
+    SVD (gesdd), in the order of ``linalg._triples``: ``s`` descending and
+    ``v`` in C order."""
     t = np.asarray(block, dtype=float)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ValueError("expected a square matrix")
@@ -493,7 +484,7 @@ def svd_chiral(block):
             f"eigensolver did not converge (SVD of the {t.shape[0]}x{t.shape[0]} "
             f"hopping block, scale {scale:.3e}): {err}"
         ) from err
-    return ChiralSystem(singular_values=s, u=u, v=np.ascontiguousarray(vt.T))
+    return s, u, np.ascontiguousarray(vt.T)
 
 
 def srpf_loop(lambdas, n):
@@ -930,12 +921,12 @@ class RowScan:
         cli._fill_deviations(data)
         self.data = _sort_rows(data)
 
-    def gate(self, bulk, tol, label):
+    def gate(self, bulk, tol, label, out):
         data = self.data
         if bulk is not None:
             in_bulk = bulk[data["point"]]
             data = {name: col[in_bulk] for name, col in data.items()}
-        return cli._gate(data, tol, label)
+        return cli._gate(data, tol, label, out)
 
     def columns(self):
         return _labelled(dict(self.data))

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -655,6 +656,20 @@ def test_default_gate_settings_are_unchanged(tmp_path, capsys):
     path = write_config(tmp_path, base_config(tmp_path))
     assert cli.main(["scan-interval", "--config", path]) == cli.EXIT_OK
     assert "(tol 0.001)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["scan-interval", "zero-mode-scan"])
+def test_a_scan_that_streams_its_csv_prints_its_gate_line_to_stderr(tmp_path, capsys, command):
+    """With no output file the CSV goes to stdout, and stdout is the CSV
+    alone: the gate line, which came before ``#schema=``, is on stderr."""
+    make = _zero_mode_config if command == "zero-mode-scan" else base_config
+    cfg = make(tmp_path)
+    cfg.pop("outputs")
+    assert cli.main([command, "--config", write_config(tmp_path, cfg)]) == cli.EXIT_OK
+    std = capsys.readouterr()
+    assert std.out.startswith("#schema=") and "(tol 0.001)" not in std.out
+    assert re.fullmatch(r"(bulk-window )?max \|lattice - asymptotic\| = \S+ \(tol 0\.001\)\n",
+                        std.err)
 
 
 @pytest.mark.parametrize(

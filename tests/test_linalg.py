@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sshent import model
-from sshent.linalg import BandedBlock, NumericalError, chiral_svd
+from sshent.linalg import BandedBlock, NumericalError, _triples, eigh_sea
 
 from conftest import open_chain, two_defect_chain
 from oracles import build_hamiltonian, eigh_symmetric, hopping_block, svd_chiral
@@ -72,8 +72,7 @@ def test_rejects_non_square():
 def test_chiral_svd_reconstructs_the_block():
     spec = two_defect_chain(0.3, kinds=("one_site", "three_site"))
     block = hopping_block(spec)
-    chiral = chiral_svd(block)
-    s, u, v = chiral.singular_values, chiral.u, chiral.v
+    s, u, v = _triples(model.hopping_bands(spec))
     assert np.all(np.diff(s) <= 0.0)
     np.testing.assert_allclose((u * s) @ v.T, block, atol=1e-13)
     for q in (u, v):
@@ -83,18 +82,13 @@ def test_chiral_svd_reconstructs_the_block():
     np.testing.assert_allclose(np.sort(np.concatenate([-s, s])), w, atol=1e-13)
 
 
-def test_chiral_svd_rejects_non_square():
-    with pytest.raises(ValueError, match="square"):
-        chiral_svd(np.zeros((3, 2)))
-
-
 def test_chiral_svd_non_convergence_is_numerical_error(monkeypatch):
     def no_convergence(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigh", no_convergence)
     with pytest.raises(NumericalError, match="eigensolver did not converge"):
-        chiral_svd(np.eye(3))
+        eigh_sea(BandedBlock(diag=np.ones(3), sub=np.zeros(3)), 1, 1e-4)
 
 
 def _prescribed_block(singular_values, seed=7):
@@ -147,12 +141,11 @@ def test_chiral_triples_match_svd_oracle(name):
     also go in as their two bands."""
     if name.startswith("banded-"):
         spec = BANDED_SPECS[name.removeprefix("banded-")]
-        t, chiral = hopping_block(spec), chiral_svd(model.hopping_bands(spec))
+        t, (s, u, v) = hopping_block(spec), _triples(model.hopping_bands(spec))
     else:
         t = TRIPLE_BLOCKS[name]
-        chiral = chiral_svd(t)
-    s, u, v = chiral.singular_values, chiral.u, chiral.v
-    want = svd_chiral(t).singular_values
+        s, u, v = _triples(t)
+    want = svd_chiral(t)[0]
     assert np.all(np.diff(s) <= 0.0)
     assert v.flags["C_CONTIGUOUS"]
     assert np.max(np.abs(s - want)) <= 1e-13
@@ -181,4 +174,4 @@ def test_banded_block_non_convergence_is_numerical_error(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", no_convergence)
     bands = BandedBlock(diag=np.full(4, -1.3), sub=np.full(4, -0.7))
     with pytest.raises(NumericalError, match="4x4 hopping block, scale 1.300e"):
-        chiral_svd(bands)
+        eigh_sea(bands, 2, 1e-4)

@@ -1,8 +1,8 @@
 """The three routes of the window spectra: the singular values of C_AB where
 the zero columns are below rounding, one reduction of the window for a
 sweep of the zero-mode weight, one ``eigvalsh`` per matrix elsewhere.  On
-the singular-value route, windows whose C_AB blocks agree to rounding share
-one SVD.
+the singular-value route, windows whose C_AB blocks have the same bytes
+share one SVD.
 
 Each case is held to ``oracles.eigvalsh_spectra``, every window's
 ``eigvalsh``: bit for bit on the ``eigvalsh`` route, within
@@ -23,10 +23,17 @@ from oracles import assert_routes_match, chiral_windows, eigvalsh_spectra, is_sw
 
 
 def _polar_ring():
-    """N = 1000: 500 cells, 8 blocks of 59, so the polar solve."""
+    """N = 1000: 500 cells, whose two regions the solve cuts to 160 cells
+    (the sea's band is that of the polar factor of the hopping block)."""
     return model.ChainSpec(
         n_sites=1000, dimerization=0.3, defects=(model.DefectSpec(125), model.DefectSpec(375))
     )
+
+
+def _ci_ring():
+    """The N = 8000 ring of the CI scan."""
+    return model.ChainSpec(n_sites=8000, dimerization=0.3, defects=(
+        model.DefectSpec(1000, "one_site"), model.DefectSpec(3000, "three_site")))
 
 
 def _zero_mode(spec, sea):
@@ -41,9 +48,10 @@ CASES = {
     # the eigensolve's sea leaves bulk neighbours more than rounding apart:
     # every window of the route takes its own SVD
     "std400": (two_defect_chain(0.3), BELOW_HALF, range(1, 201), None, 48, 48),
-    # the polar sea's bulk blocks agree to rounding within each of the two
-    # regions between the defects: two representatives
-    "polar-ring-1000": (_polar_ring(), BELOW_HALF, range(1, 501), None, 348, 2),
+    # the compressed ring's bulk blocks have the same bytes within each of the
+    # two regions between the defects: two representatives, and 87 windows
+    # that read rows of the ring's neighbourhoods
+    "polar-ring-1000": (_polar_ring(), BELOW_HALF, range(1, 501), None, 348, 89),
     "open-chain": (open_chain(["one_site"]), BELOW_HALF, range(2, 181), None, 92, 92),
     "mixed-ring": (two_defect_chain(0.3, ("one_site", "three_site")), BELOW_HALF,
                    range(1, 201), None, 47, 47),
@@ -102,16 +110,34 @@ def test_reversed_windows_give_the_same_bytes():
     assert backward[::-1].tobytes() == forward.tobytes()
 
 
-@pytest.mark.parametrize("step, shares", [(gs.CHIRAL_BOUND, True),
-                                          (np.nextafter(gs.CHIRAL_BOUND, 1.0), False)])
-def test_a_window_at_the_bound_shares_its_representatives_svd(
+def test_bulk_windows_share_the_bytes_of_their_group(monkeypatch):
+    """On the CI scan's N = 8000 ring every window of the singular-value
+    route takes the SVD of a block with its own C_AB bytes, and no two SVD'd
+    blocks have the same bytes: the bulk windows of each region read one row
+    of the compressed ring, so the 3,847 windows of the route take 87
+    SVDs."""
+    spec = _ci_ring()
+    sea = sea_of(spec)
+    starts = np.arange(1, spec.n_cells + 1)
+    calls = _count_svds(monkeypatch)
+    gs.correlation_spectra(sea, spec, BELOW_HALF, starts, 20)
+    solved = [block.tobytes() for batch in calls for block in batch]
+    assert len(set(solved)) == len(solved) == 87
+    chiral = chiral_windows(sea, spec, BELOW_HALF, starts, 20)
+    stacks = gs.correlation_stacks(sea, spec, BELOW_HALF, starts[chiral], 20)
+    assert {c[0::2, 1::2].tobytes() for stack in stacks for c in stack} == set(solved)
+
+
+@pytest.mark.parametrize("step, shares", [(0.0, True), (np.nextafter(0.0, 1.0), False)],
+                         ids=["same-bytes", "smallest-subnormal-apart"])
+def test_windows_share_an_svd_only_with_the_same_bytes(
     monkeypatch, sea03, chain03, below_half, step, shares
 ):
-    """Two windows of a synthetic sea: at 81 the block ``I / 4`` of 16 cells
-    (Frobenius norm 1), at 121 the same block with one zero entry set to
-    ``step``.  At ``CHIRAL_BOUND`` exactly the window at 121 takes the SVD
-    of its representative, the window at 81 with the lower start cell,
-    whichever comes first; one ulp above, it takes its own."""
+    """Two windows of a synthetic sea: at 81 the block ``I / 4`` of 16 cells,
+    at 121 the same block with one zero entry set to ``step``.  With the
+    same bytes the window at 121 takes the SVD of its representative, the
+    window at 81 with the lower start cell, whichever comes first; with that
+    entry the smallest subnormal, it takes its own."""
     ell = 16
     no_zero_columns = dict(u0=np.zeros_like(sea03.u0), v0=np.zeros_like(sea03.v0))
     # the band positions of each window's C_AB, read through a band of indices
@@ -127,7 +153,6 @@ def test_a_window_at_the_bound_shares_its_representatives_svd(
     sea = replace(sea03, band=band.reshape(sea03.band.shape), **no_zero_columns)
     member = rep.copy()
     member[0, 1] = step
-    assert np.linalg.norm(member - rep) == step and np.linalg.norm(rep) == 1.0
     calls = _count_svds(monkeypatch)
     lam = gs.correlation_spectra(sea, chain03, below_half, [121, 81], ell)
     solved = [block.tolist() for batch in calls for block in batch]
