@@ -32,7 +32,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import lanes
 from .entanglement import clamp_lambdas
 from .linalg import BandedBlock, FilledSea, NumericalError, eigh_sea
 from .model import ChainSpec, defect_sites, hopping_bands, localization_length, window_defect_counts
@@ -48,18 +47,12 @@ NEAR_ZERO_THRESHOLD = 1e-4  # in units of the hopping t
 # from the translation-invariant rows as exp(-2 d / xi).
 ROUNDING_E_FOLDS = 53 * math.log(2)
 # windows per stacked eigvalsh call: amortizes the call overhead while the
-# stack (16 windows of 40 x 40 at ell = 20) stays in cache.  The two lanes of
-# correlation_spectra split a scan at a whole stack, so each lane's stacks
-# hold the windows, and each window's matrix the bits, of the one-lane stacks
+# stack (16 windows of 40 x 40 at ell = 20, 200 kB) stays in cache
 SPECTRA_CHUNK = 16
-# windows per batched SVD of C_AB blocks: batches of 16 scaled badly across
-# two lanes, of 128 or more well, and each gather of one batch stays small
-# beside the stack buffer
+# windows per batched SVD of C_AB blocks: amortizes the call overhead while
+# each gather of one batch (128 blocks of 20 x 20 at ell = 20, 400 kB) stays
+# small beside the stack buffer
 SVD_CHUNK = 8 * SPECTRA_CHUNK
-# weights per eigvalsh call of a sweep's reduced matrices (18 x 18 on the
-# benchmark's window at ell = 20): stacks of 16 solved slower on two lanes than
-# on one, of 32 to 250 about 1.4 times faster
-SWEEP_CHUNK = 8 * SPECTRA_CHUNK
 # Without its zero-column terms a window's correlation matrix is
 # [[I / 2, C_AB], [C_AB^T, I / 2]], whose spectrum is 1/2 -+ the singular values
 # of C_AB.  Those terms, -Z_A Z_A^T / 2 and -Z_B Z_B^T / 2 on the diagonal
@@ -151,9 +144,10 @@ def filled_sea(spec: ChainSpec, width: int) -> FilledSea:
     cells, ``R = ceil(ROUNDING_E_FOLDS xi) + width`` (``xi = 0`` at
     ``|delta| = 1``), and ``eigh_sea`` solves that compressed ring.  A row
     of a cut run within ``ceil(ROUNDING_E_FOLDS xi / 2) + width`` cells of
-    either end is its own row of the ring; every other row is the run's
-    middle row, ``R`` cells in, shifted along the band to the row's column
-    offset, so all of them read the same bytes at each distance.  The zero
+    either end is its own row of the ring; every other row, and every row
+    of a ring of identical cells, which has no ends, is the run's middle
+    row, ``R`` cells in, shifted along the band to the row's column offset,
+    so all of them read the same bytes at each distance.  The zero
     columns are 0 on the cut cells, and ``filled`` is ``L`` less the ring's
     zero columns.  Where no run is that long, the chain itself is solved.
     """
@@ -172,7 +166,8 @@ def filled_sea(spec: ChainSpec, width: int) -> FilledSea:
     starts = np.flatnonzero((block.diag != np.roll(block.diag, 1))
                             | (block.sub != np.roll(block.sub, 1)))
     if not starts.size:
-        starts = np.zeros(1, dtype=np.intp)
+        # a ring of identical cells is one run with no ends: every row is bulk
+        starts, near = np.zeros(1, dtype=np.intp), 0
     lengths = np.diff(np.append(starts, starts[0] + n))
     cut = lengths > 2 * reach
     if not cut.any():
@@ -334,10 +329,8 @@ def _window_builder(
     of them: ``chiral[i]`` says window ``i`` takes its spectrum from its
     C_AB block (``CHIRAL_BOUND``; never under an occupied zero mode),
     ``fill`` writes the windows' correlation matrices into ``out`` and
-    ``block`` returns their C_AB blocks in a new array.  Everything
-    ``fill`` and ``block`` read is built here and only read after, so calls
-    on disjoint windows into their own buffers may run at once.  Where every
-    window covers the same cells under an occupied zero mode (a sweep of its
+    ``block`` returns their C_AB blocks in a new array.  Where every window
+    covers the same cells under an occupied zero mode (a sweep of its
     weight), ``sweep()`` returns the windows' reduced matrices and the
     eigenvalues no weight enters (``_sweep_reduction``); elsewhere it is
     ``None``."""
@@ -419,9 +412,9 @@ def _window_builder(
             products = _zero_mode_outer(y[None, :, 0], y[None, :, 1])
             reduced = np.empty((starts.size, *t.shape))
             # SPECTRA_CHUNK weights at a time, so the temporaries stay small
-            # and are reused: built SWEEP_CHUNK at a time, zeromode's peak RSS
-            # rose by 0.08 MB over one full eigvalsh per weight, where this
-            # lowers it by 0.37 MB
+            # and are reused: built 128 at a time, zeromode's peak RSS rose by
+            # 0.08 MB over one full eigvalsh per weight, where this lowers it
+            # by 0.37 MB
             for lo in range(0, starts.size, SPECTRA_CHUNK):
                 out = reduced[lo : lo + SPECTRA_CHUNK]
                 out[:] = t
@@ -464,22 +457,16 @@ def correlation_spectra(
     in batches of up to ``SVD_CHUNK``.  Where every window covers the same
     cells under an occupied zero mode (a sweep of its weight), the window
     is reduced once (``_sweep_reduction``): each weight takes the
-    ``eigvalsh`` of its k x k reduced matrix, one call per ``SWEEP_CHUNK``
-    weights, merged with the eigenvalues no weight enters and sorted,
-    within ``2 n_cells SWEEP_BOUND |F|_2`` of its full matrix's spectrum.
-    Every other window takes its matrix's ``eigvalsh``, one per stack of
-    the windows of a run of ``SPECTRA_CHUNK`` that take this route.
+    ``eigvalsh`` of its k x k reduced matrix, all in one call, merged with
+    the eigenvalues no weight enters and sorted, within ``2 n_cells
+    SWEEP_BOUND |F|_2`` of its full matrix's spectrum.  Every other window
+    takes its matrix's ``eigvalsh``, one per stack of the windows of a run
+    of ``SPECTRA_CHUNK`` that take this route, built in one buffer.
 
-    The groups and a sweep's reduced matrices are formed first, over all
-    windows.  Then the runs are split into two contiguous parts, solved on
-    two lanes (``lanes.beside``), each filling its own buffers from the
-    shared read-only band and writing its own rows of the result, and the
-    windows of a group copy their representative's row.  The groups depend
-    on the set of windows alone and each solve on its own matrix alone, so
-    the spectra are the same bits on one lane or two and in any order of
-    the windows (or weights).  A solve that does not converge is a
-    ``NumericalError`` naming the first window of its stack or batch; with
-    both parts failing, the earlier one's is raised, as on one lane.
+    The groups depend on the set of windows alone and each solve on its own
+    matrix alone, so the spectra are the same bits in any order of the
+    windows (or weights).  A solve that does not converge is a
+    ``NumericalError`` naming the first window of its stack or batch.
     """
     starts = np.asarray(starts, dtype=int)
     chiral, fill, block, sweep = _window_builder(sea, spec, policy, starts, n_cells, weights)
@@ -488,71 +475,46 @@ def correlation_spectra(
     source = np.arange(size)
     source[chiral] = _svd_sources(np.flatnonzero(chiral), starts, block, n_cells)
     shared = source != np.arange(size)
-    own = chiral & ~shared
-    reduced = None
-    if sweep is not None:
-        # built here, not on the other lane: see the stack buffers below
-        reduced, rest = sweep()
-        spectra[:, reduced.shape[1] :] = rest
 
     def first_of(windows: np.ndarray) -> str:
         return f"the first at cell {int(starts[windows[0]])}"
 
-    def stack(windows: np.ndarray, buf: np.ndarray | None) -> np.ndarray:
-        if reduced is not None:
-            return reduced[windows[0] : windows[-1] + 1]  # a sweep's windows are consecutive
-        out = buf[: windows.size]
-        fill(out, windows)
-        return out
+    def eigvalsh(windows: np.ndarray, matrices: np.ndarray) -> None:
+        rows = matrices.shape[1]
+        try:
+            spectra[windows, :rows] = np.linalg.eigvalsh(matrices)
+        except np.linalg.LinAlgError as err:
+            raise NumericalError(
+                f"eigensolver did not converge (eigvalsh of the {rows}x{rows} "
+                f"correlation matrices of windows {windows[0]}..{windows[-1]}, "
+                f"{first_of(windows)}): {err}"
+            ) from err
 
-    chunk = SPECTRA_CHUNK if reduced is None else SWEEP_CHUNK
-
-    def solve(lo: int, hi: int, buf: np.ndarray | None) -> None:
-        for first in range(lo, hi, chunk):
-            windows = first + np.flatnonzero(~chiral[first : min(first + chunk, hi)])
-            if not windows.size:
-                continue
-            matrices = stack(windows, buf)
-            rows = matrices.shape[1]
-            try:
-                spectra[windows, :rows] = np.linalg.eigvalsh(matrices)
-            except np.linalg.LinAlgError as err:
-                raise NumericalError(
-                    f"eigensolver did not converge (eigvalsh of the {rows}x{rows} "
-                    f"correlation matrices of windows {windows[0]}..{windows[-1]}, "
-                    f"{first_of(windows)}): {err}"
-                ) from err
-        solved = lo + np.flatnonzero(own[lo:hi])
-        for first in range(0, solved.size, SVD_CHUNK):
-            windows = solved[first : first + SVD_CHUNK]
-            k = windows.size
-            try:
-                s = np.linalg.svd(block(windows), compute_uv=False)
-            except np.linalg.LinAlgError as err:
-                raise NumericalError(
-                    f"singular values did not converge (svd of the {n_cells}x{n_cells} C_AB "
-                    f"blocks of {k} windows from window {windows[0]}, "
-                    f"{first_of(windows)}): {err}"
-                ) from err
-            spectra[windows, :n_cells] = 0.5 - s
-            spectra[windows, n_cells:] = 0.5 + s[:, ::-1]
-
-    def buffer(count: int) -> np.ndarray | None:
-        return None if reduced is not None else _stack_buffer(count, n_cells)
-
-    stacks = -(-size // chunk)
-    if stacks < 2:
-        solve(0, size, buffer(size))
-    else:
-        split = -(-stacks // 2) * chunk  # this thread's part is the longer
-        # both stack buffers are made on this thread: memory the other lane's
-        # thread allocates stays in its own malloc arena once freed, where the
-        # stages after the spectra cannot reuse it (made on that lane, the
-        # parts' buffers cost big2000 0.75 MB of peak RSS)
-        main, other = buffer(split), buffer(size - split)
-        lanes.beside(lambda: solve(0, split, main), lambda: solve(split, size, other))
-    if reduced is not None:
+    if sweep is not None:
+        reduced, rest = sweep()
+        spectra[:, reduced.shape[1] :] = rest
+        eigvalsh(np.arange(size), reduced)
         spectra.sort(axis=1)
+    else:
+        buf = _stack_buffer(size, n_cells)
+        for first in range(0, size, SPECTRA_CHUNK):
+            windows = first + np.flatnonzero(~chiral[first : first + SPECTRA_CHUNK])
+            if windows.size:
+                fill(buf[: windows.size], windows)
+                eigvalsh(windows, buf[: windows.size])
+    own = np.flatnonzero(chiral & ~shared)
+    for first in range(0, own.size, SVD_CHUNK):
+        windows = own[first : first + SVD_CHUNK]
+        try:
+            s = np.linalg.svd(block(windows), compute_uv=False)
+        except np.linalg.LinAlgError as err:
+            raise NumericalError(
+                f"singular values did not converge (svd of the {n_cells}x{n_cells} C_AB "
+                f"blocks of {windows.size} windows from window {windows[0]}, "
+                f"{first_of(windows)}): {err}"
+            ) from err
+        spectra[windows, :n_cells] = 0.5 - s
+        spectra[windows, n_cells:] = 0.5 + s[:, ::-1]
     spectra[shared] = spectra[source[shared]]
     return clamp_lambdas(spectra)
 
@@ -563,8 +525,8 @@ def _svd_sources(
     """For each of the singular-value-route windows ``windows``, the window
     whose singular values it takes: among the windows whose C_AB blocks have
     the same bytes, the one with the lowest start cell (the first given, if
-    two share it), so the choice depends on neither the order of the
-    windows nor the lane count.  A hash of each block's bits (a wrapping
+    two share it), so the choice does not depend on the order of the
+    windows.  A hash of each block's bits (a wrapping
     integer sum, taken ``SVD_CHUNK`` blocks at a time) proposes the groups,
     and a window joins its group's representative only if its block has the
     representative's bytes; a collision of the hash costs an SVD, never a

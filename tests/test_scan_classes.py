@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from sshent import asymptotics as asym
-from sshent import cli, lanes
+from sshent import cli
 from sshent import entanglement as ent
 
 from oracles import RowScan
@@ -88,12 +88,6 @@ SCANS = {
         None,
     ),
     "zero-mode-second-defect": ("zero-mode-scan", ZERO_MODE, None),
-    "one-lane": (
-        "scan-interval", RING1000, lambda mp: mp.setattr(lanes, "usable_cpus", lambda: 1),
-    ),
-    "two-lanes": (
-        "scan-interval", RING1000, lambda mp: mp.setattr(lanes, "usable_cpus", lambda: 2),
-    ),
     "nan-gate": ("scan-interval", RING1000, _nan_in_trivial_case),
     # three points at (m, p) = (None, None): their rows interleave by the
     # value of n, not its index, then by point order

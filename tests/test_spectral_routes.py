@@ -10,11 +10,14 @@ Each case is held to ``oracles.eigvalsh_spectra``, every window's
 included, and within ``oracles.sweep_route_atol`` on a sweep.
 """
 
+import json
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from sshent import cli
 from sshent import groundstate as gs
 from sshent import model
 
@@ -192,3 +195,182 @@ def test_a_window_just_above_the_bound_takes_eigvalsh(monkeypatch, sea03, chain0
     assert chiral.tolist() == [True, False, True]
     monkeypatch.undo()
     assert_routes_match(lam, eigvalsh_spectra(sea, chain03, below_half, starts, 20), chiral, 20)
+
+
+def _ring(n_sites):
+    """The benchmark's rings: defects at a quarter and three quarters."""
+    cells = n_sites // 2
+    return model.ChainSpec(
+        n_sites=n_sites, dimerization=0.3,
+        defects=(model.DefectSpec(cells // 4), model.DefectSpec(3 * cells // 4)),
+    )
+
+
+# a sweep's weights beyond any stack of SPECTRA_CHUNK, all in one eigvalsh call
+MANY_WEIGHTS = np.linspace(0.0, 1.0, 261)
+
+
+def _spectra_cases():
+    chunk = gs.SPECTRA_CHUNK
+    yield pytest.param(_ring(400), None, list(range(1, 201)), id="std400")
+    yield pytest.param(_ring(2000), None, list(range(1, 1001)), id="big2000")
+    yield pytest.param(_ring(400), None, [41], id="one-window")
+    yield pytest.param(_ring(400), None, list(range(30, 30 + chunk - 3)), id="under-one-stack")
+    yield pytest.param(_ring(400), None, list(range(1, 1 + 5 * chunk - 2)), id="odd-stacks")
+    # one window under 37 weights: the sweep route
+    yield pytest.param(_ring(400), 41, np.linspace(0.0, 1.0, 37), id="zero-mode-37")
+    yield pytest.param(_ring(400), 141, np.linspace(0.0, 1.0, 37), id="second-defect")
+    yield pytest.param(_ring(400), 41, MANY_WEIGHTS, id="zero-mode-three-stacks")
+    # far from both defects: no dimension of the window is solved per weight
+    yield pytest.param(_ring(400), 90, MANY_WEIGHTS, id="zero-mode-far")
+
+
+@pytest.mark.parametrize("spec, start, values", _spectra_cases())
+def test_window_sets_match_their_routes(spec, start, values):
+    """Scans, stack edges and sweeps give one C-ordered row per window: the
+    eigvalsh route's a stack at a time, bit for bit, and the singular-value
+    and sweep routes' within their bounds."""
+    sea = sea_of(spec)
+    if start is None:
+        policy, starts, weights = BELOW_HALF, values, None
+    else:
+        policy = _zero_mode(spec, sea)
+        starts, weights = [start] * len(values), values
+    lam = gs.correlation_spectra(sea, spec, policy, starts, 20, weights)
+    assert lam.shape == (len(starts), 40) and lam.flags.c_contiguous
+    assert_routes_match(lam, eigvalsh_spectra(sea, spec, policy, starts, 20, weights),
+                        chiral_windows(sea, spec, policy, starts, 20), 20,
+                        sweep=is_sweep(spec, policy, starts))
+
+
+def test_big2000_bulk_windows_share_two_svds(monkeypatch):
+    """big2000's 848 singular-value windows take 89 SVDs in one batch: the
+    windows of the two regions' bulk share the SVDs of two representatives,
+    the windows at cells 1 and 301 (the lowest start cell of each bulk), and
+    the 87 windows that read rows of the compressed ring's neighbourhoods
+    take their own."""
+    spec = _ring(2000)
+    sea = sea_of(spec)
+    calls = _count_svds(monkeypatch)
+    lam = gs.correlation_spectra(sea, spec, BELOW_HALF, range(1, 1001), 20)
+    assert [len(batch) for batch in calls] == [89]
+    chiral = chiral_windows(sea, spec, BELOW_HALF, range(1, 1001), 20)
+    assert chiral.sum() == 848
+    rows = [row.tobytes() for row in lam[chiral]]
+    assert len(set(rows)) == 89
+    assert rows.count(lam[0].tobytes()) == 381 and rows.count(lam[300].tobytes()) == 380
+
+
+def test_a_defect_free_ring_takes_one_svd(monkeypatch):
+    """A defect-free N = 600 ring is one run of identical cells with no
+    ends, cut to 160 cells: every row is its bulk row, so its 300 windows
+    have one C_AB block's bytes and take one SVD."""
+    spec = model.ChainSpec(n_sites=600, dimerization=0.3)
+    sea = sea_of(spec)
+    starts = list(range(1, 301))
+    calls = _count_svds(monkeypatch)
+    lam = gs.correlation_spectra(sea, spec, BELOW_HALF, starts, 20)
+    assert [len(batch) for batch in calls] == [1]
+    chiral = chiral_windows(sea, spec, BELOW_HALF, starts, 20)
+    assert chiral.all()
+    assert_routes_match(lam, eigvalsh_spectra(sea, spec, BELOW_HALF, starts, 20), chiral, 20)
+
+
+def test_spectra_start_no_thread(monkeypatch):
+    """Every route runs on the calling thread."""
+    started, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: started.append(thread) or start(thread))
+    spec = _ring(2000)
+    gs.correlation_spectra(sea_of(spec), spec, BELOW_HALF, range(1, 1001), 20)
+    assert started == []
+
+
+def test_no_windows_give_no_spectra(sea03, chain03, below_half):
+    assert gs.correlation_spectra(sea03, chain03, below_half, [], 20).shape == (0, 40)
+
+
+# ---------------------------------------------------------------- the CLI
+
+CHAIN = {
+    "n_sites": 400, "t": 1.0, "delta": 0.3, "boundary": "periodic",
+    "defects": [{"cell": 50, "kind": "one_site"}, {"cell": 150, "kind": "one_site"}],
+}
+SCANS = {
+    "scan-interval": {"chain": CHAIN, "window_length": 20, "m_range": [1, 200],
+                      "n_list": [1, 2], "mode": "both"},
+    "zero-mode-scan": {"chain": CHAIN, "window_length": 20, "window_start": 41,
+                       "p_list": [round(0.01 * i, 2) for i in range(1, 100)],
+                       "n_list": [1], "mode": "both"},
+}
+
+
+def _run(tmp_path, capsys, command, config):
+    cfg = dict(config, outputs={"csv_path": str(tmp_path / "scan.csv"),
+                                "json_path": str(tmp_path / "scan.json")})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    rc = cli.main([command, "--config", str(path)])
+    std = capsys.readouterr()
+    files = {p.name: p.read_bytes() for p in tmp_path.glob("scan.*")}
+    return rc, std.out, std.err, files
+
+
+@pytest.mark.parametrize("command", SCANS)
+def test_cli_outputs_and_lines(tmp_path, capsys, command):
+    rc, out, err, files = _run(tmp_path, capsys, command, SCANS[command])
+    assert rc == cli.EXIT_OK and err == ""
+    assert sorted(files) == ["scan.csv", "scan.json"]
+    rows = files["scan.csv"].count(b"\n") - 2
+    # the gate line, then the files in the order they were always written
+    assert out.splitlines()[1:] == [
+        f"wrote {tmp_path / 'scan.csv'} ({rows} rows)",
+        f"wrote {tmp_path / 'scan.json'}",
+    ]
+
+
+FAILURES = {"eigvalsh": "Eigenvalues did not converge", "svd": "SVD did not converge"}
+
+
+def _failing_solve(monkeypatch, name, m):
+    """Make ``np.linalg.<name>`` (``eigvalsh`` or ``svd``) fail with
+    numpy's message on the stack or batch whose first matrix is that of the
+    window at ``m`` on the standard ring (its C_AB block for ``svd``)."""
+    spec = two_defect_chain(0.3)
+    matrix = gs.correlation_matrix(sea_of(spec), spec, BELOW_HALF, (m, 20)).matrix
+    target = matrix[0::2, 1::2] if name == "svd" else matrix
+    solve = getattr(np.linalg, name)
+
+    def spy(a, *args, **kwargs):
+        if np.array_equal(a[0], target):
+            raise np.linalg.LinAlgError(FAILURES[name])
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, spy)
+
+
+def test_singular_value_failure_is_a_numerical_error(tmp_path, capsys, monkeypatch):
+    """std400's 48 singular-value windows are one batch, from window 0: the
+    run exits 2 with one line naming it, and writes no file."""
+    _failing_solve(monkeypatch, "svd", 1)
+    rc, out, err, files = _run(tmp_path, capsys, "scan-interval", SCANS["scan-interval"])
+    assert rc == cli.EXIT_VALIDATION and out == "" and files == {}
+    assert err == (
+        "numerical error: singular values did not converge (svd of the 20x20 C_AB blocks of "
+        "48 windows from window 0, the first at cell 1): SVD did not converge\n"
+    )
+
+
+@pytest.mark.parametrize("first_window", [1 + 10 * gs.SPECTRA_CHUNK, 1 + 2 * gs.SPECTRA_CHUNK])
+def test_window_solve_failure_is_a_numerical_error(tmp_path, capsys, monkeypatch, first_window):
+    """Stacks 2 and 10 of std400's 13: the run exits 2 with one line naming
+    the first window of the failing stack, and writes no file."""
+    _failing_solve(monkeypatch, "eigvalsh", first_window)
+    rc, out, err, files = _run(tmp_path, capsys, "scan-interval", SCANS["scan-interval"])
+    assert rc == cli.EXIT_VALIDATION and out == "" and files == {}
+    first = first_window - 1
+    assert err == (
+        "numerical error: eigensolver did not converge (eigvalsh of the 40x40 correlation "
+        f"matrices of windows {first}..{first + gs.SPECTRA_CHUNK - 1}, the first at cell "
+        f"{first_window}): Eigenvalues did not converge\n"
+    )
