@@ -17,6 +17,7 @@ import pytest
 from sshent import asymptotics as asym
 from sshent import cli
 from sshent import entanglement as ent
+from sshent import groundstate as gs
 
 from oracles import RowScan
 
@@ -71,6 +72,15 @@ def _nan_in_trivial_case(monkeypatch):
     monkeypatch.setattr(asym, "case_grid", spoiled)
 
 
+def _chunks(stack, batch):
+    """Solve the window spectra in stacks of ``stack`` windows and SVD
+    batches of ``batch`` blocks."""
+    def patch(monkeypatch):
+        monkeypatch.setattr(gs, "SPECTRA_CHUNK", stack)
+        monkeypatch.setattr(gs, "SVD_CHUNK", batch)
+    return patch
+
+
 SCANS = {
     "std400": ("scan-interval", STD400, None),
     "std400-n05": ("scan-interval", dict(STD400, n_list=[0.5]), None),
@@ -88,6 +98,10 @@ SCANS = {
         None,
     ),
     "zero-mode-second-defect": ("zero-mode-scan", ZERO_MODE, None),
+    # RING1000's 500 windows in one stack and its 87 SVDs in one batch, and
+    # both cut in two, as when the spectra were split over two threads
+    "one-lane": ("scan-interval", RING1000, _chunks(500, 500)),
+    "two-lanes": ("scan-interval", RING1000, _chunks(250, 44)),
     "nan-gate": ("scan-interval", RING1000, _nan_in_trivial_case),
     # three points at (m, p) = (None, None): their rows interleave by the
     # value of n, not its index, then by point order
