@@ -27,7 +27,7 @@ of one row of that ring.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -277,72 +277,21 @@ def filled_triples(sea: FilledSea, spec: ChainSpec, policy: OccupationPolicy) ->
     return filled
 
 
-def correlation_stacks(
+def _window_cells(
     sea: FilledSea,
     spec: ChainSpec,
     policy: OccupationPolicy,
-    starts: Sequence[int],
+    starts: np.ndarray,
     n_cells: int,
-    weights: Sequence[float] | None = None,
-) -> Iterator[np.ndarray]:
-    """Correlation matrices of the intervals ``[m, m + n_cells - 1]`` (cells),
-    ``m`` in ``starts``, in stacks of up to ``SPECTRA_CHUNK`` windows (views of
-    one buffer, each overwritten by the next).
+) -> np.ndarray:
+    """The cells of the intervals ``[m, m + n_cells - 1]``, ``m`` in
+    ``starts``, as 0-based rows of the sea, one row per window, after
+    checking the windows against the chain, the sea and the policy.
 
-    With ``Z`` the zero columns, ``C_AA = (I - Z_A Z_A^T) / 2`` on the odd
-    sites, ``C_BB`` likewise on the even ones, and ``C_AB`` is gathered from
-    the sea's band, so ``n_cells`` is at most its ``width``.  Cells are taken
-    modulo ``L``: windows across the cell-1 seam and the full ring (a purity
-    diagnostic, which may hold two defects) take the same path.  An occupied
-    zero mode adds its projector, at weight ``weights[i]`` in window ``i`` if
-    given; its phase enters only through the real interference term, the
-    imaginary part being antisymmetric and as small.  ``weights`` need an
-    occupied zero mode and one weight per window (``ValueError`` otherwise).
-    """
-    chiral, fill, _, _ = _window_builder(sea, spec, policy, starts, n_cells, weights)
-    buf = _stack_buffer(chiral.size, n_cells)
-    for lo in range(0, chiral.size, SPECTRA_CHUNK):
-        out = buf[: min(SPECTRA_CHUNK, chiral.size - lo)]
-        fill(out, np.arange(lo, lo + len(out)))
-        yield out
-
-
-def _stack_buffer(size: int, n_cells: int) -> np.ndarray:
-    return np.empty((min(size, SPECTRA_CHUNK), 2 * n_cells, 2 * n_cells))
-
-
-def _window_builder(
-    sea: FilledSea,
-    spec: ChainSpec,
-    policy: OccupationPolicy,
-    starts: Sequence[int],
-    n_cells: int,
-    weights: Sequence[float] | None,
-) -> tuple[
-    np.ndarray,
-    Callable[[np.ndarray, np.ndarray], None],
-    Callable[..., np.ndarray],
-    Callable[[], tuple[np.ndarray, np.ndarray]] | None,
-]:
-    """``chiral``, ``fill(out, windows)``, ``block(windows)`` and ``sweep``
-    of the windows of ``correlation_stacks``, for ``windows`` an index array
-    of them: ``chiral[i]`` says window ``i`` takes its spectrum from its
-    C_AB block (``CHIRAL_BOUND``; never under an occupied zero mode),
-    ``fill`` writes the windows' correlation matrices into ``out`` and
-    ``block`` returns their C_AB blocks in a new array.  Where every window
-    covers the same cells under an occupied zero mode (a sweep of its
-    weight), ``sweep()`` returns the windows' reduced matrices and the
-    eigenvalues no weight enters (``_sweep_reduction``); elsewhere it is
-    ``None``."""
-    starts = np.asarray(starts, dtype=int)
-    zm = policy.zero_mode
-    if weights is not None:
-        if zm is None:
-            raise ValueError("weights were given, but no zero mode is occupied")
-        if len(weights) != starts.size:
-            raise ValueError(
-                f"{len(weights)} weights for {starts.size} windows: give one weight per window"
-            )
+    Cells are taken modulo ``L``.  A window holds at most one defect unless
+    it is the full ring, ``n_cells`` is at most the sea's ``width``, and
+    under an occupied zero mode every window covers the same cells
+    (``ValueError`` otherwise)."""
     counts = window_defect_counts(spec, starts, n_cells)
     if n_cells < spec.n_cells and np.any(counts > 1):
         raise ValueError(
@@ -352,76 +301,42 @@ def _window_builder(
         raise ValueError(f"a window of {n_cells} cells is wider than the filled sea's band "
                          f"({sea.width} cells)")
     filled_triples(sea, spec, policy)
-    if zm is not None:
-        p = np.full(starts.size, zm.p) if weights is None else np.asarray(weights, dtype=float)
-        if not np.all((p >= 0.0) & (p <= 1.0)):
-            raise ValueError("hybridization weight must lie in [0, 1]")
-    offsets = np.arange(n_cells)
-    cells = (starts[:, None] - 1 + offsets) % spec.n_cells
-    width = sea.width
-    # row i of a window's C_AB is the n_cells entries of band row r = cells[i]
-    # from the column of Q[r, r - i], r % width + width - i
+    cells = (starts[:, None] - 1 + np.arange(n_cells)) % spec.n_cells
+    if policy.zero_mode is not None and np.any(cells[:, 0] != cells[:1, 0]):
+        raise ValueError(
+            "under an occupied zero mode every window must cover the same cells (a sweep of its "
+            f"weight), not windows at cells {starts[0]} and {starts[cells[:, 0] != cells[0, 0]][0]}"
+        )
+    return cells
+
+
+def _blocks(sea: FilledSea, rows: np.ndarray) -> np.ndarray:
+    """The C_AB blocks of the windows on cells ``rows`` (one row per window)
+    in a new array: row i of a window's block is the ``n_cells`` entries of
+    band row r = rows[i] from the column of Q[r, r - i], r % width + width - i."""
+    n_cells, width = rows.shape[1], sea.width
     band_rows = np.lib.stride_tricks.sliding_window_view(sea.band.ravel(), n_cells)
-    first = width - offsets
-    zeros = sea.u0, sea.v0
-    eye = np.eye(n_cells)
+    return band_rows[rows * (3 * width) + rows % width + width - np.arange(n_cells)]
 
-    def block(windows: np.ndarray) -> np.ndarray:
-        rows = cells[windows]
-        return band_rows[rows * (3 * width) + rows % width + first]
 
-    if zm is None:
-        zero = np.sum(sea.u0**2, axis=1) + np.sum(sea.v0**2, axis=1)
-        chiral = 0.5 * zero[cells].sum(axis=1) <= CHIRAL_BOUND
-    else:
-        chiral = np.zeros(starts.size, dtype=bool)
+def _weightless(out: np.ndarray, sea: FilledSea, rows: np.ndarray) -> None:
+    """Write into ``out`` the part of the correlation matrices of the windows
+    on cells ``rows`` that no zero-mode weight enters: C_AB and the two
+    diagonal blocks."""
+    cab = _blocks(sea, rows)
+    out[:, 0::2, 1::2] = cab
+    out[:, 1::2, 0::2] = cab.transpose(0, 2, 1)
+    eye = np.eye(rows.shape[1])
+    for z, diagonal in zip((sea.u0, sea.v0), (out[:, 0::2, 0::2], out[:, 1::2, 1::2])):
+        zr = z[rows]
+        np.subtract(eye, zr @ zr.transpose(0, 2, 1), out=diagonal)
+        diagonal *= 0.5
 
-    def weightless(out: np.ndarray, windows: np.ndarray) -> None:
-        """The part of the windows that no zero-mode weight enters: C_AB and
-        the two diagonal blocks."""
-        cab = block(windows)
-        out[:, 0::2, 1::2] = cab
-        out[:, 1::2, 0::2] = cab.transpose(0, 2, 1)
-        rows = cells[windows]
-        for z, diagonal in zip(zeros, (out[:, 0::2, 0::2], out[:, 1::2, 1::2])):
-            zr = z[rows]
-            np.subtract(eye, zr @ zr.transpose(0, 2, 1), out=diagonal)
-            diagonal *= 0.5
 
-    def envelopes(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The two zero modes on the windows' sites, one row per window."""
-        rows = cells[windows]
-        sites = (2 * rows[:, :, None] + np.arange(2)).reshape(len(rows), -1)
-        return zm.psi1[sites], zm.psi2[sites]
-
-    def fill(out: np.ndarray, windows: np.ndarray) -> None:
-        weightless(out, windows)
-        if zm is not None:
-            _add_zero_mode(out, _zero_mode_outer(*envelopes(windows)), p[windows], zm.phi)
-
-    sweep = None
-    if zm is not None and starts.size and np.all(cells == cells[0]):
-
-        def sweep() -> tuple[np.ndarray, np.ndarray]:
-            """One window under many weights: its weightless part and the
-            zero modes reduced once, then every weight's reduced matrix."""
-            f = np.empty((1, 2 * n_cells, 2 * n_cells))
-            weightless(f, np.arange(1))
-            w1, w2 = envelopes(np.arange(1))
-            t, y, rest = _sweep_reduction(f[0], np.stack([w1[0], w2[0]], axis=1))
-            products = _zero_mode_outer(y[None, :, 0], y[None, :, 1])
-            reduced = np.empty((starts.size, *t.shape))
-            # SPECTRA_CHUNK weights at a time, so the temporaries stay small
-            # and are reused: built 128 at a time, zeromode's peak RSS rose by
-            # 0.08 MB over one full eigvalsh per weight, where this lowers it
-            # by 0.37 MB
-            for lo in range(0, starts.size, SPECTRA_CHUNK):
-                out = reduced[lo : lo + SPECTRA_CHUNK]
-                out[:] = t
-                _add_zero_mode(out, products, p[lo : lo + SPECTRA_CHUNK], zm.phi)
-            return reduced, rest
-
-    return chiral, fill, block, sweep
+def _envelopes(pair: ZeroModePair, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two zero modes on the sites of the window on ``cells``."""
+    sites = (2 * cells[:, None] + np.arange(2)).ravel()
+    return pair.psi1[sites], pair.psi2[sites]
 
 
 def correlation_matrix(
@@ -430,11 +345,25 @@ def correlation_matrix(
     policy: OccupationPolicy,
     window: tuple[int, int],
 ) -> CorrelationMatrix:
-    """Correlation matrix of the interval ``[m, m + ell - 1]`` (cells): the
-    one-window case of ``correlation_stacks``."""
+    """Correlation matrix of the interval ``[m, m + ell - 1]`` (cells).
+
+    With ``Z`` the zero columns, ``C_AA = (I - Z_A Z_A^T) / 2`` on the odd
+    sites, ``C_BB`` likewise on the even ones, and ``C_AB`` is gathered from
+    the sea's band, so ``ell`` is at most its ``width``.  Cells are taken
+    modulo ``L``: windows across the cell-1 seam and the full ring (a purity
+    diagnostic, which may hold two defects) take the same path.  An occupied
+    zero mode adds its projector; its phase enters only through the real
+    interference term, the imaginary part being antisymmetric and as small.
+    """
     start_cell, n_cells = window
-    (stack,) = correlation_stacks(sea, spec, policy, [start_cell], n_cells)
-    return CorrelationMatrix(start_cell=start_cell, n_cells=n_cells, matrix=stack[0])
+    cells = _window_cells(sea, spec, policy, np.array([start_cell]), n_cells)
+    matrix = np.empty((1, 2 * n_cells, 2 * n_cells))
+    _weightless(matrix, sea, cells)
+    zm = policy.zero_mode
+    if zm is not None:
+        _add_zero_mode(matrix, _zero_mode_outer(*_envelopes(zm, cells[0])), np.array([zm.p]),
+                       zm.phi)
+    return CorrelationMatrix(start_cell=start_cell, n_cells=n_cells, matrix=matrix[0])
 
 
 def correlation_spectra(
@@ -445,23 +374,28 @@ def correlation_spectra(
     n_cells: int,
     weights: Sequence[float] | None = None,
 ) -> np.ndarray:
-    """Eigenvalues of the windows of ``correlation_stacks``, one row each,
-    by one of three routes, and one ``clamp_lambdas`` per scan.
+    """Eigenvalues of the correlation matrices of the windows ``[m, m +
+    n_cells - 1]``, ``m`` in ``starts`` (``correlation_matrix``), one row
+    each, by one of three routes, and one ``clamp_lambdas`` per scan.
 
-    A window whose zero columns are below ``CHIRAL_BOUND`` takes ``1/2 - s``
-    ascending and then ``1/2 + s`` ascending, ``s`` the singular values of
-    its C_AB block.  Such windows whose blocks have the same bytes share one
-    SVD (``_svd_sources``: each takes the bytes of its group's
-    representative, the window of the group with the lowest start cell);
-    the representatives and the windows that share with none take theirs
-    in batches of up to ``SVD_CHUNK``.  Where every window covers the same
-    cells under an occupied zero mode (a sweep of its weight), the window
-    is reduced once (``_sweep_reduction``): each weight takes the
+    Under an occupied zero mode every window must cover the same cells, and
+    ``weights``, if given, set the zero mode's weight per window: the call
+    is a sweep of that weight over one window (``ValueError`` otherwise).
+    The window is reduced once (``_sweep_reduction``): each weight takes the
     ``eigvalsh`` of its k x k reduced matrix, all in one call, merged with
     the eigenvalues no weight enters and sorted, within ``2 n_cells
-    SWEEP_BOUND |F|_2`` of its full matrix's spectrum.  Every other window
-    takes its matrix's ``eigvalsh``, one per stack of the windows of a run
-    of ``SPECTRA_CHUNK`` that take this route, built in one buffer.
+    SWEEP_BOUND |F|_2`` of its full matrix's spectrum.
+
+    With no zero mode occupied, a window whose zero columns are below
+    ``CHIRAL_BOUND`` takes ``1/2 - s`` ascending and then ``1/2 + s``
+    ascending, ``s`` the singular values of its C_AB block.  Such windows
+    whose blocks have the same bytes share one SVD (``_svd_sources``: each
+    takes the bytes of its group's representative, the window of the group
+    with the lowest start cell); the representatives and the windows that
+    share with none take theirs in batches of up to ``SVD_CHUNK``.  Every
+    other window takes its matrix's ``eigvalsh``, one per stack of the
+    windows of a run of ``SPECTRA_CHUNK`` that take this route, built in
+    one buffer.
 
     The groups depend on the set of windows alone and each solve on its own
     matrix alone, so the spectra are the same bits in any order of the
@@ -469,15 +403,17 @@ def correlation_spectra(
     ``NumericalError`` naming the first window of its stack or batch.
     """
     starts = np.asarray(starts, dtype=int)
-    chiral, fill, block, sweep = _window_builder(sea, spec, policy, starts, n_cells, weights)
-    size = chiral.size
+    zm = policy.zero_mode
+    if weights is not None:
+        if zm is None:
+            raise ValueError("weights were given, but no zero mode is occupied")
+        if len(weights) != starts.size:
+            raise ValueError(
+                f"{len(weights)} weights for {starts.size} windows: give one weight per window"
+            )
+    cells = _window_cells(sea, spec, policy, starts, n_cells)
+    size = starts.size
     spectra = np.empty((size, 2 * n_cells))
-    source = np.arange(size)
-    source[chiral] = _svd_sources(np.flatnonzero(chiral), starts, block, n_cells)
-    shared = source != np.arange(size)
-
-    def first_of(windows: np.ndarray) -> str:
-        return f"the first at cell {int(starts[windows[0]])}"
 
     def eigvalsh(windows: np.ndarray, matrices: np.ndarray) -> None:
         rows = matrices.shape[1]
@@ -487,31 +423,52 @@ def correlation_spectra(
             raise NumericalError(
                 f"eigensolver did not converge (eigvalsh of the {rows}x{rows} "
                 f"correlation matrices of windows {windows[0]}..{windows[-1]}, "
-                f"{first_of(windows)}): {err}"
+                f"the first at cell {starts[windows[0]]}): {err}"
             ) from err
 
-    if sweep is not None:
-        reduced, rest = sweep()
-        spectra[:, reduced.shape[1] :] = rest
-        eigvalsh(np.arange(size), reduced)
-        spectra.sort(axis=1)
-    else:
-        buf = _stack_buffer(size, n_cells)
-        for first in range(0, size, SPECTRA_CHUNK):
-            windows = first + np.flatnonzero(~chiral[first : first + SPECTRA_CHUNK])
-            if windows.size:
-                fill(buf[: windows.size], windows)
-                eigvalsh(windows, buf[: windows.size])
+    if zm is not None:
+        if size:
+            p = np.full(size, zm.p) if weights is None else np.asarray(weights, dtype=float)
+            if not np.all((p >= 0.0) & (p <= 1.0)):
+                raise ValueError("hybridization weight must lie in [0, 1]")
+            f = np.empty((1, 2 * n_cells, 2 * n_cells))
+            _weightless(f, sea, cells[:1])
+            t, y, rest = _sweep_reduction(f[0], np.stack(_envelopes(zm, cells[0]), axis=1))
+            products = _zero_mode_outer(y[:, 0], y[:, 1])
+            reduced = np.empty((size, *t.shape))
+            # SPECTRA_CHUNK weights at a time, so the temporaries stay small
+            # and are reused: built 128 at a time, zeromode's peak RSS rose by
+            # 0.08 MB over one full eigvalsh per weight, where this lowers it
+            # by 0.37 MB
+            for lo in range(0, size, SPECTRA_CHUNK):
+                out = reduced[lo : lo + SPECTRA_CHUNK]
+                out[:] = t
+                _add_zero_mode(out, products, p[lo : lo + SPECTRA_CHUNK], zm.phi)
+            spectra[:, t.shape[0] :] = rest
+            eigvalsh(np.arange(size), reduced)
+            spectra.sort(axis=1)
+        return clamp_lambdas(spectra)
+    zero = np.sum(sea.u0**2, axis=1) + np.sum(sea.v0**2, axis=1)
+    chiral = 0.5 * zero[cells].sum(axis=1) <= CHIRAL_BOUND
+    source = np.arange(size)
+    source[chiral] = _svd_sources(np.flatnonzero(chiral), starts, sea, cells)
+    shared = source != np.arange(size)
+    buf = np.empty((min(size, SPECTRA_CHUNK), 2 * n_cells, 2 * n_cells))
+    for first in range(0, size, SPECTRA_CHUNK):
+        windows = first + np.flatnonzero(~chiral[first : first + SPECTRA_CHUNK])
+        if windows.size:
+            _weightless(buf[: windows.size], sea, cells[windows])
+            eigvalsh(windows, buf[: windows.size])
     own = np.flatnonzero(chiral & ~shared)
     for first in range(0, own.size, SVD_CHUNK):
         windows = own[first : first + SVD_CHUNK]
         try:
-            s = np.linalg.svd(block(windows), compute_uv=False)
+            s = np.linalg.svd(_blocks(sea, cells[windows]), compute_uv=False)
         except np.linalg.LinAlgError as err:
             raise NumericalError(
                 f"singular values did not converge (svd of the {n_cells}x{n_cells} C_AB "
                 f"blocks of {windows.size} windows from window {windows[0]}, "
-                f"{first_of(windows)}): {err}"
+                f"the first at cell {starts[windows[0]]}): {err}"
             ) from err
         spectra[windows, :n_cells] = 0.5 - s
         spectra[windows, n_cells:] = 0.5 + s[:, ::-1]
@@ -520,7 +477,7 @@ def correlation_spectra(
 
 
 def _svd_sources(
-    windows: np.ndarray, starts: np.ndarray, block: Callable[..., np.ndarray], n_cells: int
+    windows: np.ndarray, starts: np.ndarray, sea: FilledSea, cells: np.ndarray
 ) -> np.ndarray:
     """For each of the singular-value-route windows ``windows``, the window
     whose singular values it takes: among the windows whose C_AB blocks have
@@ -536,11 +493,13 @@ def _svd_sources(
     count = windows.size
     if count < 2:
         return source
+    rows = cells[windows]
     keys = np.empty(count, dtype=np.uint64)
     # odd multipliers of the golden ratio times 2^64, one per entry
-    weights = np.arange(1, 2 * n_cells**2, 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    weights = np.arange(1, 2 * rows.shape[1] ** 2, 2, dtype=np.uint64)
+    weights *= np.uint64(0x9E3779B97F4A7C15)
     for lo in range(0, count, SVD_CHUNK):
-        bits = block(windows[lo : lo + SVD_CHUNK]).view(np.uint64)
+        bits = _blocks(sea, rows[lo : lo + SVD_CHUNK]).view(np.uint64)
         keys[lo : lo + SVD_CHUNK] = bits.reshape(len(bits), -1) @ weights
     order = np.lexsort((starts[windows], keys))
     first = np.flatnonzero(np.r_[True, keys[order[1:]] != keys[order[:-1]]])
@@ -548,10 +507,10 @@ def _svd_sources(
     rep[order] = np.repeat(order[first], np.diff(np.r_[first, count]))
     candidates = np.flatnonzero(rep != np.arange(count))
     heads, head_of = np.unique(rep[candidates], return_inverse=True)
-    head_bits = block(windows[heads]).view(np.uint64)
+    head_bits = _blocks(sea, rows[heads]).view(np.uint64)
     for lo in range(0, candidates.size, SVD_CHUNK):
         joins, head = candidates[lo : lo + SVD_CHUNK], head_of[lo : lo + SVD_CHUNK]
-        same = np.all(block(windows[joins]).view(np.uint64) == head_bits[head], axis=(1, 2))
+        same = np.all(_blocks(sea, rows[joins]).view(np.uint64) == head_bits[head], axis=(1, 2))
         source[joins[same]] = windows[heads[head[same]]]
     return source
 
@@ -604,21 +563,18 @@ def _sweep_reduction(f: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return f, w, np.empty(0)
 
 
-def _zero_mode_outer(
-    w1: np.ndarray, w2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Outer products of the two zero modes ``w1`` and ``w2``, one row each
-    per window: 11, 22 and 12 + 21."""
-    w1, w2 = w1[:, :, None], w2[:, :, None]
-    t1, t2 = w1.transpose(0, 2, 1), w2.transpose(0, 2, 1)
-    return w1 * t1, w2 * t2, w1 * t2 + w2 * t1
+def _zero_mode_outer(w1: np.ndarray, w2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Outer products of the two zero modes ``w1`` and ``w2``: 11, 22 and
+    12 + 21."""
+    w1, w2 = w1[:, None], w2[:, None]
+    return w1 * w1.T, w2 * w2.T, w1 * w2.T + w2 * w1.T
 
 
 def _add_zero_mode(
     c: np.ndarray, outer: tuple[np.ndarray, np.ndarray, np.ndarray], p: np.ndarray, phi: float
 ) -> None:
     """Add to each ``c[i]`` the projector on the zero-mode superposition at
-    weight ``p[i]`` and phase ``phi``, from the windows' ``_zero_mode_outer``."""
+    weight ``p[i]`` and phase ``phi``, from its ``_zero_mode_outer``."""
     o11, o22, o12 = outer
     p = p[:, None, None]
     c += (1.0 - p) * o11

@@ -298,19 +298,24 @@ def sweep_route_atol(n_cells):
 
 
 def eigvalsh_spectra(sea, spec, policy, starts, n_cells, weights=None):
-    """The windows' spectra as one ``eigvalsh`` of each correlation matrix of
-    ``correlation_stacks``, clamped: the one route every window took before
-    the singular-value and sweep routes, bit for bit."""
-    stacks = gs.correlation_stacks(sea, spec, policy, starts, n_cells, weights)
-    return ent.clamp_lambdas(np.concatenate([np.linalg.eigvalsh(s) for s in stacks]))
+    """The windows' spectra as one ``eigvalsh`` of the stack of their
+    ``correlation_matrix`` matrices, clamped: the one route every window took
+    before the singular-value and sweep routes, bit for bit.  ``weights``
+    set the occupied zero mode's weight per window, at its phase."""
+    if weights is None:
+        policies = [policy] * len(starts)
+    else:
+        pair = policy.zero_mode
+        policies = [gs.OccupationPolicy.half(pair.with_weight(p, pair.phi)) for p in weights]
+    matrices = [gs.correlation_matrix(sea, spec, pol, (int(m), n_cells)).matrix
+                for m, pol in zip(starts, policies)]
+    return ent.clamp_lambdas(np.linalg.eigvalsh(np.stack(matrices)))
 
 
-def is_sweep(spec, policy, starts):
-    """Whether ``correlation_spectra`` takes the sweep route: an occupied
-    zero mode and every window on the same cells."""
-    starts = np.asarray(starts, dtype=int)
-    return (policy.zero_mode is not None and starts.size > 0
-            and np.unique((starts - 1) % spec.n_cells).size == 1)
+def is_sweep(policy):
+    """Whether ``correlation_spectra`` takes the sweep route: a zero mode is
+    occupied."""
+    return policy.zero_mode is not None
 
 
 def assert_routes_match(lam, ref, chiral, n_cells, sweep=False):

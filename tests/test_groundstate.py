@@ -156,76 +156,43 @@ def test_zero_mode_correlations_equal_correlation_matrix(kinds, window):
                                    err_msg=str(p))
 
 
-def _stacks(sea, spec, policy, starts, weights):
-    return np.concatenate(
-        [s.copy() for s in gs.correlation_stacks(sea, spec, policy, starts, 20, weights)]
-    )
-
-
-@pytest.mark.parametrize(
-    "kinds, start, phi",
-    [
-        (("one_site", "one_site"), DEFECT_WINDOW[0], 0.7),
-        (("one_site", "one_site"), 141, 2.3),  # the window holds the second defect
-        (("one_site", "three_site"), 141, 0.0),
-    ],
-)
-def test_fixed_window_stacks_equal_per_window_gathers(monkeypatch, kinds, start, phi):
-    """The stacks of a sweep of one window are gathered per window, like
-    those of any scan, one ``_zero_mode_outer`` per stack.  Each of its
-    matrices, the partial last stack included, equals the one gathered with
-    a neighbouring window interleaved, bit for bit."""
-    spec = two_defect_chain(0.3, kinds)
-    sea = sea_of(spec)
-    policy = gs.OccupationPolicy.half(gs.localized_zero_modes(sea, spec).with_weight(1.0, phi))
-    weights = np.linspace(0.0, 1.0, 2 * gs.SPECTRA_CHUNK + 5)
-    outer, calls = gs._zero_mode_outer, []
-    monkeypatch.setattr(gs, "_zero_mode_outer", lambda *a: calls.append(1) or outer(*a))
-    fixed = _stacks(sea, spec, policy, [start] * weights.size, weights)
-    assert len(calls) == -(-weights.size // gs.SPECTRA_CHUNK)
-    # interleaved with a neighbouring window (the last start is the first again)
-    starts = np.append(np.repeat([[start, start + 1]], weights.size, axis=0).ravel(), start)
-    calls.clear()
-    mixed = _stacks(sea, spec, policy, starts, np.append(np.repeat(weights, 2), 0.0))
-    assert len(calls) == -(-starts.size // gs.SPECTRA_CHUNK)
-    assert fixed.tobytes() == mixed[0:-1:2].tobytes()
-    assert fixed[0].tobytes() == mixed[-1].tobytes()
-    # and the neighbouring window is the same whether or not it is interleaved
-    calls.clear()
-    alone = _stacks(sea, spec, policy, [start + 1] * weights.size, weights)
-    assert len(calls) == -(-weights.size // gs.SPECTRA_CHUNK)
-    assert alone.tobytes() == mixed[1::2].tobytes()
-
 def test_weight_sweep_rejects_bad_weights(sea03, chain03, zero_pair03):
     policy = gs.OccupationPolicy.half(zero_pair03)
     with pytest.raises(ValueError, match="weight"):
         gs.correlation_spectra(sea03, chain03, policy, [41, 41], 20, [0.5, 1.5])
 
 
-def _stacks_of(*args):
-    return list(gs.correlation_stacks(*args))
-
-
-# the sweep route (every window on the same cells) and the per-window routes
+# one window under weights (the sweep route), and windows on different cells,
+# which an occupied zero mode refuses after the count
 WEIGHT_ROUTES = {"sweep": [41, 41, 41], "per-window": [41, 42, 43]}
 
 
 @pytest.mark.parametrize("route", WEIGHT_ROUTES)
-@pytest.mark.parametrize("call", [gs.correlation_spectra, _stacks_of], ids=["spectra", "stacks"])
+@pytest.mark.parametrize("call", [gs.correlation_spectra], ids=["spectra"])
 @pytest.mark.parametrize("count", [2, 4])
 def test_weights_must_match_the_windows(sea03, chain03, zero_pair03, route, call, count):
     """Fewer or more weights than windows are a ``ValueError`` naming both
-    counts, on either route."""
+    counts, whether or not the windows share their cells."""
     policy = gs.OccupationPolicy.half(zero_pair03)
     with pytest.raises(ValueError, match=f"^{count} weights for 3 windows"):
         call(sea03, chain03, policy, WEIGHT_ROUTES[route], 20, [0.5] * count)
 
 
 @pytest.mark.parametrize("starts", [[90, 91], [41, 42]], ids=["singular-value", "eigvalsh"])
-@pytest.mark.parametrize("call", [gs.correlation_spectra, _stacks_of], ids=["spectra", "stacks"])
+@pytest.mark.parametrize("call", [gs.correlation_spectra], ids=["spectra"])
 def test_weights_need_an_occupied_zero_mode(sea03, chain03, below_half, starts, call):
     with pytest.raises(ValueError, match="no zero mode is occupied"):
         call(sea03, chain03, below_half, starts, 20, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("weights", [None, [0.5, 0.5]], ids=["own-weight", "weights"])
+def test_zero_mode_windows_must_cover_the_same_cells(sea03, chain03, zero_pair03, weights):
+    """Under an occupied zero mode the spectra are those of one window under
+    many weights: windows on different cells are a ``ValueError``."""
+    policy = gs.OccupationPolicy.half(zero_pair03)
+    with pytest.raises(ValueError, match="^under an occupied zero mode every window must cover "
+                                         "the same cells .* not windows at cells 41 and 42$"):
+        gs.correlation_spectra(sea03, chain03, policy, [41, 42], 20, weights)
 
 
 def _reduced_sizes(monkeypatch):
@@ -328,31 +295,30 @@ BUILDER_CASES = {
 
 @pytest.mark.parametrize("name", BUILDER_CASES)
 def test_builder_matches_full_block(name):
-    """Every window of the banded builder within 1e-14 of the rows gathered
-    from the full ``u`` and ``v``; the spectra are one ``eigvalsh`` of those
-    matrices (bit for bit on that route, within ``singular_route_atol`` on
-    the singular-value route), and a one-window call's eigenvalues are its
-    matrix's ``eigvalsh`` bit for bit on either route."""
+    """Every window's ``correlation_matrix`` within 1e-14 of the rows
+    gathered from the full ``u`` and ``v``; the spectra are one ``eigvalsh``
+    of those matrices (bit for bit on that route, within
+    ``singular_route_atol`` on the singular-value route), and a window's
+    ``eigenvalues`` are its matrix's ``eigvalsh`` bit for bit.  Under an
+    occupied zero mode each window is solved on its own."""
     spec, policy, ell, starts = BUILDER_CASES[name]
     starts = list(starts)
     sea = sea_of(spec, ell)
     if policy is None:
         policy = gs.OccupationPolicy.half(gs.localized_zero_modes(sea, spec).with_weight(0.3))
-    built = np.concatenate(
-        [stack.copy() for stack in gs.correlation_stacks(sea, spec, policy, starts, ell)]
-    )
+    windows = [gs.correlation_matrix(sea, spec, policy, (m, ell)) for m in starts]
+    built = np.stack([cm.matrix for cm in windows])
     assert built.shape == (len(starts), 2 * ell, 2 * ell)
     for m, c in zip(starts, built):
         ref = correlation_matrix_full_block(spec, policy, (m, ell))
         np.testing.assert_allclose(c, ref, rtol=0.0, atol=GATHER_ATOL, err_msg=str(m))
         assert np.array_equal(c, c.T)
-    lam = gs.correlation_spectra(sea, spec, policy, starts, ell)
     ref = ent.clamp_lambdas(np.linalg.eigvalsh(built))
-    assert_routes_match(lam, ref, chiral_windows(sea, spec, policy, starts, ell), ell)
-    for i in (0, len(starts) // 2, len(starts) - 1):
-        single = gs.correlation_matrix(sea, spec, policy, (starts[i], ell))
-        assert single.matrix.tobytes() == built[i].tobytes()
-        assert single.eigenvalues().tobytes() == ref[i].tobytes()
+    own = np.stack([cm.eigenvalues() for cm in windows])
+    assert own.tobytes() == ref.tobytes()
+    if policy.zero_mode is None:
+        lam = gs.correlation_spectra(sea, spec, policy, starts, ell)
+        assert_routes_match(lam, ref, chiral_windows(sea, spec, policy, starts, ell), ell)
 
 
 @pytest.mark.parametrize("kinds", [("one_site", "one_site"), ("one_site", "three_site")])
@@ -568,17 +534,24 @@ DENSE_ORACLE_CHAINS = {
 }
 
 
-def _worst_window_deviation(spec, policies, ell=20):
+def _worst_window_deviation(spec, policy, dense_policies, weights=None, ell=20):
     """Largest |lambda_chiral - lambda_dense| over every window of ``ell``
-    cells, for each ``(sea policy, dense policy)`` pair."""
+    cells: the spectra of all windows under ``policy``, or, with
+    ``weights``, of one sweep of them per window, against those under each
+    of ``dense_policies`` (one per weight)."""
     sea, eig = sea_of(spec), dense_eigensystem(spec)
     last = spec.n_cells if spec.boundary == "periodic" else spec.n_cells - ell + 1
+    starts = range(1, last + 1)
+    if weights is None:
+        spectra = gs.correlation_spectra(sea, spec, policy, starts, ell)[:, None]
+    else:
+        spectra = [gs.correlation_spectra(sea, spec, policy, [m] * len(weights), ell, weights)
+                   for m in starts]
+    occupied = [dense_occupied_orbitals(eig, spec, dense) for dense in dense_policies]
     worst = (0.0, None)
-    for policy, dense_policy in policies:
-        occupied = dense_occupied_orbitals(eig, spec, dense_policy)
-        spectra = gs.correlation_spectra(sea, spec, policy, range(1, last + 1), ell)
-        for m, lam in zip(range(1, last + 1), spectra):
-            c = dense_correlation_matrix(occupied, spec, dense_policy, (m, ell))
+    for m, rows in zip(starts, spectra):
+        for lam, orbitals, dense in zip(rows, occupied, dense_policies):
+            c = dense_correlation_matrix(orbitals, spec, dense, (m, ell))
             want = np.sort(gs.CorrelationMatrix(m, ell, c).eigenvalues())
             worst = max(worst, (float(np.max(np.abs(lam - want))), m))
     return worst
@@ -590,23 +563,20 @@ def test_window_spectra_match_dense_eigensolver(name):
     with those of the dense N x N eigenvectors to 1e-13."""
     spec, filling = DENSE_ORACLE_CHAINS[name]
     policy = gs.OccupationPolicy(filling=filling)
-    dev, m = _worst_window_deviation(spec, [(policy, policy)])
+    dev, m = _worst_window_deviation(spec, policy, [policy])
     assert dev <= 1e-13, (dev, m)
 
 
 @pytest.mark.parametrize("kinds", KINDS)
 def test_zero_mode_window_spectra_match_dense_eigensolver(kinds):
-    """The same with an occupied zero mode at weights from 0 to 1, each path
-    with its own localized pair."""
+    """The same with an occupied zero mode, one sweep of weights from 0 to
+    1 per window, each path with its own localized pair."""
     spec = two_defect_chain(0.3, KINDS[kinds])
     pair = gs.localized_zero_modes(sea_of(spec), spec)
     dense_pair = dense_localized_zero_modes(dense_eigensystem(spec), spec)
-    policies = [
-        (gs.OccupationPolicy.half(pair.with_weight(p)),
-         gs.OccupationPolicy.half(dense_pair.with_weight(p)))
-        for p in (0.0, 0.002, 0.3, 0.5, 1.0)
-    ]
-    dev, m = _worst_window_deviation(spec, policies)
+    weights = [0.0, 0.002, 0.3, 0.5, 1.0]
+    dense = [gs.OccupationPolicy.half(dense_pair.with_weight(p)) for p in weights]
+    dev, m = _worst_window_deviation(spec, gs.OccupationPolicy.half(pair), dense, weights)
     assert dev <= 1e-13, (dev, m)
 
 

@@ -99,7 +99,7 @@ def test_routes_match_every_windows_eigvalsh(monkeypatch, name):
     solved = {row.tobytes() for row in lam[chiral]}
     assert len(solved) <= svds
     assert_routes_match(lam, eigvalsh_spectra(sea, spec, policy, starts, 20, weights), chiral, 20,
-                        sweep=is_sweep(spec, policy, starts))
+                        sweep=is_sweep(policy))
 
 
 def test_reversed_windows_give_the_same_bytes():
@@ -127,8 +127,9 @@ def test_bulk_windows_share_the_bytes_of_their_group(monkeypatch):
     solved = [block.tobytes() for batch in calls for block in batch]
     assert len(set(solved)) == len(solved) == 87
     chiral = chiral_windows(sea, spec, BELOW_HALF, starts, 20)
-    stacks = gs.correlation_stacks(sea, spec, BELOW_HALF, starts[chiral], 20)
-    assert {c[0::2, 1::2].tobytes() for stack in stacks for c in stack} == set(solved)
+    matrices = (gs.correlation_matrix(sea, spec, BELOW_HALF, (int(m), 20)).matrix
+                for m in starts[chiral])
+    assert {c[0::2, 1::2].tobytes() for c in matrices} == set(solved)
 
 
 @pytest.mark.parametrize("step, shares", [(0.0, True), (np.nextafter(0.0, 1.0), False)],
@@ -146,7 +147,8 @@ def test_windows_share_an_svd_only_with_the_same_bytes(
     # the band positions of each window's C_AB, read through a band of indices
     ids = replace(sea03, band=np.arange(sea03.band.size, dtype=float).reshape(sea03.band.shape),
                   **no_zero_columns)
-    (stack,) = gs.correlation_stacks(ids, chain03, below_half, [81, 121], ell)
+    stack = np.stack([gs.correlation_matrix(ids, chain03, below_half, (m, ell)).matrix
+                      for m in (81, 121)])
     at = stack[:, 0::2, 1::2].astype(np.intp)
     band = np.zeros(sea03.band.size)
     rep = np.eye(ell) / 4
@@ -240,7 +242,7 @@ def test_window_sets_match_their_routes(spec, start, values):
     assert lam.shape == (len(starts), 40) and lam.flags.c_contiguous
     assert_routes_match(lam, eigvalsh_spectra(sea, spec, policy, starts, 20, weights),
                         chiral_windows(sea, spec, policy, starts, 20), 20,
-                        sweep=is_sweep(spec, policy, starts))
+                        sweep=is_sweep(policy))
 
 
 def test_big2000_bulk_windows_share_two_svds(monkeypatch):
