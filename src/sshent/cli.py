@@ -751,6 +751,25 @@ def run_selftest(args: argparse.Namespace) -> int:
             dev = max(dev, abs(lat.sre(20 + dq) - at.sre(20 + dq)))
     check("lattice vs asymptotics", dev, 1e-3)
 
+    # a window whose mirror image is given takes that window's bytes, within
+    # |C_m' - J C_m J|_2 + 2 (2 ell) eps of its own eigvalsh, J the reversal
+    # of its sites: Weyl's inequality and the two backward-stable solves
+    starts = np.arange(1, spec.n_cells + 1)
+    lam = gs.correlation_spectra(sea, spec, policy, starts, 20)
+    images = model.mirror_starts(spec, starts, 20)
+    shared, worst = 0, 0.0
+    for m, image in zip(starts.tolist(), [] if images is None else images.tolist()):
+        if image < m:
+            mine = gs.correlation_matrix(sea, spec, policy, (m, 20))
+            theirs = gs.correlation_matrix(sea, spec, policy, (image, 20)).matrix
+            bound = np.linalg.norm(mine.matrix - theirs[::-1, ::-1], 2) + 80 * np.finfo(float).eps
+            gap = float(np.max(np.abs(lam[m - 1] - mine.eigenvalues())))
+            same = lam[m - 1].tobytes() == lam[image - 1].tobytes()
+            worst = max(worst, gap / bound if same else math.inf)
+            shared += 1
+    checks.append(("mirror windows share spectra", shared == 100 and worst <= 1.0,
+                   f"{shared} of {starts.size} windows, worst gap {worst:.2f} of its bound"))
+
     # a weight sweep's reduced window against each weight's own eigvalsh, within
     # the route's bound and as much again for the two solves' backward errors
     pair = gs.localized_zero_modes(sea, spec).with_weight(1.0, 0.7)
@@ -758,7 +777,7 @@ def run_selftest(args: argparse.Namespace) -> int:
     sweep = gs.correlation_spectra(sea, spec, gs.OccupationPolicy.half(pair), [41] * 3, 20, ps)
     dev = 0.0
     for p, lam in zip(ps, sweep):
-        policy = gs.OccupationPolicy.half(pair.with_weight(p, 0.7))
+        policy = gs.OccupationPolicy.half(pair.with_weight(p))
         want = gs.correlation_matrix(sea, spec, policy, (41, 20)).eigenvalues()
         dev = max(dev, float(np.max(np.abs(lam - want))))
     check("zero-mode sweep vs per-weight eigvalsh", dev, 2 * 40 * gs.SWEEP_BOUND)

@@ -34,7 +34,14 @@ import numpy as np
 
 from .entanglement import clamp_lambdas
 from .linalg import BandedBlock, FilledSea, NumericalError, eigh_sea
-from .model import ChainSpec, defect_sites, hopping_bands, localization_length, window_defect_counts
+from .model import (
+    ChainSpec,
+    defect_sites,
+    hopping_bands,
+    localization_length,
+    mirror_starts,
+    window_defect_counts,
+)
 
 BELOW_HALF = "below_half"
 HALF = "half"
@@ -90,8 +97,9 @@ class ZeroModePair:
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("hybridization weight must lie in [0, 1]")
 
-    def with_weight(self, p: float, phi: float = 0.0) -> "ZeroModePair":
-        return replace(self, p=p, phi=phi)
+    def with_weight(self, p: float, phi: float | None = None) -> "ZeroModePair":
+        """The pair at weight ``p``, and at phase ``phi`` if given, else its own."""
+        return replace(self, p=p, phi=self.phi if phi is None else phi)
 
 
 @dataclass(frozen=True)
@@ -386,20 +394,24 @@ def correlation_spectra(
     the eigenvalues no weight enters and sorted, within ``2 n_cells
     SWEEP_BOUND |F|_2`` of its full matrix's spectrum.
 
-    With no zero mode occupied, a window whose zero columns are below
-    ``CHIRAL_BOUND`` takes ``1/2 - s`` ascending and then ``1/2 + s``
-    ascending, ``s`` the singular values of its C_AB block.  Such windows
-    whose blocks have the same bytes share one SVD (``_svd_sources``: each
-    takes the bytes of its group's representative, the window of the group
-    with the lowest start cell); the representatives and the windows that
-    share with none take theirs in batches of up to ``SVD_CHUNK``.  Every
-    other window takes its matrix's ``eigvalsh``, one per stack of the
-    windows of a run of ``SPECTRA_CHUNK`` that take this route, built in
-    one buffer.
+    With no zero mode occupied, a chain with a mirror
+    (``model.mirror_starts``) maps each window onto its image with the same
+    exact spectrum, its matrix with the sites reversed.  Where both windows
+    of such a pair are given, the one with the higher start cell takes the
+    other's bytes (``_mirror_sources``) and is not solved.  Of the windows
+    solved, one whose zero columns are below ``CHIRAL_BOUND`` takes ``1/2 -
+    s`` ascending and then ``1/2 + s`` ascending, ``s`` the singular values
+    of its C_AB block.  Such windows whose blocks have the same bytes share
+    one SVD (``_svd_sources``: each takes the bytes of its group's
+    representative, the window of the group with the lowest start cell);
+    the representatives and the windows that share with none take theirs in
+    batches of up to ``SVD_CHUNK``.  Every other window solved takes its
+    matrix's ``eigvalsh``, one per stack of the windows of a run of
+    ``SPECTRA_CHUNK`` that take this route, built in one buffer.
 
-    The groups depend on the set of windows alone and each solve on its own
-    matrix alone, so the spectra are the same bits in any order of the
-    windows (or weights).  A solve that does not converge is a
+    The pairs and groups depend on the set of windows alone and each solve
+    on its own matrix alone, so the spectra are the same bits in any order
+    of the windows (or weights).  A solve that does not converge is a
     ``NumericalError`` naming the first window of its stack or batch.
     """
     starts = np.asarray(starts, dtype=int)
@@ -450,12 +462,16 @@ def correlation_spectra(
         return clamp_lambdas(spectra)
     zero = np.sum(sea.u0**2, axis=1) + np.sum(sea.v0**2, axis=1)
     chiral = 0.5 * zero[cells].sum(axis=1) <= CHIRAL_BOUND
+    mirror = _mirror_sources(starts, mirror_starts(spec, starts, n_cells))
+    solved = mirror == np.arange(size)
     source = np.arange(size)
-    source[chiral] = _svd_sources(np.flatnonzero(chiral), starts, sea, cells)
+    source[chiral & solved] = _svd_sources(np.flatnonzero(chiral & solved), starts, sea, cells)
+    source = source[mirror]
     shared = source != np.arange(size)
     buf = np.empty((min(size, SPECTRA_CHUNK), 2 * n_cells, 2 * n_cells))
     for first in range(0, size, SPECTRA_CHUNK):
-        windows = first + np.flatnonzero(~chiral[first : first + SPECTRA_CHUNK])
+        stack = slice(first, first + SPECTRA_CHUNK)
+        windows = first + np.flatnonzero(~chiral[stack] & solved[stack])
         if windows.size:
             _weightless(buf[: windows.size], sea, cells[windows])
             eigvalsh(windows, buf[: windows.size])
@@ -474,6 +490,23 @@ def correlation_spectra(
         spectra[windows, n_cells:] = 0.5 + s[:, ::-1]
     spectra[shared] = spectra[source[shared]]
     return clamp_lambdas(spectra)
+
+
+def _mirror_sources(starts: np.ndarray, images: np.ndarray | None) -> np.ndarray:
+    """For each window, the window whose spectrum it takes by the chain's
+    mirror (``model.mirror_starts``, ``images``): of a window and its image,
+    when both are given, the one with the lower start cell (the first given
+    of that start), so the choice does not depend on the order of the
+    windows; every other window, or every window if ``images`` is None,
+    takes its own."""
+    source = np.arange(starts.size)
+    if images is None or not starts.size:
+        return source
+    order = np.argsort(starts, kind="stable")
+    at = np.minimum(np.searchsorted(starts[order], images), starts.size - 1)
+    mirrored = (starts[order][at] == images) & (images < starts)
+    source[mirrored] = order[at[mirrored]]
+    return source
 
 
 def _svd_sources(

@@ -317,6 +317,37 @@ def edge_distances(spec: ChainSpec, starts: np.ndarray, n_cells: int) -> np.ndar
     return gaps.min(axis=(0, 2)).astype(float)
 
 
+def mirror_starts(spec: ChainSpec, starts: np.ndarray, n_cells: int) -> np.ndarray | None:
+    """The start cell of each interval ``(m, n_cells)``'s mirror image, ``m``
+    in ``starts``, or ``None`` when the chain has no mirror.
+
+    A mirror is a site reflection ``s -> c - s`` (sites modulo ``N`` on a
+    ring) that maps ``bond_amplitudes`` onto itself exactly, bond ``r`` onto
+    bond ``c - 1 - r``, with ``c`` odd, so that it maps cell ``m`` onto cell
+    ``(c + 1) / 2 - m`` and an interval onto the one starting at ``((c + 1)
+    / 2 - m - n_cells) mod L + 1``, whose sites it lists in reverse order.
+    A reflection of a ring maps its defect cores, the pairs of equal
+    consecutive bonds, onto each other, so the axes tried take the first
+    core's centre site onto each core's; a ring with no core alternates
+    its bonds, and any odd ``c`` maps it onto itself.  An open chain's only
+    axis is ``c = N + 1``.  Each costs one compare of the amplitudes.
+    """
+    starts = np.asarray(starts, dtype=int)
+    _window_ends(spec, starts, n_cells)
+    amps = bond_amplitudes(spec)
+    if spec.boundary == OPEN:
+        axes = [spec.n_sites + 1]
+    else:
+        # bond r (0-based r - 1) and bond r + 1 meet at site r + 1
+        centres = np.flatnonzero(amps == np.roll(amps, -1)) + 2
+        axes = (centres[:1] + centres).tolist() if centres.size else [1]
+    image = np.arange(amps.size)
+    for c in axes:
+        if c % 2 and np.array_equal(amps, amps[(c - 3 - image) % amps.size]):
+            return ((c + 1) // 2 - starts - n_cells) % spec.n_cells + 1
+    return None
+
+
 def window_cases(spec: ChainSpec, starts: np.ndarray, n_cells: int) -> np.ndarray:
     """Classify each interval ``(m, n_cells)``, ``m`` in ``starts``, as
     topological, trivial, or defect-containing (an object array of labels).

@@ -121,6 +121,22 @@ def bond_amplitudes_loop(spec):
     return amps
 
 
+def mirror_axes_by_search(spec):
+    """Every odd ``c`` (below ``2 N``) whose reflection ``s -> c - s`` (sites
+    modulo ``N`` on a ring) maps every bond of ``bond_amplitudes_loop`` onto
+    a bond of the chain with the same amplitude, trying each in turn."""
+    amps = bond_amplitudes_loop(spec)
+    n = spec.n_sites
+    axes = []
+    for c in range(1, 2 * n, 2):
+        images = [c - 1 - r for r in range(1, amps.size + 1)]
+        if spec.boundary == model.PERIODIC:
+            images = [(b - 1) % n + 1 for b in images]
+        if all(1 <= b <= amps.size and amps[b - 1] == a for a, b in zip(amps, images)):
+            axes.append(c)
+    return axes
+
+
 def window_case_from_loop(spec, m, ell):
     """Case label read off the two cut bonds of the full loop amplitude array."""
     if model.defects_in_window(spec, m, ell):
@@ -305,8 +321,7 @@ def eigvalsh_spectra(sea, spec, policy, starts, n_cells, weights=None):
     if weights is None:
         policies = [policy] * len(starts)
     else:
-        pair = policy.zero_mode
-        policies = [gs.OccupationPolicy.half(pair.with_weight(p, pair.phi)) for p in weights]
+        policies = [gs.OccupationPolicy.half(policy.zero_mode.with_weight(p)) for p in weights]
     matrices = [gs.correlation_matrix(sea, spec, pol, (int(m), n_cells)).matrix
                 for m, pol in zip(starts, policies)]
     return ent.clamp_lambdas(np.linalg.eigvalsh(np.stack(matrices)))
@@ -318,18 +333,67 @@ def is_sweep(policy):
     return policy.zero_mode is not None
 
 
-def assert_routes_match(lam, ref, chiral, n_cells, sweep=False):
+def assert_routes_match(lam, ref, chiral, n_cells, sweep=False, mirrors=None):
     """Spectra ``lam`` against ``eigvalsh_spectra`` ``ref``: the windows of
     the ``eigvalsh`` route bit for bit, those of the singular-value route
     (``chiral``) within ``singular_route_atol`` and those of a sweep
-    (``sweep``) within ``sweep_route_atol``."""
+    (``sweep``) within ``sweep_route_atol``.  With ``mirrors``
+    (``mirrored_windows``), a window that takes its mirror image's spectrum
+    has that window's bytes and lies within its own bound of its own
+    ``eigvalsh``; the others are held as above."""
     assert lam.shape == ref.shape
     if sweep:
         np.testing.assert_allclose(lam, ref, rtol=0.0, atol=sweep_route_atol(n_cells))
         return
-    assert lam[~chiral].tobytes() == ref[~chiral].tobytes()
-    np.testing.assert_allclose(lam[chiral], ref[chiral], rtol=0.0,
+    solved = np.ones(len(lam), dtype=bool)
+    if mirrors is not None:
+        rep, atol = mirrors
+        solved = rep == np.arange(len(lam))
+        assert lam[~solved].tobytes() == lam[rep[~solved]].tobytes()
+        gap = np.max(np.abs(lam[~solved] - ref[~solved]), axis=1, initial=0.0)
+        assert np.all(gap <= atol[~solved]), (gap / atol[~solved]).max()
+    own = solved & ~chiral
+    assert lam[own].tobytes() == ref[own].tobytes()
+    np.testing.assert_allclose(lam[solved & chiral], ref[solved & chiral], rtol=0.0,
                                atol=singular_route_atol(n_cells))
+
+
+# how far a window's matrix may be from the reversal of its mirror image's:
+# each within the 1e-13 the sea keeps of the dense eigensolve, whose windows
+# are exact mirror images
+MIRROR_GAP = 2e-13
+
+
+def mirrored_windows(sea, spec, policy, starts, n_cells):
+    """``(rep, atol)``: for each window the index of the window whose
+    spectrum it takes by the chain's mirror (``model.mirror_starts``), and
+    how far its spectrum may be from its own ``eigvalsh``.
+
+    With no occupied zero mode, a window whose image is given with a lower
+    start cell takes the first given window of that start; every other
+    window takes its own (``rep`` is its index, ``atol`` 0).  With ``J``
+    the reversal of the 2 ``n_cells`` sites, ``C_m'`` and ``J C_m J`` have
+    the same exact spectrum, so by Weyl's inequality the mirrored window's
+    exact spectrum is within ``|C_m' - J C_m J|_2`` of its image's, and
+    each of the two backward-stable solves, of matrices of norm at most 1,
+    adds at most ``2 n_cells`` eps: ``atol = |C_m' - J C_m J|_2 + 2 (2
+    n_cells) eps``.  Every such pair's matrices agree within
+    ``MIRROR_GAP``, so the bound cannot hide a wrong image."""
+    starts = [int(m) for m in starts]
+    rep = np.arange(len(starts))
+    atol = np.zeros(len(starts))
+    images = model.mirror_starts(spec, starts, n_cells)
+    if policy.zero_mode is not None or images is None:
+        return rep, atol
+    for i, (m, image) in enumerate(zip(starts, images.tolist())):
+        if image < m and image in starts:
+            rep[i] = starts.index(image)
+            mine = gs.correlation_matrix(sea, spec, policy, (m, n_cells)).matrix
+            theirs = gs.correlation_matrix(sea, spec, policy, (image, n_cells)).matrix
+            gap = mine - theirs[::-1, ::-1]
+            assert np.max(np.abs(gap)) <= MIRROR_GAP, (m, image)
+            atol[i] = np.linalg.norm(gap, 2) + 2 * (2 * n_cells) * np.finfo(float).eps
+    return rep, atol
 
 
 def chiral_windows(sea, spec, policy, starts, n_cells):

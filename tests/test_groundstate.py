@@ -24,6 +24,7 @@ from oracles import (
     dense_localized_zero_modes,
     dense_occupied_orbitals,
     eigvalsh_spectra,
+    mirrored_windows,
     sweep_route_atol,
     window_sites,
 )
@@ -298,9 +299,10 @@ def test_builder_matches_full_block(name):
     """Every window's ``correlation_matrix`` within 1e-14 of the rows
     gathered from the full ``u`` and ``v``; the spectra are one ``eigvalsh``
     of those matrices (bit for bit on that route, within
-    ``singular_route_atol`` on the singular-value route), and a window's
-    ``eigenvalues`` are its matrix's ``eigvalsh`` bit for bit.  Under an
-    occupied zero mode each window is solved on its own."""
+    ``singular_route_atol`` on the singular-value route, and a window that
+    takes its mirror image's spectrum within its ``mirrored_windows``
+    bound), and a window's ``eigenvalues`` are its matrix's ``eigvalsh`` bit
+    for bit.  Under an occupied zero mode each window is solved on its own."""
     spec, policy, ell, starts = BUILDER_CASES[name]
     starts = list(starts)
     sea = sea_of(spec, ell)
@@ -318,26 +320,30 @@ def test_builder_matches_full_block(name):
     assert own.tobytes() == ref.tobytes()
     if policy.zero_mode is None:
         lam = gs.correlation_spectra(sea, spec, policy, starts, ell)
-        assert_routes_match(lam, ref, chiral_windows(sea, spec, policy, starts, ell), ell)
+        assert_routes_match(lam, ref, chiral_windows(sea, spec, policy, starts, ell), ell,
+                            mirrors=mirrored_windows(sea, spec, policy, starts, ell))
 
 
 @pytest.mark.parametrize("kinds", [("one_site", "one_site"), ("one_site", "three_site")])
 def test_correlation_spectra_equal_per_window_eigenvalues(kinds):
     """The stacked spectra give every window's eigenvalues (bit for bit on
-    the ``eigvalsh`` route, within ``singular_route_atol`` on the other),
-    over all windows of a scan and over a zero-mode weight sweep, and the
-    builder's matrices are the full-block ones within 1e-14."""
+    the ``eigvalsh`` route, within ``singular_route_atol`` on the other and
+    within the ``mirrored_windows`` bound where a window takes its mirror
+    image's), over all windows of a scan and over a zero-mode weight sweep,
+    and the builder's matrices are the full-block ones within 1e-14."""
     spec = two_defect_chain(0.3, kinds)
     sea = sea_of(spec)
     policy = gs.OccupationPolicy.below_half()
     starts = range(1, spec.n_cells + 1)
     stacked = gs.correlation_spectra(sea, spec, policy, starts, 20)
-    chiral = chiral_windows(sea, spec, policy, starts, 20)
-    for m, lam, on_svd in zip(starts, stacked, chiral):
+    own = []
+    for m in starts:
         cm = gs.correlation_matrix(sea, spec, policy, (m, 20))
         ref = correlation_matrix_full_block(spec, policy, (m, 20))
         np.testing.assert_allclose(cm.matrix, ref, rtol=0.0, atol=GATHER_ATOL)
-        assert_routes_match(lam[None], cm.eigenvalues()[None], np.array([on_svd]), 20)
+        own.append(cm.eigenvalues())
+    assert_routes_match(stacked, np.stack(own), chiral_windows(sea, spec, policy, starts, 20), 20,
+                        mirrors=mirrored_windows(sea, spec, policy, starts, 20))
     pair = gs.localized_zero_modes(sea, spec)
     weights = [0.0, 0.3, 0.5, 1.0]
     half = gs.OccupationPolicy.half(pair)
@@ -437,6 +443,13 @@ def test_phase_has_no_windowed_effect(sea03, chain03, zero_pair03):
     for t in tables[1:]:
         assert t.total_vn == pytest.approx(tables[0].total_vn, abs=1e-6)
         np.testing.assert_allclose(t.probabilities, tables[0].probabilities, atol=1e-6)
+
+
+def test_with_weight_keeps_the_phase_unless_given(zero_pair03):
+    """A new weight keeps the pair's own phase; a phase passed replaces it."""
+    pair = zero_pair03.with_weight(1.0, 0.7)
+    assert pair.with_weight(0.3).phi == 0.7 and pair.with_weight(0.3).p == 0.3
+    assert pair.with_weight(0.3, 2.3).phi == 2.3 and pair.with_weight(0.3, 0.0).phi == 0.0
 
 
 def test_fully_localized_zero_mode_shifts_charges(chain03, zero_pair03, below_half):

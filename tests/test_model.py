@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from sshent import model
 
-from conftest import two_defect_chain
+from conftest import open_chain, two_defect_chain
 from oracles import (
     bond_amplitudes_loop,
     build_hamiltonian,
@@ -17,6 +17,7 @@ from oracles import (
     hamiltonian_loop,
     hopping_block,
     is_bulk_window_from_anchors,
+    mirror_axes_by_search,
     window_case_from_loop,
     window_sites,
 )
@@ -288,6 +289,93 @@ def test_window_arrays_keep_the_one_window_errors():
         model.window_case(chain, 1, 5)
     assert model.window_cases(chain, [1], 12).tolist() == ["defect"]
     assert model.window_case(chain, 1, 12) == "defect"
+
+
+def _ring(n_sites, cells, kinds=(model.ONE_SITE, model.ONE_SITE)):
+    return model.ChainSpec(n_sites=n_sites, dimerization=0.3, defects=tuple(
+        model.DefectSpec(c, k) for c, k in zip(cells, kinds)))
+
+
+@pytest.mark.parametrize("n_sites, cells, axis", [(400, (50, 150), 181), (2000, (250, 750), 981)],
+                         ids=["std400", "big2000"])
+@pytest.mark.parametrize("offset", [0, 1, 37, 123])
+def test_mirror_images_of_the_benchmark_rings(n_sites, cells, axis, offset):
+    """The reflection that swaps the two defects maps window ``m`` to
+    ``axis - m`` (modulo ``L``, ell = 20), and on the ring rotated by
+    ``offset`` whole cells, the rotated window to the rotated image."""
+    n = n_sites // 2
+    spec = _ring(n_sites, sorted((c - 1 + offset) % n + 1 for c in cells))
+    starts = np.arange(1, n + 1)
+    images = model.mirror_starts(spec, (starts - 1 + offset) % n + 1, 20)
+    want = (axis - starts - 1) % n + 1
+    assert images.tolist() == ((want - 1 + offset) % n + 1).tolist()
+    back = model.mirror_starts(spec, images, 20)
+    assert back.tolist() == ((starts - 1 + offset) % n + 1).tolist()
+
+
+@pytest.mark.parametrize("kinds, cells, axis", [
+    ((model.ONE_SITE, model.ONE_SITE), (50, 140), 181),
+    ((model.THREE_SITE, model.THREE_SITE), (50, 150), 192),
+], ids=["one-site-50-140", "three-site"])
+def test_mirror_of_a_ring_of_two_defects_of_one_kind(kinds, cells, axis):
+    """Any two defects of one kind on a ring are mirror images, whatever
+    their separation: one_site at 50 and 140 swap their sites, 100 and 279
+    (c = 379), three_site at 50 and 150 their trimer centres, 101 and 300
+    (c = 401); ell = 10."""
+    spec = _ring(400, cells, kinds)
+    starts = np.arange(1, axis)
+    assert model.mirror_starts(spec, starts, 10).tolist() == (axis - starts).tolist()
+
+
+def test_chains_without_a_mirror(monkeypatch):
+    """``one_site`` beside ``three_site``, an open chain with one defect at
+    cell 60, and a ring whose one bond amplitude is one ulp off have no
+    mirror."""
+    starts = np.arange(1, 150)
+    mixed = two_defect_chain(0.3, ("one_site", "three_site"))
+    assert model.mirror_starts(mixed, starts, 20) is None
+    assert model.mirror_starts(open_chain(["one_site"]), starts, 20) is None
+    ring = two_defect_chain(0.3)
+    nudged = model.bond_amplitudes(ring)
+    nudged[7] = np.nextafter(nudged[7], 0.0)
+    monkeypatch.setattr(model, "bond_amplitudes", lambda spec: nudged)
+    assert model.mirror_starts(ring, starts, 20) is None
+
+
+@pytest.mark.parametrize("boundary", [model.PERIODIC, model.OPEN])
+@pytest.mark.parametrize("seed", range(12))
+def test_mirror_images_match_a_search_of_every_axis(boundary, seed):
+    """``mirror_starts`` is None exactly when no odd axis maps the chain onto
+    itself (``mirror_axes_by_search``), and otherwise maps every window's
+    sites, reversed, onto its image's under one such axis: random chains,
+    their ends and defect-free chains, and symmetric copies of them."""
+    rng = np.random.default_rng(seed)
+    spec = _random_chain(rng, boundary)
+    if seed % 2:
+        # the chain's defects reflected about its middle cell joined to its own
+        n, cells = spec.n_cells, {d.cell: d.kind for d in spec.defects}
+        cells.update({n + 1 - c: k for c, k in cells.items() if 2 * c < n and n + 1 - c < n})
+        try:
+            spec = model.ChainSpec(n_sites=spec.n_sites, dimerization=spec.dimerization,
+                                   boundary=boundary, defects=tuple(
+                                       model.DefectSpec(c, cells[c]) for c in sorted(cells)))
+        except ValueError:
+            pass
+    n = spec.n_cells
+    ell = int(rng.integers(1, n + 1))
+    starts = np.arange(1, n + 1) if boundary == model.PERIODIC else np.arange(1, n - ell + 2)
+    images = model.mirror_starts(spec, starts, ell)
+    axes = mirror_axes_by_search(spec)
+    assert (images is None) == (not axes)
+    if images is None:
+        return
+
+    def reflected(c, m):
+        # 0-based sites: s + 1 -> c - s - 1
+        return ((c - 2 - window_sites(spec, int(m), ell)[::-1]) % spec.n_sites).tolist()
+
+    assert any(all(reflected(c, m) == window_sites(spec, int(image), ell).tolist()
+                   for m, image in zip(starts, images)) for c in axes)
 
 
 def test_json_round_trip(chain_mixed):

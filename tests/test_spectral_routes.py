@@ -2,12 +2,15 @@
 the zero columns are below rounding, one reduction of the window for a
 sweep of the zero-mode weight, one ``eigvalsh`` per matrix elsewhere.  On
 the singular-value route, windows whose C_AB blocks have the same bytes
-share one SVD.
+share one SVD; on a chain with a mirror, a window whose mirror image is
+given with a lower start cell takes that window's spectrum.
 
 Each case is held to ``oracles.eigvalsh_spectra``, every window's
 ``eigvalsh``: bit for bit on the ``eigvalsh`` route, within
 ``oracles.singular_route_atol`` on the singular-value route, shared windows
-included, and within ``oracles.sweep_route_atol`` on a sweep.
+included, within the ``oracles.mirrored_windows`` bound where a window
+takes its mirror image's spectrum, and within ``oracles.sweep_route_atol``
+on a sweep.
 """
 
 import json
@@ -22,7 +25,13 @@ from sshent import groundstate as gs
 from sshent import model
 
 from conftest import open_chain, sea_of, two_defect_chain
-from oracles import assert_routes_match, chiral_windows, eigvalsh_spectra, is_sweep
+from oracles import (
+    assert_routes_match,
+    chiral_windows,
+    eigvalsh_spectra,
+    is_sweep,
+    mirrored_windows,
+)
 
 
 def _polar_ring():
@@ -46,22 +55,26 @@ def _zero_mode(spec, sea):
 BELOW_HALF = gs.OccupationPolicy.below_half()
 SWEEP = list(np.linspace(0.0, 1.0, 37))
 # name: spec, policy (a callable of spec and sea), starts, weights, windows on
-# the singular-value route, SVDs they take (one per representative)
+# the singular-value route, SVDs they take (one per representative), windows
+# that take their mirror image's spectrum
 CASES = {
     # the eigensolve's sea leaves bulk neighbours more than rounding apart:
-    # every window of the route takes its own SVD
-    "std400": (two_defect_chain(0.3), BELOW_HALF, range(1, 201), None, 48, 48),
+    # every window of the route whose mirror image (181 - m, or 381 - m from
+    # 181 on) is not below it takes its own SVD, 24 of 48
+    "std400": (two_defect_chain(0.3), BELOW_HALF, range(1, 201), None, 48, 24, 100),
     # the compressed ring's bulk blocks have the same bytes within each of the
-    # two regions between the defects: two representatives, and 87 windows
-    # that read rows of the ring's neighbourhoods
-    "polar-ring-1000": (_polar_ring(), BELOW_HALF, range(1, 501), None, 348, 89),
-    "open-chain": (open_chain(["one_site"]), BELOW_HALF, range(2, 181), None, 92, 92),
+    # two regions between the defects: two representatives, and 43 of the 87
+    # windows that read rows of the ring's neighbourhoods, the others their
+    # mirror images
+    "polar-ring-1000": (_polar_ring(), BELOW_HALF, range(1, 501), None, 348, 45, 250),
+    # no mirror: every window on its own route
+    "open-chain": (open_chain(["one_site"]), BELOW_HALF, range(2, 181), None, 92, 92, 0),
     "mixed-ring": (two_defect_chain(0.3, ("one_site", "three_site")), BELOW_HALF,
-                   range(1, 201), None, 47, 47),
+                   range(1, 201), None, 47, 47, 0),
     # the zero-mode sweep, on the defect and far from it: an occupied zero
     # mode keeps every window off the singular-value route, on the sweep route
-    "zero-mode-sweep": (two_defect_chain(0.3), _zero_mode, [41] * 37, SWEEP, 0, 0),
-    "zero-mode-far": (two_defect_chain(0.3), _zero_mode, [90] * 37, SWEEP, 0, 0),
+    "zero-mode-sweep": (two_defect_chain(0.3), _zero_mode, [41] * 37, SWEEP, 0, 0, 0),
+    "zero-mode-far": (two_defect_chain(0.3), _zero_mode, [90] * 37, SWEEP, 0, 0, 0),
 }
 
 
@@ -83,11 +96,13 @@ def _count_svds(monkeypatch):
 
 @pytest.mark.parametrize("name", CASES)
 def test_routes_match_every_windows_eigvalsh(monkeypatch, name):
-    """Every window of the singular-value route takes the spectrum of one
-    SVD'd block, its own or its representative's, byte for byte, and all
-    stay within ``singular_route_atol`` of their own ``eigvalsh``; a sweep's
+    """Every window of the singular-value route that is not its mirror
+    image's takes the spectrum of one SVD'd block, its own or its
+    representative's, byte for byte, and stays within
+    ``singular_route_atol`` of its own ``eigvalsh``; a mirrored window has
+    its image's bytes within its ``mirrored_windows`` bound; a sweep's
     weights stay within ``sweep_route_atol`` of theirs."""
-    spec, policy, starts, weights, on_route, svds = CASES[name]
+    spec, policy, starts, weights, on_route, svds, mirrored = CASES[name]
     starts = list(starts)
     sea = sea_of(spec)
     if callable(policy):
@@ -98,19 +113,55 @@ def test_routes_match_every_windows_eigvalsh(monkeypatch, name):
     assert chiral.sum() == on_route and sum(map(len, calls)) == svds
     solved = {row.tobytes() for row in lam[chiral]}
     assert len(solved) <= svds
+    mirrors = mirrored_windows(sea, spec, policy, starts, 20)
+    assert np.count_nonzero(mirrors[0] != np.arange(len(starts))) == mirrored
     assert_routes_match(lam, eigvalsh_spectra(sea, spec, policy, starts, 20, weights), chiral, 20,
-                        sweep=is_sweep(policy))
+                        sweep=is_sweep(policy), mirrors=mirrors)
 
 
-def test_reversed_windows_give_the_same_bytes():
-    """A group's representative is its window with the lowest start cell, so
-    every window's spectrum is the same bytes in either order of the windows."""
-    spec = _polar_ring()
+@pytest.mark.parametrize("spec", [_polar_ring(), two_defect_chain(0.3)],
+                         ids=["polar-ring-1000", "std400"])
+def test_reversed_windows_give_the_same_bytes(spec):
+    """A group's representative, and of a window and its mirror image the
+    one whose spectrum both take, is the window with the lowest start cell,
+    so every window's spectrum is the same bytes in either order of the
+    windows."""
     sea = sea_of(spec)
-    starts = np.arange(1, 501)
+    starts = np.arange(1, spec.n_cells + 1)
     forward = gs.correlation_spectra(sea, spec, BELOW_HALF, starts, 20)
     backward = gs.correlation_spectra(sea, spec, BELOW_HALF, starts[::-1], 20)
     assert backward[::-1].tobytes() == forward.tobytes()
+
+
+@pytest.mark.parametrize("starts, solves", [
+    ([161, 175], 2), ([20, 161], 1), ([161, 20], 1), ([180], 1), ([180, 1], 1), ([185, 196], 1),
+])
+def test_a_window_shares_with_its_mirror_image_only_when_both_are_given(
+    monkeypatch, starts, solves
+):
+    """On std400 (images 181 - m, or 381 - m from 181 on) a window whose
+    image is not given is solved on its own, by its route (161 and 175 by
+    ``eigvalsh``, 180 by an SVD); given both, the one with the lower start
+    is solved and the other takes its bytes, in either order."""
+    spec = two_defect_chain(0.3)
+    sea = sea_of(spec)
+    count = {"eigvalsh": 0, "svd": 0}
+    for name in count:
+        solve = getattr(np.linalg, name)
+
+        def spy(a, *args, name=name, solve=solve, **kwargs):
+            count[name] += len(a) if np.ndim(a) == 3 else 0
+            return solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    lam = gs.correlation_spectra(sea, spec, BELOW_HALF, starts, 20)
+    monkeypatch.undo()
+    assert count["eigvalsh"] + count["svd"] == solves
+    if solves == 1 and len(starts) == 2:
+        assert lam[0].tobytes() == lam[1].tobytes()
+    assert_routes_match(lam, eigvalsh_spectra(sea, spec, BELOW_HALF, starts, 20),
+                        chiral_windows(sea, spec, BELOW_HALF, starts, 20), 20,
+                        mirrors=mirrored_windows(sea, spec, BELOW_HALF, starts, 20))
 
 
 def test_bulk_windows_share_the_bytes_of_their_group(monkeypatch):
@@ -242,25 +293,28 @@ def test_window_sets_match_their_routes(spec, start, values):
     assert lam.shape == (len(starts), 40) and lam.flags.c_contiguous
     assert_routes_match(lam, eigvalsh_spectra(sea, spec, policy, starts, 20, weights),
                         chiral_windows(sea, spec, policy, starts, 20), 20,
-                        sweep=is_sweep(policy))
+                        sweep=is_sweep(policy),
+                        mirrors=mirrored_windows(sea, spec, policy, starts, 20))
 
 
 def test_big2000_bulk_windows_share_two_svds(monkeypatch):
-    """big2000's 848 singular-value windows take 89 SVDs in one batch: the
+    """big2000's 848 singular-value windows take 45 SVDs in one batch: the
     windows of the two regions' bulk share the SVDs of two representatives,
-    the windows at cells 1 and 301 (the lowest start cell of each bulk), and
-    the 87 windows that read rows of the compressed ring's neighbourhoods
-    take their own."""
+    the windows at cells 1 and 301 (the lowest start cell of each bulk).  Of
+    the 87 windows that read rows of the compressed ring's neighbourhoods,
+    43 take their own and 44 their mirror image's (981 - m): 800 that of
+    181, a bulk window."""
     spec = _ring(2000)
     sea = sea_of(spec)
     calls = _count_svds(monkeypatch)
     lam = gs.correlation_spectra(sea, spec, BELOW_HALF, range(1, 1001), 20)
-    assert [len(batch) for batch in calls] == [89]
+    assert [len(batch) for batch in calls] == [45]
     chiral = chiral_windows(sea, spec, BELOW_HALF, range(1, 1001), 20)
     assert chiral.sum() == 848
     rows = [row.tobytes() for row in lam[chiral]]
-    assert len(set(rows)) == 89
-    assert rows.count(lam[0].tobytes()) == 381 and rows.count(lam[300].tobytes()) == 380
+    assert len(set(rows)) == 45
+    assert rows.count(lam[0].tobytes()) == 382 and rows.count(lam[300].tobytes()) == 380
+    assert lam[799].tobytes() == lam[180].tobytes() == lam[0].tobytes()
 
 
 def test_a_defect_free_ring_takes_one_svd(monkeypatch):
@@ -351,10 +405,12 @@ def _failing_solve(monkeypatch, name, m):
     monkeypatch.setattr(np.linalg, name, spy)
 
 
-@pytest.mark.parametrize("first_window", [1 + 10 * gs.SPECTRA_CHUNK, 1 + 2 * gs.SPECTRA_CHUNK])
+@pytest.mark.parametrize("first_window", [1 + 3 * gs.SPECTRA_CHUNK, 1 + 2 * gs.SPECTRA_CHUNK])
 def test_window_solve_failure_is_a_numerical_error(tmp_path, capsys, monkeypatch, first_window):
-    """Stacks 2 and 10 of std400's 13: the run exits 2 with one line naming
-    the first window of the failing stack, and writes no file."""
+    """Stacks 2 and 3 of std400's 13, whose windows all take ``eigvalsh``
+    (the windows from 91 take their mirror image's spectrum and are not
+    solved): the run exits 2 with one line naming the first window of the
+    failing stack, and writes no file."""
     _failing_solve(monkeypatch, "eigvalsh", first_window)
     rc, out, err, files = _run(tmp_path, capsys, "scan-interval", SCANS["scan-interval"])
     assert rc == cli.EXIT_VALIDATION and out == "" and files == {}
