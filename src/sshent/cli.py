@@ -762,7 +762,8 @@ def run_selftest(args: argparse.Namespace) -> int:
         if image < m:
             mine = gs.correlation_matrix(sea, spec, policy, (m, 20))
             theirs = gs.correlation_matrix(sea, spec, policy, (image, 20)).matrix
-            bound = np.linalg.norm(mine.matrix - theirs[::-1, ::-1], 2) + 80 * np.finfo(float).eps
+            gap_c = np.linalg.norm(mine.matrix - theirs[::-1, ::-1], 2)
+            bound = gap_c + 2 * 40 * np.finfo(float).eps
             gap = float(np.max(np.abs(lam[m - 1] - mine.eigenvalues())))
             same = lam[m - 1].tobytes() == lam[image - 1].tobytes()
             worst = max(worst, gap / bound if same else math.inf)

@@ -341,9 +341,9 @@ def mirror_starts(spec: ChainSpec, starts: np.ndarray, n_cells: int) -> np.ndarr
         # bond r (0-based r - 1) and bond r + 1 meet at site r + 1
         centres = np.flatnonzero(amps == np.roll(amps, -1)) + 2
         axes = (centres[:1] + centres).tolist() if centres.size else [1]
-    image = np.arange(amps.size)
+    bonds = np.arange(amps.size)
     for c in axes:
-        if c % 2 and np.array_equal(amps, amps[(c - 3 - image) % amps.size]):
+        if c % 2 and np.array_equal(amps, amps[(c - 3 - bonds) % amps.size]):
             return ((c + 1) // 2 - starts - n_cells) % spec.n_cells + 1
     return None
 
