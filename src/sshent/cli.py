@@ -9,11 +9,12 @@ statmech        chemical-potential diagnostics on model spectra
 aklt            spin-chain interface tables
 selftest        quick end-to-end invariant suite
 
-Exit codes: 0 success, 1 configuration error, 2 numerical-validation failure
-(a failed gate, or a ``NumericalError``: an eigensolver that did not
-converge, or entropies outside double range), 141 when the reader of stdout
-closes it first (``| head``; the status a shell reports for a process ended
-by SIGPIPE), which prints nothing more.
+Exit codes: 0 success, 1 configuration error (a flag argparse cannot parse
+included), 2 numerical-validation failure (a failed gate, or a
+``NumericalError``: an eigensolver that did not converge, or entropies
+outside double range), 141 when the reader of stdout closes it first
+(``| head``; the status a shell reports for a process ended by SIGPIPE),
+which prints nothing more.
 """
 
 from __future__ import annotations
@@ -773,7 +774,7 @@ def run_selftest(args: argparse.Namespace) -> int:
 
     # a weight sweep's reduced window against each weight's own eigvalsh, within
     # the route's bound and as much again for the two solves' backward errors
-    pair = gs.localized_zero_modes(sea, spec).with_weight(1.0, 0.7)
+    pair = gs.localized_zero_modes(sea, spec)
     ps = [0.0, 0.3, 1.0]
     sweep = gs.correlation_spectra(sea, spec, gs.OccupationPolicy.half(pair), [41] * 3, 20, ps)
     dev = 0.0
@@ -949,7 +950,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as err:
+        # argparse has printed its help or version (code 0), or its usage
+        # line and code 2, which here means a numerical failure: a usage
+        # error is a configuration error
+        return EXIT_CONFIG if err.code else EXIT_OK
     try:
         status = args.func(args)
         # flushed here, so that a reader who closed stdout is met below and

@@ -81,25 +81,22 @@ class ZeroModePair:
     """The two localized zero-mode wavefunctions and their superposition.
 
     ``psi1`` lives on the first defect, ``psi2`` on the second.  The occupied
-    superposition is ``sqrt(1-p) psi1 + e^{i phi} sqrt(p) psi2``: ``p`` is the
-    weight on the *second* defect, so a window around the first defect sees an
-    added correlation eigenvalue ``1 - p``.  The phase ``phi`` only enters
-    windowed correlations through cross terms of the two envelopes, which are
-    exponentially small in the defect separation; tests assert invariance.
+    superposition is ``sqrt(1-p) psi1 + sqrt(p) psi2``: ``p`` is the weight on
+    the *second* defect, so a window around the first defect sees an added
+    correlation eigenvalue ``1 - p``.
     """
 
     psi1: np.ndarray
     psi2: np.ndarray
     p: float = 1.0
-    phi: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("hybridization weight must lie in [0, 1]")
 
-    def with_weight(self, p: float, phi: float | None = None) -> "ZeroModePair":
-        """The pair at weight ``p``, and at phase ``phi`` if given, else its own."""
-        return replace(self, p=p, phi=self.phi if phi is None else phi)
+    def with_weight(self, p: float) -> "ZeroModePair":
+        """The pair at weight ``p``."""
+        return replace(self, p=p)
 
 
 @dataclass(frozen=True)
@@ -155,7 +152,8 @@ def filled_sea(spec: ChainSpec, width: int) -> FilledSea:
     either end is its own row of the ring; every other row, and every row
     of a ring of identical cells, which has no ends, is the run's middle
     row, ``R`` cells in, shifted along the band to the row's column offset,
-    so all of them read the same bytes at each distance.  The zero
+    so all of them read the same bytes at each distance; the sea's ``rows``
+    name the ring row each row reads.  The zero
     columns are 0 on the cut cells, and ``filled`` is ``L`` less the ring's
     zero columns.  Where no run is that long, the chain itself is solved.
     """
@@ -202,7 +200,7 @@ def filled_sea(spec: ChainSpec, width: int) -> FilledSea:
     k = sea.splittings.size
     u0, v0 = np.zeros((n, k)), np.zeros((n, k))
     u0[kept], v0[kept] = sea.u0, sea.v0
-    return FilledSea(width=width, filled=n - k, band=band, u0=u0, v0=v0,
+    return FilledSea(width=width, filled=n - k, band=band, rows=row, u0=u0, v0=v0,
                      splittings=sea.splittings)
 
 
@@ -360,8 +358,7 @@ def correlation_matrix(
     the sea's band, so ``ell`` is at most its ``width``.  Cells are taken
     modulo ``L``: windows across the cell-1 seam and the full ring (a purity
     diagnostic, which may hold two defects) take the same path.  An occupied
-    zero mode adds its projector; its phase enters only through the real
-    interference term, the imaginary part being antisymmetric and as small.
+    zero mode adds its projector.
     """
     start_cell, n_cells = window
     cells = _window_cells(sea, spec, policy, np.array([start_cell]), n_cells)
@@ -369,8 +366,7 @@ def correlation_matrix(
     _weightless(matrix, sea, cells)
     zm = policy.zero_mode
     if zm is not None:
-        _add_zero_mode(matrix, _zero_mode_outer(*_envelopes(zm, cells[0])), np.array([zm.p]),
-                       zm.phi)
+        _add_zero_mode(matrix, _zero_mode_outer(*_envelopes(zm, cells[0])), np.array([zm.p]))
     return CorrelationMatrix(start_cell=start_cell, n_cells=n_cells, matrix=matrix[0])
 
 
@@ -401,8 +397,9 @@ def correlation_spectra(
     other's bytes (``_mirror_sources``) and is not solved.  Of the windows
     solved, one whose zero columns are below ``CHIRAL_BOUND`` takes ``1/2 -
     s`` ascending and then ``1/2 + s`` ascending, ``s`` the singular values
-    of its C_AB block.  Such windows whose blocks have the same bytes share
-    one SVD (``_svd_sources``: each takes the bytes of its group's
+    of its C_AB block.  Such windows whose cells read the same rows of the
+    solved ring (``sea.rows``), so that their blocks have the same bytes,
+    share one SVD (``_svd_sources``: each takes the bytes of its group's
     representative, the window of the group with the lowest start cell);
     the representatives and the windows that share with none take theirs in
     batches of up to ``SVD_CHUNK``.  Every other window solved takes its
@@ -455,7 +452,7 @@ def correlation_spectra(
             for lo in range(0, size, SPECTRA_CHUNK):
                 out = reduced[lo : lo + SPECTRA_CHUNK]
                 out[:] = t
-                _add_zero_mode(out, products, p[lo : lo + SPECTRA_CHUNK], zm.phi)
+                _add_zero_mode(out, products, p[lo : lo + SPECTRA_CHUNK])
             spectra[:, t.shape[0] :] = rest
             eigvalsh(np.arange(size), reduced)
             spectra.sort(axis=1)
@@ -513,38 +510,22 @@ def _svd_sources(
     windows: np.ndarray, starts: np.ndarray, sea: FilledSea, cells: np.ndarray
 ) -> np.ndarray:
     """For each of the singular-value-route windows ``windows``, the window
-    whose singular values it takes: among the windows whose C_AB blocks have
-    the same bytes, the one with the lowest start cell (the first given, if
-    two share it), so the choice does not depend on the order of the
-    windows.  A hash of each block's bits (a wrapping
-    integer sum, taken ``SVD_CHUNK`` blocks at a time) proposes the groups,
-    and a window joins its group's representative only if its block has the
-    representative's bytes; a collision of the hash costs an SVD, never a
-    spectrum.  The windows of a run's bulk, which ``filled_sea`` reads from
-    one row, have the same bytes."""
-    source = windows.copy()
-    count = windows.size
-    if count < 2:
-        return source
-    rows = cells[windows]
-    keys = np.empty(count, dtype=np.uint64)
-    # odd multipliers of the golden ratio times 2^64, one per entry
-    weights = np.arange(1, 2 * rows.shape[1] ** 2, 2, dtype=np.uint64)
-    weights *= np.uint64(0x9E3779B97F4A7C15)
-    for lo in range(0, count, SVD_CHUNK):
-        bits = _blocks(sea, rows[lo : lo + SVD_CHUNK]).view(np.uint64)
-        keys[lo : lo + SVD_CHUNK] = bits.reshape(len(bits), -1) @ weights
-    order = np.lexsort((starts[windows], keys))
-    first = np.flatnonzero(np.r_[True, keys[order[1:]] != keys[order[:-1]]])
-    rep = np.empty(count, dtype=np.intp)
-    rep[order] = np.repeat(order[first], np.diff(np.r_[first, count]))
-    candidates = np.flatnonzero(rep != np.arange(count))
-    heads, head_of = np.unique(rep[candidates], return_inverse=True)
-    head_bits = _blocks(sea, rows[heads]).view(np.uint64)
-    for lo in range(0, candidates.size, SVD_CHUNK):
-        joins, head = candidates[lo : lo + SVD_CHUNK], head_of[lo : lo + SVD_CHUNK]
-        same = np.all(_blocks(sea, rows[joins]).view(np.uint64) == head_bits[head], axis=(1, 2))
-        source[joins[same]] = windows[heads[head[same]]]
+    whose singular values it takes: among the windows whose cells read the
+    same rows of the solved ring (``sea.rows``), and so have C_AB blocks
+    with the same bytes, the one with the lowest start cell (the first
+    given, if two share it), so the choice does not depend on the order of
+    the windows.  The windows of a run's bulk, which ``filled_sea`` reads
+    from one row, read the same rows."""
+    if not windows.size:
+        return windows
+    rows = sea.rows[cells[windows]]
+    # by the rows read, then by start cell; lexsort is stable, so of two
+    # windows at the same start the first given comes first
+    order = np.lexsort([starts[windows], *rows.T[::-1]])
+    rows = rows[order]
+    first = np.flatnonzero(np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)])
+    source = np.empty_like(windows)
+    source[order] = np.repeat(windows[order[first]], np.diff(np.r_[first, windows.size]))
     return source
 
 
@@ -604,12 +585,12 @@ def _zero_mode_outer(w1: np.ndarray, w2: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def _add_zero_mode(
-    c: np.ndarray, outer: tuple[np.ndarray, np.ndarray, np.ndarray], p: np.ndarray, phi: float
+    c: np.ndarray, outer: tuple[np.ndarray, np.ndarray, np.ndarray], p: np.ndarray
 ) -> None:
     """Add to each ``c[i]`` the projector on the zero-mode superposition at
-    weight ``p[i]`` and phase ``phi``, from its ``_zero_mode_outer``."""
+    weight ``p[i]``, from its ``_zero_mode_outer``."""
     o11, o22, o12 = outer
     p = p[:, None, None]
     c += (1.0 - p) * o11
     c += p * o22
-    c += np.sqrt(p * (1.0 - p)) * math.cos(phi) * o12
+    c += np.sqrt(p * (1.0 - p)) * o12

@@ -36,7 +36,13 @@ class FilledSea:
     ``width`` cells: row ``r`` holds the ``3 * width`` cells from
     ``(r // width - 1) * width`` on, modulo ``L``, and the entries less than
     ``width`` columns from the row's own cell are the ones a window of up to
-    ``width`` cells reads.  ``u0`` and ``v0`` (``L x k``) are the zero columns,
+    ``width`` cells reads.  ``rows`` gives, for each band row, the row of the
+    solved ring whose entries it holds, shifted along the band to its own
+    column offset (``np.arange`` where the chain itself was solved): at each
+    distance from its own cell, band row ``r`` holds the bytes of ring row
+    ``rows[r]`` at that distance from its cell.  So the bytes of the
+    ``C_AB`` block of a window on ``cells`` depend on ``rows[cells]`` alone.
+    ``u0`` and ``v0`` (``L x k``) are the zero columns,
     paired so that ``T v0 = u0 diag(splittings)``, the splittings descending.
     Where ``groundstate.filled_sea`` solved a compressed ring, the splittings
     are that ring's: its defects sit closer, so a distant pair splits more
@@ -48,6 +54,7 @@ class FilledSea:
     width: int
     filled: int
     band: np.ndarray
+    rows: np.ndarray
     u0: np.ndarray
     v0: np.ndarray
     splittings: np.ndarray
@@ -104,8 +111,9 @@ def eigh_sea(block: BandedBlock, width: int, threshold: float) -> FilledSea:
         rows = band[i0 : min(i0 + width, n)]
         np.matmul(uf[i0 : i0 + width], vf[np.arange(i0 - width, i0 + 2 * width) % n].T, out=rows)
         rows *= -0.5
-    return FilledSea(width=width, filled=filled, band=band, u0=u[:, filled:].copy(),
-                     v0=v[:, filled:].copy(), splittings=s[filled:].copy())
+    return FilledSea(width=width, filled=filled, band=band, rows=np.arange(band.shape[0]),
+                     u0=u[:, filled:].copy(), v0=v[:, filled:].copy(),
+                     splittings=s[filled:].copy())
 
 
 def _triples(t: np.ndarray | BandedBlock) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

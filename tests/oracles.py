@@ -290,9 +290,9 @@ def _add_zero_mode_terms(c, policy, sites):
     zm = policy.zero_mode
     if policy.filling == gs.HALF and zm is not None:
         w1, w2 = zm.psi1[sites], zm.psi2[sites]
-        p, phi = zm.p, zm.phi
+        p = zm.p
         c = c + (1.0 - p) * np.outer(w1, w1) + p * np.outer(w2, w2)
-        cross = math.sqrt(p * (1.0 - p)) * math.cos(phi)
+        cross = math.sqrt(p * (1.0 - p))
         c = c + cross * (np.outer(w1, w2) + np.outer(w2, w1))
     return c
 
@@ -317,7 +317,7 @@ def eigvalsh_spectra(sea, spec, policy, starts, n_cells, weights=None):
     """The windows' spectra as one ``eigvalsh`` of the stack of their
     ``correlation_matrix`` matrices, clamped: the one route every window took
     before the singular-value and sweep routes, bit for bit.  ``weights``
-    set the occupied zero mode's weight per window, at its phase."""
+    set the occupied zero mode's weight per window."""
     if weights is None:
         policies = [policy] * len(starts)
     else:
@@ -325,6 +325,19 @@ def eigvalsh_spectra(sea, spec, policy, starts, n_cells, weights=None):
     matrices = [gs.correlation_matrix(sea, spec, pol, (int(m), n_cells)).matrix
                 for m, pol in zip(starts, policies)]
     return ent.clamp_lambdas(np.linalg.eigvalsh(np.stack(matrices)))
+
+
+def svd_sources_by_bytes(windows, starts, sea, cells):
+    """``groundstate._svd_sources`` by the bytes of the windows' C_AB blocks,
+    the rule before the sea named its rows: of the windows ``windows`` whose
+    blocks have the same bytes, each takes the one with the lowest start
+    cell (the first given, if two share it)."""
+    source = np.empty_like(windows)
+    representatives = {}
+    for i in np.argsort(starts[windows], kind="stable"):
+        block = gs._blocks(sea, cells[windows[i : i + 1]]).tobytes()
+        source[i] = representatives.setdefault(block, windows[i])
+    return source
 
 
 def is_sweep(policy):

@@ -701,6 +701,29 @@ def test_table_commands_check_renyi_indices(capsys, command):
     assert capsys.readouterr().err == "config error: Renyi index must be finite, got inf\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["scan-interval", "--delta", "abc"],
+    ["scan-interval", "--mode", "bogus"],
+    ["scan-sideways"],
+    ["scan-interval", "--no-such-flag"],
+    [],
+    ["scan-interval", "--n-list", "1,abc"],
+], ids=["bad-float", "bad-choice", "unknown-command", "unknown-flag", "no-command", "bad-n-list"])
+def test_usage_errors_are_config_errors(capsys, argv):
+    """A flag argparse cannot parse exits 1, as a config file's bad value
+    does, with argparse's usage line on stderr; exit 2 is kept for
+    numerical failures."""
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("usage: sshent") or err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["scan-interval", "--help"], ["--version"]])
+def test_help_and_version_exit_0(capsys, argv):
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith(("usage: sshent", "sshent "))
+
+
 @pytest.mark.parametrize(
     "command, mode, message",
     [

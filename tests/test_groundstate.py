@@ -218,8 +218,7 @@ def test_sweep_route_within_atol_of_every_weights_eigvalsh(
     monkeypatch, kinds, place, ell, first, second
 ):
     """A sweep on the first defect, on the second (one_site or three_site)
-    and far from both (cell 90), at phases 0, 0.7 and 2.3 (where the
-    zero-mode term has rank 2), stays within ``sweep_route_atol`` of each
+    and far from both (cell 90) stays within ``sweep_route_atol`` of each
     weight's own ``eigvalsh``, from p = 0 to p = 1.  At ell = 20 the
     windows on a defect solve at most 20 of their 40 dimensions per weight,
     the window far from both none; at ell = 4 the Krylov space of a window
@@ -228,28 +227,26 @@ def test_sweep_route_within_atol_of_every_weights_eigvalsh(
     sea = sea_of(spec, ell)
     start = {"first": first, "second": second, "far": 90}[place]
     weights = [0.0, 0.002, 0.3, 0.5, 0.9, 1.0]
-    for phi in (0.0, 0.7, 2.3):
-        policy = gs.OccupationPolicy.half(gs.localized_zero_modes(sea, spec).with_weight(1.0, phi))
-        want = eigvalsh_spectra(sea, spec, policy, [start] * len(weights), ell, weights)
-        sizes = _reduced_sizes(monkeypatch)
-        got = gs.correlation_spectra(sea, spec, policy, [start] * len(weights), ell, weights)
-        monkeypatch.undo()
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=sweep_route_atol(ell),
-                                   err_msg=str(phi))
-        (k,) = sizes
-        if place == "far":
-            assert k == 0
-        elif ell == 20:
-            assert k <= 20
-        else:
-            # the full matrices, so the eigvalsh route's bits
-            assert k == 2 * ell and got.tobytes() == want.tobytes()
+    policy = gs.OccupationPolicy.half(gs.localized_zero_modes(sea, spec))
+    want = eigvalsh_spectra(sea, spec, policy, [start] * len(weights), ell, weights)
+    sizes = _reduced_sizes(monkeypatch)
+    got = gs.correlation_spectra(sea, spec, policy, [start] * len(weights), ell, weights)
+    monkeypatch.undo()
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=sweep_route_atol(ell))
+    (k,) = sizes
+    if place == "far":
+        assert k == 0
+    elif ell == 20:
+        assert k <= 20
+    else:
+        # the full matrices, so the eigvalsh route's bits
+        assert k == 2 * ell and got.tobytes() == want.tobytes()
 
 
 def test_reversed_weights_give_reversed_rows(sea03, chain03, zero_pair03):
     """Each weight's reduced matrix and solve depend on its weight alone."""
     weights = np.linspace(0.0, 1.0, 2 * gs.SPECTRA_CHUNK + 5)
-    policy = gs.OccupationPolicy.half(zero_pair03.with_weight(1.0, 0.7))
+    policy = gs.OccupationPolicy.half(zero_pair03)
     starts = [41] * weights.size
     forward = gs.correlation_spectra(sea03, chain03, policy, starts, 20, weights)
     backward = gs.correlation_spectra(sea03, chain03, policy, starts, 20, weights[::-1])
@@ -432,24 +429,6 @@ def test_rank_one_update_and_p_invariance(chain03, zero_pair03, below_half):
     lam = np.sort(gs.correlation_matrix(sea03, chain03, policy, window).eigenvalues())
     nearest = lam[np.argsort(np.abs(lam - 0.5))[:2]]
     assert float(np.mean(nearest)) == pytest.approx(0.5, abs=1e-9)
-
-
-def test_phase_has_no_windowed_effect(sea03, chain03, zero_pair03):
-    tables = []
-    for phi in (0.0, 0.7, math.pi / 2, math.pi):
-        policy = gs.OccupationPolicy.half(zero_pair03.with_weight(0.3, phi=phi))
-        lam = gs.correlation_matrix(sea03, chain03, policy, DEFECT_WINDOW).eigenvalues()
-        tables.append(ent.charge_resolved_table(lam, 2.0))
-    for t in tables[1:]:
-        assert t.total_vn == pytest.approx(tables[0].total_vn, abs=1e-6)
-        np.testing.assert_allclose(t.probabilities, tables[0].probabilities, atol=1e-6)
-
-
-def test_with_weight_keeps_the_phase_unless_given(zero_pair03):
-    """A new weight keeps the pair's own phase; a phase passed replaces it."""
-    pair = zero_pair03.with_weight(1.0, 0.7)
-    assert pair.with_weight(0.3).phi == 0.7 and pair.with_weight(0.3).p == 0.3
-    assert pair.with_weight(0.3, 2.3).phi == 2.3 and pair.with_weight(0.3, 0.0).phi == 0.0
 
 
 def test_fully_localized_zero_mode_shifts_charges(chain03, zero_pair03, below_half):

@@ -1,8 +1,11 @@
 """The three routes of the window spectra: the singular values of C_AB where
 the zero columns are below rounding, one reduction of the window for a
 sweep of the zero-mode weight, one ``eigvalsh`` per matrix elsewhere.  On
-the singular-value route, windows whose C_AB blocks have the same bytes
-share one SVD; on a chain with a mirror, a window whose mirror image is
+the singular-value route, windows whose cells read the same rows of the
+solved ring (``FilledSea.rows``), whose C_AB blocks so have the same bytes,
+share one SVD: the same groups as those of the blocks' bytes
+(``oracles.svd_sources_by_bytes``), except at |delta| = 1, where the row
+groups are finer.  On a chain with a mirror, a window whose mirror image is
 given with a lower start cell takes that window's spectrum.
 
 Each case is held to ``oracles.eigvalsh_spectra``, every window's
@@ -31,6 +34,7 @@ from oracles import (
     eigvalsh_spectra,
     is_sweep,
     mirrored_windows,
+    svd_sources_by_bytes,
 )
 
 
@@ -46,6 +50,15 @@ def _ci_ring():
     """The N = 8000 ring of the CI scan."""
     return model.ChainSpec(n_sites=8000, dimerization=0.3, defects=(
         model.DefectSpec(1000, "one_site"), model.DefectSpec(3000, "three_site")))
+
+
+def _ring(n_sites):
+    """The benchmark's rings: defects at a quarter and three quarters."""
+    cells = n_sites // 2
+    return model.ChainSpec(
+        n_sites=n_sites, dimerization=0.3,
+        defects=(model.DefectSpec(cells // 4), model.DefectSpec(3 * cells // 4)),
+    )
 
 
 def _zero_mode(spec, sea):
@@ -182,38 +195,103 @@ def test_bulk_windows_share_the_bytes_of_their_group(monkeypatch):
     assert {c[0::2, 1::2].tobytes() for c in matrices} == set(solved)
 
 
-@pytest.mark.parametrize("step, shares", [(0.0, True), (np.nextafter(0.0, 1.0), False)],
-                         ids=["same-bytes", "smallest-subnormal-apart"])
-def test_windows_share_an_svd_only_with_the_same_bytes(
-    monkeypatch, sea03, chain03, below_half, step, shares
+@pytest.mark.parametrize("shares", [True, False], ids=["same-rows", "same-bytes-other-rows"])
+def test_windows_share_an_svd_only_when_they_read_the_same_rows(
+    monkeypatch, sea03, chain03, below_half, shares
 ):
-    """Two windows of a synthetic sea: at 81 the block ``I / 4`` of 16 cells,
-    at 121 the same block with one zero entry set to ``step``.  With the
-    same bytes the window at 121 takes the SVD of its representative, the
-    window at 81 with the lower start cell, whichever comes first; with that
-    entry the smallest subnormal, it takes its own."""
+    """Two windows of 16 cells of a synthetic sea, at 81 and 121, whose C_AB
+    blocks are both ``I / 4``: band rows 121 to 136 hold the bytes of rows
+    81 to 96.  Where the sea's ``rows`` say that they read those rows, the
+    window at 121 takes the SVD of its representative, the window at 81
+    with the lower start cell, whichever comes first; where they name its
+    own rows, it takes its own SVD, of the same bytes."""
     ell = 16
-    no_zero_columns = dict(u0=np.zeros_like(sea03.u0), v0=np.zeros_like(sea03.v0))
-    # the band positions of each window's C_AB, read through a band of indices
-    ids = replace(sea03, band=np.arange(sea03.band.size, dtype=float).reshape(sea03.band.shape),
-                  **no_zero_columns)
-    stack = np.stack([gs.correlation_matrix(ids, chain03, below_half, (m, ell)).matrix
-                      for m in (81, 121)])
-    at = stack[:, 0::2, 1::2].astype(np.intp)
-    band = np.zeros(sea03.band.size)
-    rep = np.eye(ell) / 4
-    band[at[0]] = rep
-    band[at[1]] = rep
-    band[at[1][0, 1]] = step
-    sea = replace(sea03, band=band.reshape(sea03.band.shape), **no_zero_columns)
-    member = rep.copy()
-    member[0, 1] = step
+    band = np.zeros_like(sea03.band)
+    band[80:96, 20:36] = band[120:136, 20:36] = np.eye(ell) / 4
+    rows = np.arange(band.shape[0])
+    if shares:
+        rows[120:136] = rows[80:96]
+    sea = replace(sea03, band=band, rows=rows, u0=np.zeros_like(sea03.u0),
+                  v0=np.zeros_like(sea03.v0))
     calls = _count_svds(monkeypatch)
     lam = gs.correlation_spectra(sea, chain03, below_half, [121, 81], ell)
     solved = [block.tolist() for batch in calls for block in batch]
-    assert solved == ([rep.tolist()] if shares else [member.tolist(), rep.tolist()])
-    if shares:
-        assert lam[0].tobytes() == lam[1].tobytes()
+    assert solved == [(np.eye(ell) / 4).tolist()] * (1 if shares else 2)
+    assert lam[0].tobytes() == lam[1].tobytes()
+
+
+def _open_ring():
+    """The open N = 4000 chain of the CI scan."""
+    return model.ChainSpec(n_sites=4000, dimerization=0.3, boundary="open",
+                           defects=(model.DefectSpec(1000, "three_site"),))
+
+
+def _mixed(n_sites, delta=0.3, cells=None):
+    """A ring with a one_site and a three_site defect, by default at a
+    quarter and three quarters of its cells."""
+    cells = cells or (n_sites // 8, 3 * n_sites // 8)
+    return model.ChainSpec(n_sites=n_sites, dimerization=delta, defects=(
+        model.DefectSpec(cells[0], "one_site"), model.DefectSpec(cells[1], "three_site")))
+
+
+# name: spec, window length, windows of the singular-value route among all
+# start cells, SVDs they would take without the mirror
+ROW_GROUP_RINGS = {
+    "std400": (_ring(400), 20, 48, 48),
+    "mixed-400": (_mixed(400), 20, 47, 47),
+    "polar-ring-1000": (_polar_ring(), 20, 348, 89),
+    "mixed-1000": (_mixed(1000), 20, 347, 87),
+    "big2000": (_ring(2000), 20, 848, 89),
+    "ci-8000": (_ci_ring(), 20, 3847, 87),
+    "ci-delta-0.1-4000": (_mixed(4000, 0.1, (500, 1500)), 50, 1547, 215),
+    "ci-open-4000": (_open_ring(), 20, 1874, 116),
+    "defect-free-600": (model.ChainSpec(n_sites=600, dimerization=0.3), 20, 300, 1),
+    "defect-free-2000": (model.ChainSpec(n_sites=2000, dimerization=0.3), 20, 1000, 1),
+    "delta-0.05-1600": (model.ChainSpec(n_sites=1600, dimerization=0.05, defects=(
+        model.DefectSpec(200), model.DefectSpec(600))), 20, 52, 52),
+}
+
+
+def _route_windows(spec, ell, starts):
+    """The sea, the windows' cells and the windows of the singular-value
+    route among ``starts``, as ``correlation_spectra`` finds them."""
+    sea = sea_of(spec, ell)
+    cells = gs._window_cells(sea, spec, BELOW_HALF, starts, ell)
+    return sea, cells, np.flatnonzero(chiral_windows(sea, spec, BELOW_HALF, starts, ell))
+
+
+@pytest.mark.parametrize("name", ROW_GROUP_RINGS)
+def test_row_groups_equal_the_byte_groups(name):
+    """Away from |delta| = 1, the windows that read the same rows of the
+    solved ring are the windows whose C_AB blocks have the same bytes: the
+    sources equal ``oracles.svd_sources_by_bytes`` entry for entry, with
+    the start cells in either order."""
+    spec, ell, on_route, svds = ROW_GROUP_RINGS[name]
+    last = spec.n_cells - (ell - 1 if spec.boundary == "open" else 0)
+    for starts in (np.arange(1, last + 1), np.arange(last, 0, -1)):
+        sea, cells, windows = _route_windows(spec, ell, starts)
+        source = gs._svd_sources(windows, starts, sea, cells)
+        assert windows.size == on_route and np.unique(source).size == svds
+        np.testing.assert_array_equal(source, svd_sources_by_bytes(windows, starts, sea, cells))
+
+
+def test_fully_dimerized_row_groups_refine_the_byte_groups(monkeypatch):
+    """At |delta| = 1 the exact dimer blocks repeat across different rows of
+    the ring, so windows that read different rows can have the same bytes:
+    on the CI N = 2000 ring the 959 windows of the route take 77 SVDs where
+    the byte groups would take 2.  Each row group lies inside one byte
+    group, and the spectra have the bytes that the byte groups give."""
+    spec = _mixed(2000, 1.0, (250, 750))
+    starts = np.arange(1, 1001)
+    sea, cells, windows = _route_windows(spec, 20, starts)
+    source = gs._svd_sources(windows, starts, sea, cells)
+    by_bytes = svd_sources_by_bytes(windows, starts, sea, cells)
+    assert windows.size == 959 and np.unique(source).size == 77
+    assert np.unique(by_bytes).size == 2
+    np.testing.assert_array_equal(by_bytes[np.searchsorted(windows, source)], by_bytes)
+    lam = gs.correlation_spectra(sea, spec, BELOW_HALF, starts, 20)
+    monkeypatch.setattr(gs, "_svd_sources", svd_sources_by_bytes)
+    assert gs.correlation_spectra(sea, spec, BELOW_HALF, starts, 20).tobytes() == lam.tobytes()
 
 
 def test_a_window_just_above_the_bound_takes_eigvalsh(monkeypatch, sea03, chain03, below_half):
@@ -247,15 +325,6 @@ def test_a_window_just_above_the_bound_takes_eigvalsh(monkeypatch, sea03, chain0
     assert chiral.tolist() == [True, False, True]
     monkeypatch.undo()
     assert_routes_match(lam, eigvalsh_spectra(sea, chain03, below_half, starts, 20), chiral, 20)
-
-
-def _ring(n_sites):
-    """The benchmark's rings: defects at a quarter and three quarters."""
-    cells = n_sites // 2
-    return model.ChainSpec(
-        n_sites=n_sites, dimerization=0.3,
-        defects=(model.DefectSpec(cells // 4), model.DefectSpec(3 * cells // 4)),
-    )
 
 
 # a sweep's weights beyond any stack of SPECTRA_CHUNK, all in one eigvalsh call
